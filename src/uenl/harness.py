@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,7 @@ from .metrics import MetricReport, auroc, error_rate, histogram, write_histogram
 from .model import (
     TRAIN,
     ModelParams,
-    eval_logits,
+    eval_logits,  # unused here, but perfbench/tracing.py rebinds harness.eval_logits
     forward,
     init_params,
     param_leaves,
@@ -60,7 +60,7 @@ from .model import (
 )
 from .optim import OptState, lr_at_epoch, sgd_step
 from .rng import RngStream, derive_seed
-from .scoring import ScoreSet, energy_score, msp_score, odin_score, uncertainty_score, write_scores_csv
+from .scoring import ScoreSet, energy_score, eval_pass, msp_score, odin_score, write_scores_csv
 from .tensor import Tensor, add, backward, leaf, scale
 
 __all__ = [
@@ -346,8 +346,10 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
         if progress is not None:
             progress(epoch, loss_trace[-1], error_trace[-1])
         if val_features is not None:
-            s_id = _scores_for(params, val_id, val_method, config.scoring, bundle.clip_range)
-            s_ood = _scores_for(params, val_features, val_method, config.scoring, bundle.clip_range)
+            s_id, s_ood = (
+                _scores_for(params, x, val_method, config.scoring, bundle.clip_range, eval_pass(params, x))
+                for x in (val_id, val_features)
+            )
             a = auroc(s_id, s_ood)
             if a > best_auroc:
                 best_auroc = a
@@ -361,21 +363,22 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
     return Checkpoint(config, params.weights, params.bn_state, final_epoch, loss_trace, error_trace)
 
 
-def _scores_for(params, features, method, spec, clip_range, chunk: int = 512) -> np.ndarray:
-    parts = []
-    for i in range(0, len(features), chunk):
-        x = features[i : i + chunk]
-        if method == "msp":
-            parts.append(msp_score(eval_logits(params, x)))
-        elif method == "energy":
-            parts.append(energy_score(eval_logits(params, x), spec.energy_temperature))
-        elif method == "odin":
-            parts.append(odin_score(params, x, spec.odin_temperature, spec.odin_epsilon, clip_range))
-        elif method == "uncertainty":
-            parts.append(uncertainty_score(params, x))
-        else:
-            raise ValueError(f"unknown scoring method {method!r}")
-    return np.concatenate([np.atleast_1d(p) for p in parts])
+def _scores_for(params, features, method, spec, clip_range, out, chunk: int = 512) -> np.ndarray:
+    """One method's scores on a dataset whose eval_pass output is ``out``.
+    Only ODIN runs the model again: it needs an input gradient."""
+    logits, u_total = out
+    if method == "msp":
+        return msp_score(logits)
+    if method == "energy":
+        return energy_score(logits, spec.energy_temperature)
+    if method == "uncertainty":
+        return -u_total
+    if method == "odin":
+        return np.concatenate([
+            odin_score(params, features[i : i + chunk], spec.odin_temperature, spec.odin_epsilon, clip_range)
+            for i in range(0, len(features), chunk)
+        ])
+    raise ValueError(f"unknown scoring method {method!r}")
 
 
 @dataclass
@@ -430,21 +433,22 @@ def evaluate(
         bundle = build_datasets(config)
     if not bundle.ood:
         raise ValueError("no OOD sets to evaluate against")
-    methods = tuple(methods) if methods is not None else config.scoring.methods
-    bins = int(histogram_bins) if histogram_bins is not None else config.scoring.histogram_bins
+    # The spec checks the method names before any forward pass.
+    spec = config.scoring if methods is None else replace(config.scoring, methods=tuple(methods))
+    bins = int(histogram_bins) if histogram_bins is not None else spec.histogram_bins
     params = checkpoint.params()
-    spec = config.scoring
 
-    predicted = predict_classes(params, bundle.id_test.features)
-    id_err = error_rate(predicted, bundle.id_test.labels)
+    id_pass = eval_pass(params, bundle.id_test.features)
+    ood_passes = {name: eval_pass(params, ds.features) for name, ds in bundle.ood.items()}
+    id_err = error_rate(np.argmax(id_pass[0], axis=1) + 1, bundle.id_test.labels)
 
     metric_rows = []
     score_sets = []
     hist_rows = []
-    for method in methods:
-        id_scores = _scores_for(params, bundle.id_test.features, method, spec, bundle.clip_range)
+    for method in spec.methods:
+        id_scores = _scores_for(params, bundle.id_test.features, method, spec, bundle.clip_range, id_pass)
         ood_scores = {
-            name: _scores_for(params, ds.features, method, spec, bundle.clip_range)
+            name: _scores_for(params, ds.features, method, spec, bundle.clip_range, ood_passes[name])
             for name, ds in bundle.ood.items()
         }
         score_sets.append(ScoreSet(method, id_scores, ood_scores, id_name="id_test"))

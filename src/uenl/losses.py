@@ -202,8 +202,8 @@ def uenl_total(
     """Full objective: CE(normalize(p) / u_hat, y) + kl_weight * KL(u).
 
     ``uhat_scale`` rescales the resampled temperature (an ablation knob;
-    1.0 leaves it untouched). The epsilon draw is surfaced in the breakdown's
-    ``uhat`` so runs can be audited or replayed.
+    1.0 leaves it untouched). The breakdown's ``uhat`` holds the per-sample
+    temperatures after ``uhat_scale``; the epsilon draw itself is not kept.
     """
     if kl_weight < 0.0:
         raise ValueError("kl_weight must be non-negative")

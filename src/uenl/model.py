@@ -42,7 +42,6 @@ __all__ = [
     "param_leaves",
     "forward",
     "uncertainty_forward",
-    "expected_param_count",
     "eval_logits",
     "predict_classes",
 ]
@@ -197,20 +196,6 @@ def init_params(backbone: BackboneConfig, head: UncertaintyHeadConfig, rng: RngS
     bn_block("head.bn", head.out_dim)
 
     return ModelParams(backbone, head, weights, bn_state)
-
-
-def expected_param_count(backbone: BackboneConfig, head: UncertaintyHeadConfig) -> int:
-    """Closed-form trainable weight count for the given architecture."""
-    count = 0
-    fan_in = backbone.input_dim
-    for width in backbone.hidden_dims:
-        count += (fan_in + 1) * width
-        if backbone.use_batchnorm:
-            count += 2 * width
-        fan_in = width
-    count += (fan_in + 1) * backbone.num_classes
-    count += (head.embed_dim + 1) * head.out_dim + 2 * head.out_dim
-    return count
 
 
 def param_leaves(params: ModelParams) -> dict[str, GraphNode]:

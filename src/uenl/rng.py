@@ -13,9 +13,7 @@ import hashlib
 
 import numpy as np
 
-from .tensor import Tensor
-
-__all__ = ["RngStream", "sample_standard_normal", "derive_seed"]
+__all__ = ["RngStream", "derive_seed"]
 
 
 class RngStream:
@@ -35,7 +33,6 @@ class RngStream:
         digest = hashlib.sha256(f"{seed}\x1f{path}".encode()).digest()
         key = int.from_bytes(digest[:16], "little")
         self._gen = np.random.Generator(np.random.Philox(key=key))
-        self.draw_count = 0
 
     def substream(self, name: str) -> "RngStream":
         """Independent child stream; the child's path extends this stream's."""
@@ -44,35 +41,26 @@ class RngStream:
         return RngStream(self.seed, f"{self.path}/{name}")
 
     def normal(self, shape=()) -> np.ndarray:
-        self.draw_count += 1
         return self._gen.standard_normal(shape)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, shape=()) -> np.ndarray:
         if not high > low:
             raise ValueError(f"uniform needs high > low, got [{low}, {high})")
-        self.draw_count += 1
         return self._gen.uniform(low, high, shape)
 
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
         """Integers drawn uniformly from [low, high)."""
         if not high > low:
             raise ValueError(f"integers needs high > low, got [{low}, {high})")
-        self.draw_count += 1
         return self._gen.integers(low, high, size=shape)
 
     def permutation(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("permutation length must be non-negative")
-        self.draw_count += 1
         return self._gen.permutation(n)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path!r})"
-
-
-def sample_standard_normal(rng: RngStream, shape) -> Tensor:
-    """Standard normal draws as an immutable tensor."""
-    return Tensor(rng.normal(shape))
 
 
 def derive_seed(seed: int, label: str) -> int:

@@ -19,7 +19,7 @@ __all__ = [
     "energy_score",
     "odin_score",
     "uncertainty_score",
-    "decide",
+    "eval_pass",
     "ScoreSet",
     "write_scores_csv",
     "SCORE_METHODS",
@@ -117,23 +117,30 @@ def _odin_perturbed(
     return x_perturbed
 
 
+def eval_pass(params: ModelParams, x, chunk: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    """(logits, u_total): eval-mode class logits and each row's total
+    uncertainty sum_i u_i (the row sums only, which keeps memory flat),
+    computed ``chunk`` rows at a time. Eval rows do not depend on their batch,
+    so this equals an unchunked pass bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    logits = [np.zeros((0, params.backbone.num_classes))]
+    u_total = [np.zeros(0)]
+    for i in range(0, len(x), chunk):
+        out = forward(params, x[i : i + chunk], EVAL)
+        u = uncertainty_forward(params, out.embedding, EVAL, leaves=out.leaves).u.array
+        logits.append(out.logits.array)
+        u_total.append(np.sum(u, axis=1))
+    return np.concatenate(logits), np.concatenate(u_total)
+
+
 def uncertainty_score(params: ModelParams, x):
     """Negated total predicted uncertainty: -sum_i u_i(x). Higher = more ID."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    out = forward(params, x, EVAL)
-    u = uncertainty_forward(params, out.embedding, EVAL, leaves=out.leaves).u.array
-    scores = -np.sum(u, axis=1)
+    scores = -eval_pass(params, x)[1]
     return float(scores[0]) if single else scores
-
-
-def decide(score, threshold: float):
-    """Detection rule: "ID" when score >= threshold, else "OOD"."""
-    arr = np.asarray(score, dtype=np.float64)
-    labels = np.where(arr >= threshold, "ID", "OOD")
-    return str(labels) if arr.ndim == 0 else labels
 
 
 @dataclass

@@ -72,10 +72,6 @@ class Tensor:
     def zeros(cls, shape) -> "Tensor":
         return cls._wrap(np.zeros(shape, dtype=np.float64))
 
-    @classmethod
-    def full(cls, shape, value: float) -> "Tensor":
-        return cls(np.full(shape, value, dtype=np.float64))
-
     @property
     def array(self) -> np.ndarray:
         """Read-only view of the underlying float64 data."""

@@ -96,3 +96,17 @@ def numeric_gradient(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
         lo[i] -= step
         flat[i] = (f(hi.reshape(x.shape)) - f(lo.reshape(x.shape))) / (2.0 * step)
     return out
+
+
+def expected_param_count(backbone, head) -> int:
+    """Closed-form trainable weight count for the given architecture."""
+    count = 0
+    fan_in = backbone.input_dim
+    for width in backbone.hidden_dims:
+        count += (fan_in + 1) * width
+        if backbone.use_batchnorm:
+            count += 2 * width
+        fan_in = width
+    count += (fan_in + 1) * backbone.num_classes
+    count += (head.embed_dim + 1) * head.out_dim + 2 * head.out_dim
+    return count

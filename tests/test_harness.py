@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import uenl.model
+import uenl.scoring
 from conftest import tiny_experiment_config
 from uenl.data import Dataset, basis_means, gen_gaussian_clusters, standardize
 from uenl.harness import (
@@ -19,8 +21,10 @@ from uenl.harness import (
     write_sweep_csv,
 )
 from uenl.losses import kl_regularizer
-from uenl.model import forward, uncertainty_forward
+from uenl.metrics import error_rate
+from uenl.model import EVAL, eval_logits, forward, predict_classes, uncertainty_forward
 from uenl.rng import derive_seed
+from uenl.scoring import energy_score, msp_score, odin_score
 
 
 class TestBuildDatasets:
@@ -247,6 +251,81 @@ class TestEvaluate:
         report = evaluate(tiny_checkpoint, tiny_bundle, methods=("msp",))
         with pytest.raises(KeyError, match="energy"):
             report.mean_metrics("energy")
+
+
+def _sized_bundle(bundle, n_id, ood_sizes):
+    """``bundle`` with an ID test set of ``n_id`` rows (resampled from its own)
+    and one uniform-noise OOD set per entry of ``ood_sizes``."""
+    rng = np.random.default_rng(n_id)
+    rows = rng.integers(0, len(bundle.id_test), n_id)
+    id_test = Dataset("id_test", bundle.id_test.features[rows], bundle.id_test.labels[rows])
+    dim = id_test.dim
+    ood = {f"ood{n}": Dataset(f"ood{n}", rng.uniform(-3.0, 3.0, (n, dim))) for n in ood_sizes}
+    return type(bundle)(bundle.id_train, id_test, ood, bundle.stats, bundle.clip_range)
+
+
+class TestOnePassEvaluate:
+    """evaluate runs one chunked eval pass per dataset; only ODIN runs the
+    model again. Its outputs equal the public per-method scores bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1100])
+    def test_scores_equal_public_references(self, tiny_checkpoint, tiny_bundle, n):
+        bundle = _sized_bundle(tiny_bundle, n, [n])
+        params = tiny_checkpoint.params()
+        spec = tiny_checkpoint.config.scoring
+
+        def reference(method, x):
+            if method == "msp":
+                return msp_score(eval_logits(params, x))
+            if method == "energy":
+                return energy_score(eval_logits(params, x), spec.energy_temperature)
+            if method == "odin":
+                return np.concatenate([
+                    odin_score(params, x[i : i + 512], spec.odin_temperature, spec.odin_epsilon, bundle.clip_range)
+                    for i in range(0, len(x), 512)
+                ])
+            out = forward(params, x, EVAL)
+            return -np.sum(uncertainty_forward(params, out.embedding, EVAL, leaves=out.leaves).u.array, axis=1)
+
+        report = evaluate(tiny_checkpoint, bundle, methods=("msp", "energy", "odin", "uncertainty"))
+        for score_set in report.score_sets:
+            assert_array_equal(score_set.id_scores, reference(score_set.method, bundle.id_test.features))
+            for name, ds in bundle.ood.items():
+                assert_array_equal(score_set.ood_scores[name], reference(score_set.method, ds.features))
+        want_error = error_rate(predict_classes(params, bundle.id_test.features), bundle.id_test.labels)
+        assert report.id_error_rate == want_error
+
+    @pytest.fixture()
+    def backbone_calls(self, monkeypatch):
+        """Every backbone run, through the scoring module or through
+        model.eval_logits / predict_classes."""
+        calls = []
+        for module in (uenl.scoring, uenl.model):
+            original = module.forward
+
+            def counted(*args, original=original, **kwargs):
+                calls.append(len(args[1]))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "forward", counted)
+        return calls
+
+    def test_backbone_calls_per_chunk(self, tiny_checkpoint, tiny_bundle, backbone_calls):
+        assert tiny_checkpoint.config.scoring.odin_epsilon > 0.0  # ODIN: perturbation + scoring pass
+        bundle = _sized_bundle(tiny_bundle, 513, [1, 512, 1100])
+        chunks = sum(-(-len(ds) // 512) for ds in [bundle.id_test, *bundle.ood.values()])
+        evaluate(tiny_checkpoint, bundle, methods=("msp", "energy", "odin", "uncertainty"))
+        assert len(backbone_calls) == 3 * chunks
+        backbone_calls.clear()
+        evaluate(tiny_checkpoint, bundle, methods=("msp",))
+        assert len(backbone_calls) == chunks
+
+    def test_methods_checked_before_any_pass(self, tiny_checkpoint, tiny_bundle, backbone_calls):
+        with pytest.raises(ValueError, match="bogus"):
+            evaluate(tiny_checkpoint, tiny_bundle, methods=("msp", "bogus"))
+        with pytest.raises(ValueError, match="at least one method"):
+            evaluate(tiny_checkpoint, tiny_bundle, methods=())
+        assert backbone_calls == []
 
 
 class TestMethodReductionIdentity:

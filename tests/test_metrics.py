@@ -139,6 +139,13 @@ class TestFprAtTpr:
         if higher.size:
             assert (id_s >= higher.min()).mean() < 0.95
 
+    def test_threshold_from_fpr95_yields_tpr(self):
+        rng = np.random.default_rng(13)
+        id_s = rng.normal(size=400) + 1.0
+        ood_s = rng.normal(size=400)
+        result = fpr_at_tpr(id_s, ood_s, tpr=0.95)
+        assert (id_s >= result.threshold).mean() >= 0.95
+
     def test_monotone_transform_invariance_of_fpr(self):
         rng = np.random.default_rng(7)
         id_s, ood_s = random_scores(rng, 50, 50, ties=True)

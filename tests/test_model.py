@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from oracles import expected_param_count
 
 from uenl.gradcheck import finite_diff_check
 from uenl.model import (
     BackboneConfig,
     ModelParams,
     UncertaintyHeadConfig,
-    expected_param_count,
     eval_logits,
     forward,
     init_params,

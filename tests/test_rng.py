@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from uenl.rng import RngStream, derive_seed, sample_standard_normal
-from uenl.tensor import Tensor
+from uenl.rng import RngStream, derive_seed
 
 
 class TestDeterminism:
@@ -21,13 +20,6 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(RngStream(1).normal((100,)), RngStream(2).normal((100,)))
-
-    def test_sample_standard_normal_is_tensor_and_deterministic(self):
-        t1 = sample_standard_normal(RngStream(5), (4, 3))
-        t2 = sample_standard_normal(RngStream(5), (4, 3))
-        assert isinstance(t1, Tensor)
-        assert t1.shape == (4, 3)
-        np.testing.assert_array_equal(t1.array, t2.array)
 
 
 class TestSubstreams:

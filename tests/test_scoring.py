@@ -11,7 +11,6 @@ from uenl.scoring import (
     SCORE_METHODS,
     ScoreSet,
     _odin_perturbed,
-    decide,
     energy_score,
     msp_score,
     odin_score,
@@ -173,27 +172,6 @@ class TestUncertaintyScore:
 
     def test_single_input_returns_float(self, small_params):
         assert isinstance(uncertainty_score(small_params, np.zeros(5)), float)
-
-
-class TestDecide:
-    def test_boundary_inclusive(self):
-        assert decide(1.0, 1.0) == "ID"
-        assert decide(1.0 - 1e-9, 1.0) == "OOD"
-        assert decide(2.0, 1.0) == "ID"
-
-    def test_vectorized(self):
-        out = decide(np.array([0.5, 1.0, 1.5]), 1.0)
-        assert out.tolist() == ["OOD", "ID", "ID"]
-
-    def test_threshold_from_fpr95_yields_tpr(self):
-        from uenl.metrics import fpr_at_tpr
-
-        rng = np.random.default_rng(13)
-        id_s = rng.normal(size=400) + 1.0
-        ood_s = rng.normal(size=400)
-        result = fpr_at_tpr(id_s, ood_s, tpr=0.95)
-        labels = decide(id_s, result.threshold)
-        assert (labels == "ID").mean() >= 0.95
 
 
 class TestScoreExport:
