@@ -62,7 +62,7 @@ def finite_diff_check(
         raise ValueError("step must be positive")
 
     f0, x_node, out = _eval_scalar(f, point)
-    grads = backward(out)
+    grads = backward(out, wrt=[x_node])
     analytic_t = grads.get(x_node)
     analytic = np.zeros_like(point) if analytic_t is None else analytic_t.array.copy()
 

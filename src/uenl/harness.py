@@ -318,7 +318,7 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
                 total, updates = _batch_loss(
                     params, config, batch.features, batch.labels, dropout_rng, resample_rng, leaves
                 )
-                grads = backward(total)
+                grads = backward(total, wrt=list(leaves.values()))
             except FloatingPointError as exc:
                 raise RuntimeError(f"non-finite value at epoch {epoch}, batch {b}: {exc}") from exc
             batch_losses.append(total.item())

@@ -107,7 +107,7 @@ def _odin_perturbed(
     # Sum of per-sample NLLs: rows are independent, so each input row's
     # gradient is exactly its own NLL gradient.
     nll = reduce_sum(sub(logsumexp(z, axis=1), reduce_sum(mul(z, leaf(onehot)), axis=1)))
-    grad = backward(nll)[out.x].array
+    grad = backward(nll, wrt=[out.x])[out.x].array
     x_perturbed = x - epsilon * np.sign(grad)
     if clip_range is not None:
         lo, hi = clip_range

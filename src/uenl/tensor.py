@@ -9,6 +9,14 @@ network inputs) are exact up to float64 rounding.
 Graphs are immutable: a node's parents and value are fixed at
 construction, which makes the graph acyclic by construction and every
 evaluation repeatable.
+
+Row contract: matmul's forward pass and its input gradient compute each
+output row with its own (1, k) @ (k, n) product, so a row's value and its
+input gradient do not depend on the other rows in the batch (an eval row
+scores the same in any batch). The weight gradient sums over the batch
+anyway, so it is one BLAS product. ``backward(loss, wrt=[...])`` runs only
+the VJPs on a path to the requested nodes and returns their gradients
+alone.
 """
 
 from __future__ import annotations
@@ -194,10 +202,12 @@ def _expand_reduced(grad: np.ndarray, in_shape: tuple[int, ...], axis, keepdims:
 
 
 def _rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # einsum's default (non-optimized) path reduces each output element in a
-    # fixed order independent of the other rows, so a row's result does not
-    # change with batch size. BLAS gemm does not give that guarantee.
-    return np.einsum("ik,kj->ij", a, b, optimize=False)
+    # One (1, k) @ (k, n) product per row of ``a``, so a row's result cannot
+    # depend on the other rows in its batch. A single (m, k) @ (k, n) gemm
+    # gives no such guarantee: its blocking changes with m. numpy does not
+    # promise that the per-row product ignores the row's memory offset
+    # either; tests/test_tensor.py pins that on the shapes the model uses.
+    return np.matmul(a[:, None, :], b)[:, 0, :]
 
 
 def _check_binary_shapes(op: str, a: np.ndarray, b: np.ndarray) -> None:
@@ -216,9 +226,14 @@ def _fw_matmul(values, attrs):
     return _rowwise_matmul(a, b)
 
 
-def _vjp_matmul(g, values, out, attrs):
+def _vjp_matmul(g, values, out, attrs, needs):
     a, b = values
-    return _rowwise_matmul(g, b.T), _rowwise_matmul(a.T, g)
+    # The input gradient is per row like the forward pass; the weight
+    # gradient sums over the batch, so it has no row contract and uses BLAS.
+    return (
+        _rowwise_matmul(g, b.T) if needs[0] else None,
+        a.T @ g if needs[1] else None,
+    )
 
 
 def _fw_add(values, attrs):
@@ -227,7 +242,7 @@ def _fw_add(values, attrs):
     return a + b
 
 
-def _vjp_add(g, values, out, attrs):
+def _vjp_add(g, values, out, attrs, needs):
     a, b = values
     return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
@@ -238,7 +253,7 @@ def _fw_sub(values, attrs):
     return a - b
 
 
-def _vjp_sub(g, values, out, attrs):
+def _vjp_sub(g, values, out, attrs, needs):
     a, b = values
     return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
@@ -249,7 +264,7 @@ def _fw_mul(values, attrs):
     return a * b
 
 
-def _vjp_mul(g, values, out, attrs):
+def _vjp_mul(g, values, out, attrs, needs):
     a, b = values
     return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
 
@@ -262,7 +277,7 @@ def _fw_div(values, attrs):
     return a / b
 
 
-def _vjp_div(g, values, out, attrs):
+def _vjp_div(g, values, out, attrs, needs):
     a, b = values
     return _unbroadcast(g / b, a.shape), _unbroadcast(-g * a / (b * b), b.shape)
 
@@ -278,7 +293,7 @@ def _fw_scale(values, attrs):
     return values[0] * c
 
 
-def _vjp_scale(g, values, out, attrs):
+def _vjp_scale(g, values, out, attrs, needs):
     return (g * attrs["constant"],)
 
 
@@ -286,7 +301,7 @@ def _fw_relu(values, attrs):
     return np.maximum(values[0], 0.0)
 
 
-def _vjp_relu(g, values, out, attrs):
+def _vjp_relu(g, values, out, attrs, needs):
     # Subgradient 0 at exactly 0.
     return (g * (values[0] > 0.0),)
 
@@ -295,7 +310,7 @@ def _fw_exp(values, attrs):
     return np.exp(values[0])
 
 
-def _vjp_exp(g, values, out, attrs):
+def _vjp_exp(g, values, out, attrs, needs):
     return (g * out,)
 
 
@@ -306,7 +321,7 @@ def _fw_ln(values, attrs):
     return np.log(a)
 
 
-def _vjp_ln(g, values, out, attrs):
+def _vjp_ln(g, values, out, attrs, needs):
     return (g / values[0],)
 
 
@@ -315,7 +330,7 @@ def _fw_square(values, attrs):
     return a * a
 
 
-def _vjp_square(g, values, out, attrs):
+def _vjp_square(g, values, out, attrs, needs):
     return (2.0 * g * values[0],)
 
 
@@ -334,7 +349,7 @@ def _fw_sum(values, attrs):
     return np.sum(a, axis=attrs["axis"], keepdims=attrs.get("keepdims", False))
 
 
-def _vjp_sum(g, values, out, attrs):
+def _vjp_sum(g, values, out, attrs, needs):
     a = values[0]
     return (_expand_reduced(g, a.shape, attrs["axis"], attrs.get("keepdims", False)).copy(),)
 
@@ -345,7 +360,7 @@ def _fw_mean(values, attrs):
     return np.mean(a, axis=attrs["axis"], keepdims=attrs.get("keepdims", False))
 
 
-def _vjp_mean(g, values, out, attrs):
+def _vjp_mean(g, values, out, attrs, needs):
     a = values[0]
     axis = attrs["axis"]
     n = a.size if axis is None else a.shape[axis]
@@ -358,7 +373,7 @@ def _fw_max(values, attrs):
     return np.max(a, axis=attrs["axis"], keepdims=attrs.get("keepdims", False))
 
 
-def _vjp_max(g, values, out, attrs):
+def _vjp_max(g, values, out, attrs, needs):
     a = values[0]
     axis = attrs["axis"]
     keepdims = attrs.get("keepdims", False)
@@ -376,7 +391,7 @@ def _fw_l2norm(values, attrs):
     return np.sqrt(np.sum(a * a, axis=attrs["axis"], keepdims=attrs.get("keepdims", False)))
 
 
-def _vjp_l2norm(g, values, out, attrs):
+def _vjp_l2norm(g, values, out, attrs, needs):
     a = values[0]
     axis = attrs["axis"]
     keepdims = attrs.get("keepdims", False)
@@ -400,7 +415,7 @@ def _fw_logsumexp(values, attrs):
     return result
 
 
-def _vjp_logsumexp(g, values, out, attrs):
+def _vjp_logsumexp(g, values, out, attrs, needs):
     a = values[0]
     axis = attrs["axis"]
     keepdims = attrs.get("keepdims", False)
@@ -425,7 +440,7 @@ def _fw_concat(values, attrs):
     return np.concatenate([a, b], axis=axis)
 
 
-def _vjp_concat(g, values, out, attrs):
+def _vjp_concat(g, values, out, attrs, needs):
     a, b = values
     axis = attrs["axis"]
     ga, gb = np.split(g, [a.shape[axis]], axis=axis)
@@ -483,13 +498,23 @@ def apply(op: str, *inputs, axis=None, keepdims: bool = False, constant: float |
     return GraphNode(op, nodes, Tensor._wrap(out), attrs)
 
 
-def backward(loss: GraphNode) -> dict[GraphNode, Tensor]:
+def backward(loss: GraphNode, wrt=None) -> dict[GraphNode, Tensor]:
     """Reverse-mode gradients of a scalar node with respect to every node
-    in its graph.
+    in its graph, or only to the nodes in ``wrt``.
 
     Returns a dict keyed by node identity; a node consumed several times
     accumulates the contributions from each use. Nodes outside the graph are
     simply absent from the result.
+
+    With ``wrt`` (an iterable of nodes), a VJP runs only at nodes with a
+    parent that has a path to a ``wrt`` node, it computes only the parents
+    on such a path (each VJP gets a ``needs`` tuple, one bool per parent),
+    and the result holds the ``wrt`` nodes alone. Their gradients equal the
+    ``wrt=None`` ones bit for bit.
+
+    Row contract: the forward matmul and its input gradient compute each
+    row on its own, so a row's gradient does not depend on the other rows
+    in its batch; weight gradients sum over the batch and use BLAS.
     """
     if loss.value.shape != ():
         raise ValueError(f"backward requires a scalar node, got shape {loss.value.shape}")
@@ -509,21 +534,40 @@ def backward(loss: GraphNode) -> dict[GraphNode, Tensor]:
         for parent in node.parents:
             stack.append((parent, False))
 
+    # ``order`` lists parents before children, so one pass marks every node
+    # with a path to a wanted node.
+    needed: set[int] | None = None
+    if wrt is not None:
+        wrt = list(wrt)
+        needed = {id(n) for n in wrt}
+        for node in order:
+            if any(id(p) in needed for p in node.parents):
+                needed.add(id(node))
+
     grads: dict[GraphNode, np.ndarray] = {loss: np.ones(())}
     for node in reversed(order):
         g = grads.get(node)
         if g is None or not node.parents:
             continue
+        if needed is None:
+            needs = (True,) * len(node.parents)
+        else:
+            needs = tuple(id(p) in needed for p in node.parents)
+            if not any(needs):
+                continue
         parent_values = tuple(p.value.array for p in node.parents)
-        contributions = PRIMITIVES[node.op].vjp(g, parent_values, node.value.array, node.attrs)
-        for parent, contribution in zip(node.parents, contributions):
+        contributions = PRIMITIVES[node.op].vjp(g, parent_values, node.value.array, node.attrs, needs)
+        for parent, need, contribution in zip(node.parents, needs, contributions):
+            if not need:
+                continue
             if contribution.shape != parent.value.shape:
                 raise AssertionError(
                     f"{node.op} vjp produced shape {contribution.shape} for parent of shape {parent.value.shape}"
                 )
             held = grads.get(parent)
             grads[parent] = contribution if held is None else held + contribution
-    return {node: Tensor._wrap(np.array(g, dtype=np.float64)) for node, g in grads.items()}
+    keep = grads if wrt is None else [n for n in wrt if n in grads]
+    return {node: Tensor._wrap(np.array(grads[node], dtype=np.float64)) for node in keep}
 
 
 def matmul(a, b) -> GraphNode:

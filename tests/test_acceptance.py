@@ -86,6 +86,15 @@ def test_criterion_01_gradient_correctness():
         ("logsumexp", lambda a: reduce_sum(logsumexp(a, axis=1)), rng.standard_normal((2, 4))),
         ("concat", lambda a: reduce_sum(concat(a, c_const, axis=0)), rng.standard_normal((3, 4))),
     ]
+    # matmul's weight gradient runs on a different kernel from its input
+    # gradient, so it gets a case of its own, differentiated with respect to
+    # b. Its points come from a separate stream so the draws below are as
+    # they were.
+    weight_rng = np.random.default_rng(1011)
+    a_const = leaf(weight_rng.standard_normal((2, 3)))
+    primitive_cases.append(
+        ("matmul", lambda b: reduce_sum(matmul(a_const, b)), weight_rng.standard_normal((3, 2)))
+    )
     from uenl.tensor import PRIMITIVES
 
     tested = {name.removeprefix("reduce_") for name, _, _ in primitive_cases}

@@ -35,6 +35,11 @@ def test_install_rebinds_and_uninstall_restores(tracing, tiny_checkpoint, tiny_b
     traced = {name for _, _, name in tr.agg}
     for name in ("model.forward", "tensor.apply.matmul", "metrics.from_scores", "metrics.histogram"):
         assert name in traced
+    # ODIN's input gradient must reach the VJPs through PRIMITIVES, where the
+    # tracer times them; a direct call would leave tensor.vjp.matmul at zero.
+    assert "odin" in tiny_checkpoint.config.scoring.methods
+    for name in ("tensor.backward", "tensor.vjp.matmul"):
+        assert name in traced
     for method in tiny_checkpoint.config.scoring.methods:
         assert f"scoring.{method}" in traced
 

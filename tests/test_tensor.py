@@ -1,6 +1,7 @@
 """Tensor container, primitive forward semantics, and reverse-mode gradients."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -31,9 +32,15 @@ from uenl.tensor import (
     sqrt,
     square,
     sub,
+    _rowwise_matmul,
 )
 
+import uenl.harness
+import uenl.scoring
+import uenl.tensor
+from conftest import tiny_experiment_config
 from oracles import numeric_gradient
+from uenl.scoring import odin_score
 
 
 class TestTensorContainer:
@@ -221,6 +228,100 @@ class TestBackward:
         np.testing.assert_array_equal(y.value.array, before)
 
 
+def _checked_backward(calls: list):
+    """backward(loss, wrt) that also runs wrt=None on the same graph and
+    asserts the requested gradients match it bit for bit."""
+
+    def checked(loss, wrt=None):
+        assert wrt is not None, "call site should name the nodes it reads"
+        wrt = list(wrt)
+        full = backward(loss)
+        part = backward(loss, wrt=wrt)
+        assert set(part) == {n for n in wrt if n in full}
+        for node, g in part.items():
+            np.testing.assert_array_equal(g.array, full[node].array)
+        calls.append(len(part))
+        return part
+
+    return checked
+
+
+class TestBackwardWrt:
+    def test_train_loss_gradients_match_full_backward(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(uenl.harness, "backward", _checked_backward(calls))
+        config = tiny_experiment_config(epochs=1, dropout=0.1)
+        checkpoint = uenl.harness.train(config)
+        assert calls and all(n == len(checkpoint.weights) for n in calls)
+
+    def test_odin_nll_gradient_matches_full_backward(self, monkeypatch, small_params):
+        calls = []
+        monkeypatch.setattr(uenl.scoring, "backward", _checked_backward(calls))
+        x = np.random.default_rng(5).standard_normal((9, 5))
+        odin_score(small_params, x, temperature=1000.0, epsilon=0.002)
+        assert calls == [1]
+
+    def test_unrequested_nodes_absent(self):
+        x = leaf(np.arange(6.0).reshape(2, 3))
+        w = leaf(np.linspace(-1.0, 1.0, 12).reshape(3, 4))
+        h = matmul(x, w)
+        loss = reduce_sum(relu(h))
+        grads = backward(loss, wrt=[w])
+        assert set(grads) == {w}
+        np.testing.assert_array_equal(grads[w].array, backward(loss)[w].array)
+
+    def test_node_outside_graph_absent(self):
+        x = leaf([1.0, 2.0])
+        stray = leaf([3.0])
+        grads = backward(reduce_sum(square(x)), wrt=[x, stray])
+        assert set(grads) == {x}
+        np.testing.assert_array_equal(grads[x].array, [2.0, 4.0])
+
+    def test_matmul_weight_only_skips_input_product(self, monkeypatch):
+        x = leaf(np.ones((5, 3)))
+        w = leaf(np.arange(12.0).reshape(3, 4))
+        loss = reduce_sum(matmul(x, w))
+
+        def no_rowwise(a, b):
+            raise AssertionError("input-side product computed")
+
+        monkeypatch.setattr(uenl.tensor, "_rowwise_matmul", no_rowwise)
+        g = np.ones((5, 4))
+        ga, gb = PRIMITIVES["matmul"].vjp(g, (x.array, w.array), None, {}, (False, True))
+        assert ga is None
+        np.testing.assert_array_equal(gb, x.array.T @ g)
+        grads = backward(loss, wrt=[w])
+        np.testing.assert_array_equal(grads[w].array, np.full((3, 4), 5.0))
+
+
+ROW_SHAPES = [(1, 1), (16, 64), (784, 256), (128, 10), (7, 13), (2, 1000)]
+ROW_BATCHES = [1, 2, 3, 7, 128, 129, 511, 512, 513, 1100]
+
+
+class TestRowInvariance:
+    """matmul's forward pass and its input gradient (``b`` a transposed
+    view) give a row the same bits whatever batch it sits in and wherever
+    it sits in memory. numpy does not promise this for a stacked matmul,
+    so it is pinned here on the model's shapes and odd ones."""
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "transposed"])
+    @pytest.mark.parametrize("k, n", ROW_SHAPES)
+    def test_row_matches_alone_and_shifted(self, k, n, transposed):
+        rng = np.random.default_rng(zlib.crc32(f"{k}x{n}".encode()))
+        b = rng.standard_normal((n, k)).T if transposed else rng.standard_normal((k, n))
+        for batch in ROW_BATCHES:
+            a = rng.standard_normal((batch, k))
+            full = _rowwise_matmul(a, b)
+            # The same rows three rows down, in a buffer one element off the
+            # allocator's alignment.
+            shifted = np.empty((batch + 3) * k + 1)[1:].reshape(batch + 3, k)
+            shifted[:3] = rng.standard_normal((3, k))
+            shifted[3:] = a
+            np.testing.assert_array_equal(_rowwise_matmul(shifted, b)[3:], full)
+            for i in {0, batch // 2, batch - 1}:
+                np.testing.assert_array_equal(_rowwise_matmul(a[i : i + 1].copy(), b)[0], full[i])
+
+
 def _scalarize(node: GraphNode) -> GraphNode:
     if node.value.array.ndim == 0:
         return node
@@ -245,7 +346,7 @@ class TestPrimitiveGradients:
     @pytest.mark.parametrize("op", sorted(UNARY_SAFE))
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_unary_and_reduction_vjps(self, op, seed):
-        rng = np.random.default_rng(1000 * seed + hash(op) % 997)
+        rng = np.random.default_rng(1000 * seed + zlib.crc32(op.encode()) % 997)
         x = rng.standard_normal((3, 4))
         shift = UNARY_SAFE[op]
         if shift is not None:
@@ -266,7 +367,7 @@ class TestPrimitiveGradients:
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul", "concat"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_binary_vjps(self, op, seed):
-        rng = np.random.default_rng(31 * seed + hash(op) % 991)
+        rng = np.random.default_rng(31 * seed + zlib.crc32(op.encode()) % 991)
         if op == "matmul":
             a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
         elif op == "concat":
