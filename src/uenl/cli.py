@@ -6,11 +6,10 @@ line to stderr and returns nonzero.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import load_config, parse_value
 from .data import load_csv, save_csv, standardize
 from .harness import (
     Checkpoint,
@@ -106,13 +105,7 @@ def _parse_grid(entries) -> dict[str, list]:
         key, sep, values = entry.partition("=")
         if not sep or not key or not values:
             raise ValueError(f"grid entry {entry!r} is not of the form key=v1,v2,...")
-        parsed = []
-        for raw in values.split(","):
-            try:
-                parsed.append(json.loads(raw))
-            except json.JSONDecodeError:
-                parsed.append(raw)
-        grid[key] = parsed
+        grid[key] = [parse_value(raw) for raw in values.split(",")]
     return grid
 
 

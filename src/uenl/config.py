@@ -1,16 +1,24 @@
 """Experiment configuration: a strict JSON schema with defaults, validation,
 and dotted-path overrides.
 
-Unknown keys are rejected at every level so a typo cannot silently fall back
-to a default. The KL weight is spelled "lambda" in JSON and on the command
-line; in code it is ``kl_weight``.
+The dataclass fields are the schema. A field's annotation fixes its JSON type:
+``bool`` a boolean, ``int`` an integer, ``float`` a finite number (stored as a
+float), ``str`` a string, ``tuple[T, ...]`` a list, ``X | None`` null or an X,
+a spec class an object, and a union of data specs an object whose "kind" picks
+the class (an OOD set's ``name`` defaults to its kind). Unknown keys are
+rejected at every level so a typo cannot fall back to a default, and errors
+name the dotted key (``data.ood[0].seed``). The KL weight is "lambda" in JSON
+and on the command line, ``kl_weight`` in code.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
+from typing import ClassVar, Union, get_args, get_origin, get_type_hints
 
 from .model import BackboneConfig, UncertaintyHeadConfig
 
@@ -28,26 +36,108 @@ __all__ = [
     "CsvOodSpec",
     "IdxOodSpec",
     "apply_overrides",
+    "json_parser",
     "load_config",
+    "parse_value",
 ]
 
 METHODS = ("uenl", "ce", "logitnorm")
 KL_FORMS = ("variance", "std")
 SCORE_METHOD_NAMES = ("msp", "energy", "odin", "uncertainty")
 
-
-def _check_keys(d: dict, allowed, context: str) -> None:
-    if not isinstance(d, dict):
-        raise ValueError(f"{context} must be a JSON object, got {type(d).__name__}")
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown key(s) in {context}: {', '.join(unknown)}")
+_JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string", list: "list", dict: "object"}
 
 
-def _require(d: dict, key: str, context: str):
-    if key not in d:
-        raise ValueError(f"missing required key {key!r} in {context}")
-    return d[key]
+def _mismatch(key: str, expected: str, value) -> ValueError:
+    got = "null" if value is None else _JSON_NAMES.get(type(value), type(value).__name__)
+    if isinstance(value, (bool, int, float, str)):
+        got += f" {json.dumps(value)}"
+    return ValueError(f"{key}: expected {expected}, got {got}")
+
+
+@cache
+def json_parser(tp):
+    """A function ``(value, key)`` that converts the JSON ``value`` to type
+    ``tp`` by the rules in the module docstring, or raises a ValueError naming
+    the dotted ``key``. Cached: resolving annotations costs more than a load."""
+    args = get_args(tp)
+    if tp in (bool, int, str):
+        def parse(value, key):
+            if type(value) is not tp:
+                raise _mismatch(key, _JSON_NAMES[tp], value)
+            return value
+    elif tp is float:
+        def parse(value, key):
+            # The bounds reject NaN, infinities and ints too large for a float.
+            if type(value) not in (int, float) or not -sys.float_info.max <= value <= sys.float_info.max:
+                raise _mismatch(key, "finite number", value)
+            return float(value)
+    elif get_origin(tp) is tuple:
+        item = json_parser(args[0])
+        def parse(value, key):
+            if type(value) is not list:
+                raise _mismatch(key, "list", value)
+            return tuple(item(v, f"{key}[{i}]") for i, v in enumerate(value))
+    elif type(None) in args:
+        inner = json_parser(Union[tuple(a for a in args if a is not type(None))])
+        def parse(value, key):
+            return None if value is None else inner(value, key)
+    elif args:  # a union of data specs, told apart by "kind"
+        kinds = {cls.kind: cls for cls in args}
+        def parse(value, key):
+            if type(value) is not dict:
+                raise _mismatch(key, "object", value)
+            kind = value.get("kind")
+            if not isinstance(kind, str) or kind not in kinds:
+                raise _mismatch(f"{key}.kind", f"one of {sorted(kinds)}", kind)
+            rest = {k: v for k, v in value.items() if k != "kind"}
+            if "name" in kinds[kind].__dataclass_fields__:
+                rest.setdefault("name", kind)
+            return json_parser(kinds[kind])(rest, key)
+    else:
+        hints = get_type_hints(tp)
+        schema = [
+            (f.metadata.get("json", f.name), f.name, json_parser(hints[f.name]),
+             f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(tp)
+        ]
+        allowed = {json_key for json_key, *_ in schema}
+        def parse(value, key):
+            context = key or "config"
+            if type(value) is not dict:
+                raise _mismatch(context, "object", value)
+            unknown = sorted(set(value) - allowed)
+            if unknown:
+                raise ValueError(f"unknown key(s) in {context}: {', '.join(unknown)}")
+            kwargs = {}
+            for json_key, name, parse_field, required in schema:
+                if json_key in value:
+                    kwargs[name] = parse_field(value[json_key], f"{key}.{json_key}" if key else json_key)
+                elif required:
+                    raise ValueError(f"missing required key {json_key!r} in {context}")
+            return tp(**kwargs)
+    return parse
+
+
+def _dump(value):
+    if is_dataclass(value):
+        d = {"kind": value.kind} if hasattr(value, "kind") else {}
+        d.update((f.metadata.get("json", f.name), _dump(getattr(value, f.name))) for f in fields(value))
+        return d
+    if isinstance(value, tuple):
+        return [_dump(v) for v in value]
+    return value
+
+
+class _Schema:
+    """``from_dict`` and ``to_dict`` read and write a spec's JSON form."""
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return json_parser(cls)(d, "")
+
+    def to_dict(self) -> dict:
+        return _dump(self)
 
 
 def _positive(value, key: str):
@@ -63,33 +153,15 @@ def _non_negative(value, key: str):
 
 
 @dataclass(frozen=True)
-class BackboneSpec:
+class BackboneSpec(_Schema):
     input_dim: int
     hidden_dims: tuple[int, ...]
     num_classes: int
     use_batchnorm: bool = True
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "BackboneSpec":
-        _check_keys(d, ("input_dim", "hidden_dims", "num_classes", "use_batchnorm"), "backbone")
-        return cls(
-            input_dim=int(_require(d, "input_dim", "backbone")),
-            hidden_dims=tuple(int(h) for h in _require(d, "hidden_dims", "backbone")),
-            num_classes=int(_require(d, "num_classes", "backbone")),
-            use_batchnorm=bool(d.get("use_batchnorm", True)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dims": list(self.hidden_dims),
-            "num_classes": self.num_classes,
-            "use_batchnorm": self.use_batchnorm,
-        }
-
 
 @dataclass(frozen=True)
-class ScoringSpec:
+class ScoringSpec(_Schema):
     methods: tuple[str, ...] = ("msp", "energy", "odin", "uncertainty")
     energy_temperature: float = 0.1
     odin_temperature: float = 1000.0
@@ -108,35 +180,10 @@ class ScoringSpec:
         if self.histogram_bins < 1:
             raise ValueError("scoring.histogram_bins must be at least 1")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScoringSpec":
-        _check_keys(
-            d,
-            ("methods", "energy_temperature", "odin_temperature", "odin_epsilon", "histogram_bins"),
-            "scoring",
-        )
-        kwargs = {}
-        if "methods" in d:
-            kwargs["methods"] = tuple(str(m) for m in d["methods"])
-        for key in ("energy_temperature", "odin_temperature", "odin_epsilon"):
-            if key in d:
-                kwargs[key] = float(d[key])
-        if "histogram_bins" in d:
-            kwargs["histogram_bins"] = int(d["histogram_bins"])
-        return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        return {
-            "methods": list(self.methods),
-            "energy_temperature": self.energy_temperature,
-            "odin_temperature": self.odin_temperature,
-            "odin_epsilon": self.odin_epsilon,
-            "histogram_bins": self.histogram_bins,
-        }
-
 
 @dataclass(frozen=True)
 class GaussianClustersSpec:
+    kind: ClassVar[str] = "gaussian_clusters"
     dim: int
     num_classes: int
     n_train_per_class: int
@@ -156,6 +203,7 @@ class GaussianClustersSpec:
 
 @dataclass(frozen=True)
 class CsvIdSpec:
+    kind: ClassVar[str] = "csv"
     train: str
     test: str
     has_labels: bool = True
@@ -163,6 +211,7 @@ class CsvIdSpec:
 
 @dataclass(frozen=True)
 class IdxIdSpec:
+    kind: ClassVar[str] = "idx"
     train_images: str
     train_labels: str
     test_images: str
@@ -171,6 +220,7 @@ class IdxIdSpec:
 
 @dataclass(frozen=True)
 class UniformOodSpec:
+    kind: ClassVar[str] = "uniform"
     name: str
     n: int
     low: float
@@ -180,6 +230,7 @@ class UniformOodSpec:
 
 @dataclass(frozen=True)
 class ShiftedGaussianOodSpec:
+    kind: ClassVar[str] = "shifted_gaussian"
     name: str
     n: int
     offset: float
@@ -189,6 +240,7 @@ class ShiftedGaussianOodSpec:
 
 @dataclass(frozen=True)
 class GaussianNoiseOodSpec:
+    kind: ClassVar[str] = "gaussian_noise"
     name: str
     n: int
     seed: int
@@ -196,111 +248,31 @@ class GaussianNoiseOodSpec:
 
 @dataclass(frozen=True)
 class CsvOodSpec:
+    kind: ClassVar[str] = "csv"
     name: str
     path: str
 
 
 @dataclass(frozen=True)
 class IdxOodSpec:
+    kind: ClassVar[str] = "idx"
     name: str
     images: str
 
 
-_ID_KINDS = {
-    "gaussian_clusters": (
-        GaussianClustersSpec,
-        ("dim", "num_classes", "n_train_per_class", "n_test_per_class", "sigma", "seed", "mean_scale"),
-    ),
-    "csv": (CsvIdSpec, ("train", "test", "has_labels")),
-    "idx": (IdxIdSpec, ("train_images", "train_labels", "test_images", "test_labels")),
-}
-
-_OOD_KINDS = {
-    "uniform": (UniformOodSpec, ("name", "n", "low", "high", "seed")),
-    "shifted_gaussian": (ShiftedGaussianOodSpec, ("name", "n", "offset", "sigma", "seed")),
-    "gaussian_noise": (GaussianNoiseOodSpec, ("name", "n", "seed")),
-    "csv": (CsvOodSpec, ("name", "path")),
-    "idx": (IdxOodSpec, ("name", "images")),
-}
-
-
-def _parse_kinded(d: dict, kinds: dict, context: str, defaults: dict | None = None):
-    kind = _require(d, "kind", context)
-    if kind not in kinds:
-        raise ValueError(f"unknown kind {kind!r} in {context} (expected one of {sorted(kinds)})")
-    cls, allowed = kinds[kind]
-    _check_keys(d, ("kind",) + allowed, context)
-    kwargs = dict(defaults or {})
-    kwargs.update({k: v for k, v in d.items() if k != "kind"})
-    return cls(**kwargs)
-
-
-def _kind_of(spec) -> str:
-    for kind, (cls, _) in {**_ID_KINDS, **_OOD_KINDS}.items():
-        if type(spec) is cls:
-            return kind
-    raise TypeError(f"not a data spec: {type(spec).__name__}")
-
-
-def _spec_to_dict(spec) -> dict:
-    d = {"kind": _kind_of(spec)}
-    d.update(spec.__dict__)
-    return d
-
-
 @dataclass(frozen=True)
-class DataSpec:
+class DataSpec(_Schema):
     id: GaussianClustersSpec | CsvIdSpec | IdxIdSpec
-    ood: tuple = ()
+    ood: tuple[UniformOodSpec | ShiftedGaussianOodSpec | GaussianNoiseOodSpec | CsvOodSpec | IdxOodSpec, ...] = ()
 
     def __post_init__(self):
         names = [spec.name for spec in self.ood]
         if len(names) != len(set(names)):
             raise ValueError(f"ood set names must be unique, got {names}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DataSpec":
-        _check_keys(d, ("id", "ood"), "data")
-        id_spec = _parse_kinded(_require(d, "id", "data"), _ID_KINDS, "data.id")
-        ood = []
-        for i, entry in enumerate(d.get("ood", [])):
-            kind = entry.get("kind") if isinstance(entry, dict) else None
-            defaults = {"name": kind} if kind else None
-            ood.append(_parse_kinded(entry, _OOD_KINDS, f"data.ood[{i}]", defaults))
-        return cls(id=id_spec, ood=tuple(ood))
-
-    def to_dict(self) -> dict:
-        return {"id": _spec_to_dict(self.id), "ood": [_spec_to_dict(s) for s in self.ood]}
-
-
-_TOP_LEVEL_KEYS = (
-    "method",
-    "seed",
-    "epochs",
-    "batch_size",
-    "lr",
-    "momentum",
-    "weight_decay",
-    "lr_drop_epochs",
-    "dropout",
-    "delta",
-    "lambda",
-    "kl_form",
-    "scalar_uncertainty",
-    "temperature",
-    "uhat_scale",
-    "pinned_uhat",
-    "bn_momentum",
-    "bn_epsilon",
-    "select_best_validation",
-    "backbone",
-    "data",
-    "scoring",
-)
-
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(_Schema):
     """Everything a training or evaluation run depends on.
 
     Identical configs (plus identical seeds, which live inside) give
@@ -319,7 +291,7 @@ class ExperimentConfig:
     lr_drop_epochs: tuple[int, ...] = (80, 140)
     dropout: float = 0.3
     delta: int = 32
-    kl_weight: float = 0.1
+    kl_weight: float = field(default=0.1, metadata={"json": "lambda"})
     kl_form: str = "variance"
     scalar_uncertainty: bool = False
     temperature: float = 0.04
@@ -347,8 +319,6 @@ class ExperimentConfig:
             raise ValueError("lr_drop_epochs must be non-negative")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.delta < 1:
-            raise ValueError("delta must be at least 1")
         _non_negative(self.kl_weight, "lambda")
         if self.kl_form not in KL_FORMS:
             raise ValueError(f"unknown kl_form {self.kl_form!r} (expected one of {KL_FORMS})")
@@ -356,75 +326,9 @@ class ExperimentConfig:
         _positive(self.uhat_scale, "uhat_scale")
         if self.pinned_uhat is not None:
             _positive(self.pinned_uhat, "pinned_uhat")
-        if not 0.0 < self.bn_momentum <= 1.0:
-            raise ValueError("bn_momentum must lie in (0, 1]")
-        _positive(self.bn_epsilon, "bn_epsilon")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _check_keys(d, _TOP_LEVEL_KEYS, "config")
-        if "backbone" not in d:
-            raise ValueError("missing required key 'backbone' in config")
-        kwargs: dict = {"backbone": BackboneSpec.from_dict(d["backbone"])}
-        if d.get("data") is not None:
-            kwargs["data"] = DataSpec.from_dict(d["data"])
-        if "scoring" in d:
-            kwargs["scoring"] = ScoringSpec.from_dict(d["scoring"])
-        if "method" in d:
-            kwargs["method"] = str(d["method"])
-        for key in ("seed", "epochs", "batch_size", "delta"):
-            if key in d:
-                kwargs[key] = int(d[key])
-        for key, attr in (
-            ("lr", "lr"),
-            ("momentum", "momentum"),
-            ("weight_decay", "weight_decay"),
-            ("dropout", "dropout"),
-            ("lambda", "kl_weight"),
-            ("temperature", "temperature"),
-            ("uhat_scale", "uhat_scale"),
-            ("bn_momentum", "bn_momentum"),
-            ("bn_epsilon", "bn_epsilon"),
-        ):
-            if key in d:
-                kwargs[attr] = float(d[key])
-        if "lr_drop_epochs" in d:
-            kwargs["lr_drop_epochs"] = tuple(int(e) for e in d["lr_drop_epochs"])
-        if "kl_form" in d:
-            kwargs["kl_form"] = str(d["kl_form"])
-        if "scalar_uncertainty" in d:
-            kwargs["scalar_uncertainty"] = bool(d["scalar_uncertainty"])
-        if "pinned_uhat" in d:
-            kwargs["pinned_uhat"] = None if d["pinned_uhat"] is None else float(d["pinned_uhat"])
-        if "select_best_validation" in d:
-            kwargs["select_best_validation"] = bool(d["select_best_validation"])
-        return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "lr_drop_epochs": list(self.lr_drop_epochs),
-            "dropout": self.dropout,
-            "delta": self.delta,
-            "lambda": self.kl_weight,
-            "kl_form": self.kl_form,
-            "scalar_uncertainty": self.scalar_uncertainty,
-            "temperature": self.temperature,
-            "uhat_scale": self.uhat_scale,
-            "pinned_uhat": self.pinned_uhat,
-            "bn_momentum": self.bn_momentum,
-            "bn_epsilon": self.bn_epsilon,
-            "select_best_validation": self.select_best_validation,
-            "backbone": self.backbone.to_dict(),
-            "data": self.data.to_dict() if self.data is not None else None,
-            "scoring": self.scoring.to_dict(),
-        }
+        # The model's checks (hidden widths, delta, batchnorm) run at load.
+        self.backbone_config()
+        self.head_config()
 
     def backbone_config(self) -> BackboneConfig:
         return BackboneConfig(
@@ -447,21 +351,23 @@ class ExperimentConfig:
         )
 
 
-def apply_overrides(d: dict, assignments) -> dict:
-    """Apply "dotted.path=json_value" overrides to a raw config dict.
+def parse_value(raw: str):
+    """A command-line value: JSON when it parses, else the plain string."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
 
-    Values parse as JSON when possible (numbers, lists, booleans, null) and
-    fall back to plain strings. Returns a new dict; the input is untouched.
-    """
+
+def apply_overrides(d: dict, assignments) -> dict:
+    """Apply "dotted.path=value" overrides (values read by ``parse_value``) to
+    a raw config dict. Returns a new dict; the input is untouched."""
     result = json.loads(json.dumps(d))
     for assignment in assignments:
         key, sep, raw_value = assignment.partition("=")
         if not sep or not key:
             raise ValueError(f"override {assignment!r} is not of the form key=value")
-        try:
-            value = json.loads(raw_value)
-        except json.JSONDecodeError:
-            value = raw_value
+        value = parse_value(raw_value)
         target = result
         parts = key.split(".")
         for part in parts[:-1]:
@@ -479,6 +385,6 @@ def load_config(path, overrides=()) -> ExperimentConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    if overrides:
+    if overrides and isinstance(raw, dict):  # anything else fails in from_dict
         raw = apply_overrides(raw, overrides)
     return ExperimentConfig.from_dict(raw)

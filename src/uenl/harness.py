@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .config import (
     ShiftedGaussianOodSpec,
     UniformOodSpec,
     apply_overrides,
+    json_parser,
 )
 from .data import (
     Dataset,
@@ -171,6 +172,19 @@ def build_datasets(config: ExperimentConfig) -> DataBundle:
     return DataBundle(train, test, ood, stats, train.feature_range())
 
 
+def _check_names(what: str, expected: set[str], doc) -> None:
+    """Raise unless ``doc`` is a JSON object with exactly the ``expected`` keys."""
+    if type(doc) is not dict:
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    problems = [
+        f"{label} {', '.join(sorted(names))}"
+        for label, names in (("missing", expected - set(doc)), ("unexpected", set(doc) - expected))
+        if names
+    ]
+    if problems:
+        raise ValueError(f"{what}: {'; '.join(problems)}")
+
+
 @dataclass
 class Checkpoint:
     """A trained model: config, weights, batchnorm state, and training traces."""
@@ -217,29 +231,51 @@ class Checkpoint:
     @classmethod
     def from_json(cls, text: str) -> "Checkpoint":
         doc = json.loads(text)
-        version = doc.get("version")
-        if version != CHECKPOINT_VERSION:
+        _check_names("checkpoint", {f.name for f in fields(cls)}, doc)
+        version = doc["version"]
+        if type(version) is not int or version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version!r} (expected {CHECKPOINT_VERSION})")
+        try:
+            config = ExperimentConfig.from_dict(doc["config"])
+        except ValueError as exc:
+            raise ValueError(f"config: {exc}") from None
+        # Fresh parameters for the stored config; only their names and shapes are used.
+        reference = init_params(config.backbone_config(), config.head_config(), RngStream(0))
 
-        def unpack(packed: dict) -> dict[str, Tensor]:
-            return {
-                name: Tensor(np.array(entry["data"], dtype=np.float64).reshape(entry["shape"]))
-                for name, entry in packed.items()
-            }
+        def unpack(section: str, expected: dict[str, Tensor]) -> dict[str, Tensor]:
+            packed = doc[section]
+            _check_names(f"checkpoint {section}", set(expected), packed)
+            tensors = {}
+            for name, entry in packed.items():
+                _check_names(f"{section}.{name}", {"data", "shape"}, entry)
+                shape, size = list(expected[name].shape), expected[name].size
+                if entry["shape"] != shape:
+                    raise ValueError(f"{section}.{name} has shape {entry['shape']}, the config implies {shape}")
+                array = np.array(entry["data"])
+                if array.dtype.kind not in "iuf" or array.shape != (size,):
+                    raise ValueError(f"{section}.{name}.data must be a list of {size} numbers")
+                if not np.isfinite(array).all():
+                    raise ValueError(f"{section}.{name} has non-finite values")
+                tensors[name] = Tensor(array.astype(np.float64, copy=False).reshape(shape))
+            return tensors
 
         return cls(
-            config=ExperimentConfig.from_dict(doc["config"]),
-            weights=unpack(doc["weights"]),
-            bn_state=unpack(doc["bn_state"]),
-            final_epoch=int(doc["final_epoch"]),
-            train_loss=[float(v) for v in doc["train_loss"]],
-            test_error=[float(v) for v in doc["test_error"]],
-            version=int(version),
+            config=config,
+            weights=unpack("weights", reference.weights),
+            bn_state=unpack("bn_state", reference.bn_state),
+            final_epoch=json_parser(int)(doc["final_epoch"], "final_epoch"),
+            train_loss=list(json_parser(tuple[float, ...])(doc["train_loss"], "train_loss")),
+            test_error=list(json_parser(tuple[float, ...])(doc["test_error"], "test_error")),
+            version=version,
         )
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        path = Path(path)
+        try:
+            return cls.from_json(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _batch_loss(params, config, xb, yb, dropout_rng, resample_rng, leaves):

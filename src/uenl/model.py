@@ -71,9 +71,9 @@ class BackboneConfig:
         if self.input_dim < 1:
             raise ValueError("input_dim must be at least 1")
         if not self.hidden_dims:
-            raise ValueError("at least one hidden layer is required")
+            raise ValueError("hidden_dims must name at least one hidden layer")
         if any(d < 1 for d in self.hidden_dims):
-            raise ValueError("hidden widths must be at least 1")
+            raise ValueError("hidden_dims entries must be at least 1")
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
         if not 0.0 <= self.dropout_rate < 1.0:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from conftest import tiny_experiment_config
@@ -210,3 +211,94 @@ class TestParsing:
         rc = main(["train"])
         assert rc != 0
         assert "--config" in capsys.readouterr().err
+
+
+def _transpose(doc):
+    entry = doc["weights"]["backbone.h0.w"]
+    w = np.array(entry["data"]).reshape(entry["shape"]).T
+    entry["shape"], entry["data"] = list(w.shape), w.ravel().tolist()
+    return doc
+
+
+def _edit(section, name, value=None):
+    """A checkpoint edit: delete ``doc[section][name]``, or set it to ``value``."""
+
+    def edit(doc):
+        if value is None:
+            del doc[section][name]
+        else:
+            doc[section][name] = value
+        return doc
+
+    return edit
+
+
+def _nan_weight(doc):
+    doc["weights"]["head.b"]["data"][0] = float("nan")
+    return doc
+
+
+def _no_config(doc):
+    del doc["config"]
+    return doc
+
+
+# (override, text the error line must contain)
+MALFORMED_OVERRIDES = [
+    ("lr_drop_epochs=5", "lr_drop_epochs: expected list"),
+    ("data.ood=[1]", "data.ood[0]: expected object"),
+    ('data.id.n_train_per_class="5"', "data.id.n_train_per_class: expected integer"),
+    ('data.ood=[{"kind": "uniform", "n": 10, "low": 0.0, "high": 1.0}]', "'seed' in data.ood[0]"),
+    ("scoring.methods=msp", "scoring.methods: expected list"),
+    ("data.id.seed=1.5", "data.id.seed: expected integer"),
+    ("scoring.histogram_bins=2.7", "scoring.histogram_bins: expected integer"),
+    ('backbone.use_batchnorm="no"', "backbone.use_batchnorm: expected boolean"),
+    ("seed=true", "seed: expected integer"),
+    ("backbone.hidden_dims=[]", "hidden_dims"),
+]
+
+# (checkpoint edit, text the error line must contain)
+MALFORMED_CHECKPOINTS = {
+    "no_head_w": (_edit("weights", "head.w"), "missing head.w"),
+    "no_config": (_no_config, "missing config"),
+    "list": (lambda doc: [doc], "JSON object"),
+    "no_bn_key": (_edit("bn_state", "head.bn.mean"), "missing head.bn.mean"),
+    "extra_weight": (_edit("weights", "extra.w", {"shape": [1], "data": [0.0]}), "unexpected extra.w"),
+    "transposed_weight": (_transpose, "backbone.h0.w has shape"),
+    "nan_value": (_nan_weight, "head.b has non-finite"),
+    "bad_config": (_edit("config", "seed", 1.5), "config: seed: expected integer"),
+}
+
+
+def assert_one_error_line(rc, capsys, text):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert text in lines[0]
+
+
+class TestMalformedInput:
+    """Every malformed config, override or checkpoint ends in exit status 1
+    and a single ``error:`` line on stderr."""
+
+    @pytest.mark.parametrize("override,text", MALFORMED_OVERRIDES, ids=[o for o, _ in MALFORMED_OVERRIDES])
+    def test_override(self, config_path, tmp_path, capsys, override, text):
+        rc = main(["gen-data", "--config", str(config_path), "--set", override, "--out", str(tmp_path / "d")])
+        assert_one_error_line(rc, capsys, text)
+
+    def test_top_level_list_config(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        rc = main(["gen-data", "--config", str(path), "--set", "seed=1", "--out", str(tmp_path / "d")])
+        assert_one_error_line(rc, capsys, "config: expected object, got list")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_checkpoint(self, trained, tmp_path, capsys, case):
+        edit, text = MALFORMED_CHECKPOINTS[case]
+        _, ckpt = trained
+        path = tmp_path / "bad.ckpt"
+        path.write_text(json.dumps(edit(json.loads(ckpt.read_text(encoding="utf-8")))), encoding="utf-8")
+        rc = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "report")])
+        assert_one_error_line(rc, capsys, text)

@@ -1,6 +1,8 @@
 """Tests for the experiment config schema, overrides, and file loading."""
 
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,9 @@ from uenl.config import (
     apply_overrides,
     load_config,
 )
+
+
+SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json"
 
 
 def minimal_backbone():
@@ -314,6 +319,85 @@ class TestModelConfigPlumbing:
         assert hc.bn_epsilon == 1e-4
 
 
+def _leaves(value, path=()):
+    """(path, value) for every scalar in a config dict; a path holds dict
+    keys and list indices."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(v, path + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, path + (i,))
+    else:
+        yield path, value
+
+
+def _dotted(path) -> str:
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+# JSON values of the wrong type for a leaf of each type; the last ones were
+# coerced before the reader checked types.
+WRONG_VALUES = {bool: ["no", 1], int: [1.5, True, "7"], float: ["0.5", True], str: [5, None]}
+WRONG_TYPE_CASES = [
+    (path, wrong) for path, value in _leaves(full_config_dict()) for wrong in WRONG_VALUES[type(value)]
+]
+
+
+class TestTypeRules:
+    @pytest.mark.parametrize(
+        "path,wrong", WRONG_TYPE_CASES, ids=[f"{_dotted(p)}={json.dumps(w)}" for p, w in WRONG_TYPE_CASES]
+    )
+    def test_wrong_json_type_names_the_dotted_key(self, path, wrong):
+        d = full_config_dict()
+        target = d
+        for part in path[:-1]:
+            target = target[part]
+        target[path[-1]] = wrong
+        with pytest.raises(ValueError, match="^" + re.escape(_dotted(path)) + ": expected"):
+            ExperimentConfig.from_dict(d)
+
+    def test_float_fields_take_ints_and_store_floats(self):
+        d = full_config_dict()
+        d["lr"], d["data"]["id"]["sigma"] = 1, 2
+        c = ExperimentConfig.from_dict(d)
+        assert type(c.lr) is float and c.lr == 1.0
+        assert type(c.data.id.sigma) is float and c.data.id.sigma == 2.0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
+    def test_non_finite_floats_rejected(self, value):
+        d = {**full_config_dict(), "lr": value}
+        with pytest.raises(ValueError, match="^lr: expected finite number"):
+            ExperimentConfig.from_dict(d)
+
+    def test_null_only_where_the_annotation_allows_it(self):
+        d = {**full_config_dict(), "pinned_uhat": None}
+        assert ExperimentConfig.from_dict(d).pinned_uhat is None
+        with pytest.raises(ValueError, match="^lr: expected finite number, got null"):
+            ExperimentConfig.from_dict({**d, "lr": None})
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ValueError, match="^config: expected object, got list"):
+            ExperimentConfig.from_dict([full_config_dict()])
+
+    def test_missing_kind_names_the_key(self):
+        d = full_config_dict()
+        del d["data"]["ood"][1]["kind"]
+        with pytest.raises(ValueError, match=re.escape("data.ood[1].kind: expected one of")):
+            ExperimentConfig.from_dict(d)
+
+    def test_model_config_checked_at_load(self):
+        d = full_config_dict()
+        d["backbone"]["hidden_dims"] = []
+        with pytest.raises(ValueError, match="hidden_dims"):
+            ExperimentConfig.from_dict(d)
+
+    def test_shipped_config_writes_the_same_json(self):
+        text = json.dumps(load_config(SHIPPED).to_dict(), sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "51c5d3bd706bf4e6b62a606dfa226bd62c82dc5947291745f4340cc8b8191e2b"
+
+
 class TestApplyOverrides:
     def test_number(self):
         out = apply_overrides({"lambda": 0.1}, ["lambda=0.5"])
@@ -379,8 +463,7 @@ class TestLoadConfig:
             load_config(path, overrides=["delta=0"])
 
     def test_shipped_desk_config_parses(self):
-        shipped = Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json"
-        c = load_config(shipped)
+        c = load_config(SHIPPED)
         assert c.method == "uenl"
         assert c.delta == 32 and c.kl_weight == 0.1
         assert c.epochs == 50 and c.lr_drop_epochs == (25, 40)
