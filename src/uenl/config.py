@@ -271,6 +271,16 @@ class DataSpec(_Schema):
             raise ValueError(f"ood set names must be unique, got {names}")
 
 
+# Config keys of the model fields whose checks can fail at load under
+# another name. delta, bn_momentum and bn_epsilon are named alike; dropout
+# and the head's embed_dim are checked before the model sees them.
+_MODEL_FIELD_KEYS = {
+    "input_dim": "backbone.input_dim",
+    "hidden_dims": "backbone.hidden_dims",
+    "num_classes": "backbone.num_classes",
+}
+
+
 @dataclass
 class ExperimentConfig(_Schema):
     """Everything a training or evaluation run depends on.
@@ -327,8 +337,14 @@ class ExperimentConfig(_Schema):
         if self.pinned_uhat is not None:
             _positive(self.pinned_uhat, "pinned_uhat")
         # The model's checks (hidden widths, delta, batchnorm) run at load.
-        self.backbone_config()
-        self.head_config()
+        # Their messages start with the model's field name; name the config
+        # key instead.
+        try:
+            self.backbone_config()
+            self.head_config()
+        except ValueError as exc:
+            name, _, rest = str(exc).partition(" ")
+            raise ValueError(f"{_MODEL_FIELD_KEYS.get(name, name)} {rest}") from None
 
     def backbone_config(self) -> BackboneConfig:
         return BackboneConfig(

@@ -469,9 +469,13 @@ def evaluate(
         bundle = build_datasets(config)
     if not bundle.ood:
         raise ValueError("no OOD sets to evaluate against")
-    # The spec checks the method names before any forward pass.
-    spec = config.scoring if methods is None else replace(config.scoring, methods=tuple(methods))
-    bins = int(histogram_bins) if histogram_bins is not None else spec.histogram_bins
+    # The spec checks the method names and the bin count before any
+    # forward pass.
+    spec = replace(
+        config.scoring,
+        methods=config.scoring.methods if methods is None else tuple(methods),
+        histogram_bins=config.scoring.histogram_bins if histogram_bins is None else int(histogram_bins),
+    )
     params = checkpoint.params()
 
     id_pass = eval_pass(params, bundle.id_test.features)
@@ -494,10 +498,10 @@ def evaluate(
         span = (float(all_scores.min()), float(all_scores.max()))
         if span[0] == span[1]:
             span = (span[0] - 0.5, span[1] + 0.5)
-        for left, right, count in histogram(id_scores, bins, span):
+        for left, right, count in histogram(id_scores, spec.histogram_bins, span):
             hist_rows.append(("id_test", method, left, right, count))
         for name, scores in ood_scores.items():
-            for left, right, count in histogram(scores, bins, span):
+            for left, right, count in histogram(scores, spec.histogram_bins, span):
                 hist_rows.append((name, method, left, right, count))
 
     return EvaluationReport(metric_rows, id_err, len(bundle.id_test), score_sets, hist_rows)
@@ -517,13 +521,16 @@ def sweep(base: ExperimentConfig, grid: dict[str, list], progress=None) -> list[
     for key, values in grid.items():
         if not values:
             raise ValueError(f"sweep grid key {key!r} has no values")
-    rows = []
+    # Every cell's config is built, and so checked, before the first train.
+    cells = []
     for idx, combo in enumerate(itertools.product(*grid.values())):
         overrides = [f"{k}={json.dumps(v)}" for k, v in zip(keys, combo)]
         cell_dict = apply_overrides(base.to_dict(), overrides)
         if keys:
             cell_dict["seed"] = derive_seed(base.seed, f"cell{idx}")
-        cell_config = ExperimentConfig.from_dict(cell_dict)
+        cells.append((combo, ExperimentConfig.from_dict(cell_dict)))
+    rows = []
+    for idx, (combo, cell_config) in enumerate(cells):
         if progress is not None:
             progress(idx, dict(zip(keys, combo)))
         checkpoint = train(cell_config)

@@ -10,13 +10,17 @@ Graphs are immutable: a node's parents and value are fixed at
 construction, which makes the graph acyclic by construction and every
 evaluation repeatable.
 
-Row contract: matmul's forward pass and its input gradient compute each
-output row with its own (1, k) @ (k, n) product, so a row's value and its
-input gradient do not depend on the other rows in the batch (an eval row
-scores the same in any batch). The weight gradient sums over the batch
-anyway, so it is one BLAS product. ``backward(loss, wrt=[...])`` runs only
-the VJPs on a path to the requested nodes and returns their gradients
-alone.
+Row contract: a row's matmul value and its input gradient do not depend on
+the other rows in the batch (an eval row scores the same in any batch).
+The forward pass and the input gradient run one BLAS gemm per fixed block
+of 64 rows, the last block zero-padded, so every call has the same shape
+and BLAS takes the same path whatever the batch. K is cut into fixed
+chunks of at most 256 added in a fixed order, because OpenBLAS splits a
+longer K differently with one thread than with several, which would make
+the bits depend on the thread count. The weight gradient sums over the
+batch anyway, so it is one BLAS product. ``backward(loss, wrt=[...])``
+runs only the VJPs on a path to the requested nodes and returns their
+gradients alone.
 """
 
 from __future__ import annotations
@@ -201,13 +205,42 @@ def _expand_reduced(grad: np.ndarray, in_shape: tuple[int, ...], axis, keepdims:
     return np.broadcast_to(grad, in_shape)
 
 
+_ROW_BLOCK = 64
+_K_CHUNK = 256
+
+
 def _rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # One (1, k) @ (k, n) product per row of ``a``, so a row's result cannot
-    # depend on the other rows in its batch. A single (m, k) @ (k, n) gemm
-    # gives no such guarantee: its blocking changes with m. numpy does not
-    # promise that the per-row product ignores the row's memory offset
-    # either; tests/test_tensor.py pins that on the shapes the model uses.
-    return np.matmul(a[:, None, :], b)[:, 0, :]
+    # One gemm per _ROW_BLOCK rows of ``a``, the last block zero-padded, so
+    # every call has the same m, k and strides whatever the batch and BLAS
+    # takes the same path: a row's result cannot depend on the other rows
+    # in its batch. A single (m, k) @ (k, n) gemm gives no such guarantee,
+    # as its blocking changes with m. ``a`` is made C-contiguous so that the
+    # full blocks and the padded tail share strides. numpy promises none of
+    # this; tests/test_tensor.py pins it on the shapes the model uses.
+    a = np.ascontiguousarray(a)
+    m, k = a.shape
+    n = b.shape[1]
+    out = np.empty((m, n))
+    blocks = m // _ROW_BLOCK
+    full = blocks * _ROW_BLOCK
+    _block_matmul(a[:full].reshape(blocks, _ROW_BLOCK, k), b, out[:full].reshape(blocks, _ROW_BLOCK, n))
+    if full < m:
+        tail = np.zeros((1, _ROW_BLOCK, k))
+        tail[0, : m - full] = a[full:]
+        tail_out = np.empty((1, _ROW_BLOCK, n))
+        _block_matmul(tail, b, tail_out)
+        out[full:] = tail_out[0, : m - full]
+    return out
+
+
+def _block_matmul(blocks: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    # numpy runs a stacked matmul as one gemm per block, with no Python
+    # loop. K is cut into _K_CHUNK-wide slices added in a fixed order
+    # because OpenBLAS splits a longer K one way with one thread and another
+    # way with several, which changes the bits.
+    np.matmul(blocks[:, :, :_K_CHUNK], b[:_K_CHUNK], out=out)
+    for j in range(_K_CHUNK, b.shape[0], _K_CHUNK):
+        out += blocks[:, :, j : j + _K_CHUNK] @ b[j : j + _K_CHUNK]
 
 
 def _check_binary_shapes(op: str, a: np.ndarray, b: np.ndarray) -> None:
@@ -228,8 +261,8 @@ def _fw_matmul(values, attrs):
 
 def _vjp_matmul(g, values, out, attrs, needs):
     a, b = values
-    # The input gradient is per row like the forward pass; the weight
-    # gradient sums over the batch, so it has no row contract and uses BLAS.
+    # The input gradient keeps the row contract like the forward pass; the
+    # weight gradient sums over the batch, so it has none and is one gemm.
     return (
         _rowwise_matmul(g, b.T) if needs[0] else None,
         a.T @ g if needs[1] else None,
@@ -512,9 +545,11 @@ def backward(loss: GraphNode, wrt=None) -> dict[GraphNode, Tensor]:
     and the result holds the ``wrt`` nodes alone. Their gradients equal the
     ``wrt=None`` ones bit for bit.
 
-    Row contract: the forward matmul and its input gradient compute each
-    row on its own, so a row's gradient does not depend on the other rows
-    in its batch; weight gradients sum over the batch and use BLAS.
+    Row contract: the forward matmul and its input gradient run one gemm
+    per fixed 64-row block over fixed K-chunks (see the module docstring),
+    so a row's gradient does not depend on the other rows in its batch or
+    on the BLAS thread count; weight gradients sum over the batch and are
+    one BLAS product.
     """
     if loss.value.shape != ():
         raise ValueError(f"backward requires a scalar node, got shape {loss.value.shape}")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import uenl.model
+import uenl.scoring
 from uenl.config import ExperimentConfig
 from uenl.harness import Checkpoint, build_datasets, train
 from uenl.model import BackboneConfig, UncertaintyHeadConfig, init_params
@@ -52,6 +54,22 @@ def tiny_checkpoint() -> Checkpoint:
 @pytest.fixture(scope="session")
 def tiny_bundle():
     return build_datasets(tiny_experiment_config())
+
+
+@pytest.fixture()
+def backbone_calls(monkeypatch):
+    """Every backbone run, through the scoring module or through
+    model.eval_logits / predict_classes."""
+    calls = []
+    for module in (uenl.scoring, uenl.model):
+        original = module.forward
+
+        def counted(*args, original=original, **kwargs):
+            calls.append(len(args[1]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "forward", counted)
+    return calls
 
 
 @pytest.fixture()

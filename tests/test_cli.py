@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import uenl.harness
 from conftest import tiny_experiment_config
 from uenl.cli import main
 from uenl.harness import Checkpoint
@@ -255,6 +256,13 @@ MALFORMED_OVERRIDES = [
     ('backbone.use_batchnorm="no"', "backbone.use_batchnorm: expected boolean"),
     ("seed=true", "seed: expected integer"),
     ("backbone.hidden_dims=[]", "hidden_dims"),
+    # The model's own checks, run at load, name the config key.
+    ("backbone.hidden_dims=[0]", "error: backbone.hidden_dims entries must be at least 1"),
+    ("backbone.input_dim=0", "error: backbone.input_dim must be at least 1"),
+    ("backbone.num_classes=1", "error: backbone.num_classes must be at least 2"),
+    ("delta=0", "error: delta must be at least 1"),
+    ("bn_momentum=0", "error: bn_momentum must lie in (0, 1]"),
+    ("bn_epsilon=0", "error: bn_epsilon must be positive"),
 ]
 
 # (checkpoint edit, text the error line must contain)
@@ -293,6 +301,26 @@ class TestMalformedInput:
         path.write_text("[1, 2]", encoding="utf-8")
         rc = main(["gen-data", "--config", str(path), "--set", "seed=1", "--out", str(tmp_path / "d")])
         assert_one_error_line(rc, capsys, "config: expected object, got list")
+
+    def test_sweep_checks_every_cell_before_training(self, config_path, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = uenl.harness.train
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(uenl.harness, "train", counted)
+        argv = ["sweep", "--config", str(config_path), "--set", "epochs=2", "--grid", "lambda=0.1,x"]
+        rc = main([*argv, "--out", str(tmp_path / "sweep.csv")])
+        assert_one_error_line(rc, capsys, 'lambda: expected finite number, got string "x"')
+        assert calls == []
+
+    def test_eval_bins_checked_before_any_pass(self, trained, tmp_path, capsys, backbone_calls):
+        _, ckpt = trained
+        rc = main(["eval", "--checkpoint", str(ckpt), "--bins", "0", "--out", str(tmp_path / "report")])
+        assert_one_error_line(rc, capsys, "error: scoring.histogram_bins must be at least 1")
+        assert backbone_calls == []
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
     def test_checkpoint(self, trained, tmp_path, capsys, case):

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-import uenl.model
-import uenl.scoring
 from conftest import tiny_experiment_config
 from uenl.data import Dataset, basis_means, gen_gaussian_clusters, standardize
 from uenl.harness import (
@@ -294,21 +292,6 @@ class TestOnePassEvaluate:
                 assert_array_equal(score_set.ood_scores[name], reference(score_set.method, ds.features))
         want_error = error_rate(predict_classes(params, bundle.id_test.features), bundle.id_test.labels)
         assert report.id_error_rate == want_error
-
-    @pytest.fixture()
-    def backbone_calls(self, monkeypatch):
-        """Every backbone run, through the scoring module or through
-        model.eval_logits / predict_classes."""
-        calls = []
-        for module in (uenl.scoring, uenl.model):
-            original = module.forward
-
-            def counted(*args, original=original, **kwargs):
-                calls.append(len(args[1]))
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, "forward", counted)
-        return calls
 
     def test_backbone_calls_per_chunk(self, tiny_checkpoint, tiny_bundle, backbone_calls):
         assert tiny_checkpoint.config.scoring.odin_epsilon > 0.0  # ODIN: perturbation + scoring pass

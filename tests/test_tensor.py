@@ -1,7 +1,11 @@
 """Tensor container, primitive forward semantics, and reverse-mode gradients."""
 
 import math
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +324,65 @@ class TestRowInvariance:
             np.testing.assert_array_equal(_rowwise_matmul(shifted, b)[3:], full)
             for i in {0, batch // 2, batch - 1}:
                 np.testing.assert_array_equal(_rowwise_matmul(a[i : i + 1].copy(), b)[0], full[i])
+
+
+BLAS_SHAPES = [(784, 256), (256, 784), (256, 128), (128, 10), (400, 64), (1000, 2), (16, 64)]
+BLAS_BATCHES = [1, 63, 64, 65, 128, 513]
+
+# Prints the sha256 of _rowwise_matmul's output bytes over BLAS_SHAPES x
+# BLAS_BATCHES, each with a C-contiguous and a transposed ``b``.
+_DIGEST_SCRIPT = f"""
+import hashlib, zlib
+import numpy as np
+from uenl.tensor import _rowwise_matmul
+h = hashlib.sha256()
+for k, n in {BLAS_SHAPES!r}:
+    rng = np.random.default_rng(zlib.crc32(f"{{k}}x{{n}}".encode()))
+    for transposed in (False, True):
+        b = rng.standard_normal((n, k)).T if transposed else rng.standard_normal((k, n))
+        for batch in {BLAS_BATCHES!r}:
+            h.update(_rowwise_matmul(rng.standard_normal((batch, k)), b).tobytes())
+print(h.hexdigest())
+"""
+
+
+class TestBlasBlocks:
+    """The fixed row blocks and K-chunks of ``_rowwise_matmul``: its bits do
+    not depend on the BLAS thread count or on a row's place in its block,
+    and its output needs no copy to become a Tensor."""
+
+    def _digest(self, threads: int) -> str:
+        src = str(Path(uenl.tensor.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    def test_same_bits_under_one_and_two_blas_threads(self):
+        one, two = self._digest(1), self._digest(2)
+        assert len(one) == 64
+        assert one == two
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "transposed"])
+    @pytest.mark.parametrize("k, n", BLAS_SHAPES)
+    def test_every_block_position_matches_row_alone(self, k, n, transposed):
+        rng = np.random.default_rng(zlib.crc32(f"edge{k}x{n}".encode()))
+        b = rng.standard_normal((n, k)).T if transposed else rng.standard_normal((k, n))
+        for batch in (63, 64, 65, 127):
+            a = rng.standard_normal((batch, k))
+            full = _rowwise_matmul(a, b)
+            for i in range(batch):
+                np.testing.assert_array_equal(_rowwise_matmul(a[i : i + 1], b)[0], full[i])
+
+    def test_output_owns_c_contiguous_data(self):
+        rng = np.random.default_rng(7)
+        a, b, g = rng.standard_normal((65, 300)), rng.standard_normal((300, 20)), rng.standard_normal((65, 20))
+        ga, _ = PRIMITIVES["matmul"].vjp(g, (a, b), None, {}, (True, False))
+        for out in (_rowwise_matmul(a, b), _rowwise_matmul(a.T.copy().T, b.T.copy().T), ga):
+            assert out.flags.c_contiguous and out.flags.owndata
 
 
 def _scalarize(node: GraphNode) -> GraphNode:
