@@ -48,7 +48,7 @@ from .losses import (
     plain_ce,
     uenl_total,
 )
-from .metrics import MetricReport, auroc, error_rate, histogram, write_histogram_csv, write_metrics_csv
+from .metrics import MetricReport, auroc, error_rate, histogram, histogram_range, write_histogram_csv, write_metrics_csv
 from .model import (
     TRAIN,
     ModelParams,
@@ -494,10 +494,7 @@ def evaluate(
         score_sets.append(ScoreSet(method, id_scores, ood_scores, id_name="id_test"))
         for name in bundle.ood:
             metric_rows.append((method, name, MetricReport.from_scores(id_scores, ood_scores[name])))
-        all_scores = np.concatenate([id_scores, *ood_scores.values()])
-        span = (float(all_scores.min()), float(all_scores.max()))
-        if span[0] == span[1]:
-            span = (span[0] - 0.5, span[1] + 0.5)
+        span = histogram_range(np.concatenate([id_scores, *ood_scores.values()]))
         for left, right, count in histogram(id_scores, spec.histogram_bins, span):
             hist_rows.append(("id_test", method, left, right, count))
         for name, scores in ood_scores.items():
@@ -587,10 +584,7 @@ def scores_csv_to_histograms(scores_path, n_bins: int) -> list[tuple[str, str, f
 
     rows = []
     for method, by_dataset in grouped.items():
-        merged = np.concatenate([np.asarray(v) for v in by_dataset.values()])
-        span = (float(merged.min()), float(merged.max()))
-        if span[0] == span[1]:
-            span = (span[0] - 0.5, span[1] + 0.5)
+        span = histogram_range(np.concatenate([np.asarray(v) for v in by_dataset.values()]))
         for dataset, values in by_dataset.items():
             for left, right, count in histogram(values, n_bins, span):
                 rows.append((dataset, method, left, right, count))

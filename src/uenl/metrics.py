@@ -21,6 +21,7 @@ __all__ = [
     "FprResult",
     "error_rate",
     "histogram",
+    "histogram_range",
     "MetricReport",
     "write_metrics_csv",
     "write_histogram_csv",
@@ -110,6 +111,15 @@ def error_rate(predicted, actual) -> float:
     return float(np.mean(predicted != actual))
 
 
+def histogram_range(scores) -> tuple[float, float]:
+    """The (lowest, highest) score, widened by 0.5 on each side when the two
+    are equal, so that a histogram over it has a positive width."""
+    lo, hi = float(np.min(scores)), float(np.max(scores))
+    if hi == lo:
+        return lo - 0.5, hi + 0.5
+    return lo, hi
+
+
 def histogram(scores, n_bins: int, value_range: tuple[float, float] | None = None):
     """Equal-width score histogram as (bin_left, bin_right, count) rows.
 
@@ -122,12 +132,7 @@ def histogram(scores, n_bins: int, value_range: tuple[float, float] | None = Non
         raise ValueError("n_bins must be at least 1")
     if value_range is not None and not value_range[1] > value_range[0]:
         raise ValueError("value_range must satisfy hi > lo")
-    if value_range is None:
-        lo, hi = float(scores.min()), float(scores.max())
-        if hi == lo:  # degenerate spread: center a unit-wide range on it
-            lo, hi = lo - 0.5, hi + 0.5
-    else:
-        lo, hi = float(value_range[0]), float(value_range[1])
+    lo, hi = histogram_range(scores) if value_range is None else map(float, value_range)
     edges = np.linspace(lo, hi, n_bins + 1)
     kept = scores[(scores >= lo) & (scores <= hi)]
     idx = np.searchsorted(edges[1:-1], kept, side="left")

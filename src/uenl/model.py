@@ -20,15 +20,13 @@ from .tensor import (
     Tensor,
     add,
     as_node,
+    batchnorm,
     div,
     exp,
     leaf,
     matmul,
     mul,
-    reduce_mean,
     relu,
-    square,
-    sqrt,
     sub,
 )
 
@@ -220,21 +218,17 @@ def _batchnorm(
     gamma = leaves[f"{prefix}.gamma"]
     beta = leaves[f"{prefix}.beta"]
     if mode == TRAIN:
-        mu = reduce_mean(z, axis=0, keepdims=True)
-        centered = sub(z, mu)
-        var = reduce_mean(square(centered), axis=0, keepdims=True)
-        z_hat = div(centered, sqrt(add(var, as_node(epsilon))))
-        old_mean = bn_state[f"{prefix}.mean"].array
-        old_var = bn_state[f"{prefix}.var"].array
-        updates[f"{prefix}.mean"] = Tensor((1.0 - momentum) * old_mean + momentum * mu.array.ravel())
-        updates[f"{prefix}.var"] = Tensor((1.0 - momentum) * old_var + momentum * var.array.ravel())
-    else:
-        run_mean = bn_state[f"{prefix}.mean"].array
-        run_var = bn_state[f"{prefix}.var"].array
-        if np.any(run_var < 0.0):
-            raise ValueError(f"corrupt running variance in {prefix} (negative entries)")
-        # Running stats are constants at eval time; fold them numerically.
-        z_hat = div(sub(z, leaf(run_mean)), leaf(np.sqrt(run_var + epsilon)))
+        out = batchnorm(z, gamma, beta, epsilon)
+        for stat in ("mean", "var"):
+            old = bn_state[f"{prefix}.{stat}"].array
+            updates[f"{prefix}.{stat}"] = Tensor((1.0 - momentum) * old + momentum * out.attrs[stat])
+        return out
+    run_mean = bn_state[f"{prefix}.mean"].array
+    run_var = bn_state[f"{prefix}.var"].array
+    if np.any(run_var < 0.0):
+        raise ValueError(f"corrupt running variance in {prefix} (negative entries)")
+    # Running stats are constants at eval time; fold them numerically.
+    z_hat = div(sub(z, leaf(run_mean)), leaf(np.sqrt(run_var + epsilon)))
     return add(mul(z_hat, gamma), beta)
 
 

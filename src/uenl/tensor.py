@@ -4,7 +4,10 @@ The primitive set covers exactly what an MLP with batch normalization,
 normalized-logit cross-entropy, and gradient-based input perturbation
 need. Every primitive carries an analytic vector-Jacobian product, so
 gradients of any composed scalar (including gradients with respect to
-network inputs) are exact up to float64 rounding.
+network inputs) are exact up to float64 rounding. Train-mode batch
+normalization is one ``batchnorm`` primitive with the closed-form gradient
+for its input, scale and shift; it leaves the batch mean and variance in
+its node's ``attrs``.
 
 Graphs are immutable: a node's parents and value are fixed at
 construction, which makes the graph acyclic by construction and every
@@ -48,11 +51,9 @@ __all__ = [
     "square",
     "reduce_sum",
     "reduce_mean",
-    "reduce_max",
     "l2norm",
     "logsumexp",
-    "concat",
-    "sqrt",
+    "batchnorm",
     "floor_at",
 ]
 
@@ -400,24 +401,6 @@ def _vjp_mean(g, values, out, attrs, needs):
     return (_expand_reduced(g, a.shape, axis, attrs.get("keepdims", False)) / n,)
 
 
-def _fw_max(values, attrs):
-    a = values[0]
-    attrs["axis"] = _resolve_axis(a, attrs.get("axis"))
-    return np.max(a, axis=attrs["axis"], keepdims=attrs.get("keepdims", False))
-
-
-def _vjp_max(g, values, out, attrs, needs):
-    a = values[0]
-    axis = attrs["axis"]
-    keepdims = attrs.get("keepdims", False)
-    out_full = _expand_reduced(out, a.shape, axis, keepdims)
-    g_full = _expand_reduced(g, a.shape, axis, keepdims)
-    mask = a == out_full
-    # Ties split the gradient evenly among the maximizers.
-    counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-    return (g_full * mask / counts,)
-
-
 def _fw_l2norm(values, attrs):
     a = values[0]
     attrs["axis"] = _resolve_axis(a, attrs.get("axis"))
@@ -457,27 +440,39 @@ def _vjp_logsumexp(g, values, out, attrs, needs):
     return (g_full * np.exp(a - out_full),)
 
 
-def _fw_concat(values, attrs):
-    a, b = values
-    axis = attrs.get("axis")
-    axis = 0 if axis is None else int(axis)
-    if a.ndim != b.ndim:
-        raise ValueError(f"concat: rank mismatch ({a.shape} vs {b.shape})")
-    if not -a.ndim <= axis < a.ndim:
-        raise ValueError(f"concat: axis {axis} out of range for shape {a.shape}")
-    axis %= a.ndim
-    attrs["axis"] = axis
-    for d in range(a.ndim):
-        if d != axis and a.shape[d] != b.shape[d]:
-            raise ValueError(f"concat: shapes {a.shape} and {b.shape} disagree off axis {axis}")
-    return np.concatenate([a, b], axis=axis)
+def _fw_batchnorm(values, attrs):
+    z, gamma, beta = values
+    if z.ndim != 2 or gamma.shape != (z.shape[1],) or beta.shape != (z.shape[1],):
+        raise ValueError(
+            f"batchnorm needs z (n, d), gamma (d,) and beta (d,), got {z.shape}, {gamma.shape} and {beta.shape}"
+        )
+    eps = attrs.get("constant")
+    if eps is None or not 0.0 < float(eps) < np.inf:
+        raise ValueError("batchnorm epsilon must be positive and finite")
+    attrs["constant"] = float(eps)
+    mean = np.mean(z, axis=0)
+    centered = z - mean
+    var = np.mean(centered * centered, axis=0)
+    # Batch statistics for the caller's running averages; the biased
+    # variance, as np.var gives it.
+    attrs["mean"], attrs["var"] = mean, var
+    return centered / np.sqrt(var + attrs["constant"]) * gamma + beta
 
 
-def _vjp_concat(g, values, out, attrs, needs):
-    a, b = values
-    axis = attrs["axis"]
-    ga, gb = np.split(g, [a.shape[axis]], axis=axis)
-    return ga, gb
+def _vjp_batchnorm(g, values, out, attrs, needs):
+    # Closed form (Ioffe & Szegedy 2015), with z_hat the normalized input
+    # and means over the batch:
+    #   dz = gamma / std * (g - mean(g) - z_hat * mean(g * z_hat)).
+    z, gamma, _ = values
+    std = np.sqrt(attrs["var"] + attrs["constant"])
+    z_hat = (z - attrs["mean"]) / std
+    g_beta = g.sum(axis=0)
+    g_gamma = (g * z_hat).sum(axis=0)
+    g_z = None
+    if needs[0]:
+        n = z.shape[0]
+        g_z = gamma / std * (g - g_beta / n - z_hat * (g_gamma / n))
+    return g_z, g_gamma, g_beta
 
 
 class _Primitive(NamedTuple):
@@ -499,10 +494,9 @@ PRIMITIVES: dict[str, _Primitive] = {
     "square": _Primitive(1, _fw_square, _vjp_square),
     "sum": _Primitive(1, _fw_sum, _vjp_sum),
     "mean": _Primitive(1, _fw_mean, _vjp_mean),
-    "max": _Primitive(1, _fw_max, _vjp_max),
     "l2norm": _Primitive(1, _fw_l2norm, _vjp_l2norm),
     "logsumexp": _Primitive(1, _fw_logsumexp, _vjp_logsumexp),
-    "concat": _Primitive(2, _fw_concat, _vjp_concat),
+    "batchnorm": _Primitive(3, _fw_batchnorm, _vjp_batchnorm),
 }
 
 
@@ -653,10 +647,6 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> GraphNode:
     return apply("mean", a, axis=axis, keepdims=keepdims)
 
 
-def reduce_max(a, axis=None, keepdims: bool = False) -> GraphNode:
-    return apply("max", a, axis=axis, keepdims=keepdims)
-
-
 def l2norm(a, axis=None, keepdims: bool = False) -> GraphNode:
     return apply("l2norm", a, axis=axis, keepdims=keepdims)
 
@@ -665,13 +655,11 @@ def logsumexp(a, axis=None, keepdims: bool = False) -> GraphNode:
     return apply("logsumexp", a, axis=axis, keepdims=keepdims)
 
 
-def concat(a, b, axis: int = 0) -> GraphNode:
-    return apply("concat", a, b, axis=axis)
-
-
-def sqrt(a) -> GraphNode:
-    """Square root of a strictly positive node, composed as exp(ln(a)/2)."""
-    return exp(scale(ln(a), 0.5))
+def batchnorm(z, gamma, beta, epsilon: float) -> GraphNode:
+    """Train-mode batch normalization of a (n, d) node over its rows:
+    (z - mean) / sqrt(var + epsilon) * gamma + beta, with the batch mean and
+    biased variance left in the node's ``attrs["mean"]`` and ``attrs["var"]``."""
+    return apply("batchnorm", z, gamma, beta, constant=epsilon)
 
 
 def floor_at(a, floor: float) -> GraphNode:

@@ -33,7 +33,7 @@ from uenl.rng import RngStream
 from uenl.scoring import msp_score, odin_score
 from uenl.tensor import (
     add,
-    concat,
+    batchnorm,
     div,
     exp,
     l2norm,
@@ -42,7 +42,6 @@ from uenl.tensor import (
     logsumexp,
     matmul,
     mul,
-    reduce_max,
     reduce_mean,
     reduce_sum,
     relu,
@@ -81,11 +80,14 @@ def test_criterion_01_gradient_correctness():
         ("square", lambda a: reduce_sum(square(a)), rng.standard_normal((2, 4))),
         ("reduce_sum", lambda a: reduce_sum(a), rng.standard_normal((2, 4))),
         ("reduce_mean", lambda a: reduce_mean(a), rng.standard_normal((2, 4))),
-        ("reduce_max", lambda a: reduce_sum(reduce_max(a, axis=1)), rng.standard_normal((2, 4))),
+    ]
+    # The deleted max and concat cases drew here and below; the draws stay so every other point is as it was.
+    rng.standard_normal((2, 4))
+    primitive_cases += [
         ("l2norm", lambda a: reduce_sum(l2norm(a, axis=1)), 0.5 + rng.random((2, 4))),
         ("logsumexp", lambda a: reduce_sum(logsumexp(a, axis=1)), rng.standard_normal((2, 4))),
-        ("concat", lambda a: reduce_sum(concat(a, c_const, axis=0)), rng.standard_normal((3, 4))),
     ]
+    rng.standard_normal((3, 4))
     # matmul's weight gradient runs on a different kernel from its input
     # gradient, so it gets a case of its own, differentiated with respect to
     # b. Its points come from a separate stream so the draws below are as
@@ -95,6 +97,22 @@ def test_criterion_01_gradient_correctness():
     primitive_cases.append(
         ("matmul", lambda b: reduce_sum(matmul(a_const, b)), weight_rng.standard_normal((3, 2)))
     )
+    # batchnorm, from a stream of its own, once with respect to z and once
+    # with respect to one node passed as both gamma and beta, whose gradient
+    # is the sum of the two. The weights keep the z gradient from vanishing:
+    # each column of the output sums to n * beta whatever z is.
+    bn_rng = np.random.default_rng(1012)
+    bn_z = leaf(bn_rng.standard_normal((4, 3)))
+    bn_w = leaf(bn_rng.standard_normal((4, 3)))
+    bn_gamma, bn_beta = leaf(0.5 + bn_rng.random(3)), leaf(bn_rng.standard_normal(3))
+    primitive_cases += [
+        (
+            "batchnorm",
+            lambda z: reduce_sum(mul(batchnorm(z, bn_gamma, bn_beta, 1e-5), bn_w)),
+            bn_rng.standard_normal((4, 3)),
+        ),
+        ("batchnorm", lambda p: reduce_sum(mul(batchnorm(bn_z, p, p, 1e-5), bn_w)), bn_rng.standard_normal(3)),
+    ]
     from uenl.tensor import PRIMITIVES
 
     tested = {name.removeprefix("reduce_") for name, _, _ in primitive_cases}

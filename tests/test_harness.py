@@ -1,15 +1,19 @@
 """Tests for dataset assembly, training, evaluation, sweeps, and checkpoints."""
 
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from conftest import tiny_experiment_config
-from uenl.data import Dataset, basis_means, gen_gaussian_clusters, standardize
+from uenl.config import load_config
+from uenl.data import Dataset, basis_means, batch_iter, gen_gaussian_clusters, standardize
 from uenl.harness import (
     Checkpoint,
+    _batch_loss,
     build_datasets,
     build_raw_datasets,
     evaluate,
@@ -20,9 +24,10 @@ from uenl.harness import (
 )
 from uenl.losses import kl_regularizer
 from uenl.metrics import error_rate
-from uenl.model import EVAL, eval_logits, forward, predict_classes, uncertainty_forward
-from uenl.rng import derive_seed
+from uenl.model import EVAL, eval_logits, forward, init_params, param_leaves, predict_classes, uncertainty_forward
+from uenl.rng import RngStream, derive_seed
 from uenl.scoring import energy_score, msp_score, odin_score
+from uenl.tensor import Tensor
 
 
 class TestBuildDatasets:
@@ -136,6 +141,31 @@ class TestTrain:
         train(tiny_experiment_config(epochs=2), progress=lambda e, loss, err: seen.append((e, loss, err)))
         assert [e for e, _, _ in seen] == [0, 1]
         assert all(np.isfinite(loss) and 0.0 <= err <= 1.0 for _, loss, err in seen)
+
+
+class TestTrainStepGraph:
+    def test_desk_step_builds_40_nodes_3_of_them_batchnorm(self):
+        """One train step on the shipped desk config: each of the three
+        train-mode batchnorm layers is a single graph node."""
+        config = load_config(Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json")
+        bundle = build_datasets(config)
+        root = RngStream(config.seed)
+        params = init_params(config.backbone_config(), config.head_config(), root)
+        batch = next(iter(batch_iter(bundle.id_train, config.batch_size, config.seed, 0)))
+        total, _ = _batch_loss(
+            params, config, batch.features, batch.labels,
+            root.substream("dropout"), root.substream("resample"), param_leaves(params),
+        )
+        ops, seen, stack = Counter(), set(), [total]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                if node.parents:
+                    ops[node.op] += 1
+                stack.extend(node.parents)
+        assert sum(ops.values()) == 40, ops
+        assert ops["batchnorm"] == 3
 
 
 class TestSelectBestValidation:
@@ -469,6 +499,26 @@ class TestScoresCsvToHistograms:
         report = evaluate(tiny_checkpoint, tiny_bundle, methods=("msp",), histogram_bins=6)
         paths = report.write(tmp_path)
         rebinned = scores_csv_to_histograms(paths["scores"], 6)
+        assert sorted(rebinned) == sorted(report.histograms)
+
+    def test_equal_scores_get_a_unit_wide_range(self, tiny_bundle, tmp_path):
+        """A model whose output layer is zero gives every row the same score
+        under every method; each histogram is then centred on that score
+        with half a unit on each side, in the report and in the rebinning."""
+        config = tiny_experiment_config()
+        params = init_params(config.backbone_config(), config.head_config(), RngStream(config.seed))
+        params.weights["backbone.out.w"] = Tensor.zeros(params.weights["backbone.out.w"].shape)
+        checkpoint = Checkpoint(config, params.weights, params.bn_state, 0)
+        report = evaluate(checkpoint, tiny_bundle, histogram_bins=4)
+        sizes = {"id_test": len(tiny_bundle.id_test), **{n: len(d) for n, d in tiny_bundle.ood.items()}}
+        for score_set in report.score_sets:
+            value = float(score_set.id_scores[0])
+            assert np.all(np.concatenate([score_set.id_scores, *score_set.ood_scores.values()]) == value)
+            for dataset, n in sizes.items():
+                rows = [r for r in report.histograms if r[:2] == (dataset, score_set.method)]
+                assert (rows[0][2], rows[-1][3]) == (value - 0.5, value + 0.5)
+                assert [r[4] for r in rows] == [0, n, 0, 0]
+        rebinned = scores_csv_to_histograms(report.write(tmp_path)["scores"], 4)
         assert sorted(rebinned) == sorted(report.histograms)
 
     def test_bad_header_rejected(self, tmp_path):
