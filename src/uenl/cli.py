@@ -125,6 +125,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_hist(args) -> int:
+    if args.bins < 1:
+        raise ValueError(f"--bins must be at least 1, got {args.bins}")
     rows = scores_csv_to_histograms(args.scores, args.bins)
     write_histogram_csv(rows, args.out)
     print(f"wrote {args.out} ({len(rows)} rows)")

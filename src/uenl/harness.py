@@ -7,8 +7,10 @@ byte-identical checkpoints and report files.
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -78,7 +80,7 @@ __all__ = [
     "scores_csv_to_histograms",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -187,7 +189,12 @@ def _check_names(what: str, expected: set[str], doc) -> None:
 
 @dataclass
 class Checkpoint:
-    """A trained model: config, weights, batchnorm state, and training traces."""
+    """A trained model: config, weights, batchnorm state, and training traces.
+
+    ``to_json`` writes version 2: sorted-key JSON in which each tensor's
+    ``data`` is the base64 of its C-order little-endian float64 bytes.
+    ``from_json`` also reads version 1, whose ``data`` is a list of floats.
+    """
 
     config: ExperimentConfig
     weights: dict[str, Tensor]
@@ -195,7 +202,6 @@ class Checkpoint:
     final_epoch: int
     train_loss: list[float] = field(default_factory=list)
     test_error: list[float] = field(default_factory=list)
-    version: int = CHECKPOINT_VERSION
 
     def params(self) -> ModelParams:
         return ModelParams(
@@ -208,12 +214,12 @@ class Checkpoint:
     def to_json(self) -> str:
         def pack(tensors: dict[str, Tensor]) -> dict:
             return {
-                name: {"shape": list(t.shape), "data": t.array.ravel().tolist()}
+                name: {"shape": list(t.shape), "data": base64.b64encode(t.array.astype("<f8").tobytes()).decode()}
                 for name, t in tensors.items()
             }
 
         doc = {
-            "version": self.version,
+            "version": CHECKPOINT_VERSION,
             "config": self.config.to_dict(),
             "weights": pack(self.weights),
             "bn_state": pack(self.bn_state),
@@ -221,8 +227,9 @@ class Checkpoint:
             "train_loss": self.train_loss,
             "test_error": self.test_error,
         }
-        # sort_keys + fixed separators + repr-based floats: identical runs
-        # serialize to identical bytes, and every float round-trips exactly.
+        # sort_keys + fixed separators + repr-based floats + raw float64
+        # bytes: identical runs serialize to identical bytes, and every
+        # float round-trips exactly.
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     def save(self, path) -> None:
@@ -231,10 +238,10 @@ class Checkpoint:
     @classmethod
     def from_json(cls, text: str) -> "Checkpoint":
         doc = json.loads(text)
-        _check_names("checkpoint", {f.name for f in fields(cls)}, doc)
+        _check_names("checkpoint", {f.name for f in fields(cls)} | {"version"}, doc)
         version = doc["version"]
-        if type(version) is not int or version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version!r} (expected {CHECKPOINT_VERSION})")
+        if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+            raise ValueError(f"unsupported checkpoint version {version!r} (expected 1 or {CHECKPOINT_VERSION})")
         try:
             config = ExperimentConfig.from_dict(doc["config"])
         except ValueError as exc:
@@ -251,12 +258,25 @@ class Checkpoint:
                 shape, size = list(expected[name].shape), expected[name].size
                 if entry["shape"] != shape:
                     raise ValueError(f"{section}.{name} has shape {entry['shape']}, the config implies {shape}")
-                array = np.array(entry["data"])
-                if array.dtype.kind not in "iuf" or array.shape != (size,):
-                    raise ValueError(f"{section}.{name}.data must be a list of {size} numbers")
+                data = entry["data"]
+                if version == 1:  # a list of repr floats
+                    array = np.array(data)
+                    if array.dtype.kind not in "iuf" or array.shape != (size,):
+                        raise ValueError(f"{section}.{name}.data must be a list of {size} numbers")
+                else:  # base64 of the C-order <f8 bytes
+                    if type(data) is not str:
+                        raise ValueError(f"{section}.{name}.data must be a base64 string")
+                    try:
+                        raw = base64.b64decode(data, validate=True)
+                    except ValueError:
+                        raise ValueError(f"{section}.{name}.data is not valid base64") from None
+                    if len(raw) != 8 * size:
+                        raise ValueError(f"{section}.{name}.data holds {len(raw)} bytes, expected {8 * size}")
+                    array = np.frombuffer(raw, dtype="<f8")
                 if not np.isfinite(array).all():
                     raise ValueError(f"{section}.{name} has non-finite values")
-                tensors[name] = Tensor(array.astype(np.float64, copy=False).reshape(shape))
+                # Tensor copies, so it owns its memory, not a view of ``raw``.
+                tensors[name] = Tensor(array.reshape(shape))
             return tensors
 
         return cls(
@@ -266,7 +286,6 @@ class Checkpoint:
             final_epoch=json_parser(int)(doc["final_epoch"], "final_epoch"),
             train_loss=list(json_parser(tuple[float, ...])(doc["train_loss"], "train_loss")),
             test_error=list(json_parser(tuple[float, ...])(doc["test_error"], "test_error")),
-            version=version,
         )
 
     @classmethod
@@ -567,11 +586,13 @@ def scores_csv_to_histograms(scores_path, n_bins: int) -> list[tuple[str, str, f
     into histogram rows; each method gets one shared bin range across datasets."""
     path = Path(scores_path)
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0].split(",") != ["dataset", "sample_index", "method", "score"]:
+        lines = [(line_no, line.strip()) for line_no, line in enumerate(fh, start=1) if line.strip()]
+    if not lines or lines[0][1].split(",") != ["dataset", "sample_index", "method", "score"]:
         raise ValueError(f"{path}: expected header dataset,sample_index,method,score")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: no score rows after the header")
     grouped: dict[str, dict[str, list[float]]] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != 4:
             raise ValueError(f"{path}: line {line_no}: expected 4 columns, got {len(cells)}")
@@ -580,6 +601,8 @@ def scores_csv_to_histograms(scores_path, n_bins: int) -> list[tuple[str, str, f
             value = float(score)
         except ValueError:
             raise ValueError(f"{path}: line {line_no}: score {score!r} is not numeric") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {line_no}: score {score!r} is not finite")
         grouped.setdefault(method, {}).setdefault(dataset, []).append(value)
 
     rows = []

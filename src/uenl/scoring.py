@@ -155,12 +155,12 @@ class ScoreSet:
 
 def write_scores_csv(score_sets, path) -> None:
     """Per-sample score dump: dataset, sample_index, method, score."""
-    lines = ["dataset,sample_index,method,score"]
-    for s in score_sets:
-        for i, value in enumerate(np.asarray(s.id_scores).ravel()):
-            lines.append(f"{s.id_name},{i},{s.method},{float(value)!r}")
-        for name, scores in s.ood_scores.items():
-            for i, value in enumerate(np.asarray(scores).ravel()):
-                lines.append(f"{name},{i},{s.method},{float(value)!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("dataset,sample_index,method,score\n")
+        for s in score_sets:
+            for name, scores in [(s.id_name, s.id_scores), *s.ood_scores.items()]:
+                # One write per dataset, so only one dataset's text is held at
+                # a time. Python floats have the numpy scalars' repr and
+                # format faster.
+                values = np.asarray(scores, dtype=np.float64).ravel().tolist()
+                fh.write("".join(f"{name},{i},{s.method},{value!r}\n" for i, value in enumerate(values)))

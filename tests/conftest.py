@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,10 @@ from uenl.config import ExperimentConfig
 from uenl.harness import Checkpoint, build_datasets, train
 from uenl.model import BackboneConfig, UncertaintyHeadConfig, init_params
 from uenl.rng import RngStream
+
+# A version-1 checkpoint of train(tiny_experiment_config(epochs=2)); see
+# test_harness.TestCheckpointV1 for how it was written.
+V1_CHECKPOINT = Path(__file__).parent / "fixtures" / "tiny_epochs2_v1.ckpt.json"
 
 
 def tiny_experiment_config(**overrides) -> ExperimentConfig:

@@ -1,12 +1,13 @@
 """Tests for the command-line interface (run in-process through main)."""
 
+import base64
 import json
 
 import numpy as np
 import pytest
 
 import uenl.harness
-from conftest import tiny_experiment_config
+from conftest import V1_CHECKPOINT, tiny_experiment_config
 from uenl.cli import main
 from uenl.harness import Checkpoint
 from uenl.rng import derive_seed
@@ -122,6 +123,17 @@ class TestEval:
         assert "noise" in datasets
         assert "uniform" not in datasets
 
+    def test_v1_checkpoint_evaluates(self, trained, tmp_path):
+        """The version-1 fixture holds the model ``trained`` saves as
+        version 2, so their reports are the same bytes."""
+        _, ckpt = trained
+        reports = {}
+        for name, path in (("v1", V1_CHECKPOINT), ("v2", ckpt)):
+            out = tmp_path / name
+            assert main(["eval", "--checkpoint", str(path), "--out", str(out)]) == 0
+            reports[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert reports["v1"] == reports["v2"]
+
     def test_missing_checkpoint_errors(self, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", str(tmp_path / "ghost.ckpt"), "--out", str(tmp_path)])
         assert rc == 1
@@ -214,10 +226,35 @@ class TestParsing:
         assert "--config" in capsys.readouterr().err
 
 
+def _read(entry) -> np.ndarray:
+    """A tensor entry's values, from a v1 list or a v2 base64 payload."""
+    if isinstance(entry["data"], list):
+        return np.array(entry["data"]).reshape(entry["shape"])
+    return np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").reshape(entry["shape"])
+
+
+def _write(entry, values: np.ndarray, v1: bool) -> None:
+    entry["shape"] = list(values.shape)
+    raw = np.ascontiguousarray(values, dtype="<f8")
+    entry["data"] = raw.ravel().tolist() if v1 else base64.b64encode(raw.tobytes()).decode()
+
+
+def _v1(edit):
+    """``edit`` applied to the version-1 form of the document."""
+
+    def v1_edit(doc):
+        doc["version"] = 1
+        for section in ("weights", "bn_state"):
+            for entry in doc[section].values():
+                _write(entry, _read(entry), v1=True)
+        return edit(doc)
+
+    return v1_edit
+
+
 def _transpose(doc):
     entry = doc["weights"]["backbone.h0.w"]
-    w = np.array(entry["data"]).reshape(entry["shape"]).T
-    entry["shape"], entry["data"] = list(w.shape), w.ravel().tolist()
+    _write(entry, _read(entry).T, v1=doc["version"] == 1)
     return doc
 
 
@@ -235,8 +272,33 @@ def _edit(section, name, value=None):
 
 
 def _nan_weight(doc):
-    doc["weights"]["head.b"]["data"][0] = float("nan")
+    entry = doc["weights"]["head.b"]
+    values = _read(entry).copy()
+    values[0] = float("nan")
+    _write(entry, values, v1=doc["version"] == 1)
     return doc
+
+
+def _edit_data(section, name, change):
+    """A checkpoint edit: replace a tensor's ``data`` with ``change(data)``."""
+
+    def edit(doc):
+        entry = doc[section][name]
+        entry["data"] = change(entry["data"])
+        return doc
+
+    return edit
+
+
+def _drop_last_float(data):
+    return base64.b64encode(base64.b64decode(data)[:-8]).decode()
+
+
+def _payload_nan(data):
+    # A NaN with a nonzero payload and the sign bit set, not np.nan's bits.
+    raw = bytearray(base64.b64decode(data))
+    raw[-8:] = (0xFFF8_0000_0000_0001).to_bytes(8, "little")
+    return base64.b64encode(bytes(raw)).decode()
 
 
 def _no_config(doc):
@@ -275,6 +337,31 @@ MALFORMED_CHECKPOINTS = {
     "transposed_weight": (_transpose, "backbone.h0.w has shape"),
     "nan_value": (_nan_weight, "head.b has non-finite"),
     "bad_config": (_edit("config", "seed", 1.5), "config: seed: expected integer"),
+    # The same edits on a version-1 document.
+    "transposed_weight_v1": (_v1(_transpose), "backbone.h0.w has shape"),
+    "nan_value_v1": (_v1(_nan_weight), "head.b has non-finite"),
+    # Malformed version-2 payloads.
+    "data_not_string": (
+        _edit_data("weights", "head.w", lambda data: 12),
+        "weights.head.w.data must be a base64 string",
+    ),
+    "data_not_base64": (
+        # A lax decoder would skip the "?" and read the original values.
+        _edit_data("weights", "head.w", lambda data: data[:8] + "?" + data[8:]),
+        "weights.head.w.data is not valid base64",
+    ),
+    "data_one_float_short": (
+        _edit_data("bn_state", "head.bn.var", _drop_last_float),
+        "bn_state.head.bn.var.data holds",
+    ),
+    "data_nan_bytes": (
+        _edit_data("bn_state", "head.bn.var", _payload_nan),
+        "bn_state.head.bn.var has non-finite",
+    ),
+    "data_v1_list": (
+        _edit_data("weights", "backbone.out.b", lambda data: [0.0] * (len(base64.b64decode(data)) // 8)),
+        "weights.backbone.out.b.data must be a base64 string",
+    ),
 }
 
 
@@ -321,6 +408,28 @@ class TestMalformedInput:
         rc = main(["eval", "--checkpoint", str(ckpt), "--bins", "0", "--out", str(tmp_path / "report")])
         assert_one_error_line(rc, capsys, "error: scoring.histogram_bins must be at least 1")
         assert backbone_calls == []
+
+    def test_hist_bins_checked_before_reading(self, tmp_path, capsys):
+        # The scores file does not exist: a bin check after reading would
+        # report the missing file instead.
+        argv = ["hist", "--scores", str(tmp_path / "none.csv"), "--bins", "0"]
+        rc = main([*argv, "--out", str(tmp_path / "h.csv")])
+        assert_one_error_line(rc, capsys, "error: --bins must be at least 1")
+
+    def test_hist_non_finite_score_names_file_and_line(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        # The blank line counts: N is the line in the file.
+        scores.write_text("dataset,sample_index,method,score\nid_test,0,msp,0.5\n\nid_test,1,msp,nan\n")
+        rc = main(["hist", "--scores", str(scores), "--out", str(tmp_path / "h.csv")])
+        assert_one_error_line(rc, capsys, f"{scores}: line 4: score 'nan' is not finite")
+
+    def test_hist_header_only(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("dataset,sample_index,method,score\n")
+        out = tmp_path / "h.csv"
+        rc = main(["hist", "--scores", str(scores), "--out", str(out)])
+        assert_one_error_line(rc, capsys, f"{scores}: no score rows")
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
     def test_checkpoint(self, trained, tmp_path, capsys, case):

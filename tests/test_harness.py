@@ -1,5 +1,6 @@
 """Tests for dataset assembly, training, evaluation, sweeps, and checkpoints."""
 
+import base64
 import json
 from collections import Counter
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from conftest import tiny_experiment_config
+from conftest import V1_CHECKPOINT, tiny_experiment_config
 from uenl.config import load_config
 from uenl.data import Dataset, basis_means, batch_iter, gen_gaussian_clusters, standardize
 from uenl.harness import (
@@ -391,6 +392,64 @@ class TestCheckpointRoundTrip:
         params = tiny_checkpoint.params()
         params.weights.clear()
         assert tiny_checkpoint.weights  # untouched
+
+    def test_saves_version_2_base64(self, tiny_checkpoint):
+        doc = json.loads(tiny_checkpoint.to_json())
+        assert doc["version"] == 2
+        for section, tensors in (("weights", tiny_checkpoint.weights), ("bn_state", tiny_checkpoint.bn_state)):
+            for name, t in tensors.items():
+                raw = base64.b64decode(doc[section][name]["data"], validate=True)
+                assert raw == t.array.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("form", ["v1", "v2"])
+    def test_loaded_tensors_own_their_memory(self, tiny_checkpoint, form):
+        text = V1_CHECKPOINT.read_text(encoding="utf-8") if form == "v1" else tiny_checkpoint.to_json()
+        loaded = Checkpoint.from_json(text)
+        for t in [*loaded.weights.values(), *loaded.bn_state.values()]:
+            a = t.array
+            assert a.dtype == np.float64
+            assert a.flags.owndata and a.flags.c_contiguous
+            # Tensor marks its array read-only. The memory itself must be
+            # writable: numpy refuses this on a view of the decoded bytes.
+            a.setflags(write=True)
+            assert a.flags.writeable
+            a.setflags(write=False)
+
+
+class TestCheckpointV1:
+    """``tests/fixtures/tiny_epochs2_v1.ckpt.json`` is a version-1
+    checkpoint (``data`` as lists of repr floats), written at commit 7819eb5
+    from the repository root with
+
+        PYTHONPATH=src:tests python3 -c "from conftest import tiny_experiment_config; from uenl.harness import train; train(tiny_experiment_config(epochs=2)).save('tests/fixtures/tiny_epochs2_v1.ckpt.json')"
+
+    The comparisons with a fresh ``train`` hold while training's output
+    bits stay those of that commit.
+    """
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        return train(tiny_experiment_config(epochs=2))
+
+    def test_loads_the_listed_floats(self):
+        doc = json.loads(V1_CHECKPOINT.read_text(encoding="utf-8"))
+        assert doc["version"] == 1
+        loaded = Checkpoint.load(V1_CHECKPOINT)
+        for section, tensors in (("weights", loaded.weights), ("bn_state", loaded.bn_state)):
+            for name, t in tensors.items():
+                assert t.array.ravel().tolist() == doc[section][name]["data"]
+
+    def test_arrays_bit_equal_to_fresh_train(self, fresh):
+        loaded = Checkpoint.load(V1_CHECKPOINT)
+        for got, want in ((loaded.weights, fresh.weights), (loaded.bn_state, fresh.bn_state)):
+            assert set(got) == set(want)
+            for name in want:
+                assert got[name].array.tobytes() == want[name].array.tobytes(), name
+
+    def test_resave_gives_version_2_train_bytes(self, fresh, tmp_path):
+        path = tmp_path / "resaved.ckpt.json"
+        Checkpoint.load(V1_CHECKPOINT).save(path)
+        assert path.read_text(encoding="utf-8") == fresh.to_json()
 
 
 class TestSweep:
