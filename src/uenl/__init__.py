@@ -22,7 +22,7 @@ from .losses import (
     uenl_total,
 )
 from .metrics import MetricReport, aupr, auroc, fpr_at_95_tpr
-from .model import BackboneConfig, ModelParams, UncertaintyHeadConfig, forward, init_params, uncertainty_forward
+from .model import ModelConfig, ModelParams, forward, init_params, uncertainty_forward
 from .rng import RngStream
 from .scoring import energy_score, msp_score, odin_score, uncertainty_score
 from .tensor import GraphNode, Tensor, apply, backward, leaf
@@ -52,9 +52,8 @@ __all__ = [
     "aupr",
     "auroc",
     "fpr_at_95_tpr",
-    "BackboneConfig",
+    "ModelConfig",
     "ModelParams",
-    "UncertaintyHeadConfig",
     "forward",
     "init_params",
     "uncertainty_forward",

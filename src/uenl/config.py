@@ -20,7 +20,8 @@ from functools import cache
 from pathlib import Path
 from typing import ClassVar, Union, get_args, get_origin, get_type_hints
 
-from .model import BackboneConfig, UncertaintyHeadConfig
+from .model import ModelConfig
+from .scoring import SCORE_METHODS
 
 __all__ = [
     "ExperimentConfig",
@@ -43,7 +44,6 @@ __all__ = [
 
 METHODS = ("uenl", "ce", "logitnorm")
 KL_FORMS = ("variance", "std")
-SCORE_METHOD_NAMES = ("msp", "energy", "odin", "uncertainty")
 
 _JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string", list: "list", dict: "object"}
 
@@ -162,7 +162,7 @@ class BackboneSpec(_Schema):
 
 @dataclass(frozen=True)
 class ScoringSpec(_Schema):
-    methods: tuple[str, ...] = ("msp", "energy", "odin", "uncertainty")
+    methods: tuple[str, ...] = SCORE_METHODS
     energy_temperature: float = 0.1
     odin_temperature: float = 1000.0
     odin_epsilon: float = 0.0014
@@ -170,8 +170,8 @@ class ScoringSpec(_Schema):
 
     def __post_init__(self):
         for m in self.methods:
-            if m not in SCORE_METHOD_NAMES:
-                raise ValueError(f"unknown scoring method {m!r} (expected one of {SCORE_METHOD_NAMES})")
+            if m not in SCORE_METHODS:
+                raise ValueError(f"unknown scoring method {m!r} (expected one of {SCORE_METHODS})")
         if not self.methods:
             raise ValueError("scoring.methods must name at least one method")
         _positive(self.energy_temperature, "scoring.energy_temperature")
@@ -272,12 +272,12 @@ class DataSpec(_Schema):
 
 
 # Config keys of the model fields whose checks can fail at load under
-# another name. delta, bn_momentum and bn_epsilon are named alike; dropout
-# and the head's embed_dim are checked before the model sees them.
+# another name. delta, bn_momentum and bn_epsilon are named alike.
 _MODEL_FIELD_KEYS = {
     "input_dim": "backbone.input_dim",
     "hidden_dims": "backbone.hidden_dims",
     "num_classes": "backbone.num_classes",
+    "dropout_rate": "dropout",
 }
 
 
@@ -327,8 +327,6 @@ class ExperimentConfig(_Schema):
         _non_negative(self.weight_decay, "weight_decay")
         if any(e < 0 for e in self.lr_drop_epochs):
             raise ValueError("lr_drop_epochs must be non-negative")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
         _non_negative(self.kl_weight, "lambda")
         if self.kl_form not in KL_FORMS:
             raise ValueError(f"unknown kl_form {self.kl_form!r} (expected one of {KL_FORMS})")
@@ -336,32 +334,24 @@ class ExperimentConfig(_Schema):
         _positive(self.uhat_scale, "uhat_scale")
         if self.pinned_uhat is not None:
             _positive(self.pinned_uhat, "pinned_uhat")
-        # The model's checks (hidden widths, delta, batchnorm) run at load.
-        # Their messages start with the model's field name; name the config
-        # key instead.
+        # The model's checks (hidden widths, delta, dropout, batchnorm) run at
+        # load. Their messages start with the model's field name; name the
+        # config key instead.
         try:
-            self.backbone_config()
-            self.head_config()
+            self.model_config()
         except ValueError as exc:
             name, _, rest = str(exc).partition(" ")
             raise ValueError(f"{_MODEL_FIELD_KEYS.get(name, name)} {rest}") from None
 
-    def backbone_config(self) -> BackboneConfig:
-        return BackboneConfig(
+    def model_config(self) -> ModelConfig:
+        return ModelConfig(
             input_dim=self.backbone.input_dim,
             hidden_dims=self.backbone.hidden_dims,
             num_classes=self.backbone.num_classes,
-            dropout_rate=self.dropout,
-            use_batchnorm=self.backbone.use_batchnorm,
-            bn_momentum=self.bn_momentum,
-            bn_epsilon=self.bn_epsilon,
-        )
-
-    def head_config(self) -> UncertaintyHeadConfig:
-        return UncertaintyHeadConfig(
-            embed_dim=self.backbone.hidden_dims[-1],
             delta=self.delta,
             scalar_u=self.scalar_uncertainty,
+            dropout_rate=self.dropout,
+            use_batchnorm=self.backbone.use_batchnorm,
             bn_momentum=self.bn_momentum,
             bn_epsilon=self.bn_epsilon,
         )

@@ -52,6 +52,11 @@ class Normalization:
         if np.any(self.std <= 0.0):
             raise ValueError("std entries must be strictly positive")
 
+    @classmethod
+    def fit(cls, features) -> "Normalization":
+        """Per-feature mean and std of ``features``, the std floored at 1e-8."""
+        return cls(features.mean(axis=0), np.maximum(features.std(axis=0), 1e-8))
+
 
 @dataclass
 class Dataset:
@@ -284,9 +289,7 @@ def standardize(dataset: Dataset, stats: Normalization | None = None) -> tuple[D
     other split consistently.
     """
     if stats is None:
-        mean = dataset.features.mean(axis=0)
-        std = np.maximum(dataset.features.std(axis=0), 1e-8)
-        stats = Normalization(mean, std)
+        stats = Normalization.fit(dataset.features)
     if stats.mean.size != dataset.dim:
         raise ValueError(f"statistics are {stats.mean.size}-dimensional, data is {dataset.dim}-dimensional")
     transformed = (dataset.features - stats.mean) / stats.std

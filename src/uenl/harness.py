@@ -159,10 +159,7 @@ def build_raw_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict
     if config.data is None:
         raise ValueError("config has no data section")
     train, test = _build_id_raw(config)
-    raw_stats = Normalization(
-        train.features.mean(axis=0), np.maximum(train.features.std(axis=0), 1e-8)
-    )
-    return train, test, _build_ood_raw(config, raw_stats)
+    return train, test, _build_ood_raw(config, Normalization.fit(train.features))
 
 
 def build_datasets(config: ExperimentConfig) -> DataBundle:
@@ -204,12 +201,7 @@ class Checkpoint:
     test_error: list[float] = field(default_factory=list)
 
     def params(self) -> ModelParams:
-        return ModelParams(
-            self.config.backbone_config(),
-            self.config.head_config(),
-            dict(self.weights),
-            dict(self.bn_state),
-        )
+        return ModelParams(self.config.model_config(), dict(self.weights), dict(self.bn_state))
 
     def to_json(self) -> str:
         def pack(tensors: dict[str, Tensor]) -> dict:
@@ -247,7 +239,7 @@ class Checkpoint:
         except ValueError as exc:
             raise ValueError(f"config: {exc}") from None
         # Fresh parameters for the stored config; only their names and shapes are used.
-        reference = init_params(config.backbone_config(), config.head_config(), RngStream(0))
+        reference = init_params(config.model_config(), RngStream(0))
 
         def unpack(section: str, expected: dict[str, Tensor]) -> dict[str, Tensor]:
             packed = doc[section]
@@ -275,6 +267,8 @@ class Checkpoint:
                     array = np.frombuffer(raw, dtype="<f8")
                 if not np.isfinite(array).all():
                     raise ValueError(f"{section}.{name} has non-finite values")
+                if section == "bn_state" and name.endswith(".var") and (array < 0.0).any():
+                    raise ValueError(f"{section}.{name} has negative running variance entries")
                 # Tensor copies, so it owns its memory, not a view of ``raw``.
                 tensors[name] = Tensor(array.reshape(shape))
             return tensors
@@ -340,7 +334,7 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
     if bundle is None:
         bundle = build_datasets(config)
     root = RngStream(config.seed)
-    params = init_params(config.backbone_config(), config.head_config(), root)
+    params = init_params(config.model_config(), root)
     dropout_rng = root.substream("dropout")
     resample_rng = root.substream("resample")
     opt_state = OptState.zeros_like(params.weights)
@@ -413,7 +407,7 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
     final_epoch = config.epochs - 1
     if val_features is not None and best_state is not None:
         weights, bn_state, final_epoch = best_state
-        params = ModelParams(params.backbone, params.head, weights, bn_state)
+        params = ModelParams(params.config, weights, bn_state)
 
     return Checkpoint(config, params.weights, params.bn_state, final_epoch, loss_trace, error_trace)
 
@@ -436,6 +430,13 @@ def _scores_for(params, features, method, spec, clip_range, out, chunk: int = 51
     raise ValueError(f"unknown scoring method {method!r}")
 
 
+def _shared_histograms(method: str, scores, n_bins: int) -> list[tuple[str, str, float, float, int]]:
+    """Histogram rows of one method's (dataset, scores) pairs, all binned over
+    one range that spans every dataset's scores."""
+    span = histogram_range(np.concatenate([values for _, values in scores]))
+    return [(dataset, method, *bin_) for dataset, values in scores for bin_ in histogram(values, n_bins, span)]
+
+
 @dataclass
 class EvaluationReport:
     """Detection metrics, classification error, raw scores, and histograms
@@ -448,14 +449,10 @@ class EvaluationReport:
     histograms: list[tuple[str, str, float, float, int]]
 
     def mean_metrics(self, method: str) -> dict[str, float]:
-        reports = [r for m, _, r in self.metric_rows if m == method]
-        if not reports:
+        means = MetricReport.method_means(self.metric_rows)
+        if method not in means:
             raise KeyError(f"no metric rows for method {method!r}")
-        return {
-            "fpr95": float(np.mean([r.fpr95 for r in reports])),
-            "auroc": float(np.mean([r.auroc for r in reports])),
-            "aupr": float(np.mean([r.aupr for r in reports])),
-        }
+        return means[method]
 
     def write(self, out_dir) -> dict[str, Path]:
         out_dir = Path(out_dir)
@@ -513,12 +510,7 @@ def evaluate(
         score_sets.append(ScoreSet(method, id_scores, ood_scores, id_name="id_test"))
         for name in bundle.ood:
             metric_rows.append((method, name, MetricReport.from_scores(id_scores, ood_scores[name])))
-        span = histogram_range(np.concatenate([id_scores, *ood_scores.values()]))
-        for left, right, count in histogram(id_scores, spec.histogram_bins, span):
-            hist_rows.append(("id_test", method, left, right, count))
-        for name, scores in ood_scores.items():
-            for left, right, count in histogram(scores, spec.histogram_bins, span):
-                hist_rows.append((name, method, left, right, count))
+        hist_rows += _shared_histograms(method, [("id_test", id_scores), *ood_scores.items()], spec.histogram_bins)
 
     return EvaluationReport(metric_rows, id_err, len(bundle.id_test), score_sets, hist_rows)
 
@@ -555,10 +547,7 @@ def sweep(base: ExperimentConfig, grid: dict[str, list], progress=None) -> list[
         row["seed"] = cell_config.seed
         row["error_rate"] = report.id_error_rate
         for method in cell_config.scoring.methods:
-            means = report.mean_metrics(method)
-            row[f"{method}_fpr95"] = means["fpr95"]
-            row[f"{method}_auroc"] = means["auroc"]
-            row[f"{method}_aupr"] = means["aupr"]
+            row.update((f"{method}_{key}", value) for key, value in report.mean_metrics(method).items())
         rows.append(row)
     return rows
 
@@ -607,8 +596,5 @@ def scores_csv_to_histograms(scores_path, n_bins: int) -> list[tuple[str, str, f
 
     rows = []
     for method, by_dataset in grouped.items():
-        span = histogram_range(np.concatenate([np.asarray(v) for v in by_dataset.values()]))
-        for dataset, values in by_dataset.items():
-            for left, right, count in histogram(values, n_bins, span):
-                rows.append((dataset, method, left, right, count))
+        rows += _shared_histograms(method, by_dataset.items(), n_bins)
     return rows

@@ -165,20 +165,26 @@ class MetricReport:
             n_ood=ood_s.size,
         )
 
+    @staticmethod
+    def method_means(rows) -> dict[str, dict[str, float]]:
+        """Per method, in first-seen order, the arithmetic means of fpr95,
+        auroc and aupr over its (method, ood_dataset, report) rows."""
+        by_method: dict[str, list[MetricReport]] = {}
+        for method, _, report in rows:
+            by_method.setdefault(method, []).append(report)
+        return {
+            method: {k: float(np.mean([getattr(r, k) for r in reports])) for k in ("fpr95", "auroc", "aupr")}
+            for method, reports in by_method.items()
+        }
+
 
 def write_metrics_csv(rows, path) -> None:
     """Write (method, ood_dataset, report) rows, appending one arithmetic-mean
     row per method across its OOD sets."""
     lines = ["method,ood_dataset,fpr95,auroc,aupr"]
-    by_method: dict[str, list[MetricReport]] = {}
-    for method, ood_name, report in rows:
-        lines.append(f"{method},{ood_name},{report.fpr95!r},{report.auroc!r},{report.aupr!r}")
-        by_method.setdefault(method, []).append(report)
-    for method, reports in by_method.items():
-        fpr = float(np.mean([r.fpr95 for r in reports]))
-        roc = float(np.mean([r.auroc for r in reports]))
-        pr = float(np.mean([r.aupr for r in reports]))
-        lines.append(f"{method},mean,{fpr!r},{roc!r},{pr!r}")
+    lines += [f"{method},{ood_name},{r.fpr95!r},{r.auroc!r},{r.aupr!r}" for method, ood_name, r in rows]
+    for method, m in MetricReport.method_means(rows).items():
+        lines.append(f"{method},mean,{m['fpr95']!r},{m['auroc']!r},{m['aupr']!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -31,8 +31,7 @@ from .tensor import (
 )
 
 __all__ = [
-    "BackboneConfig",
-    "UncertaintyHeadConfig",
+    "ModelConfig",
     "ModelParams",
     "ForwardOutput",
     "HeadOutput",
@@ -49,16 +48,22 @@ EVAL = "eval"
 
 
 @dataclass(frozen=True)
-class BackboneConfig:
-    """Architecture of the classifier MLP.
+class ModelConfig:
+    """Architecture of the classifier MLP and its uncertainty head.
 
-    The embedding exposed to the uncertainty head is the activation of the
-    last hidden layer, so ``hidden_dims[-1]`` is the embedding width.
+    The embedding read by the uncertainty head is the activation of the last
+    hidden layer, so ``hidden_dims[-1]`` is the embedding width. ``delta`` is
+    the number of resampling dimensions. With ``scalar_u`` the head emits a
+    single shared uncertainty that is broadcast across all delta resampling
+    draws; otherwise it emits one value per dimension. Backbone and head
+    batchnorm share ``bn_momentum`` and ``bn_epsilon``.
     """
 
     input_dim: int
     hidden_dims: tuple[int, ...]
     num_classes: int
+    delta: int = 32
+    scalar_u: bool = False
     dropout_rate: float = 0.3
     use_batchnorm: bool = True
     bn_momentum: float = 0.1
@@ -74,6 +79,8 @@ class BackboneConfig:
             raise ValueError("hidden_dims entries must be at least 1")
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
+        if self.delta < 1:
+            raise ValueError("delta must be at least 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
         if not 0.0 < self.bn_momentum <= 1.0:
@@ -84,32 +91,6 @@ class BackboneConfig:
     @property
     def embed_dim(self) -> int:
         return self.hidden_dims[-1]
-
-
-@dataclass(frozen=True)
-class UncertaintyHeadConfig:
-    """Shape of the uncertainty head.
-
-    ``delta`` is the number of resampling dimensions. With ``scalar_u`` the
-    head emits a single shared uncertainty that is broadcast across all
-    delta resampling draws; otherwise it emits one value per dimension.
-    """
-
-    embed_dim: int
-    delta: int = 32
-    scalar_u: bool = False
-    bn_momentum: float = 0.1
-    bn_epsilon: float = 1e-5
-
-    def __post_init__(self):
-        if self.embed_dim < 1:
-            raise ValueError("embed_dim must be at least 1")
-        if self.delta < 1:
-            raise ValueError("delta must be at least 1")
-        if not 0.0 < self.bn_momentum <= 1.0:
-            raise ValueError("bn_momentum must lie in (0, 1]")
-        if self.bn_epsilon <= 0.0:
-            raise ValueError("bn_epsilon must be positive")
 
     @property
     def out_dim(self) -> int:
@@ -125,8 +106,7 @@ class ModelParams:
     receive gradient or weight-decay updates.
     """
 
-    backbone: BackboneConfig
-    head: UncertaintyHeadConfig
+    config: ModelConfig
     weights: dict[str, Tensor] = field(default_factory=dict)
     bn_state: dict[str, Tensor] = field(default_factory=dict)
 
@@ -156,7 +136,7 @@ def _lecun_uniform(rng: RngStream, fan_in: int, fan_out: int) -> Tensor:
     return Tensor(rng.uniform(-limit, limit, (fan_in, fan_out)))
 
 
-def init_params(backbone: BackboneConfig, head: UncertaintyHeadConfig, rng: RngStream) -> ModelParams:
+def init_params(config: ModelConfig, rng: RngStream) -> ModelParams:
     """Fresh parameters.
 
     Linear layers draw LeCun-uniform weights (zero biases) from per-layer
@@ -165,10 +145,6 @@ def init_params(backbone: BackboneConfig, head: UncertaintyHeadConfig, rng: RngS
     Batchnorm starts at identity (gamma 1, beta 0) with running mean 0 and
     running variance 1.
     """
-    if head.embed_dim != backbone.embed_dim:
-        raise ValueError(
-            f"head embed_dim {head.embed_dim} does not match backbone embedding width {backbone.embed_dim}"
-        )
     weights: dict[str, Tensor] = {}
     bn_state: dict[str, Tensor] = {}
 
@@ -178,22 +154,22 @@ def init_params(backbone: BackboneConfig, head: UncertaintyHeadConfig, rng: RngS
         bn_state[f"{prefix}.mean"] = Tensor.zeros(width)
         bn_state[f"{prefix}.var"] = Tensor(np.ones(width))
 
-    fan_in = backbone.input_dim
-    for i, width in enumerate(backbone.hidden_dims):
+    fan_in = config.input_dim
+    for i, width in enumerate(config.hidden_dims):
         name = f"backbone.h{i}"
         weights[f"{name}.w"] = _lecun_uniform(rng.substream(f"init.{name}"), fan_in, width)
         weights[f"{name}.b"] = Tensor.zeros(width)
-        if backbone.use_batchnorm:
+        if config.use_batchnorm:
             bn_block(f"{name}.bn", width)
         fan_in = width
-    weights["backbone.out.w"] = _lecun_uniform(rng.substream("init.backbone.out"), fan_in, backbone.num_classes)
-    weights["backbone.out.b"] = Tensor.zeros(backbone.num_classes)
+    weights["backbone.out.w"] = _lecun_uniform(rng.substream("init.backbone.out"), fan_in, config.num_classes)
+    weights["backbone.out.b"] = Tensor.zeros(config.num_classes)
 
-    weights["head.w"] = Tensor.zeros((head.embed_dim, head.out_dim))
-    weights["head.b"] = Tensor.zeros(head.out_dim)
-    bn_block("head.bn", head.out_dim)
+    weights["head.w"] = Tensor.zeros((config.embed_dim, config.out_dim))
+    weights["head.b"] = Tensor.zeros(config.out_dim)
+    bn_block("head.bn", config.out_dim)
 
-    return ModelParams(backbone, head, weights, bn_state)
+    return ModelParams(config, weights, bn_state)
 
 
 def param_leaves(params: ModelParams) -> dict[str, GraphNode]:
@@ -254,7 +230,7 @@ def forward(
     """
     if mode not in (TRAIN, EVAL):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    cfg = params.backbone
+    cfg = params.config
     x_node = as_node(x)
     if x_node.value.ndim != 2 or x_node.value.shape[1] != cfg.input_dim:
         raise ValueError(
@@ -295,7 +271,7 @@ def uncertainty_forward(
     """
     if mode not in (TRAIN, EVAL):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    cfg = params.head
+    cfg = params.config
     e = as_node(embedding)
     if e.value.ndim != 2 or e.value.shape[1] != cfg.embed_dim:
         raise ValueError(f"embedding must have shape (batch, {cfg.embed_dim}), got {e.value.shape}")
@@ -314,7 +290,7 @@ def eval_logits(params: ModelParams, x, batch_size: int = 512) -> np.ndarray:
         forward(params, x[i : i + batch_size], EVAL).logits.array
         for i in range(0, len(x), batch_size)
     ]
-    return np.concatenate(parts, axis=0) if parts else np.zeros((0, params.backbone.num_classes))
+    return np.concatenate(parts, axis=0) if parts else np.zeros((0, params.config.num_classes))
 
 
 def predict_classes(params: ModelParams, x, batch_size: int = 512) -> np.ndarray:

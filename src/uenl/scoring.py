@@ -123,7 +123,7 @@ def eval_pass(params: ModelParams, x, chunk: int = 512) -> tuple[np.ndarray, np.
     computed ``chunk`` rows at a time. Eval rows do not depend on their batch,
     so this equals an unchunked pass bit for bit."""
     x = np.asarray(x, dtype=np.float64)
-    logits = [np.zeros((0, params.backbone.num_classes))]
+    logits = [np.zeros((0, params.config.num_classes))]
     u_total = [np.zeros(0)]
     for i in range(0, len(x), chunk):
         out = forward(params, x[i : i + chunk], EVAL)

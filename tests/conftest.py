@@ -11,7 +11,7 @@ import uenl.model
 import uenl.scoring
 from uenl.config import ExperimentConfig
 from uenl.harness import Checkpoint, build_datasets, train
-from uenl.model import BackboneConfig, UncertaintyHeadConfig, init_params
+from uenl.model import ModelConfig, init_params
 from uenl.rng import RngStream
 
 # A version-1 checkpoint of train(tiny_experiment_config(epochs=2)); see
@@ -81,9 +81,8 @@ def backbone_calls(monkeypatch):
 @pytest.fixture()
 def small_params():
     """Fresh random small model (3 classes, 5 inputs, 8-dim head)."""
-    backbone = BackboneConfig(input_dim=5, hidden_dims=(12, 6), num_classes=3, dropout_rate=0.0)
-    head = UncertaintyHeadConfig(embed_dim=6, delta=8)
-    return init_params(backbone, head, RngStream(99))
+    config = ModelConfig(input_dim=5, hidden_dims=(12, 6), num_classes=3, delta=8, dropout_rate=0.0)
+    return init_params(config, RngStream(99))
 
 
 def random_scores(rng: np.random.Generator, n: int, m: int, ties: bool):

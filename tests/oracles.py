@@ -98,15 +98,15 @@ def numeric_gradient(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
     return out
 
 
-def expected_param_count(backbone, head) -> int:
+def expected_param_count(config) -> int:
     """Closed-form trainable weight count for the given architecture."""
     count = 0
-    fan_in = backbone.input_dim
-    for width in backbone.hidden_dims:
+    fan_in = config.input_dim
+    for width in config.hidden_dims:
         count += (fan_in + 1) * width
-        if backbone.use_batchnorm:
+        if config.use_batchnorm:
             count += 2 * width
         fan_in = width
-    count += (fan_in + 1) * backbone.num_classes
-    count += (head.embed_dim + 1) * head.out_dim + 2 * head.out_dim
+    count += (fan_in + 1) * config.num_classes
+    count += (config.embed_dim + 1) * config.out_dim + 2 * config.out_dim
     return count

@@ -28,7 +28,7 @@ from uenl.losses import (
     uenl_total,
 )
 from uenl.metrics import auroc, aupr, fpr_at_tpr
-from uenl.model import BackboneConfig, UncertaintyHeadConfig, eval_logits, init_params
+from uenl.model import ModelConfig, eval_logits, init_params
 from uenl.rng import RngStream
 from uenl.scoring import msp_score, odin_score
 from uenl.tensor import (
@@ -239,8 +239,7 @@ def test_criterion_05_metric_oracles():
 
 def test_criterion_06_method_reductions():
     params = init_params(
-        BackboneConfig(input_dim=5, hidden_dims=(12, 6), num_classes=3, dropout_rate=0.0),
-        UncertaintyHeadConfig(embed_dim=6, delta=8),
+        ModelConfig(input_dim=5, hidden_dims=(12, 6), num_classes=3, delta=8, dropout_rate=0.0),
         RngStream(1006),
     )
     x = np.random.default_rng(1006).standard_normal((100, 5))

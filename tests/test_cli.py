@@ -279,6 +279,14 @@ def _nan_weight(doc):
     return doc
 
 
+def _negative_variance(doc):
+    entry = doc["bn_state"]["backbone.h0.bn.var"]
+    values = _read(entry).copy()
+    values[0] = -values[0]
+    _write(entry, values, v1=doc["version"] == 1)
+    return doc
+
+
 def _edit_data(section, name, change):
     """A checkpoint edit: replace a tensor's ``data`` with ``change(data)``."""
 
@@ -323,6 +331,7 @@ MALFORMED_OVERRIDES = [
     ("backbone.input_dim=0", "error: backbone.input_dim must be at least 1"),
     ("backbone.num_classes=1", "error: backbone.num_classes must be at least 2"),
     ("delta=0", "error: delta must be at least 1"),
+    ("dropout=1", "error: dropout must lie in [0, 1)"),
     ("bn_momentum=0", "error: bn_momentum must lie in (0, 1]"),
     ("bn_epsilon=0", "error: bn_epsilon must be positive"),
 ]
@@ -358,6 +367,7 @@ MALFORMED_CHECKPOINTS = {
         _edit_data("bn_state", "head.bn.var", _payload_nan),
         "bn_state.head.bn.var has non-finite",
     ),
+    "negative_running_variance": (_negative_variance, "bn_state.backbone.h0.bn.var has negative running variance"),
     "data_v1_list": (
         _edit_data("weights", "backbone.out.b", lambda data: [0.0] * (len(base64.b64decode(data)) // 8)),
         "weights.backbone.out.b.data must be a base64 string",
@@ -432,10 +442,11 @@ class TestMalformedInput:
         assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
-    def test_checkpoint(self, trained, tmp_path, capsys, case):
+    def test_checkpoint(self, trained, tmp_path, capsys, backbone_calls, case):
         edit, text = MALFORMED_CHECKPOINTS[case]
         _, ckpt = trained
         path = tmp_path / "bad.ckpt"
         path.write_text(json.dumps(edit(json.loads(ckpt.read_text(encoding="utf-8")))), encoding="utf-8")
         rc = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "report")])
         assert_one_error_line(rc, capsys, text)
+        assert backbone_calls == []

@@ -298,25 +298,18 @@ class TestValidation:
 
 
 class TestModelConfigPlumbing:
-    def test_backbone_config(self):
-        c = ExperimentConfig.from_dict(full_config_dict())
-        bc = c.backbone_config()
-        assert bc.input_dim == 6
-        assert bc.hidden_dims == (16, 8)
-        assert bc.num_classes == 3
-        assert bc.dropout_rate == 0.2
-        assert bc.use_batchnorm is False
-        assert bc.bn_momentum == 0.2
-        assert bc.bn_epsilon == 1e-4
-
-    def test_head_config(self):
-        c = ExperimentConfig.from_dict(full_config_dict())
-        hc = c.head_config()
-        assert hc.embed_dim == 8  # last hidden width
-        assert hc.delta == 16
-        assert hc.scalar_u is True
-        assert hc.bn_momentum == 0.2
-        assert hc.bn_epsilon == 1e-4
+    def test_model_config(self):
+        mc = ExperimentConfig.from_dict(full_config_dict()).model_config()
+        assert mc.input_dim == 6
+        assert mc.hidden_dims == (16, 8)
+        assert mc.num_classes == 3
+        assert mc.embed_dim == 8  # last hidden width
+        assert mc.delta == 16
+        assert mc.scalar_u is True
+        assert mc.dropout_rate == 0.2
+        assert mc.use_batchnorm is False
+        assert mc.bn_momentum == 0.2
+        assert mc.bn_epsilon == 1e-4
 
 
 def _leaves(value, path=()):

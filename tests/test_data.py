@@ -53,6 +53,15 @@ class TestNormalizationType:
         with pytest.raises(ValueError):
             Normalization(np.zeros((2, 2)), np.ones((2, 2)))
 
+    def test_fit_is_what_standardize_fits(self):
+        features = np.column_stack([np.full(6, 3.0), np.arange(6.0)])
+        stats = Normalization.fit(features)
+        np.testing.assert_array_equal(stats.mean, features.mean(axis=0))
+        np.testing.assert_array_equal(stats.std, [1e-8, features[:, 1].std()])
+        _, fitted = standardize(Dataset("d", features))
+        np.testing.assert_array_equal(fitted.mean, stats.mean)
+        np.testing.assert_array_equal(fitted.std, stats.std)
+
 
 class TestGaussianClusters:
     def test_cluster_sample_means(self):

@@ -151,7 +151,7 @@ class TestTrainStepGraph:
         config = load_config(Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json")
         bundle = build_datasets(config)
         root = RngStream(config.seed)
-        params = init_params(config.backbone_config(), config.head_config(), root)
+        params = init_params(config.model_config(), root)
         batch = next(iter(batch_iter(bundle.id_train, config.batch_size, config.seed, 0)))
         total, _ = _batch_loss(
             params, config, batch.features, batch.labels,
@@ -565,7 +565,7 @@ class TestScoresCsvToHistograms:
         under every method; each histogram is then centred on that score
         with half a unit on each side, in the report and in the rebinning."""
         config = tiny_experiment_config()
-        params = init_params(config.backbone_config(), config.head_config(), RngStream(config.seed))
+        params = init_params(config.model_config(), RngStream(config.seed))
         params.weights["backbone.out.w"] = Tensor.zeros(params.weights["backbone.out.w"].shape)
         checkpoint = Checkpoint(config, params.weights, params.bn_state, 0)
         report = evaluate(checkpoint, tiny_bundle, histogram_bins=4)

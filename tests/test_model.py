@@ -6,9 +6,8 @@ from oracles import expected_param_count
 
 from uenl.gradcheck import finite_diff_check
 from uenl.model import (
-    BackboneConfig,
+    ModelConfig,
     ModelParams,
-    UncertaintyHeadConfig,
     eval_logits,
     forward,
     init_params,
@@ -20,51 +19,41 @@ from uenl.rng import RngStream
 from uenl.tensor import Tensor, reduce_mean
 
 
-def make_params(seed=0, input_dim=5, hidden=(12, 6), k=3, delta=8, **backbone_kw):
-    backbone = BackboneConfig(input_dim, hidden, k, **backbone_kw)
-    head = UncertaintyHeadConfig(embed_dim=hidden[-1], delta=delta)
-    return init_params(backbone, head, RngStream(seed))
+def make_params(seed=0, input_dim=5, hidden=(12, 6), k=3, delta=8, **config_kw):
+    return init_params(ModelConfig(input_dim, hidden, k, delta=delta, **config_kw), RngStream(seed))
 
 
 class TestConfigValidation:
     def test_backbone_rejects_bad_fields(self):
         with pytest.raises(ValueError):
-            BackboneConfig(0, (4,), 2)
+            ModelConfig(0, (4,), 2)
         with pytest.raises(ValueError):
-            BackboneConfig(4, (), 2)
+            ModelConfig(4, (), 2)
         with pytest.raises(ValueError):
-            BackboneConfig(4, (0,), 2)
+            ModelConfig(4, (0,), 2)
         with pytest.raises(ValueError):
-            BackboneConfig(4, (4,), 1)
+            ModelConfig(4, (4,), 1)
         with pytest.raises(ValueError):
-            BackboneConfig(4, (4,), 2, dropout_rate=1.0)
+            ModelConfig(4, (4,), 2, dropout_rate=1.0)
         with pytest.raises(ValueError):
-            BackboneConfig(4, (4,), 2, dropout_rate=-0.1)
+            ModelConfig(4, (4,), 2, dropout_rate=-0.1)
         with pytest.raises(ValueError):
-            BackboneConfig(4, (4,), 2, bn_momentum=0.0)
+            ModelConfig(4, (4,), 2, bn_momentum=0.0)
         with pytest.raises(ValueError):
-            BackboneConfig(4, (4,), 2, bn_epsilon=0.0)
+            ModelConfig(4, (4,), 2, bn_epsilon=0.0)
 
     def test_head_rejects_bad_fields(self):
         with pytest.raises(ValueError):
-            UncertaintyHeadConfig(embed_dim=0)
+            ModelConfig(4, (4,), 2, delta=0)
         with pytest.raises(ValueError):
-            UncertaintyHeadConfig(embed_dim=4, delta=0)
-        with pytest.raises(ValueError):
-            UncertaintyHeadConfig(embed_dim=4, bn_momentum=2.0)
+            ModelConfig(4, (4,), 2, bn_momentum=2.0)
 
     def test_embed_dim_is_last_hidden_width(self):
-        assert BackboneConfig(4, (8, 6), 2).embed_dim == 6
+        assert ModelConfig(4, (8, 6), 2).embed_dim == 6
 
     def test_scalar_u_out_dim(self):
-        assert UncertaintyHeadConfig(embed_dim=4, delta=8).out_dim == 8
-        assert UncertaintyHeadConfig(embed_dim=4, delta=8, scalar_u=True).out_dim == 1
-
-    def test_mismatched_embed_dim_rejected(self):
-        backbone = BackboneConfig(4, (8,), 2)
-        head = UncertaintyHeadConfig(embed_dim=5)
-        with pytest.raises(ValueError):
-            init_params(backbone, head, RngStream(0))
+        assert ModelConfig(4, (4,), 2, delta=8).out_dim == 8
+        assert ModelConfig(4, (4,), 2, delta=8, scalar_u=True).out_dim == 1
 
 
 class TestInit:
@@ -103,7 +92,7 @@ class TestInit:
             dict(input_dim=7, hidden=(9,), k=2, delta=4, use_batchnorm=False),
         ):
             params = make_params(**kwargs)
-            expected = expected_param_count(params.backbone, params.head)
+            expected = expected_param_count(params.config)
             assert params.weight_count() == expected
 
 
@@ -250,9 +239,7 @@ class TestUncertaintyHead:
             uncertainty_forward(params, np.zeros((2, 6)), "eval")
 
     def test_scalar_u_broadcast_width(self):
-        backbone = BackboneConfig(5, (6,), 3, dropout_rate=0.0)
-        head = UncertaintyHeadConfig(embed_dim=6, delta=8, scalar_u=True)
-        params = init_params(backbone, head, RngStream(0))
+        params = init_params(ModelConfig(5, (6,), 3, delta=8, scalar_u=True, dropout_rate=0.0), RngStream(0))
         u = uncertainty_forward(params, np.zeros((4, 6)), "eval").u.array
         assert u.shape == (4, 1)
         np.testing.assert_array_equal(u, 1.0)

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from uenl.model import BackboneConfig, UncertaintyHeadConfig, forward, init_params
+from uenl.model import ModelConfig, forward, init_params
 from uenl.rng import RngStream
 from uenl.scoring import (
     SCORE_METHODS,
@@ -143,9 +143,8 @@ class TestOdin:
 
 class TestUncertaintyScore:
     def test_fresh_head_scores_minus_delta(self):
-        backbone = BackboneConfig(input_dim=5, hidden_dims=(12, 6), num_classes=3, dropout_rate=0.0)
-        head = UncertaintyHeadConfig(embed_dim=6, delta=32)
-        params = init_params(backbone, head, RngStream(1))
+        config = ModelConfig(input_dim=5, hidden_dims=(12, 6), num_classes=3, delta=32, dropout_rate=0.0)
+        params = init_params(config, RngStream(1))
         rng = np.random.default_rng(8)
         scores = uncertainty_score(params, rng.normal(size=(10, 5)))
         np.testing.assert_array_equal(scores, -32.0)
