@@ -298,16 +298,21 @@ class TestValidation:
 
 
 class TestModelConfigPlumbing:
-    def test_model_config(self):
+    def test_backbone_config(self):
         mc = ExperimentConfig.from_dict(full_config_dict()).model_config()
         assert mc.input_dim == 6
         assert mc.hidden_dims == (16, 8)
         assert mc.num_classes == 3
+        assert mc.dropout_rate == 0.2
+        assert mc.use_batchnorm is False
+        assert mc.bn_momentum == 0.2
+        assert mc.bn_epsilon == 1e-4
+
+    def test_head_config(self):
+        mc = ExperimentConfig.from_dict(full_config_dict()).model_config()
         assert mc.embed_dim == 8  # last hidden width
         assert mc.delta == 16
         assert mc.scalar_u is True
-        assert mc.dropout_rate == 0.2
-        assert mc.use_batchnorm is False
         assert mc.bn_momentum == 0.2
         assert mc.bn_epsilon == 1e-4
 
