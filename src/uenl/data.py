@@ -226,17 +226,17 @@ def load_csv(path, has_labels: bool = False, name: str | None = None) -> Dataset
     label column. Malformed cells are reported with line and column numbers."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    lines = [line for line in lines if line.strip()]
+        # Blank lines are skipped but counted, so N in "line N" is the file's.
+        lines = [(line_no, line.rstrip("\n")) for line_no, line in enumerate(fh, start=1) if line.strip()]
     if len(lines) < 2:
         raise ValueError(f"{path}: need a header line and at least one data row")
-    n_cols = len(lines[0].split(","))
+    n_cols = len(lines[0][1].split(","))
     if has_labels and n_cols < 2:
         raise ValueError(f"{path}: labeled data needs at least 2 columns, header has {n_cols}")
 
     rows = []
     labels = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != n_cols:
             raise ValueError(f"{path}: line {line_no}: expected {n_cols} columns, got {len(cells)}")
@@ -250,10 +250,9 @@ def load_csv(path, has_labels: bool = False, name: str | None = None) -> Dataset
                 ) from None
         if has_labels:
             label = values.pop()
-            if label != int(label):
-                raise ValueError(
-                    f"{path}: line {line_no}: label {label!r} is not an integer"
-                )
+            # is_integer is False for inf and nan, which int() would raise on.
+            if not label.is_integer():
+                raise ValueError(f"{path}: line {line_no}: label {cells[-1].strip()!r} is not an integer")
             labels.append(int(label))
         rows.append(values)
 

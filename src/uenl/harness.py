@@ -63,7 +63,7 @@ from .model import (
 )
 from .optim import OptState, lr_at_epoch, sgd_step
 from .rng import RngStream, derive_seed
-from .scoring import ScoreSet, energy_score, eval_pass, msp_score, odin_score, write_scores_csv
+from .scoring import ScoreSet, energy_score, eval_pass, msp_score, odin_from_pass, write_scores_csv
 from .tensor import Tensor, add, backward, leaf, scale
 
 __all__ = [
@@ -396,7 +396,7 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
             progress(epoch, loss_trace[-1], error_trace[-1])
         if val_features is not None:
             s_id, s_ood = (
-                _scores_for(params, x, val_method, config.scoring, bundle.clip_range, eval_pass(params, x))
+                _dataset_scores(params, x, (val_method,), config.scoring, bundle.clip_range)[1][val_method]
                 for x in (val_id, val_features)
             )
             a = auroc(s_id, s_ood)
@@ -412,21 +412,31 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
     return Checkpoint(config, params.weights, params.bn_state, final_epoch, loss_trace, error_trace)
 
 
-def _scores_for(params, features, method, spec, clip_range, out, chunk: int = 512) -> np.ndarray:
-    """One method's scores on a dataset whose eval_pass output is ``out``.
-    Only ODIN runs the model again: it needs an input gradient."""
-    logits, u_total = out
+def _dataset_scores(params, features, methods, spec, clip_range) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Eval-mode logits and each method's scores on one dataset, all from
+    one eval_pass: every method scores each chunk while its graph is alive."""
+
+    def score(out, u_total):
+        return out.logits.array, [_scores_for(params, out, m, spec, clip_range, u_total) for m in methods]
+
+    chunks = eval_pass(params, features, score)
+    logits = np.concatenate([logits for logits, _ in chunks])
+    return logits, {m: np.concatenate([scores[j] for _, scores in chunks]) for j, m in enumerate(methods)}
+
+
+def _scores_for(params, out, method, spec, clip_range, u_total) -> np.ndarray:
+    """One method's scores on one eval_pass chunk: ``out`` is its eval-mode
+    ForwardOutput and ``u_total`` its rows' total uncertainty. Only ODIN
+    runs more: an input gradient through ``out``'s graph and one perturbed
+    forward."""
     if method == "msp":
-        return msp_score(logits)
+        return msp_score(out.logits.array)
     if method == "energy":
-        return energy_score(logits, spec.energy_temperature)
+        return energy_score(out.logits.array, spec.energy_temperature)
     if method == "uncertainty":
         return -u_total
     if method == "odin":
-        return np.concatenate([
-            odin_score(params, features[i : i + chunk], spec.odin_temperature, spec.odin_epsilon, clip_range)
-            for i in range(0, len(features), chunk)
-        ])
+        return odin_from_pass(params, out, spec.odin_temperature, spec.odin_epsilon, clip_range)
     raise ValueError(f"unknown scoring method {method!r}")
 
 
@@ -494,19 +504,19 @@ def evaluate(
     )
     params = checkpoint.params()
 
-    id_pass = eval_pass(params, bundle.id_test.features)
-    ood_passes = {name: eval_pass(params, ds.features) for name, ds in bundle.ood.items()}
-    id_err = error_rate(np.argmax(id_pass[0], axis=1) + 1, bundle.id_test.labels)
+    id_logits, id_by_method = _dataset_scores(params, bundle.id_test.features, spec.methods, spec, bundle.clip_range)
+    ood_by_method = {
+        name: _dataset_scores(params, ds.features, spec.methods, spec, bundle.clip_range)[1]
+        for name, ds in bundle.ood.items()
+    }
+    id_err = error_rate(np.argmax(id_logits, axis=1) + 1, bundle.id_test.labels)
 
     metric_rows = []
     score_sets = []
     hist_rows = []
     for method in spec.methods:
-        id_scores = _scores_for(params, bundle.id_test.features, method, spec, bundle.clip_range, id_pass)
-        ood_scores = {
-            name: _scores_for(params, ds.features, method, spec, bundle.clip_range, ood_passes[name])
-            for name, ds in bundle.ood.items()
-        }
+        id_scores = id_by_method[method]
+        ood_scores = {name: scores[method] for name, scores in ood_by_method.items()}
         score_sets.append(ScoreSet(method, id_scores, ood_scores, id_name="id_test"))
         for name in bundle.ood:
             metric_rows.append((method, name, MetricReport.from_scores(id_scores, ood_scores[name])))

@@ -21,13 +21,12 @@ from .tensor import (
     add,
     as_node,
     batchnorm,
-    div,
+    batchnorm_eval,
     exp,
     leaf,
     matmul,
     mul,
     relu,
-    sub,
 )
 
 __all__ = [
@@ -199,13 +198,8 @@ def _batchnorm(
             old = bn_state[f"{prefix}.{stat}"].array
             updates[f"{prefix}.{stat}"] = Tensor((1.0 - momentum) * old + momentum * out.attrs[stat])
         return out
-    run_mean = bn_state[f"{prefix}.mean"].array
-    run_var = bn_state[f"{prefix}.var"].array
-    if np.any(run_var < 0.0):
-        raise ValueError(f"corrupt running variance in {prefix} (negative entries)")
-    # Running stats are constants at eval time; fold them numerically.
-    z_hat = div(sub(z, leaf(run_mean)), leaf(np.sqrt(run_var + epsilon)))
-    return add(mul(z_hat, gamma), beta)
+    # Running stats are constants at eval time: each row is normalized alone.
+    return batchnorm_eval(z, gamma, beta, bn_state[f"{prefix}.mean"], bn_state[f"{prefix}.var"], epsilon)
 
 
 def _dropout(h: GraphNode, rate: float, rng: RngStream) -> GraphNode:

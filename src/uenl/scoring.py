@@ -6,18 +6,20 @@ reaches the decision threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp as _np_logsumexp
 from scipy.special import softmax as _np_softmax
 
-from .model import EVAL, ModelParams, forward, uncertainty_forward
+from .model import EVAL, ForwardOutput, ModelParams, forward, uncertainty_forward
 from .tensor import backward, leaf, logsumexp, mul, reduce_sum, scale, sub
 
 __all__ = [
     "msp_score",
     "energy_score",
     "odin_score",
+    "odin_from_pass",
     "uncertainty_score",
     "eval_pass",
     "ScoreSet",
@@ -73,33 +75,42 @@ def odin_score(
     bounds the perturbed input; it is only applied when epsilon > 0, so with
     epsilon = 0 and temperature = 1 the score is exactly msp_score.
     """
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be non-negative")
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-
-    if epsilon > 0.0:
-        x_perturbed = _odin_perturbed(params, x, temperature, epsilon, clip_range)
-    else:
-        x_perturbed = x
-
-    logits = forward(params, x_perturbed, EVAL).logits.array
-    scores = _max_softmax(logits / temperature)
+    scores = odin_from_pass(params, forward(params, x, EVAL), temperature, epsilon, clip_range)
     return float(scores[0]) if single else scores
 
 
-def _odin_perturbed(
+def odin_from_pass(
     params: ModelParams,
-    x: np.ndarray,
+    out: ForwardOutput,
+    temperature: float,
+    epsilon: float,
+    clip_range: tuple[float, float] | None = None,
+) -> np.ndarray:
+    """odin_score of the rows of ``out``, an eval-mode forward pass of them.
+
+    The input gradient comes from ``out``'s own graph, so only the
+    perturbed forward runs again, and with epsilon = 0 nothing does: the
+    unperturbed rows' logits are ``out``'s.
+    """
+    if temperature <= 0.0:
+        raise ValueError("temperature must be positive")
+    if epsilon < 0.0:
+        raise ValueError("epsilon must be non-negative")
+    if epsilon > 0.0:
+        out = forward(params, _odin_perturbed(out, temperature, epsilon, clip_range), EVAL)
+    return _max_softmax(out.logits.array / temperature)
+
+
+def _odin_perturbed(
+    out: ForwardOutput,
     temperature: float,
     epsilon: float,
     clip_range: tuple[float, float] | None,
 ) -> np.ndarray:
-    out = forward(params, x, EVAL)
     z = scale(out.logits, 1.0 / temperature)
     predicted = np.argmax(out.logits.array, axis=1)
     onehot = np.zeros_like(out.logits.array)
@@ -108,7 +119,7 @@ def _odin_perturbed(
     # gradient is exactly its own NLL gradient.
     nll = reduce_sum(sub(logsumexp(z, axis=1), reduce_sum(mul(z, leaf(onehot)), axis=1)))
     grad = backward(nll, wrt=[out.x])[out.x].array
-    x_perturbed = x - epsilon * np.sign(grad)
+    x_perturbed = out.x.array - epsilon * np.sign(grad)
     if clip_range is not None:
         lo, hi = clip_range
         if not hi > lo:
@@ -117,20 +128,24 @@ def _odin_perturbed(
     return x_perturbed
 
 
-def eval_pass(params: ModelParams, x, chunk: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    """(logits, u_total): eval-mode class logits and each row's total
-    uncertainty sum_i u_i (the row sums only, which keeps memory flat),
-    computed ``chunk`` rows at a time. Eval rows do not depend on their batch,
-    so this equals an unchunked pass bit for bit."""
+def eval_pass(params: ModelParams, x, score: Callable, chunk: int = 512) -> list:
+    """Run backbone and head in eval mode on ``x``, ``chunk`` rows at a time,
+    and return ``[score(out, u_total)]``, one entry per chunk.
+
+    ``out`` is the chunk's ForwardOutput, graph included, so a score may
+    differentiate it (ODIN does); ``u_total`` is each row's total
+    uncertainty sum_i u_i (the row sums only, which keeps memory flat).
+    Only one chunk's graph is alive at a time. Eval rows do not depend on
+    their batch, so the chunks together equal an unchunked pass bit for bit.
+    """
     x = np.asarray(x, dtype=np.float64)
-    logits = [np.zeros((0, params.config.num_classes))]
-    u_total = [np.zeros(0)]
-    for i in range(0, len(x), chunk):
-        out = forward(params, x[i : i + chunk], EVAL)
-        u = uncertainty_forward(params, out.embedding, EVAL, leaves=out.leaves).u.array
-        logits.append(out.logits.array)
-        u_total.append(np.sum(u, axis=1))
-    return np.concatenate(logits), np.concatenate(u_total)
+    return [score(*_chunk_pass(params, x[i : i + chunk])) for i in range(0, len(x), chunk)]
+
+
+def _chunk_pass(params: ModelParams, x: np.ndarray) -> tuple[ForwardOutput, np.ndarray]:
+    out = forward(params, x, EVAL)
+    u = uncertainty_forward(params, out.embedding, EVAL, leaves=out.leaves).u.array
+    return out, np.sum(u, axis=1)
 
 
 def uncertainty_score(params: ModelParams, x):
@@ -139,7 +154,7 @@ def uncertainty_score(params: ModelParams, x):
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    scores = -eval_pass(params, x)[1]
+    scores = -np.concatenate([np.zeros(0), *eval_pass(params, x, lambda out, u_total: u_total)])
     return float(scores[0]) if single else scores
 
 

@@ -7,7 +7,9 @@ gradients of any composed scalar (including gradients with respect to
 network inputs) are exact up to float64 rounding. Train-mode batch
 normalization is one ``batchnorm`` primitive with the closed-form gradient
 for its input, scale and shift; it leaves the batch mean and variance in
-its node's ``attrs``.
+its node's ``attrs``. Eval-mode batch normalization, which reads the
+running statistics instead, is one ``batchnorm_eval`` primitive, affine
+in its input.
 
 Graphs are immutable: a node's parents and value are fixed at
 construction, which makes the graph acyclic by construction and every
@@ -54,6 +56,7 @@ __all__ = [
     "l2norm",
     "logsumexp",
     "batchnorm",
+    "batchnorm_eval",
     "floor_at",
 ]
 
@@ -440,16 +443,21 @@ def _vjp_logsumexp(g, values, out, attrs, needs):
     return (g_full * np.exp(a - out_full),)
 
 
-def _fw_batchnorm(values, attrs):
-    z, gamma, beta = values
-    if z.ndim != 2 or gamma.shape != (z.shape[1],) or beta.shape != (z.shape[1],):
-        raise ValueError(
-            f"batchnorm needs z (n, d), gamma (d,) and beta (d,), got {z.shape}, {gamma.shape} and {beta.shape}"
-        )
+def _check_batchnorm(op: str, z: np.ndarray, vectors: tuple[np.ndarray, ...], attrs) -> None:
+    # z is (n, d) and every other input a (d,) vector; epsilon is the
+    # ``constant`` attr.
+    if z.ndim != 2 or any(v.shape != (z.shape[1],) for v in vectors):
+        shapes = ", ".join(str(v.shape) for v in vectors)
+        raise ValueError(f"{op} needs z (n, d) and (d,) vectors, got {z.shape} and {shapes}")
     eps = attrs.get("constant")
     if eps is None or not 0.0 < float(eps) < np.inf:
-        raise ValueError("batchnorm epsilon must be positive and finite")
+        raise ValueError(f"{op} epsilon must be positive and finite")
     attrs["constant"] = float(eps)
+
+
+def _fw_batchnorm(values, attrs):
+    z, gamma, beta = values
+    _check_batchnorm("batchnorm", z, (gamma, beta), attrs)
     mean = np.mean(z, axis=0)
     centered = z - mean
     var = np.mean(centered * centered, axis=0)
@@ -475,6 +483,29 @@ def _vjp_batchnorm(g, values, out, attrs, needs):
     return g_z, g_gamma, g_beta
 
 
+def _fw_batchnorm_eval(values, attrs):
+    z, gamma, beta, mean, var = values
+    _check_batchnorm("batchnorm_eval", z, (gamma, beta, mean, var), attrs)
+    if np.any(var < 0.0):
+        raise ValueError("batchnorm_eval: running variance has negative entries")
+    return (z - mean) / np.sqrt(var + attrs["constant"]) * gamma + beta
+
+
+def _vjp_batchnorm_eval(g, values, out, attrs, needs):
+    # The statistics are fixed inputs, so the output is affine in z: its
+    # gradient is g * gamma / std, the bits of the sub/div/mul/add
+    # composition this node replaces.
+    z, gamma, _, mean, var = values
+    std = np.sqrt(var + attrs["constant"])
+    g_z = g * gamma / std if needs[0] else None
+    if not any(needs[1:]):
+        return g_z, None, None, None, None
+    g_beta = g.sum(axis=0)
+    g_gamma = (g * ((z - mean) / std)).sum(axis=0)
+    # d/dmean = -sum(g) * gamma / std; d/dvar = -gamma * sum(g * z_hat) / (2 std^2).
+    return g_z, g_gamma, g_beta, -g_beta * gamma / std, -0.5 * gamma * g_gamma / (std * std)
+
+
 class _Primitive(NamedTuple):
     n_inputs: int
     forward: Callable
@@ -497,6 +528,7 @@ PRIMITIVES: dict[str, _Primitive] = {
     "l2norm": _Primitive(1, _fw_l2norm, _vjp_l2norm),
     "logsumexp": _Primitive(1, _fw_logsumexp, _vjp_logsumexp),
     "batchnorm": _Primitive(3, _fw_batchnorm, _vjp_batchnorm),
+    "batchnorm_eval": _Primitive(5, _fw_batchnorm_eval, _vjp_batchnorm_eval),
 }
 
 
@@ -660,6 +692,13 @@ def batchnorm(z, gamma, beta, epsilon: float) -> GraphNode:
     (z - mean) / sqrt(var + epsilon) * gamma + beta, with the batch mean and
     biased variance left in the node's ``attrs["mean"]`` and ``attrs["var"]``."""
     return apply("batchnorm", z, gamma, beta, constant=epsilon)
+
+
+def batchnorm_eval(z, gamma, beta, mean, var, epsilon: float) -> GraphNode:
+    """Eval-mode batch normalization of a (n, d) node with fixed statistics:
+    (z - mean) / sqrt(var + epsilon) * gamma + beta. Each row's output
+    depends on that row alone."""
+    return apply("batchnorm_eval", z, gamma, beta, mean, var, constant=epsilon)
 
 
 def floor_at(a, floor: float) -> GraphNode:

@@ -441,6 +441,20 @@ class TestMalformedInput:
         assert_one_error_line(rc, capsys, f"{scores}: no score rows")
         assert not out.exists()
 
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_csv_label_not_finite(self, tmp_path, capsys, cell):
+        header = ",".join([*(f"x{i}" for i in range(1, 7)), "label"])
+        rows = [",".join(["0.5"] * 6 + [label]) for label in ("1", cell, "2")]
+        train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+        train_csv.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        test_csv.write_text("\n".join([header, rows[0], rows[2]]) + "\n", encoding="utf-8")
+        cfg = tiny_experiment_config(epochs=2).to_dict()
+        cfg["data"]["id"] = {"kind": "csv", "train": str(train_csv), "test": str(test_csv), "has_labels": True}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        rc = main(["train", "--config", str(path), "--out", str(tmp_path / "m.ckpt"), "--quiet"])
+        assert_one_error_line(rc, capsys, f"{train_csv}: line 3: label '{cell}' is not an integer")
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
     def test_checkpoint(self, trained, tmp_path, capsys, backbone_calls, case):
         edit, text = MALFORMED_CHECKPOINTS[case]

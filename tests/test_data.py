@@ -260,6 +260,14 @@ class TestCsvLoader:
         with pytest.raises(ValueError, match="label"):
             load_csv(path, has_labels=True)
 
+    @pytest.mark.parametrize("cell", ["inf", "nan", "1.5"])
+    def test_non_integer_label_names_the_file_line(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        # The blank line counts: the bad label is on line 4 of the file.
+        path.write_text(f"x1,label\n0.0,1\n\n0.0,{cell}\n")
+        with pytest.raises(ValueError, match=f"line 4: label '{cell}' is not an integer"):
+            load_csv(path, has_labels=True)
+
     def test_save_load_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(10)
         ds = Dataset("blob", rng.normal(size=(20, 5)) * 1e3, labels=rng.integers(1, 4, 20))

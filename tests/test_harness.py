@@ -3,6 +3,7 @@
 import base64
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -294,8 +295,10 @@ def _sized_bundle(bundle, n_id, ood_sizes):
 
 
 class TestOnePassEvaluate:
-    """evaluate runs one chunked eval pass per dataset; only ODIN runs the
-    model again. Its outputs equal the public per-method scores bit for bit."""
+    """evaluate runs one chunked eval pass per dataset, and every method
+    scores each chunk from it; ODIN adds an input gradient through the
+    chunk's graph and one perturbed forward. Its outputs equal the public
+    per-method scores bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 511, 512, 513, 1100])
     def test_scores_equal_public_references(self, tiny_checkpoint, tiny_bundle, n):
@@ -325,14 +328,27 @@ class TestOnePassEvaluate:
         assert report.id_error_rate == want_error
 
     def test_backbone_calls_per_chunk(self, tiny_checkpoint, tiny_bundle, backbone_calls):
-        assert tiny_checkpoint.config.scoring.odin_epsilon > 0.0  # ODIN: perturbation + scoring pass
+        assert tiny_checkpoint.config.scoring.odin_epsilon > 0.0  # ODIN: one perturbed forward
         bundle = _sized_bundle(tiny_bundle, 513, [1, 512, 1100])
         chunks = sum(-(-len(ds) // 512) for ds in [bundle.id_test, *bundle.ood.values()])
         evaluate(tiny_checkpoint, bundle, methods=("msp", "energy", "odin", "uncertainty"))
-        assert len(backbone_calls) == 3 * chunks
+        assert len(backbone_calls) == 2 * chunks
         backbone_calls.clear()
         evaluate(tiny_checkpoint, bundle, methods=("msp",))
         assert len(backbone_calls) == chunks
+
+    def test_unperturbed_odin_runs_no_second_forward(self, tiny_checkpoint, tiny_bundle, backbone_calls):
+        config = tiny_checkpoint.config
+        checkpoint = replace(tiny_checkpoint, config=replace(config, scoring=replace(config.scoring, odin_epsilon=0.0)))
+        bundle = _sized_bundle(tiny_bundle, 513, [1, 1100])
+        datasets = [bundle.id_test, *bundle.ood.values()]
+        report = evaluate(checkpoint, bundle, methods=("msp", "energy", "odin", "uncertainty"))
+        assert len(backbone_calls) == sum(-(-len(ds) // 512) for ds in datasets)
+        (odin,) = [s for s in report.score_sets if s.method == "odin"]
+        params, spec = checkpoint.params(), checkpoint.config.scoring
+        for got, ds in zip([odin.id_scores, *odin.ood_scores.values()], datasets):
+            want = odin_score(params, ds.features, spec.odin_temperature, epsilon=0.0, clip_range=bundle.clip_range)
+            assert_array_equal(got, want)
 
     def test_methods_checked_before_any_pass(self, tiny_checkpoint, tiny_bundle, backbone_calls):
         with pytest.raises(ValueError, match="bogus"):

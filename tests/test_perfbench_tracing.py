@@ -3,6 +3,7 @@ library by lookup. A refactor that drops or renames one of them must fail
 here, not only in a benchmark run. Assertions are on names, never timings."""
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,40 @@ def test_install_rebinds_and_uninstall_restores(tracing, tiny_checkpoint, tiny_b
     before = dict(tr.agg)
     evaluate(tiny_checkpoint, tiny_bundle)
     assert tr.agg == before, "spans recorded after uninstall"
+
+
+def test_odin_gradient_and_second_forward_inside_odin_span(monkeypatch, tiny_checkpoint, tiny_bundle):
+    """The tracer's scoring.odin span is harness._scores_for(..., "odin", ...).
+    ODIN's input gradient and its perturbed forward must run inside it, and
+    no other backward may run during evaluate, or scoring.odin_ms would
+    miss or misattribute them."""
+    import uenl.harness as harness
+    import uenl.scoring as scoring
+    from uenl.harness import evaluate
+
+    active, calls = [], []
+
+    def track(name, fn):
+        def tracked(*args, **kwargs):
+            calls.append((name, tuple(active)))
+            return fn(*args, **kwargs)
+
+        return tracked
+
+    def scores_for(*args, original=harness._scores_for, **kwargs):
+        active.append(args[2])
+        try:
+            return original(*args, **kwargs)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(harness, "_scores_for", scores_for)
+    monkeypatch.setattr(scoring, "backward", track("backward", scoring.backward))
+    monkeypatch.setattr(scoring, "forward", track("forward", scoring.forward))
+    evaluate(tiny_checkpoint, tiny_bundle)
+
+    backwards = [where for name, where in calls if name == "backward"]
+    assert backwards and set(backwards) == {("odin",)}
+    # Per chunk: the eval pass's forward outside any method, ODIN's inside.
+    forwards = Counter(where for name, where in calls if name == "forward")
+    assert forwards == {(): len(backwards), ("odin",): len(backwards)}

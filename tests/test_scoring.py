@@ -104,7 +104,7 @@ class TestOdin:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(30, 5))
         eps = 0.0014
-        x_tilde = _odin_perturbed(small_params, x, 1000.0, eps, None)
+        x_tilde = _odin_perturbed(forward(small_params, x, "eval"), 1000.0, eps, None)
         moves = np.abs(x_tilde - x)
         # Where the input gradient is nonzero the step is exactly epsilon.
         assert (np.max(moves, axis=1) <= eps + 1e-15).all()
@@ -114,7 +114,7 @@ class TestOdin:
     def test_clip_range_bounds_perturbed_input(self, small_params):
         rng = np.random.default_rng(6)
         x = rng.uniform(-1.0, 1.0, size=(15, 5))
-        x_tilde = _odin_perturbed(small_params, x, 1000.0, 0.5, (-1.0, 1.0))
+        x_tilde = _odin_perturbed(forward(small_params, x, "eval"), 1000.0, 0.5, (-1.0, 1.0))
         assert x_tilde.min() >= -1.0 and x_tilde.max() <= 1.0
 
     def test_bad_clip_range(self, small_params):
