@@ -42,14 +42,7 @@ from .data import (
     load_idx,
     standardize,
 )
-from .losses import (
-    ce_with_temperature,
-    kl_regularizer,
-    logitnorm_ce,
-    normalize_logits,
-    plain_ce,
-    uenl_total,
-)
+from .losses import kl_regularizer, logitnorm_ce, plain_ce, uenl_total
 from .metrics import MetricReport, auroc, error_rate, histogram, histogram_range, write_histogram_csv, write_metrics_csv
 from .model import (
     TRAIN,
@@ -64,7 +57,7 @@ from .model import (
 from .optim import OptState, lr_at_epoch, sgd_step
 from .rng import RngStream, derive_seed
 from .scoring import ScoreSet, energy_score, eval_pass, msp_score, odin_from_pass, write_scores_csv
-from .tensor import Tensor, add, backward, leaf, scale
+from .tensor import Tensor, add, backward
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -301,14 +294,13 @@ def _batch_loss(params, config, xb, yb, dropout_rng, resample_rng, leaves):
         return logitnorm_ce(fo.logits, yb, config.temperature), updates
     if config.pinned_uhat is not None:
         # Fixed temperature ablation: the resampler is bypassed entirely, and
-        # with kl weight 0 the head never runs, so the loss graph matches the
-        # fixed-temperature baseline node for node.
-        pinned = leaf(np.full((len(xb), 1), config.pinned_uhat))
-        total = ce_with_temperature(normalize_logits(fo.logits), pinned, yb)
+        # with kl weight 0 the head never runs, so the loss is the
+        # fixed-temperature baseline's own tempered_ce node.
+        total = logitnorm_ce(fo.logits, yb, config.pinned_uhat)
         if config.kl_weight > 0.0:
             head = uncertainty_forward(params, fo.embedding, TRAIN, leaves=fo.leaves)
             updates.update(head.bn_updates)
-            total = add(total, scale(kl_regularizer(head.u, config.kl_form), config.kl_weight))
+            total = add(total, kl_regularizer(head.u, config.kl_form, config.kl_weight))
         return total, updates
     head = uncertainty_forward(params, fo.embedding, TRAIN, leaves=fo.leaves)
     updates.update(head.bn_updates)

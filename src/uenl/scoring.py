@@ -13,7 +13,7 @@ from scipy.special import logsumexp as _np_logsumexp
 from scipy.special import softmax as _np_softmax
 
 from .model import EVAL, ForwardOutput, ModelParams, forward, uncertainty_forward
-from .tensor import backward, leaf, logsumexp, mul, reduce_sum, scale, sub
+from .tensor import backward, tempered_ce
 
 __all__ = [
     "msp_score",
@@ -111,13 +111,12 @@ def _odin_perturbed(
     epsilon: float,
     clip_range: tuple[float, float] | None,
 ) -> np.ndarray:
-    z = scale(out.logits, 1.0 / temperature)
-    predicted = np.argmax(out.logits.array, axis=1)
-    onehot = np.zeros_like(out.logits.array)
-    onehot[np.arange(len(predicted)), predicted] = 1.0
-    # Sum of per-sample NLLs: rows are independent, so each input row's
-    # gradient is exactly its own NLL gradient.
-    nll = reduce_sum(sub(logsumexp(z, axis=1), reduce_sum(mul(z, leaf(onehot)), axis=1)))
+    logits = out.logits.array
+    onehot = np.zeros_like(logits)
+    onehot[np.arange(len(logits)), np.argmax(logits, axis=1)] = 1.0
+    # Sum of per-sample NLLs at the ODIN temperature: rows are independent,
+    # so each input row's gradient is exactly its own NLL gradient.
+    nll = tempered_ce(out.logits, np.full((len(logits), 1), temperature), onehot, reduction="sum")
     grad = backward(nll, wrt=[out.x])[out.x].array
     x_perturbed = out.x.array - epsilon * np.sign(grad)
     if clip_range is not None:

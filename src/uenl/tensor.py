@@ -1,8 +1,8 @@
 """Dense float64 tensors and a small reverse-mode autodiff graph.
 
-The primitive set covers exactly what an MLP with batch normalization,
-normalized-logit cross-entropy, and gradient-based input perturbation
-need. Every primitive carries an analytic vector-Jacobian product, so
+The primitives cover an MLP with batch normalization, the normalized-logit
+objective and gradient-based input perturbation, plus elementwise and
+reduction ones. Each carries an analytic vector-Jacobian product, so
 gradients of any composed scalar (including gradients with respect to
 network inputs) are exact up to float64 rounding. Train-mode batch
 normalization is one ``batchnorm`` primitive with the closed-form gradient
@@ -10,6 +10,12 @@ for its input, scale and shift; it leaves the batch mean and variance in
 its node's ``attrs``. Eval-mode batch normalization, which reads the
 running statistics instead, is one ``batchnorm_eval`` primitive, affine
 in its input.
+
+The training objective is three closed-form primitives: ``tempered_ce``
+(cross-entropy of optionally row-normalized logits over a temperature
+column, or those tempered logits alone), ``resample`` (the floored
+temperature draw) and ``kl``; their nodes keep ``ce``, ``uhat`` and the
+unweighted ``kl`` in ``attrs``.
 
 Graphs are immutable: a node's parents and value are fixed at
 construction, which makes the graph acyclic by construction and every
@@ -57,7 +63,9 @@ __all__ = [
     "logsumexp",
     "batchnorm",
     "batchnorm_eval",
-    "floor_at",
+    "tempered_ce",
+    "resample",
+    "kl",
 ]
 
 
@@ -110,9 +118,6 @@ class Tensor:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self._array.reshape(()))
 
-    def tolist(self):
-        return self._array.tolist()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
@@ -147,34 +152,6 @@ class GraphNode:
 
     def __repr__(self) -> str:
         return f"GraphNode(op={self.op!r}, shape={self.shape})"
-
-    # Operator sugar; non-node operands become constant leaves.
-    def __add__(self, other):
-        return add(self, as_node(other))
-
-    def __radd__(self, other):
-        return add(as_node(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_node(other))
-
-    def __rsub__(self, other):
-        return sub(as_node(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_node(other))
-
-    def __rmul__(self, other):
-        return mul(as_node(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_node(other))
-
-    def __rtruediv__(self, other):
-        return div(as_node(other), self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def leaf(values) -> GraphNode:
@@ -506,6 +483,86 @@ def _vjp_batchnorm_eval(g, values, out, attrs, needs):
     return g_z, g_gamma, g_beta, -g_beta * gamma / std, -0.5 * gamma * g_gamma / (std * std)
 
 
+def _fw_tempered_ce(values, attrs):
+    p, t = values
+    labels, floor = attrs.get("labels"), attrs.get("norm_floor")
+    if p.ndim != 2 or t.shape != (p.shape[0], 1) or (labels is not None and labels.shape != p.shape):
+        got = (p.shape, t.shape, None if labels is None else labels.shape)
+        raise ValueError(f"tempered_ce needs p (n, k), t (n, 1) and labels (n, k) or None, got {got}")
+    if (t <= 0.0).any() or not (floor is None or 0.0 < floor < np.inf) or attrs.get("reduction") not in ("mean", "sum"):
+        raise ValueError("tempered_ce needs positive temperatures and norm floor, and reduction 'mean' or 'sum'")
+    p_bar = p
+    if floor is not None:
+        attrs["norms"] = norms = np.sqrt((p * p).sum(axis=1, keepdims=True))
+        p_bar = p / np.maximum(norms, floor)
+    attrs["p_bar"] = p_bar
+    z = p_bar / t
+    if labels is None:
+        return z
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    total = e.sum(axis=1, keepdims=True)
+    attrs["softmax"] = e / total
+    per_row = (m + np.log(total))[:, 0] - (z * labels).sum(axis=1)
+    attrs["ce"] = ce = float(per_row.sum() if attrs["reduction"] == "sum" else per_row.mean())
+    return ce
+
+
+def _vjp_tempered_ce(g, values, out, attrs, needs):
+    # z = p_bar / t, s = softmax(z): dz = g (s - y) / n (no 1/n for a sum),
+    # dt = -sum_k dz p_bar / t^2 and dp_bar = dz / t. Normalization gives
+    # dp = (dp_bar - p_bar (dp_bar . p_bar)) / ||p|| above the floor, and
+    # dp_bar / floor below it, where p_bar = p / floor.
+    p, t = values
+    p_bar, labels, floor = attrs["p_bar"], attrs["labels"], attrs["norm_floor"]
+    dz = g
+    if labels is not None:
+        dz = (g if attrs["reduction"] == "sum" else g / p.shape[0]) * (attrs["softmax"] - labels)
+    d_pbar = dz / t
+    g_p = d_pbar
+    if floor is not None and needs[0]:
+        radial = (attrs["norms"] > floor) * (d_pbar * p_bar).sum(axis=1, keepdims=True)
+        g_p = (d_pbar - p_bar * radial) / np.maximum(attrs["norms"], floor)
+    return g_p, -(d_pbar * p_bar).sum(axis=1, keepdims=True) / t if needs[1] else None
+
+
+def _fw_resample(values, attrs):
+    u, w = values[0], attrs.get("weights")
+    if u.ndim != 2 or np.ndim(w) != 2 or len(w) != len(u) or u.shape[1] not in (1, w.shape[1]):
+        raise ValueError(f"resample needs u (n, d) or (n, 1) and weights (n, d), got {u.shape} and {np.shape(w)}")
+    floor, scale_ = attrs.get("floor"), attrs.get("constant")
+    if (u <= 0.0).any() or floor is None or scale_ is None or not (0.0 < floor < np.inf and 0.0 < scale_ < np.inf):
+        raise ValueError("resample: u, the floor and the scale must be positive")
+    attrs["raw"] = raw = (u * w).sum(axis=1, keepdims=True)
+    attrs["uhat"] = uhat = np.maximum(raw, floor) * scale_
+    return uhat
+
+
+def _vjp_resample(g, values, out, attrs, needs):
+    # Zero where the floor holds, as relu's gradient at 0.
+    g_raw = g * attrs["constant"] * (attrs["raw"] > attrs["floor"])
+    return (_unbroadcast(g_raw * attrs["weights"], values[0].shape),)
+
+
+def _fw_kl(values, attrs):
+    u, form, weight = values[0], attrs.get("form"), attrs.get("constant")
+    if u.ndim != 2 or (u <= 0.0).any():
+        raise ValueError(f"kl needs a strictly positive u of shape (n, d), got shape {u.shape}")
+    if form not in ("variance", "std") or weight is None or not 0.0 <= weight < np.inf:
+        raise ValueError(f"kl needs form 'variance' or 'std' and a non-negative weight, got {form!r}, {weight}")
+    # Both forms of KL(N(0, u) || N(0, 1)) vanish exactly at u = 1.
+    log_u = np.log(u)
+    per_dim = 0.5 * (u - log_u - 1.0) if form == "variance" else 0.5 * (u * u - 2.0 * log_u - 1.0)
+    attrs["kl"] = kl_ = float(per_dim.sum(axis=1).mean())
+    return weight * kl_
+
+
+def _vjp_kl(g, values, out, attrs, needs):
+    u = values[0]
+    slope = 0.5 * (1.0 - 1.0 / u) if attrs["form"] == "variance" else u - 1.0 / u
+    return (g * attrs["constant"] / u.shape[0] * slope,)
+
+
 class _Primitive(NamedTuple):
     n_inputs: int
     forward: Callable
@@ -529,11 +586,15 @@ PRIMITIVES: dict[str, _Primitive] = {
     "logsumexp": _Primitive(1, _fw_logsumexp, _vjp_logsumexp),
     "batchnorm": _Primitive(3, _fw_batchnorm, _vjp_batchnorm),
     "batchnorm_eval": _Primitive(5, _fw_batchnorm_eval, _vjp_batchnorm_eval),
+    "tempered_ce": _Primitive(2, _fw_tempered_ce, _vjp_tempered_ce),
+    "resample": _Primitive(1, _fw_resample, _vjp_resample),
+    "kl": _Primitive(1, _fw_kl, _vjp_kl),
 }
 
 
-def apply(op: str, *inputs, axis=None, keepdims: bool = False, constant: float | None = None) -> GraphNode:
-    """Apply a named primitive to graph nodes (or values, which become leaves).
+def apply(op: str, *inputs, axis=None, keepdims: bool = False, constant: float | None = None, **extra) -> GraphNode:
+    """Apply a named primitive to graph nodes (or values, which become leaves);
+    ``extra`` keyword arguments go to the node's ``attrs`` as they are.
 
     Raises ValueError for an unknown primitive name, a wrong input count, or
     operand shapes the primitive rejects; FloatingPointError if the result is
@@ -546,7 +607,7 @@ def apply(op: str, *inputs, axis=None, keepdims: bool = False, constant: float |
     if len(inputs) != prim.n_inputs:
         raise ValueError(f"{op} takes {prim.n_inputs} input(s), got {len(inputs)}")
     nodes = tuple(as_node(x) for x in inputs)
-    attrs = {"axis": axis, "keepdims": keepdims, "constant": constant}
+    attrs = {"axis": axis, "keepdims": keepdims, "constant": constant, **extra}
     # Overflow is detected by the finiteness check below, so numpy's own
     # warning would be redundant noise.
     with np.errstate(over="ignore"):
@@ -569,13 +630,8 @@ def backward(loss: GraphNode, wrt=None) -> dict[GraphNode, Tensor]:
     parent that has a path to a ``wrt`` node, it computes only the parents
     on such a path (each VJP gets a ``needs`` tuple, one bool per parent),
     and the result holds the ``wrt`` nodes alone. Their gradients equal the
-    ``wrt=None`` ones bit for bit.
-
-    Row contract: the forward matmul and its input gradient run one gemm
-    per fixed 64-row block over fixed K-chunks (see the module docstring),
-    so a row's gradient does not depend on the other rows in its batch or
-    on the BLAS thread count; weight gradients sum over the batch and are
-    one BLAS product.
+    ``wrt=None`` ones bit for bit. Input gradients keep the row contract of
+    the module docstring.
     """
     if loss.value.shape != ():
         raise ValueError(f"backward requires a scalar node, got shape {loss.value.shape}")
@@ -701,6 +757,18 @@ def batchnorm_eval(z, gamma, beta, mean, var, epsilon: float) -> GraphNode:
     return apply("batchnorm_eval", z, gamma, beta, mean, var, constant=epsilon)
 
 
-def floor_at(a, floor: float) -> GraphNode:
-    """Elementwise max(a, floor), composed as relu(a - floor) + floor."""
-    return add(relu(sub(a, as_node(floor))), as_node(floor))
+def tempered_ce(p, t, labels=None, norm_floor: float | None = None, reduction: str = "mean") -> GraphNode:
+    """Mean (or summed) softmax cross-entropy of z = p_bar / t against one-hot
+    ``labels`` (n, k), or z itself without labels. p_bar = p / max(||p||,
+    norm_floor) row by row, or p when ``norm_floor`` is None; t is (n, 1)."""
+    return apply("tempered_ce", p, t, labels=labels, norm_floor=norm_floor, reduction=reduction)
+
+
+def resample(u, weights: np.ndarray, floor: float, scale: float = 1.0) -> GraphNode:
+    """The (n, 1) column max(sum_i u_i * weights_i, floor) * scale; u is (n, d) or (n, 1)."""
+    return apply("resample", u, constant=float(scale), weights=weights, floor=float(floor))
+
+
+def kl(u, form: str = "variance", weight: float = 1.0) -> GraphNode:
+    """weight * mean over rows of sum_i KL(N(0, u_i) || N(0, 1)), u_i a variance or a std."""
+    return apply("kl", u, constant=float(weight), form=form)

@@ -110,3 +110,39 @@ def expected_param_count(config) -> int:
     count += (fan_in + 1) * config.num_classes
     count += (config.embed_dim + 1) * config.out_dim + 2 * config.out_dim
     return count
+
+
+def _composed_floor(a, floor: float):
+    """Elementwise max(a, floor) as relu(a - floor) + floor."""
+    from uenl.tensor import add, leaf, relu, sub
+
+    return add(relu(sub(a, leaf(floor))), leaf(floor))
+
+
+def composed_ce(z, onehot, reduction: str = "mean"):
+    """Softmax cross-entropy of the logits node ``z`` against one-hot labels,
+    as logsumexp(z) - z_y from elementwise and reduction primitives."""
+    from uenl.tensor import leaf, logsumexp, mul, reduce_mean, reduce_sum, sub
+
+    per_sample = sub(logsumexp(z, axis=1), reduce_sum(mul(z, leaf(onehot)), axis=1))
+    return reduce_sum(per_sample) if reduction == "sum" else reduce_mean(per_sample)
+
+
+def composed_uenl(p, u, onehot, kl_weight, epsilon, *, uhat_scale=1.0, kl_form="variance"):
+    """The UE-NL objective composed node by node from elementwise and
+    reduction primitives (floors 1e-7 on the logit norm and 1e-6 on u_hat):
+    returns the (total, ce, kl) nodes for logits node ``p`` and uncertainty
+    node ``u``."""
+    from uenl.tensor import add, div, l2norm, leaf, ln, mul, reduce_mean, reduce_sum, scale, square, sub
+
+    p_bar = div(p, _composed_floor(l2norm(p, axis=1, keepdims=True), 1e-7))
+    uhat = reduce_sum(mul(u, leaf(epsilon * epsilon)), axis=1, keepdims=True)
+    uhat = scale(_composed_floor(uhat, 1e-6), uhat_scale)
+    ce = composed_ce(div(p_bar, uhat), onehot)
+    one = leaf(1.0)
+    if kl_form == "variance":
+        per_dim = scale(sub(sub(u, ln(u)), one), 0.5)
+    else:
+        per_dim = scale(sub(sub(square(u), scale(ln(u), 2.0)), one), 0.5)
+    kl = reduce_mean(reduce_sum(per_dim, axis=1))
+    return add(ce, scale(kl, kl_weight)), ce, kl

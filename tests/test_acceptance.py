@@ -37,6 +37,7 @@ from uenl.tensor import (
     batchnorm_eval,
     div,
     exp,
+    kl,
     l2norm,
     leaf,
     ln,
@@ -46,9 +47,11 @@ from uenl.tensor import (
     reduce_mean,
     reduce_sum,
     relu,
+    resample,
     scale,
     square,
     sub,
+    tempered_ce,
 )
 
 SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json"
@@ -125,6 +128,26 @@ def test_criterion_01_gradient_correctness():
         lambda z: reduce_sum(mul(batchnorm_eval(z, bne_gamma, bne_beta, bne_mean, bne_var, 1e-5), bne_w)),
         bne_rng.standard_normal((4, 3)),
     ))
+    # The loss primitives, each from a stream of its own: tempered_ce on
+    # normalized logits against labels, once in the logits and once in the
+    # temperature column; resample and kl in u (kl in both forms).
+    ce_rng = np.random.default_rng(1014)
+    ce_labels = np.eye(3)[ce_rng.integers(0, 3, size=4)]
+    ce_p, ce_t = leaf(ce_rng.standard_normal((4, 3))), leaf(0.5 + ce_rng.random((4, 1)))
+    primitive_cases += [
+        ("tempered_ce", lambda p: tempered_ce(p, ce_t, ce_labels, norm_floor=1e-7), ce_rng.standard_normal((4, 3))),
+        ("tempered_ce", lambda t: tempered_ce(ce_p, t, ce_labels, norm_floor=1e-7), 0.5 + ce_rng.random((4, 1))),
+    ]
+    rs_rng = np.random.default_rng(1015)
+    rs_w, rs_out = rs_rng.standard_normal((4, 5)) ** 2, leaf(rs_rng.standard_normal((4, 1)))
+    primitive_cases.append(
+        ("resample", lambda u: reduce_sum(mul(resample(u, rs_w, 1e-6, 0.7), rs_out)), 0.5 + rs_rng.random((4, 5)))
+    )
+    kl_rng = np.random.default_rng(1016)
+    primitive_cases += [
+        ("kl", lambda u: kl(u, "variance", 0.3), 0.5 + kl_rng.random((4, 5))),
+        ("kl", lambda u: kl(u, "std", 0.3), 0.5 + kl_rng.random((4, 5))),
+    ]
     from uenl.tensor import PRIMITIVES
 
     tested = {name.removeprefix("reduce_") for name, _, _ in primitive_cases}

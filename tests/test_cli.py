@@ -123,12 +123,13 @@ class TestEval:
         assert "noise" in datasets
         assert "uniform" not in datasets
 
-    def test_v1_checkpoint_evaluates(self, trained, tmp_path):
-        """The version-1 fixture holds the model ``trained`` saves as
-        version 2, so their reports are the same bytes."""
-        _, ckpt = trained
+    def test_v1_checkpoint_evaluates(self, tmp_path):
+        """``uenl eval`` gives the same report bytes on the version-1
+        fixture as on its own version-2 re-save."""
+        resaved = tmp_path / "resaved.ckpt.json"
+        Checkpoint.load(V1_CHECKPOINT).save(resaved)
         reports = {}
-        for name, path in (("v1", V1_CHECKPOINT), ("v2", ckpt)):
+        for name, path in (("v1", V1_CHECKPOINT), ("v2", resaved)):
             out = tmp_path / name
             assert main(["eval", "--checkpoint", str(path), "--out", str(out)]) == 0
             reports[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}

@@ -17,7 +17,7 @@ from uenl.losses import (
     uenl_total,
 )
 from uenl.rng import RngStream
-from uenl.tensor import backward, leaf, reduce_mean, reduce_sum
+from uenl.tensor import backward, leaf, mul, reduce_mean, reduce_sum
 
 
 class TestNormalizeLogits:
@@ -49,7 +49,7 @@ class TestNormalizeLogits:
 
     def test_differentiable(self):
         res = finite_diff_check(
-            lambda p: reduce_sum(normalize_logits(p) * leaf([[0.3, -1.2, 0.4]])),
+            lambda p: reduce_sum(mul(normalize_logits(p), leaf([[0.3, -1.2, 0.4]]))),
             [[1.0, -2.0, 0.5]],
         )
         assert res.max_rel_err < 1e-6
