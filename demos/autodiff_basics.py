@@ -11,7 +11,7 @@ import numpy as np
 
 from uenl.gradcheck import finite_diff_check
 from uenl.tensor import backward, div, exp, l2norm, leaf, matmul, reduce_mean, relu, square, sub
-from uenl.losses import normalize_logits, plain_ce
+from uenl.losses import logitnorm_ce, plain_ce
 
 
 def main():
@@ -36,13 +36,14 @@ def main():
     # --- 3. Scale invariance of normalized logits --------------------------
     # Dividing each row by its norm makes the downstream loss indifferent to
     # any positive rescaling of the logits -- the property the training
-    # objective is built on.
+    # objective is built on. logitnorm_ce at temperature 1 is the plain
+    # cross-entropy of the normalized logits.
     p = rng.standard_normal((5, 4))
     y = rng.integers(1, 5, size=5)
     base = plain_ce(p, y).item()
     scaled = plain_ce(100.0 * p, y).item()
-    norm_base = plain_ce(normalize_logits(p).value.array, y).item()
-    norm_scaled = plain_ce(normalize_logits(100.0 * p).value.array, y).item()
+    norm_base = logitnorm_ce(p, y, temperature=1.0).item()
+    norm_scaled = logitnorm_ce(100.0 * p, y, temperature=1.0).item()
     print("\ncross-entropy under logit scaling p -> 100 p:")
     print(f"  raw logits        : {base:.4f} -> {scaled:.4f}   (collapses)")
     print(f"  normalized logits : {norm_base:.4f} -> {norm_scaled:.4f}   (unchanged)")

@@ -12,15 +12,7 @@ from .config import ExperimentConfig, load_config
 from .data import Dataset, load_csv, load_idx
 from .gradcheck import finite_diff_check
 from .harness import Checkpoint, build_datasets, evaluate, sweep, train
-from .losses import (
-    ce_with_temperature,
-    kl_regularizer,
-    logitnorm_ce,
-    normalize_logits,
-    plain_ce,
-    resample_uncertainty,
-    uenl_total,
-)
+from .losses import logitnorm_ce, plain_ce, uenl_total
 from .metrics import MetricReport, aupr, auroc, fpr_at_95_tpr
 from .model import ModelConfig, ModelParams, forward, init_params, uncertainty_forward
 from .rng import RngStream
@@ -41,12 +33,8 @@ __all__ = [
     "evaluate",
     "sweep",
     "train",
-    "ce_with_temperature",
-    "kl_regularizer",
     "logitnorm_ce",
-    "normalize_logits",
     "plain_ce",
-    "resample_uncertainty",
     "uenl_total",
     "MetricReport",
     "aupr",

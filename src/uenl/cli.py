@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import load_config, parse_value
+from .config import check_ood_names, load_config, parse_value
 from .data import load_csv, save_csv, standardize
 from .harness import (
     Checkpoint,
@@ -71,15 +71,14 @@ def _cmd_train(args) -> int:
 
 def _parse_ood_args(entries, bundle):
     """--ood entries are 'name=path.csv' or 'path.csv'; loaded sets replace
-    the config-declared OOD sets and share the ID standardization."""
-    ood = {}
+    the config-declared OOD sets and share the ID standardization. The names
+    are checked as the config's are, before any file is read."""
+    named = []
     for entry in entries:
         name, sep, path = entry.partition("=")
-        if not sep:
-            name, path = Path(entry).stem, entry
-        ds = load_csv(path, has_labels=False, name=name)
-        ood[name] = standardize(ds, bundle.stats)[0]
-    return ood
+        named.append((name, path) if sep else (Path(entry).stem, entry))
+    check_ood_names([name for name, _ in named])
+    return {name: standardize(load_csv(path, name=name), bundle.stats)[0] for name, path in named}
 
 
 def _cmd_eval(args) -> int:

@@ -37,6 +37,7 @@ __all__ = [
     "CsvOodSpec",
     "IdxOodSpec",
     "apply_overrides",
+    "check_ood_names",
     "json_parser",
     "load_config",
     "parse_value",
@@ -260,15 +261,26 @@ class IdxOodSpec:
     images: str
 
 
+def check_ood_names(names) -> None:
+    """Reject OOD set names the report CSVs cannot hold: empty, with a comma
+    or a line break, repeated, or "mean" and "id_test", which name the
+    per-method mean row of metrics.csv and the ID set of scores.csv."""
+    for name in names:
+        if not name or any(c in name for c in ",\r\n") or name in ("mean", "id_test"):
+            raise ValueError(
+                f"ood set name {name!r} must be non-empty, free of commas and line breaks, and not 'mean' or 'id_test'"
+            )
+    if len(names) != len(set(names)):
+        raise ValueError(f"ood set names must be unique, got {names}")
+
+
 @dataclass(frozen=True)
 class DataSpec(_Schema):
     id: GaussianClustersSpec | CsvIdSpec | IdxIdSpec
     ood: tuple[UniformOodSpec | ShiftedGaussianOodSpec | GaussianNoiseOodSpec | CsvOodSpec | IdxOodSpec, ...] = ()
 
     def __post_init__(self):
-        names = [spec.name for spec in self.ood]
-        if len(names) != len(set(names)):
-            raise ValueError(f"ood set names must be unique, got {names}")
+        check_ood_names([spec.name for spec in self.ood])
 
 
 # Config keys of the model fields whose checks can fail at load under

@@ -253,6 +253,8 @@ def load_csv(path, has_labels: bool = False, name: str | None = None) -> Dataset
             # is_integer is False for inf and nan, which int() would raise on.
             if not label.is_integer():
                 raise ValueError(f"{path}: line {line_no}: label {cells[-1].strip()!r} is not an integer")
+            if label < 1:
+                raise ValueError(f"{path}: line {line_no}: label {cells[-1].strip()!r} is below 1 (labels are 1-based)")
             labels.append(int(label))
         rows.append(values)
 

@@ -42,7 +42,7 @@ from .data import (
     load_idx,
     standardize,
 )
-from .losses import kl_regularizer, logitnorm_ce, plain_ce, uenl_total
+from .losses import logitnorm_ce, plain_ce, uenl_total
 from .metrics import MetricReport, auroc, error_rate, histogram, histogram_range, write_histogram_csv, write_metrics_csv
 from .model import (
     TRAIN,
@@ -57,7 +57,7 @@ from .model import (
 from .optim import OptState, lr_at_epoch, sgd_step
 from .rng import RngStream, derive_seed
 from .scoring import ScoreSet, energy_score, eval_pass, msp_score, odin_from_pass, write_scores_csv
-from .tensor import Tensor, add, backward
+from .tensor import Tensor, add, backward, kl
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -300,11 +300,11 @@ def _batch_loss(params, config, xb, yb, dropout_rng, resample_rng, leaves):
         if config.kl_weight > 0.0:
             head = uncertainty_forward(params, fo.embedding, TRAIN, leaves=fo.leaves)
             updates.update(head.bn_updates)
-            total = add(total, kl_regularizer(head.u, config.kl_form, config.kl_weight))
+            total = add(total, kl(head.u, config.kl_form, config.kl_weight))
         return total, updates
     head = uncertainty_forward(params, fo.embedding, TRAIN, leaves=fo.leaves)
     updates.update(head.bn_updates)
-    breakdown = uenl_total(
+    total = uenl_total(
         fo.logits,
         head.u,
         yb,
@@ -314,7 +314,7 @@ def _batch_loss(params, config, xb, yb, dropout_rng, resample_rng, leaves):
         uhat_scale=config.uhat_scale,
         kl_form=config.kl_form,
     )
-    return breakdown.total, updates
+    return total, updates
 
 
 def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=None) -> Checkpoint:

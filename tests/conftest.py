@@ -85,6 +85,15 @@ def small_params():
     return init_params(config, RngStream(99))
 
 
+def uenl_terms(total):
+    """(CE, unweighted KL, per-sample u_hat) of a ``uenl_total`` graph, read
+    from the attrs of its tempered_ce, kl and resample nodes. The KL is None
+    at kl weight 0, where the total is the CE node itself."""
+    ce_node, kl_node = total.parents if total.op == "add" else (total, None)
+    kl_term = None if kl_node is None else kl_node.attrs["kl"]
+    return ce_node.attrs["ce"], kl_term, ce_node.parents[1].attrs["uhat"].ravel()
+
+
 def random_scores(rng: np.random.Generator, n: int, m: int, ties: bool):
     """A random (id, ood) score pair; integer grids force heavy ties."""
     if ties:

@@ -19,14 +19,7 @@ from oracles import enumerate_fpr_at_tpr, mc_kl, pairwise_auroc, step_aupr
 from uenl.config import BackboneSpec, ExperimentConfig, load_config
 from uenl.gradcheck import finite_diff_check
 from uenl.harness import Checkpoint, build_datasets, evaluate, sweep, train, write_sweep_csv
-from uenl.losses import (
-    ce_with_temperature,
-    kl_regularizer,
-    logitnorm_ce,
-    normalize_logits,
-    resample_uncertainty,
-    uenl_total,
-)
+from uenl.losses import NORM_EPSILON, UHAT_FLOOR, logitnorm_ce, uenl_total
 from uenl.metrics import auroc, aupr, fpr_at_tpr
 from uenl.model import ModelConfig, eval_logits, init_params
 from uenl.rng import RngStream
@@ -171,10 +164,10 @@ def test_criterion_01_gradient_correctness():
         form = "variance" if i % 2 == 0 else "std"
 
         def loss_of_p(node):
-            return uenl_total(node, u, y, lam, epsilon=eps, kl_form=form).total
+            return uenl_total(node, u, y, lam, epsilon=eps, kl_form=form)
 
         def loss_of_u(node):
-            return uenl_total(p, node, y, lam, epsilon=eps, kl_form=form).total
+            return uenl_total(p, node, y, lam, epsilon=eps, kl_form=form)
 
         res_p = finite_diff_check(loss_of_p, p)
         res_u = finite_diff_check(loss_of_u, u)
@@ -196,15 +189,16 @@ def test_criterion_02_scale_invariance():
     u = 0.5 + rng.random((6, 8))
     eps = rng.standard_normal((6, 8))
     y = rng.integers(1, 5, size=6)
-    reference = uenl_total(p, u, y, 0.1, epsilon=eps).total.item()
+    reference = uenl_total(p, u, y, 0.1, epsilon=eps).item()
     for c in (0.1, 10.0, 1000.0):
-        scaled = uenl_total(c * p, u, y, 0.1, epsilon=eps).total.item()
+        scaled = uenl_total(c * p, u, y, 0.1, epsilon=eps).item()
         assert abs(scaled - reference) < 1e-9, f"c={c}: |{scaled} - {reference}|"
 
     # Exact identity: LogitNorm is cross-entropy at a pinned temperature.
     T = 0.04
     lhs = logitnorm_ce(p, y, T).item()
-    rhs = ce_with_temperature(normalize_logits(p), np.full((6, 1), T), y).item()
+    p_bar = tempered_ce(p, np.ones((6, 1)), norm_floor=NORM_EPSILON)
+    rhs = tempered_ce(p_bar, np.full((6, 1), T), np.eye(4)[y - 1]).item()
     assert lhs == rhs
 
 
@@ -216,10 +210,10 @@ def test_criterion_02_scale_invariance():
 def test_criterion_03_kl_oracle():
     for form in ("variance", "std"):
         for i, u in enumerate((0.5, 1.0, 2.0)):
-            closed = kl_regularizer(np.full((1, 1), u), form).item()
+            closed = kl(np.full((1, 1), u), form).item()
             mc = mc_kl(u, form, 10**6, seed=3000 + i)
             assert abs(closed - mc) < 1e-2, f"form={form}, u={u}: closed {closed} vs MC {mc}"
-        assert kl_regularizer(np.ones((3, 4)), form).item() == 0.0
+        assert kl(np.ones((3, 4)), form).item() == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -231,14 +225,14 @@ def test_criterion_04_resampling_oracle():
     n = 10**5
     rng = RngStream(1004)
     u_row = np.array([0.3, 1.7, 0.9, 2.4, 0.05, 1.0])
-    uhat, _ = resample_uncertainty(np.tile(u_row, (n, 1)), rng)
-    draws = uhat.value.array.ravel()
+    eps = rng.normal((n, u_row.size))
+    draws = resample(np.tile(u_row, (n, 1)), eps * eps, UHAT_FLOOR).value.array.ravel()
     target = u_row.sum()
     assert abs(draws.mean() - target) / target < 0.02, f"mean {draws.mean()} vs sum(u) {target}"
 
     delta = 8
-    uhat1, _ = resample_uncertainty(np.ones((n, delta)), rng.substream("chi2"))
-    chi = uhat1.value.array.ravel()
+    eps = rng.substream("chi2").normal((n, delta))
+    chi = resample(np.ones((n, delta)), eps * eps, UHAT_FLOOR).value.array.ravel()
     assert abs(chi.mean() - delta) / delta < 0.05, f"chi2 mean {chi.mean()} vs {delta}"
     assert abs(chi.var() - 2 * delta) / (2 * delta) < 0.05, f"chi2 var {chi.var()} vs {2 * delta}"
 

@@ -123,6 +123,27 @@ class TestEval:
         assert "noise" in datasets
         assert "uniform" not in datasets
 
+    @pytest.mark.parametrize(
+        "entries,text",
+        [
+            (["a/x.csv", "b/x.csv"], "ood set names must be unique, got ['x', 'x']"),
+            (["=x.csv"], "ood set name '' must be non-empty"),
+            (["a,b=x.csv"], "ood set name 'a,b' must be non-empty"),
+            (["mean=x.csv"], "ood set name 'mean' must be non-empty"),
+            (["id_test.csv"], "ood set name 'id_test' must be non-empty"),
+        ],
+        ids=["same-stem", "empty", "comma", "mean", "id_test"],
+    )
+    def test_bad_ood_names_checked_before_loading(self, trained, tmp_path, capsys, backbone_calls, entries, text):
+        # None of the CSV paths exists: a check after loading would report
+        # the missing file instead.
+        _, ckpt = trained
+        out = tmp_path / "report"
+        ood_args = [arg for entry in entries for arg in ("--ood", entry)]
+        rc = main(["eval", "--checkpoint", str(ckpt), *ood_args, "--out", str(out)])
+        assert_one_error_line(rc, capsys, text)
+        assert backbone_calls == [] and not out.exists()
+
     def test_v1_checkpoint_evaluates(self, tmp_path):
         """``uenl eval`` gives the same report bytes on the version-1
         fixture as on its own version-2 re-save."""
@@ -321,6 +342,7 @@ MALFORMED_OVERRIDES = [
     ("data.ood=[1]", "data.ood[0]: expected object"),
     ('data.id.n_train_per_class="5"', "data.id.n_train_per_class: expected integer"),
     ('data.ood=[{"kind": "uniform", "n": 10, "low": 0.0, "high": 1.0}]', "'seed' in data.ood[0]"),
+    ('data.ood=[{"kind": "gaussian_noise", "name": "mean", "n": 10, "seed": 1}]', "error: ood set name 'mean'"),
     ("scoring.methods=msp", "scoring.methods: expected list"),
     ("data.id.seed=1.5", "data.id.seed: expected integer"),
     ("scoring.histogram_bins=2.7", "scoring.histogram_bins: expected integer"),

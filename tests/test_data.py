@@ -268,6 +268,14 @@ class TestCsvLoader:
         with pytest.raises(ValueError, match=f"line 4: label '{cell}' is not an integer"):
             load_csv(path, has_labels=True)
 
+    @pytest.mark.parametrize("cell", ["0", "-2"])
+    def test_label_below_one_names_the_file_line(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"x1,label\n0.0,1\n\n0.0,{cell}\n")
+        with pytest.raises(ValueError) as info:
+            load_csv(path, has_labels=True)
+        assert str(info.value) == f"{path}: line 4: label '{cell}' is below 1 (labels are 1-based)"
+
     def test_save_load_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(10)
         ds = Dataset("blob", rng.normal(size=(20, 5)) * 1e3, labels=rng.integers(1, 4, 20))

@@ -27,3 +27,11 @@ def test_one_model_config():
         assert old not in uenl.__all__
         assert not hasattr(uenl, old)
         assert not hasattr(uenl.model, old)
+
+
+def test_losses_exports_only_the_objectives():
+    assert uenl.losses.__all__ == ["NORM_EPSILON", "UHAT_FLOOR", "uenl_total", "plain_ce", "logitnorm_ce"]
+    for old in ("LossBreakdown", "normalize_logits", "resample_uncertainty", "ce_with_temperature", "kl_regularizer"):
+        assert old not in uenl.__all__
+        assert not hasattr(uenl, old)
+        assert not hasattr(uenl.losses, old)

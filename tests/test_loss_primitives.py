@@ -4,6 +4,7 @@ the composed reference in oracles.py on desk shapes."""
 
 import numpy as np
 import pytest
+from conftest import uenl_terms
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import composed_ce, composed_uenl
@@ -157,13 +158,16 @@ class TestChecks:
     def test_attrs_hold_the_logged_values(self):
         rng = np.random.default_rng(7)
         u, eps = 0.5 + rng.random((5, 4)), rng.standard_normal((5, 4))
-        out = uenl_total(rng.standard_normal((5, 3)), u, [1, 2, 3, 1, 2], 0.3, epsilon=eps)
-        ce_node, kl_node = out.total.parents
+        p = rng.standard_normal((5, 3))
+        total = uenl_total(p, u, [1, 2, 3, 1, 2], 0.3, epsilon=eps)
+        ce_node, kl_node = total.parents
         uhat_node = ce_node.parents[1]
         assert (ce_node.op, kl_node.op, uhat_node.op) == ("tempered_ce", "kl", "resample")
-        assert ce_node.attrs["ce"] == out.ce_term.item()
-        assert kl_node.attrs["kl"] == out.kl_term.item()
-        np.testing.assert_array_equal(uhat_node.attrs["uhat"].ravel(), out.uhat)
+        assert total.item() == ce_node.attrs["ce"] + 0.3 * kl_node.attrs["kl"]
+        assert kl_node.attrs["kl"] == kl(u).item()
+        np.testing.assert_array_equal(uhat_node.attrs["uhat"], resample(u, eps * eps, UHAT_FLOOR).value.array)
+        onehot = np.eye(3)[[0, 1, 2, 0, 1]]
+        assert ce_node.attrs["ce"] == tempered_ce(p, uhat_node.attrs["uhat"], onehot, NORM_EPSILON).item()
 
 
 DESK_N, DESK_K, DESK_DELTA = 128, 3, 32
@@ -183,14 +187,15 @@ def test_fused_uenl_matches_composed_reference(kl_form, uhat_scale):
 
     p, u = leaf(p0), leaf(u0)
     fused = uenl_total(p, u, y, 0.1, epsilon=eps, uhat_scale=uhat_scale, kl_form=kl_form)
-    fused_grads = backward(fused.total, wrt=[p, u])
+    fused_ce, fused_kl, _ = uenl_terms(fused)
+    fused_grads = backward(fused, wrt=[p, u])
     rp, ru = leaf(p0), leaf(u0)
     total, ce, kl_term = composed_uenl(rp, ru, onehot, 0.1, eps, uhat_scale=uhat_scale, kl_form=kl_form)
     ref_grads = backward(total, wrt=[rp, ru])
 
-    assert fused.total.item() == pytest.approx(total.item(), abs=1e-12)
-    assert fused.ce_term.item() == pytest.approx(ce.item(), abs=1e-12)
-    assert fused.kl_term.item() == pytest.approx(kl_term.item(), abs=1e-12)
+    assert fused.item() == pytest.approx(total.item(), abs=1e-12)
+    assert fused_ce == pytest.approx(ce.item(), abs=1e-12)
+    assert fused_kl == pytest.approx(kl_term.item(), abs=1e-12)
     np.testing.assert_allclose(fused_grads[p].array, ref_grads[rp].array, rtol=0, atol=1e-12)
     np.testing.assert_allclose(fused_grads[u].array, ref_grads[ru].array, rtol=0, atol=1e-12)
 

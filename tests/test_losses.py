@@ -1,55 +1,66 @@
-"""Training objectives: frozen values, oracles, scale invariance, gradients."""
+"""Training objectives: frozen values, oracles, scale invariance, gradients.
+
+The normalization, resampling, tempered CE and KL are the ``tempered_ce``,
+``resample`` and ``kl`` primitives; ``losses`` composes them into
+``uenl_total`` and the two baselines."""
 
 import numpy as np
 import pytest
+from conftest import uenl_terms
 from oracles import mc_kl, numeric_gradient, softmax_ce
 
 from uenl.gradcheck import finite_diff_check
-from uenl.losses import (
-    NORM_EPSILON,
-    UHAT_FLOOR,
-    ce_with_temperature,
-    kl_regularizer,
-    logitnorm_ce,
-    normalize_logits,
-    plain_ce,
-    resample_uncertainty,
-    uenl_total,
-)
+from uenl.losses import NORM_EPSILON, UHAT_FLOOR, logitnorm_ce, plain_ce, uenl_total
 from uenl.rng import RngStream
-from uenl.tensor import backward, leaf, mul, reduce_mean, reduce_sum
+from uenl.tensor import as_node, backward, kl, leaf, mul, reduce_sum, resample, tempered_ce
+
+
+def _normalize(p):
+    """p / max(||p||, NORM_EPSILON) row by row: a label-free tempered_ce node
+    at temperature 1."""
+    p = as_node(p)
+    return tempered_ce(p, np.ones((p.value.shape[0], 1)), norm_floor=NORM_EPSILON)
+
+
+def _ce_at(p_bar, uhat, y):
+    """Mean cross-entropy of softmax(p_bar / uhat) against 1-based labels."""
+    p_bar = as_node(p_bar)
+    n, k = p_bar.value.shape
+    return tempered_ce(p_bar, np.reshape(uhat, (n, 1)), np.eye(k)[np.asarray(y) - 1])
 
 
 class TestNormalizeLogits:
     def test_three_four_five(self):
-        out = normalize_logits(leaf([[3.0, 4.0]])).value.array
+        out = _normalize(leaf([[3.0, 4.0]])).value.array
         np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-15)
 
     def test_zero_row_no_nan(self):
-        out = normalize_logits(leaf([[0.0, 0.0, 0.0]])).value.array
+        out = _normalize(leaf([[0.0, 0.0, 0.0]])).value.array
         np.testing.assert_array_equal(out, [[0.0, 0.0, 0.0]])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
         p = rng.normal(size=(8, 5))
-        base = normalize_logits(leaf(p)).value.array
+        base = _normalize(leaf(p)).value.array
         for c in (0.1, 10.0, 1000.0):
-            scaled = normalize_logits(leaf(c * p)).value.array
+            scaled = _normalize(leaf(c * p)).value.array
             np.testing.assert_allclose(scaled, base, atol=1e-9)
 
     def test_unit_norm_above_floor(self):
         rng = np.random.default_rng(1)
         p = rng.normal(size=(20, 4)) * 1e-3  # small but well above 1e-6
-        norms = np.linalg.norm(normalize_logits(leaf(p)).value.array, axis=1)
+        norms = np.linalg.norm(_normalize(leaf(p)).value.array, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
-            normalize_logits(leaf([1.0, 2.0]))
+            _normalize(leaf([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            logitnorm_ce(leaf([1.0, 2.0]), [1])
 
     def test_differentiable(self):
         res = finite_diff_check(
-            lambda p: reduce_sum(mul(normalize_logits(p), leaf([[0.3, -1.2, 0.4]]))),
+            lambda p: reduce_sum(mul(_normalize(p), leaf([[0.3, -1.2, 0.4]]))),
             [[1.0, -2.0, 0.5]],
         )
         assert res.max_rel_err < 1e-6
@@ -57,16 +68,15 @@ class TestNormalizeLogits:
 
 class TestResampleUncertainty:
     def test_forced_ones_epsilon_gives_delta(self):
-        u = leaf(np.ones((3, 32)))
-        uhat, eps = resample_uncertainty(u, epsilon=np.ones((3, 32)))
-        np.testing.assert_array_equal(uhat.value.array, 32.0)
-        np.testing.assert_array_equal(eps, 1.0)
+        total = uenl_total(np.ones((3, 2)), np.ones((3, 32)), [1, 2, 1], 0.0, epsilon=np.ones((3, 32)))
+        np.testing.assert_array_equal(uenl_terms(total)[2], 32.0)
+        np.testing.assert_array_equal(total.parents[1].attrs["weights"], 1.0)
 
     def test_monte_carlo_mean_near_delta(self):
         # E[u_hat] = sum_i u_i = 32 for unit u; 1e5 draws concentrate tightly.
         draws = 100_000
-        u = leaf(np.ones((draws, 32)))
-        uhat, _ = resample_uncertainty(u, RngStream(7))
+        eps = RngStream(7).normal((draws, 32))
+        uhat = resample(leaf(np.ones((draws, 32))), eps * eps, UHAT_FLOOR)
         mean = uhat.value.array.mean()
         assert 31.4 <= mean <= 32.6
 
@@ -75,8 +85,7 @@ class TestResampleUncertainty:
         eps = rng.normal(size=(4, 6))
 
         def f(u):
-            uhat, _ = resample_uncertainty(u, epsilon=eps)
-            return reduce_sum(uhat)
+            return reduce_sum(resample(u, eps * eps, UHAT_FLOOR))
 
         point = rng.uniform(0.5, 2.0, size=(4, 6))
         res = finite_diff_check(f, point)
@@ -84,31 +93,35 @@ class TestResampleUncertainty:
         np.testing.assert_allclose(res.analytic, eps * eps, rtol=1e-12)
 
     def test_replay_with_returned_epsilon(self):
-        u = leaf(np.full((5, 8), 1.3))
-        uhat1, eps = resample_uncertainty(u, RngStream(9))
-        uhat2, _ = resample_uncertainty(u, epsilon=eps)
-        np.testing.assert_array_equal(uhat1.value.array, uhat2.value.array)
+        # uenl_total draws its epsilon as rng.normal((batch, dims)), so the
+        # same stream's draw replays the step bit for bit.
+        p, u, y = np.ones((5, 2)), np.full((5, 8), 1.3), [1, 2, 1, 2, 1]
+        drawn = uenl_total(p, u, y, 0.1, RngStream(9))
+        replayed = uenl_total(p, u, y, 0.1, epsilon=RngStream(9).normal((5, 8)))
+        np.testing.assert_array_equal(uenl_terms(drawn)[2], uenl_terms(replayed)[2])
+        assert drawn.item() == replayed.item()
 
     def test_scalar_uncertainty_broadcast(self):
         eps = np.ones((2, 8)) * 2.0  # eps^2 = 4 in every dim
-        uhat, _ = resample_uncertainty(leaf([[0.5], [1.0]]), epsilon=eps, n_dims=8)
-        np.testing.assert_allclose(uhat.value.array, [[16.0], [32.0]], rtol=1e-15)
+        total = uenl_total(np.ones((2, 2)), leaf([[0.5], [1.0]]), [1, 2], 0.0, epsilon=eps, n_dims=8)
+        np.testing.assert_allclose(uenl_terms(total)[2], [16.0, 32.0], rtol=1e-15)
 
     def test_floor_engages_on_zero_epsilon(self):
-        uhat, _ = resample_uncertainty(leaf(np.ones((2, 4))), epsilon=np.zeros((2, 4)))
+        uhat = resample(leaf(np.ones((2, 4))), np.zeros((2, 4)), UHAT_FLOOR)
         np.testing.assert_array_equal(uhat.value.array, UHAT_FLOOR)
 
     def test_errors(self):
+        p, y = np.ones((1, 2)), [1]
         with pytest.raises(ValueError):
-            resample_uncertainty(leaf([[0.0, 1.0]]), epsilon=np.ones((1, 2)))
+            uenl_total(p, leaf([[0.0, 1.0]]), y, 0.1, epsilon=np.ones((1, 2)))
         with pytest.raises(ValueError):
-            resample_uncertainty(leaf([[1.0, 1.0]]))  # no rng, no epsilon
+            uenl_total(p, leaf([[1.0, 1.0]]), y, 0.1)  # no rng, no epsilon
         with pytest.raises(ValueError):
-            resample_uncertainty(leaf([[1.0, 1.0]]), epsilon=np.ones((2, 2)))
+            uenl_total(p, leaf([[1.0, 1.0]]), y, 0.1, epsilon=np.ones((2, 2)))
         with pytest.raises(ValueError):
-            resample_uncertainty(leaf([1.0, 1.0]), epsilon=np.ones((1, 2)))
+            uenl_total(p, leaf([1.0, 1.0]), y, 0.1, epsilon=np.ones((1, 2)))
         with pytest.raises(ValueError):
-            resample_uncertainty(leaf([[1.0, 1.0]]), epsilon=np.ones((1, 3)), n_dims=3)
+            uenl_total(p, leaf([[1.0, 1.0]]), y, 0.1, epsilon=np.ones((1, 3)), n_dims=3)
 
 
 class TestCeWithTemperature:
@@ -116,20 +129,18 @@ class TestCeWithTemperature:
         k = 10
         p_bar = leaf(np.full((4, k), 1.0 / np.sqrt(k)))  # equal entries, unit norm
         for uhat in (np.full(4, 0.04), np.ones(4), np.full(4, 50.0)):
-            loss = ce_with_temperature(p_bar, uhat, [1, 4, 7, 10])
+            loss = _ce_at(p_bar, uhat, [1, 4, 7, 10])
             assert loss.value.item() == pytest.approx(2.302585, abs=1e-6)
 
     def test_two_class_frozen_value(self):
         # p_bar = [1, 0], u_hat = 1, true class 1: loss = ln(1 + e^{-1}).
-        loss = ce_with_temperature(leaf([[1.0, 0.0]]), [1.0], [1])
+        loss = _ce_at(leaf([[1.0, 0.0]]), [1.0], [1])
         assert loss.value.item() == pytest.approx(0.313262, abs=1e-6)
         assert loss.value.item() == pytest.approx(np.log(1.0 + np.exp(-1.0)), abs=1e-12)
 
     def test_large_temperature_approaches_ln_k_monotonically(self):
-        p_bar = normalize_logits(leaf([[2.0, 0.5, -1.0]]))  # correctly ordered
-        losses = [
-            ce_with_temperature(p_bar, [t], [1]).value.item() for t in (1.0, 10.0, 100.0, 1000.0)
-        ]
+        p = leaf([[2.0, 0.5, -1.0]])  # correctly ordered
+        losses = [logitnorm_ce(p, [1], t).value.item() for t in (1.0, 10.0, 100.0, 1000.0)]
         assert all(a < b for a, b in zip(losses, losses[1:]))
         assert all(v < np.log(3.0) for v in losses)
         assert losses[-1] == pytest.approx(np.log(3.0), abs=1e-3)
@@ -142,51 +153,47 @@ class TestCeWithTemperature:
             p_bar = p / np.linalg.norm(p, axis=1, keepdims=True)
             uhat = rng.uniform(0.05, 3.0, size=n)
             y = rng.integers(1, k + 1, size=n)
-            ours = ce_with_temperature(leaf(p_bar), uhat, y).value.item()
+            ours = _ce_at(leaf(p_bar), uhat, y).value.item()
             oracle = softmax_ce(p_bar / uhat[:, None], y)
             assert ours == pytest.approx(oracle, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(12)
-        p_bar = normalize_logits(leaf(rng.normal(size=(30, 5)))).value.array
-        loss = ce_with_temperature(leaf(p_bar), rng.uniform(0.1, 2.0, 30), rng.integers(1, 6, 30))
+        p_bar = _normalize(leaf(rng.normal(size=(30, 5)))).value.array
+        loss = _ce_at(leaf(p_bar), rng.uniform(0.1, 2.0, 30), rng.integers(1, 6, 30))
         assert loss.value.item() >= 0.0
 
-    def test_rejects_unnormalized_logits(self):
-        with pytest.raises(ValueError):
-            ce_with_temperature(leaf([[3.0, 4.0]]), [1.0], [1])
-
     def test_rejects_bad_labels_and_temperatures(self):
-        p_bar = leaf([[1.0, 0.0]])
+        p = leaf([[1.0, 0.0]])
         with pytest.raises(ValueError):
-            ce_with_temperature(p_bar, [1.0], [0])  # labels are 1-based
+            logitnorm_ce(p, [0], 1.0)  # labels are 1-based
         with pytest.raises(ValueError):
-            ce_with_temperature(p_bar, [1.0], [3])
+            logitnorm_ce(p, [3], 1.0)
         with pytest.raises(ValueError):
-            ce_with_temperature(p_bar, [0.0], [1])
+            logitnorm_ce(p, [1], 0.0)
         with pytest.raises(ValueError):
-            ce_with_temperature(p_bar, [[1.0], [1.0]], [1])
+            tempered_ce(p, np.ones((2, 1)), np.eye(2)[:1])
 
 
 class TestKlRegularizer:
     def test_unit_uncertainty_is_exactly_zero(self):
-        assert kl_regularizer(leaf(np.ones((5, 32)))).value.item() == 0.0
+        assert kl(leaf(np.ones((5, 32)))).value.item() == 0.0
 
     def test_single_dim_at_e(self):
         # Variance form: 0.5 * (e - ln e - 1) = 0.5 * (e - 2).
-        val = kl_regularizer(leaf([[np.e]])).value.item()
+        val = kl(leaf([[np.e]])).value.item()
         assert val == pytest.approx(0.359141, abs=1e-6)
         assert val == pytest.approx(0.5 * (np.e - 2.0), abs=1e-12)
 
     def test_std_form_closed_form(self):
         # Std form: 0.5 * (u^2 - 2 ln u - 1); at u = e this is 0.5 (e^2 - 3).
-        val = kl_regularizer(leaf([[np.e]]), form="std").value.item()
+        val = kl(leaf([[np.e]]), form="std").value.item()
         assert val == pytest.approx(0.5 * (np.e**2 - 3.0), abs=1e-12)
 
     @pytest.mark.parametrize("form", ["variance", "std"])
     @pytest.mark.parametrize("u", [0.5, 1.0, 2.0])
     def test_against_monte_carlo_oracle(self, form, u):
-        closed = kl_regularizer(leaf([[u]]), form=form).value.item()
+        closed = kl(leaf([[u]]), form=form).value.item()
         estimate = mc_kl(u, form, n=1_000_000, seed=17)
         assert closed == pytest.approx(estimate, abs=1e-2)
 
@@ -194,26 +201,23 @@ class TestKlRegularizer:
         rng = np.random.default_rng(3)
         u = rng.uniform(0.2, 3.0, size=(10, 6))
         u[u == 1.0] = 1.1
-        assert kl_regularizer(leaf(u)).value.item() > 0.0
+        assert kl(leaf(u)).value.item() > 0.0
 
     def test_convex_in_each_coordinate(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             a, b = rng.uniform(0.05, 5.0, size=2)
-            mid = kl_regularizer(leaf([[(a + b) / 2.0]])).value.item()
-            avg = 0.5 * (
-                kl_regularizer(leaf([[a]])).value.item()
-                + kl_regularizer(leaf([[b]])).value.item()
-            )
+            mid = kl(leaf([[(a + b) / 2.0]])).value.item()
+            avg = 0.5 * (kl(leaf([[a]])).value.item() + kl(leaf([[b]])).value.item())
             assert mid <= avg + 1e-12
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            kl_regularizer(leaf([[0.0]]))
+            kl(leaf([[0.0]]))
         with pytest.raises(ValueError):
-            kl_regularizer(leaf([1.0, 2.0]))
+            kl(leaf([1.0, 2.0]))
         with pytest.raises(ValueError):
-            kl_regularizer(leaf([[1.0]]), form="precision")
+            kl(leaf([[1.0]]), form="precision")
 
 
 class TestUenlTotal:
@@ -221,26 +225,30 @@ class TestUenlTotal:
         rng = np.random.default_rng(21)
         p = rng.normal(size=(6, 3))
         u = rng.uniform(0.5, 2.0, size=(6, 8))
-        out = uenl_total(p, u, [1, 2, 3, 1, 2, 3], 0.0, RngStream(5))
-        assert out.kl_term is None
-        assert out.total is out.ce_term
+        total = uenl_total(p, u, [1, 2, 3, 1, 2, 3], 0.0, RngStream(5))
+        assert total.op == "tempered_ce"
+        ce, kl_term, _ = uenl_terms(total)
+        assert kl_term is None
+        assert total.item() == ce
 
     def test_unit_uncertainty_zeroes_kl(self):
         rng = np.random.default_rng(22)
         p = rng.normal(size=(4, 3))
-        out = uenl_total(p, np.ones((4, 8)), [1, 2, 3, 1], 0.7, RngStream(6))
-        assert out.kl_term.value.item() == 0.0
-        assert out.total.value.item() == out.ce_term.value.item()
+        total = uenl_total(p, np.ones((4, 8)), [1, 2, 3, 1], 0.7, RngStream(6))
+        ce, kl_term, _ = uenl_terms(total)
+        assert kl_term == 0.0
+        assert total.item() == ce
 
     def test_composition_identity_exact(self):
         rng = np.random.default_rng(23)
         p = rng.normal(size=(5, 4))
         u = rng.uniform(0.3, 3.0, size=(5, 8))
-        out = uenl_total(p, u, [1, 2, 3, 4, 1], 0.1, RngStream(7))
-        assert out.total.value.item() == out.ce_term.value.item() + 0.1 * out.kl_term.value.item()
-        assert out.ce_term.value.item() >= 0.0
-        assert out.kl_term.value.item() >= 0.0
-        assert out.kl_weight == 0.1
+        total = uenl_total(p, u, [1, 2, 3, 4, 1], 0.1, RngStream(7))
+        ce, kl_term, _ = uenl_terms(total)
+        assert total.item() == ce + 0.1 * kl_term
+        assert ce >= 0.0
+        assert kl_term >= 0.0
+        assert total.parents[1].attrs["constant"] == 0.1
 
     def test_scale_invariance_in_logits(self):
         rng = np.random.default_rng(24)
@@ -248,17 +256,17 @@ class TestUenlTotal:
         u = rng.uniform(0.5, 2.0, size=(6, 8))
         y = [1, 2, 3, 1, 2, 3]
         eps = rng.normal(size=(6, 8))
-        base = uenl_total(p, u, y, 0.1, epsilon=eps).total.value.item()
+        base = uenl_total(p, u, y, 0.1, epsilon=eps).item()
         for c in (0.1, 10.0, 1000.0):
-            scaled = uenl_total(c * p, u, y, 0.1, epsilon=eps).total.value.item()
+            scaled = uenl_total(c * p, u, y, 0.1, epsilon=eps).item()
             assert scaled == pytest.approx(base, abs=1e-9)
 
     def test_uhat_field_matches_manual_sum(self):
         rng = np.random.default_rng(25)
         u = rng.uniform(0.5, 2.0, size=(4, 6))
         eps = rng.normal(size=(4, 6))
-        out = uenl_total(rng.normal(size=(4, 3)), u, [1, 2, 3, 1], 0.1, epsilon=eps)
-        np.testing.assert_allclose(out.uhat, (u * eps * eps).sum(axis=1), rtol=1e-12)
+        total = uenl_total(rng.normal(size=(4, 3)), u, [1, 2, 3, 1], 0.1, epsilon=eps)
+        np.testing.assert_allclose(uenl_terms(total)[2], (u * eps * eps).sum(axis=1), rtol=1e-12)
 
     def test_uhat_scale_rescales_temperature(self):
         rng = np.random.default_rng(26)
@@ -268,17 +276,17 @@ class TestUenlTotal:
         y = [1, 2, 3, 1]
         scaled = uenl_total(p, u, y, 0.0, epsilon=eps, uhat_scale=0.25)
         manual_uhat = 0.25 * (u * eps * eps).sum(axis=1)
-        manual = ce_with_temperature(normalize_logits(leaf(p)), manual_uhat, y)
-        assert scaled.ce_term.value.item() == pytest.approx(manual.value.item(), abs=1e-12)
+        manual = _ce_at(_normalize(leaf(p)), manual_uhat, y)
+        assert uenl_terms(scaled)[0] == pytest.approx(manual.value.item(), abs=1e-12)
 
     def test_kl_form_plumbed_through(self):
         rng = np.random.default_rng(27)
         u = rng.uniform(0.5, 2.0, size=(3, 4))
         eps = rng.normal(size=(3, 4))
         p = rng.normal(size=(3, 2))
-        out = uenl_total(p, u, [1, 2, 1], 1.0, epsilon=eps, kl_form="std")
-        expected = kl_regularizer(leaf(u), form="std").value.item()
-        assert out.kl_term.value.item() == pytest.approx(expected, abs=1e-15)
+        total = uenl_total(p, u, [1, 2, 1], 1.0, epsilon=eps, kl_form="std")
+        expected = kl(leaf(u), form="std").value.item()
+        assert uenl_terms(total)[1] == pytest.approx(expected, abs=1e-15)
 
     def test_end_to_end_gradient_per_parameter(self):
         # Numeric check of d total / d p and d total / d u on a 3-class toy
@@ -291,11 +299,10 @@ class TestUenlTotal:
 
         p_leaf = leaf(p0)
         u_leaf = leaf(u0)
-        out = uenl_total(p_leaf, u_leaf, y, 0.1, epsilon=eps)
-        grads = backward(out.total)
+        grads = backward(uenl_total(p_leaf, u_leaf, y, 0.1, epsilon=eps))
 
         def loss_at(p, u):
-            return uenl_total(p, u, y, 0.1, epsilon=eps).total.value.item()
+            return uenl_total(p, u, y, 0.1, epsilon=eps).value.item()
 
         num_p = numeric_gradient(lambda q: loss_at(q.reshape(2, 3), u0), p0.ravel()).reshape(2, 3)
         num_u = numeric_gradient(lambda q: loss_at(p0, q.reshape(2, 4)), u0.ravel()).reshape(2, 4)
@@ -325,9 +332,7 @@ class TestBaselines:
         p = rng.normal(size=(7, 4))
         y = rng.integers(1, 5, size=7)
         direct = logitnorm_ce(leaf(p), y, temperature=0.04).value.item()
-        composed = ce_with_temperature(
-            normalize_logits(leaf(p)), np.full(7, 0.04), y
-        ).value.item()
+        composed = _ce_at(_normalize(leaf(p)), np.full(7, 0.04), y).value.item()
         assert direct == composed
 
     def test_logitnorm_scale_invariance(self):
@@ -351,3 +356,44 @@ class TestBaselines:
     def test_constants_exported(self):
         assert NORM_EPSILON == 1e-7
         assert UHAT_FLOOR == 1e-6
+
+
+# Every input that the removed wrappers (normalize_logits,
+# resample_uncertainty, ce_with_temperature, kl_regularizer) rejected still
+# raises ValueError through the three public objectives.
+_P, _U, _Y, _EPS = np.arange(6.0).reshape(2, 3), np.ones((2, 4)), [1, 2], np.ones((2, 4))
+
+
+def _uenl(p=_P, u=_U, y=_Y, kl_weight=0.1, **kw):
+    return lambda: uenl_total(p, u, y, kl_weight, **({"epsilon": _EPS} | kw))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(_uenl(p=np.ones(3)), id="uenl-logits-1d"),
+        pytest.param(lambda: plain_ce(np.ones(3), [1]), id="plain-logits-1d"),
+        pytest.param(lambda: logitnorm_ce(np.ones((2, 3, 1)), _Y), id="logitnorm-logits-3d"),
+        pytest.param(_uenl(y=[1, 2, 3]), id="uenl-label-shape"),
+        pytest.param(lambda: plain_ce(_P, [[1], [2]]), id="plain-label-shape"),
+        pytest.param(lambda: plain_ce(_P, [1.5, 2.0]), id="plain-label-non-integer"),
+        pytest.param(lambda: logitnorm_ce(_P, [0, 1]), id="logitnorm-label-below-1"),
+        pytest.param(_uenl(y=[1, 4]), id="uenl-label-above-k"),
+        pytest.param(lambda: logitnorm_ce(_P, _Y, 0.0), id="temperature-zero"),
+        pytest.param(lambda: logitnorm_ce(_P, _Y, -0.04), id="temperature-negative"),
+        pytest.param(_uenl(kl_weight=-0.1), id="kl-weight-negative"),
+        pytest.param(_uenl(uhat_scale=0.0), id="uhat-scale-zero"),
+        pytest.param(_uenl(uhat_scale=-1.0), id="uhat-scale-negative"),
+        pytest.param(_uenl(u=np.ones(4)), id="u-1d"),
+        pytest.param(_uenl(u=np.zeros((2, 4))), id="u-zero"),
+        pytest.param(_uenl(epsilon=np.ones((3, 4))), id="epsilon-rows"),
+        pytest.param(_uenl(epsilon=np.ones((2, 3))), id="epsilon-dims"),
+        pytest.param(_uenl(u=np.ones((2, 1)), n_dims=8), id="epsilon-vs-n-dims"),
+        pytest.param(_uenl(u=np.ones((2, 3)), n_dims=4), id="u-width-vs-n-dims"),
+        pytest.param(_uenl(u=np.ones((2, 3)), n_dims=4, epsilon=None, rng=RngStream(0)), id="u-width-vs-drawn"),
+        pytest.param(_uenl(epsilon=None), id="no-rng-no-epsilon"),
+    ],
+)
+def test_wrapper_checks_still_raise(call):
+    with pytest.raises(ValueError):
+        call()
