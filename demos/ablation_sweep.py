@@ -4,7 +4,8 @@ Runs the full cross product on a scaled-down copy of the desk config (each
 cell trains its own model on its own derived seed), prints the grid, and
 writes the rows to a CSV ready for plotting.
 
-Run with: python3 demos/ablation_sweep.py
+Run from the repository root with: PYTHONPATH=src python3 demos/ablation_sweep.py
+(or without PYTHONPATH after `pip install -e .`).
 """
 
 import json

@@ -4,7 +4,8 @@ Builds a small expression graph by hand, runs one backward pass, and then
 confirms every gradient against central finite differences -- the same
 machinery the test suite uses to validate the training stack.
 
-Run with: python3 demos/autodiff_basics.py
+Run from the repository root with: PYTHONPATH=src python3 demos/autodiff_basics.py
+(or without PYTHONPATH after `pip install -e .`).
 """
 
 import numpy as np

@@ -5,7 +5,8 @@ MSP and uncertainty scores on the ID test set next to one far-OOD set,
 with the 95%-TPR threshold marked. The separation (or lack of it) that
 the AUROC/FPR95 numbers summarize is directly visible in the bars.
 
-Run with: python3 demos/score_distributions.py
+Run from the repository root with: PYTHONPATH=src python3 demos/score_distributions.py
+(or without PYTHONPATH after `pip install -e .`).
 """
 
 from pathlib import Path

@@ -4,7 +4,8 @@ Trains the uncertainty-aware classifier on synthetic Gaussian clusters,
 then scores the ID test set and three OOD sets with every detector and
 prints the headline metrics (higher score = more in-distribution).
 
-Run with: python3 demos/train_and_detect.py
+Run from the repository root with: PYTHONPATH=src python3 demos/train_and_detect.py
+(or without PYTHONPATH after `pip install -e .`).
 """
 
 import time

@@ -14,6 +14,7 @@ and on the command line, ``kl_weight`` in code.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
@@ -379,20 +380,36 @@ def parse_value(raw: str):
 
 def apply_overrides(d: dict, assignments) -> dict:
     """Apply "dotted.path=value" overrides (values read by ``parse_value``) to
-    a raw config dict. Returns a new dict; the input is untouched."""
+    a raw config dict. A path names list entries as load errors do
+    (``data.ood[0].n``); missing object levels are created, list entries
+    are not. Returns a new dict; the input is untouched."""
     result = json.loads(json.dumps(d))
     for assignment in assignments:
         key, sep, raw_value = assignment.partition("=")
         if not sep or not key:
             raise ValueError(f"override {assignment!r} is not of the form key=value")
         value = parse_value(raw_value)
-        target = result
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if part not in target or not isinstance(target[part], dict):
-                target[part] = {}
-            target = target[part]
-        target[parts[-1]] = value
+        steps: list[str | int] = []
+        for part in key.split("."):
+            m = re.fullmatch(r"([^\[\]]+)((?:\[\d+\])*)", part)
+            if m is None:
+                raise ValueError(f"override key {key!r}: malformed part {part!r}")
+            steps += [m[1], *map(int, re.findall(r"\d+", m[2]))]
+        target, path = result, ""
+        for i, step in enumerate(steps):
+            path += f"[{step}]" if isinstance(step, int) else "." * bool(path) + step
+            if isinstance(step, int) and step >= len(target):
+                raise ValueError(f"override {key!r}: {path} is out of range (the list has {len(target)} entries)")
+            if i == len(steps) - 1:
+                target[step] = value
+                break
+            child = target[step] if isinstance(step, int) else target.get(step)
+            if isinstance(steps[i + 1], int):
+                if not isinstance(child, list):
+                    raise ValueError(f"override {key!r}: {path} is not a list")
+            elif not isinstance(child, dict):
+                child = target[step] = {}
+            target = child
     return result
 
 

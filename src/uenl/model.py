@@ -3,8 +3,12 @@
 The backbone maps inputs to an embedding (the last hidden activation) and
 class logits. The head maps the same embedding to a strictly positive
 uncertainty vector u = exp(batchnorm(linear(e))). Both are built from graph
-primitives, so every output is differentiable with respect to parameters
-and inputs alike.
+primitives. In train mode every output is differentiable with respect to
+parameters and inputs alike. In eval mode batchnorm uses its running
+statistics, a fixed per-column affine map, so it is folded into the linear
+layer before it (Ioffe & Szegedy 2015): each layer is one matmul and one add
+on weights derived from the current parameters, and the pass is
+differentiable with respect to its input only.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .tensor import (
     add,
     as_node,
     batchnorm,
-    batchnorm_eval,
     exp,
     leaf,
     matmul,
@@ -115,7 +118,10 @@ class ModelParams:
 
 @dataclass
 class ForwardOutput:
-    """Backbone outputs as graph nodes, ready for losses or input gradients."""
+    """Backbone outputs as graph nodes, ready for losses or input gradients.
+
+    ``leaves`` maps each weight name to its graph leaf in train mode; an
+    eval-mode pass builds no parameter leaves, so it is empty there."""
 
     logits: GraphNode
     embedding: GraphNode
@@ -176,30 +182,50 @@ def param_leaves(params: ModelParams) -> dict[str, GraphNode]:
     return {name: leaf(tensor) for name, tensor in params.weights.items()}
 
 
-def _linear(leaves: dict[str, GraphNode], prefix: str, h: GraphNode) -> GraphNode:
-    return add(matmul(h, leaves[f"{prefix}.w"]), leaves[f"{prefix}.b"])
-
-
-def _batchnorm(
+def _dense(
+    params: ModelParams,
     leaves: dict[str, GraphNode],
-    bn_state: dict[str, Tensor],
     prefix: str,
-    z: GraphNode,
+    h: GraphNode,
+    bn: bool,
     mode: str,
-    momentum: float,
-    epsilon: float,
     updates: dict[str, Tensor],
 ) -> GraphNode:
-    gamma = leaves[f"{prefix}.gamma"]
-    beta = leaves[f"{prefix}.beta"]
+    """``h @ w + b``, batch-normalized by ``{prefix}.bn`` when ``bn``.
+
+    In eval mode the running statistics make batchnorm a fixed per-column
+    affine map, folded into the layer from the current weights: with
+    s = gamma / sqrt(var + eps), w' = w * s and b' = (b - mean) * s + beta.
+    The layer is then one matmul and one add on constant leaves.
+    """
+    cfg = params.config
+    if mode == EVAL:
+        w, b = params.weights[f"{prefix}.w"].array, params.weights[f"{prefix}.b"].array
+        if bn:
+            mean, var = (params.bn_state[f"{prefix}.bn.{stat}"].array for stat in ("mean", "var"))
+            if np.any(var < 0.0):
+                raise ValueError(f"{prefix}.bn: running variance has negative entries")
+            s = params.weights[f"{prefix}.bn.gamma"].array / np.sqrt(var + cfg.bn_epsilon)
+            w, b = w * s, (b - mean) * s + params.weights[f"{prefix}.bn.beta"].array
+        return add(matmul(h, w), b)
+    z = add(matmul(h, leaves[f"{prefix}.w"]), leaves[f"{prefix}.b"])
+    if not bn:
+        return z
+    z = batchnorm(z, leaves[f"{prefix}.bn.gamma"], leaves[f"{prefix}.bn.beta"], cfg.bn_epsilon)
+    for stat in ("mean", "var"):
+        old = params.bn_state[f"{prefix}.bn.{stat}"].array
+        updates[f"{prefix}.bn.{stat}"] = Tensor((1.0 - cfg.bn_momentum) * old + cfg.bn_momentum * z.attrs[stat])
+    return z
+
+
+def _mode_leaves(params: ModelParams, mode: str, leaves: dict[str, GraphNode] | None) -> dict[str, GraphNode]:
+    if mode not in (TRAIN, EVAL):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == TRAIN:
-        out = batchnorm(z, gamma, beta, epsilon)
-        for stat in ("mean", "var"):
-            old = bn_state[f"{prefix}.{stat}"].array
-            updates[f"{prefix}.{stat}"] = Tensor((1.0 - momentum) * old + momentum * out.attrs[stat])
-        return out
-    # Running stats are constants at eval time: each row is normalized alone.
-    return batchnorm_eval(z, gamma, beta, bn_state[f"{prefix}.mean"], bn_state[f"{prefix}.var"], epsilon)
+        return param_leaves(params) if leaves is None else leaves
+    if leaves:
+        raise ValueError("eval mode folds batchnorm into constant weights and takes no parameter leaves")
+    return {}
 
 
 def _dropout(h: GraphNode, rate: float, rng: RngStream) -> GraphNode:
@@ -220,10 +246,12 @@ def forward(
     ``x`` is a (batch, input_dim) array or node. In train mode batchnorm uses
     batch statistics (and reports running-stat updates); dropout needs ``rng``.
     In eval mode the pass is deterministic and each row's outputs are exactly
-    the values it would get in any other batch.
+    the values it would get in any other batch. Eval mode folds batchnorm
+    into each linear layer from the current ``params``, builds no parameter
+    leaves (``leaves`` must be None or empty, and the output's is empty) and
+    so is differentiable with respect to ``x`` only.
     """
-    if mode not in (TRAIN, EVAL):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    leaves = _mode_leaves(params, mode, leaves)
     cfg = params.config
     x_node = as_node(x)
     if x_node.value.ndim != 2 or x_node.value.shape[1] != cfg.input_dim:
@@ -232,23 +260,15 @@ def forward(
         )
     if mode == TRAIN and cfg.dropout_rate > 0.0 and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng stream")
-    if leaves is None:
-        leaves = param_leaves(params)
 
     updates: dict[str, Tensor] = {}
     h = x_node
     for i in range(len(cfg.hidden_dims)):
-        name = f"backbone.h{i}"
-        z = _linear(leaves, name, h)
-        if cfg.use_batchnorm:
-            z = _batchnorm(
-                leaves, params.bn_state, f"{name}.bn", z, mode, cfg.bn_momentum, cfg.bn_epsilon, updates
-            )
-        h = relu(z)
+        h = relu(_dense(params, leaves, f"backbone.h{i}", h, cfg.use_batchnorm, mode, updates))
         if mode == TRAIN and cfg.dropout_rate > 0.0:
             h = _dropout(h, cfg.dropout_rate, rng)
     embedding = h
-    logits = _linear(leaves, "backbone.out", embedding)
+    logits = _dense(params, leaves, "backbone.out", embedding, False, mode, updates)
     return ForwardOutput(logits, embedding, x_node, leaves, updates)
 
 
@@ -261,20 +281,17 @@ def uncertainty_forward(
     """Uncertainty head: u = exp(batchnorm(linear(embedding))), strictly positive.
 
     Pass the ``leaves`` of a backbone ForwardOutput to share one parameter
-    leaf set across backbone and head (required for joint gradients).
+    leaf set across backbone and head (required for joint gradients). In
+    eval mode the head's batchnorm is folded into its linear layer, as in
+    ``forward``: u = exp(e @ w' + b'), with no parameter leaves.
     """
-    if mode not in (TRAIN, EVAL):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    leaves = _mode_leaves(params, mode, leaves)
     cfg = params.config
     e = as_node(embedding)
     if e.value.ndim != 2 or e.value.shape[1] != cfg.embed_dim:
         raise ValueError(f"embedding must have shape (batch, {cfg.embed_dim}), got {e.value.shape}")
-    if leaves is None:
-        leaves = param_leaves(params)
     updates: dict[str, Tensor] = {}
-    z = _linear(leaves, "head", e)
-    z = _batchnorm(leaves, params.bn_state, "head.bn", z, mode, cfg.bn_momentum, cfg.bn_epsilon, updates)
-    return HeadOutput(exp(z), updates)
+    return HeadOutput(exp(_dense(params, leaves, "head", e, True, mode, updates)), updates)
 
 
 def eval_logits(params: ModelParams, x, batch_size: int = 512) -> np.ndarray:

@@ -143,7 +143,7 @@ def eval_pass(params: ModelParams, x, score: Callable, chunk: int = 512) -> list
 
 def _chunk_pass(params: ModelParams, x: np.ndarray) -> tuple[ForwardOutput, np.ndarray]:
     out = forward(params, x, EVAL)
-    u = uncertainty_forward(params, out.embedding, EVAL, leaves=out.leaves).u.array
+    u = uncertainty_forward(params, out.embedding, EVAL).u.array
     return out, np.sum(u, axis=1)
 
 

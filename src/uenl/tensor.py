@@ -6,10 +6,10 @@ reduction ones. Each carries an analytic vector-Jacobian product, so
 gradients of any composed scalar (including gradients with respect to
 network inputs) are exact up to float64 rounding. Train-mode batch
 normalization is one ``batchnorm`` primitive with the closed-form gradient
-for its input, scale and shift; it leaves the batch mean and variance in
-its node's ``attrs``. Eval-mode batch normalization, which reads the
-running statistics instead, is one ``batchnorm_eval`` primitive, affine
-in its input.
+for its input, scale and shift; it leaves the batch mean, variance and
+normalized input in its node's ``attrs``. Eval-mode batch normalization
+needs no primitive: the model folds its running statistics into the linear
+layer before it.
 
 The training objective is three closed-form primitives: ``tempered_ce``
 (cross-entropy of optionally row-normalized logits over a temperature
@@ -62,7 +62,6 @@ __all__ = [
     "l2norm",
     "logsumexp",
     "batchnorm",
-    "batchnorm_eval",
     "tempered_ce",
     "resample",
     "kl",
@@ -258,7 +257,7 @@ def _fw_add(values, attrs):
 
 def _vjp_add(g, values, out, attrs, needs):
     a, b = values
-    return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+    return _unbroadcast(g, a.shape) if needs[0] else None, _unbroadcast(g, b.shape) if needs[1] else None
 
 
 def _fw_sub(values, attrs):
@@ -269,7 +268,7 @@ def _fw_sub(values, attrs):
 
 def _vjp_sub(g, values, out, attrs, needs):
     a, b = values
-    return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+    return _unbroadcast(g, a.shape) if needs[0] else None, _unbroadcast(-g, b.shape) if needs[1] else None
 
 
 def _fw_mul(values, attrs):
@@ -280,7 +279,7 @@ def _fw_mul(values, attrs):
 
 def _vjp_mul(g, values, out, attrs, needs):
     a, b = values
-    return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
+    return _unbroadcast(g * b, a.shape) if needs[0] else None, _unbroadcast(g * a, b.shape) if needs[1] else None
 
 
 def _fw_div(values, attrs):
@@ -293,7 +292,10 @@ def _fw_div(values, attrs):
 
 def _vjp_div(g, values, out, attrs, needs):
     a, b = values
-    return _unbroadcast(g / b, a.shape), _unbroadcast(-g * a / (b * b), b.shape)
+    return (
+        _unbroadcast(g / b, a.shape) if needs[0] else None,
+        _unbroadcast(-g * a / (b * b), b.shape) if needs[1] else None,
+    )
 
 
 def _fw_scale(values, attrs):
@@ -420,67 +422,37 @@ def _vjp_logsumexp(g, values, out, attrs, needs):
     return (g_full * np.exp(a - out_full),)
 
 
-def _check_batchnorm(op: str, z: np.ndarray, vectors: tuple[np.ndarray, ...], attrs) -> None:
-    # z is (n, d) and every other input a (d,) vector; epsilon is the
-    # ``constant`` attr.
-    if z.ndim != 2 or any(v.shape != (z.shape[1],) for v in vectors):
-        shapes = ", ".join(str(v.shape) for v in vectors)
-        raise ValueError(f"{op} needs z (n, d) and (d,) vectors, got {z.shape} and {shapes}")
-    eps = attrs.get("constant")
-    if eps is None or not 0.0 < float(eps) < np.inf:
-        raise ValueError(f"{op} epsilon must be positive and finite")
-    attrs["constant"] = float(eps)
-
-
 def _fw_batchnorm(values, attrs):
     z, gamma, beta = values
-    _check_batchnorm("batchnorm", z, (gamma, beta), attrs)
+    # z is (n, d), gamma and beta (d,) vectors; epsilon is the ``constant`` attr.
+    if z.ndim != 2 or gamma.shape != (z.shape[1],) or beta.shape != (z.shape[1],):
+        raise ValueError(f"batchnorm needs z (n, d) and (d,) vectors, got {z.shape} and {gamma.shape}, {beta.shape}")
+    eps = attrs.get("constant")
+    if eps is None or not 0.0 < float(eps) < np.inf:
+        raise ValueError("batchnorm epsilon must be positive and finite")
+    attrs["constant"] = float(eps)
     mean = np.mean(z, axis=0)
     centered = z - mean
     var = np.mean(centered * centered, axis=0)
     # Batch statistics for the caller's running averages; the biased
-    # variance, as np.var gives it.
+    # variance, as np.var gives it. The VJP reuses z_hat.
     attrs["mean"], attrs["var"] = mean, var
-    return centered / np.sqrt(var + attrs["constant"]) * gamma + beta
+    attrs["z_hat"] = z_hat = centered / np.sqrt(var + attrs["constant"])
+    return z_hat * gamma + beta
 
 
 def _vjp_batchnorm(g, values, out, attrs, needs):
     # Closed form (Ioffe & Szegedy 2015), with z_hat the normalized input
     # and means over the batch:
     #   dz = gamma / std * (g - mean(g) - z_hat * mean(g * z_hat)).
-    z, gamma, _ = values
-    std = np.sqrt(attrs["var"] + attrs["constant"])
-    z_hat = (z - attrs["mean"]) / std
+    gamma, z_hat = values[1], attrs["z_hat"]
     g_beta = g.sum(axis=0)
     g_gamma = (g * z_hat).sum(axis=0)
     g_z = None
     if needs[0]:
-        n = z.shape[0]
-        g_z = gamma / std * (g - g_beta / n - z_hat * (g_gamma / n))
+        n = z_hat.shape[0]
+        g_z = gamma / np.sqrt(attrs["var"] + attrs["constant"]) * (g - g_beta / n - z_hat * (g_gamma / n))
     return g_z, g_gamma, g_beta
-
-
-def _fw_batchnorm_eval(values, attrs):
-    z, gamma, beta, mean, var = values
-    _check_batchnorm("batchnorm_eval", z, (gamma, beta, mean, var), attrs)
-    if np.any(var < 0.0):
-        raise ValueError("batchnorm_eval: running variance has negative entries")
-    return (z - mean) / np.sqrt(var + attrs["constant"]) * gamma + beta
-
-
-def _vjp_batchnorm_eval(g, values, out, attrs, needs):
-    # The statistics are fixed inputs, so the output is affine in z: its
-    # gradient is g * gamma / std, the bits of the sub/div/mul/add
-    # composition this node replaces.
-    z, gamma, _, mean, var = values
-    std = np.sqrt(var + attrs["constant"])
-    g_z = g * gamma / std if needs[0] else None
-    if not any(needs[1:]):
-        return g_z, None, None, None, None
-    g_beta = g.sum(axis=0)
-    g_gamma = (g * ((z - mean) / std)).sum(axis=0)
-    # d/dmean = -sum(g) * gamma / std; d/dvar = -gamma * sum(g * z_hat) / (2 std^2).
-    return g_z, g_gamma, g_beta, -g_beta * gamma / std, -0.5 * gamma * g_gamma / (std * std)
 
 
 def _fw_tempered_ce(values, attrs):
@@ -585,7 +557,6 @@ PRIMITIVES: dict[str, _Primitive] = {
     "l2norm": _Primitive(1, _fw_l2norm, _vjp_l2norm),
     "logsumexp": _Primitive(1, _fw_logsumexp, _vjp_logsumexp),
     "batchnorm": _Primitive(3, _fw_batchnorm, _vjp_batchnorm),
-    "batchnorm_eval": _Primitive(5, _fw_batchnorm_eval, _vjp_batchnorm_eval),
     "tempered_ce": _Primitive(2, _fw_tempered_ce, _vjp_tempered_ce),
     "resample": _Primitive(1, _fw_resample, _vjp_resample),
     "kl": _Primitive(1, _fw_kl, _vjp_kl),
@@ -748,13 +719,6 @@ def batchnorm(z, gamma, beta, epsilon: float) -> GraphNode:
     (z - mean) / sqrt(var + epsilon) * gamma + beta, with the batch mean and
     biased variance left in the node's ``attrs["mean"]`` and ``attrs["var"]``."""
     return apply("batchnorm", z, gamma, beta, constant=epsilon)
-
-
-def batchnorm_eval(z, gamma, beta, mean, var, epsilon: float) -> GraphNode:
-    """Eval-mode batch normalization of a (n, d) node with fixed statistics:
-    (z - mean) / sqrt(var + epsilon) * gamma + beta. Each row's output
-    depends on that row alone."""
-    return apply("batchnorm_eval", z, gamma, beta, mean, var, constant=epsilon)
 
 
 def tempered_ce(p, t, labels=None, norm_floor: float | None = None, reduction: str = "mean") -> GraphNode:

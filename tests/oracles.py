@@ -146,3 +146,40 @@ def composed_uenl(p, u, onehot, kl_weight, epsilon, *, uhat_scale=1.0, kl_form="
         per_dim = scale(sub(sub(square(u), scale(ln(u), 2.0)), one), 0.5)
     kl = reduce_mean(reduce_sum(per_dim, axis=1))
     return add(ce, scale(kl, kl_weight)), ce, kl
+
+
+def unfolded_eval(params, x, temperature: float = 1000.0):
+    """(logits, u, input gradient) of an eval-mode pass in plain numpy, with
+    each batchnorm applied after its linear layer, unfolded, as
+    (z - mean) / sqrt(var + eps) * gamma + beta. The gradient is ODIN's: that
+    of the summed NLL of each row's argmax class at ``temperature``."""
+    cfg = params.config
+    w = {k: t.array for k, t in params.weights.items()}
+    st = {k: t.array for k, t in params.bn_state.items()}
+
+    def inv_std(prefix):
+        return 1.0 / np.sqrt(st[f"{prefix}.var"] + cfg.bn_epsilon)
+
+    def bn(z, prefix):
+        return (z - st[f"{prefix}.mean"]) * inv_std(prefix) * w[f"{prefix}.gamma"] + w[f"{prefix}.beta"]
+
+    h, masks = np.asarray(x, dtype=np.float64), []
+    for i in range(len(cfg.hidden_dims)):
+        z = h @ w[f"backbone.h{i}.w"] + w[f"backbone.h{i}.b"]
+        if cfg.use_batchnorm:
+            z = bn(z, f"backbone.h{i}.bn")
+        masks.append(z > 0.0)
+        h = np.maximum(z, 0.0)
+    logits = h @ w["backbone.out.w"] + w["backbone.out.b"]
+    u = np.exp(bn(h @ w["head.w"] + w["head.b"], "head.bn"))
+
+    # d/dlogits of sum_rows logsumexp(l / T) - l_y / T is (softmax(l / T) - onehot) / T.
+    g = np.exp(logits / temperature - _logsumexp(logits / temperature, axis=1, keepdims=True))
+    g[np.arange(len(g)), logits.argmax(axis=1)] -= 1.0
+    g = (g / temperature) @ w["backbone.out.w"].T
+    for i in reversed(range(len(cfg.hidden_dims))):
+        g = g * masks[i]
+        if cfg.use_batchnorm:
+            g = g * (w[f"backbone.h{i}.bn.gamma"] * inv_std(f"backbone.h{i}.bn"))
+        g = g @ w[f"backbone.h{i}.w"].T
+    return logits, u, g

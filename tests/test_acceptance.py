@@ -27,7 +27,6 @@ from uenl.scoring import msp_score, odin_score
 from uenl.tensor import (
     add,
     batchnorm,
-    batchnorm_eval,
     div,
     exp,
     kl,
@@ -110,17 +109,6 @@ def test_criterion_01_gradient_correctness():
         ),
         ("batchnorm", lambda p: reduce_sum(mul(batchnorm(bn_z, p, p, 1e-5), bn_w)), bn_rng.standard_normal(3)),
     ]
-    # batchnorm_eval with respect to z, the input ODIN differentiates, from
-    # a stream of its own; the running statistics are constants.
-    bne_rng = np.random.default_rng(1013)
-    bne_mean, bne_var = leaf(bne_rng.standard_normal(3)), leaf(bne_rng.random(3))
-    bne_gamma, bne_beta = leaf(0.5 + bne_rng.random(3)), leaf(bne_rng.standard_normal(3))
-    bne_w = leaf(bne_rng.standard_normal((4, 3)))
-    primitive_cases.append((
-        "batchnorm_eval",
-        lambda z: reduce_sum(mul(batchnorm_eval(z, bne_gamma, bne_beta, bne_mean, bne_var, 1e-5), bne_w)),
-        bne_rng.standard_normal((4, 3)),
-    ))
     # The loss primitives, each from a stream of its own: tempered_ce on
     # normalized logits against labels, once in the logits and once in the
     # temperature column; resample and kl in u (kl in both forms).

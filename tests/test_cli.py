@@ -340,6 +340,7 @@ def _no_config(doc):
 MALFORMED_OVERRIDES = [
     ("lr_drop_epochs=5", "lr_drop_epochs: expected list"),
     ("data.ood=[1]", "data.ood[0]: expected object"),
+    ("data.ood[3].n=5", "error: override 'data.ood[3].n': data.ood[3] is out of range"),
     ('data.id.n_train_per_class="5"', "data.id.n_train_per_class: expected integer"),
     ('data.ood=[{"kind": "uniform", "n": 10, "low": 0.0, "high": 1.0}]', "'seed' in data.ood[0]"),
     ('data.ood=[{"kind": "gaussian_noise", "name": "mean", "n": 10, "seed": 1}]', "error: ood set name 'mean'"),

@@ -446,6 +446,33 @@ class TestApplyOverrides:
         with pytest.raises(ValueError, match="key=value"):
             apply_overrides({}, ["=5"])
 
+    def test_list_entry_path(self):
+        base = {"data": {"ood": [{"n": 1}, {"n": 2, "seed": 3}]}, "grid": [[1, 2], [3]]}
+        out = apply_overrides(base, ["data.ood[1].n=5", "grid[0][1]=9", "data.ood[0].low=0.5"])
+        assert out["data"]["ood"] == [{"n": 1, "low": 0.5}, {"n": 5, "seed": 3}]
+        assert out["grid"] == [[1, 9], [3]]
+        assert base["data"]["ood"][1]["n"] == 2
+
+    def test_list_entry_reaches_the_config(self):
+        assert load_config(SHIPPED, ["data.ood[2].n=5"]).data.ood[2].n == 5
+
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ("data.ood[2].n=5", r"data\.ood\[2\] is out of range \(the list has 2 entries\)"),
+            ("data.ood[0][0]=5", r"data\.ood\[0\] is not a list"),
+            ("data.id[0].n=5", r"data\.id is not a list"),
+            ("seed[0]=1", "seed is not a list"),
+            ("data.ood[-1].n=5", "malformed part 'ood\\[-1\\]'"),
+            ("data.ood[].n=5", "malformed part"),
+            ("data..n=5", "malformed part ''"),
+        ],
+    )
+    def test_bad_list_entry_path_rejected(self, assignment, message):
+        base = {"seed": 0, "data": {"id": {"n": 1}, "ood": [{"n": 1}, {"n": 2}]}}
+        with pytest.raises(ValueError, match=message):
+            apply_overrides(base, [assignment])
+
 
 class TestLoadConfig:
     def test_load_and_override(self, tmp_path):

@@ -1,8 +1,10 @@
 """Backbone and uncertainty head: init scheme, forward modes, BN, dropout."""
 
+import zlib
+
 import numpy as np
 import pytest
-from oracles import expected_param_count
+from oracles import expected_param_count, unfolded_eval
 
 from uenl.gradcheck import finite_diff_check
 from uenl.model import (
@@ -16,7 +18,7 @@ from uenl.model import (
     uncertainty_forward,
 )
 from uenl.rng import RngStream
-from uenl.tensor import Tensor, reduce_mean
+from uenl.tensor import Tensor, backward, reduce_mean, tempered_ce
 
 
 def make_params(seed=0, input_dim=5, hidden=(12, 6), k=3, delta=8, **config_kw):
@@ -212,7 +214,8 @@ class TestUncertaintyHead:
             assert (u > 0.0).all()
 
     def test_head_gradient_matches_finite_differences(self):
-        # d mean(u) / d head.w, rel-err < 1e-5.
+        # d mean(u) / d head.w through train-mode batchnorm, rel-err < 1e-5.
+        # Eval mode folds batchnorm into constants and has no weight leaves.
         params = make_params(seed=41)
         base = param_leaves(params)
         e = RngStream(42).normal((5, 6))
@@ -220,7 +223,7 @@ class TestUncertaintyHead:
         def f(w_node):
             leaves = dict(base)
             leaves["head.w"] = w_node
-            return reduce_mean(uncertainty_forward(params, e, "eval", leaves).u)
+            return reduce_mean(uncertainty_forward(params, e, "train", leaves).u)
 
         res = finite_diff_check(f, np.full((6, 8), 0.05))
         assert res.max_rel_err < 1e-5
@@ -259,3 +262,93 @@ class TestEvalHelpers:
         params = make_params(seed=52)
         labels = predict_classes(params, RngStream(53).normal((40, 5)))
         assert labels.min() >= 1 and labels.max() <= 3
+
+
+# The tiny test, desk and image architectures, plus the variants without
+# backbone batchnorm and with a scalar u.
+FOLD_SHAPES = {
+    "tiny": dict(input_dim=6, hidden_dims=(16, 8), num_classes=2, delta=8),
+    "tiny_no_bn": dict(input_dim=6, hidden_dims=(16, 8), num_classes=2, delta=8, use_batchnorm=False),
+    "tiny_scalar_u": dict(input_dim=6, hidden_dims=(16, 8), num_classes=2, delta=8, scalar_u=True),
+    "desk": dict(input_dim=16, hidden_dims=(64, 32), num_classes=3, delta=32),
+    "image": dict(input_dim=784, hidden_dims=(256, 128), num_classes=10, delta=32),
+}
+
+
+def _trained_like(shape: str) -> ModelParams:
+    """Parameters of ``shape`` with every weight and running statistic moved
+    off its initial value, so that no batchnorm is the identity."""
+    params = init_params(ModelConfig(**FOLD_SHAPES[shape]), RngStream(0))
+    rng = np.random.default_rng(zlib.crc32(shape.encode()))
+    for name, t in params.weights.items():
+        noise = rng.standard_normal(t.shape)
+        if name.endswith(".w"):
+            params.weights[name] = Tensor(noise / np.sqrt(t.shape[0]))
+        else:  # biases and betas near 0, gammas near 1
+            params.weights[name] = Tensor(float(name.endswith(".gamma")) + 0.2 * noise)
+    for name, t in params.bn_state.items():
+        noise = rng.standard_normal(t.shape)
+        params.bn_state[name] = Tensor(np.exp(0.5 * noise) if name.endswith(".var") else 0.3 * noise)
+    return params
+
+
+def _eval_outputs(params: ModelParams, x: np.ndarray, temperature: float = 1000.0):
+    """Eval logits, u and the ODIN input gradient, as scoring computes them."""
+    out = forward(params, x, "eval")
+    u = uncertainty_forward(params, out.embedding, "eval").u.array
+    logits = out.logits.array
+    onehot = np.eye(logits.shape[1])[logits.argmax(axis=1)]
+    nll = tempered_ce(out.logits, np.full((len(x), 1), temperature), onehot, reduction="sum")
+    return logits, u, backward(nll, wrt=[out.x])[out.x].array
+
+
+class TestEvalFold:
+    """Eval mode folds each batchnorm into the linear layer before it."""
+
+    @pytest.mark.parametrize("shape", FOLD_SHAPES)
+    def test_matches_unfolded_reference(self, shape):
+        params = _trained_like(shape)
+        x = np.random.default_rng(zlib.crc32(f"x{shape}".encode())).standard_normal((70, params.config.input_dim))
+        for got, want, what in zip(_eval_outputs(params, x), unfolded_eval(params, x), ("logits", "u", "odin grad")):
+            assert got.shape == want.shape, what
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=what)
+
+    @pytest.mark.parametrize("shape", ["tiny", "desk", "image"])
+    def test_rows_do_not_depend_on_the_batch(self, shape):
+        params = _trained_like(shape)
+        x = np.random.default_rng(zlib.crc32(f"rows{shape}".encode())).standard_normal((130, params.config.input_dim))
+        alone = [_eval_outputs(params, x[i : i + 1]) for i in range(len(x))]
+        for n in (63, 64, 65, 130):
+            batch = _eval_outputs(params, x[:n])
+            for i in range(n):
+                for got, want in zip(batch, alone[i]):
+                    np.testing.assert_array_equal(got[i], want[0], err_msg=f"row {i} of {n}")
+
+    def test_builds_no_batchnorm_and_no_parameter_leaves(self):
+        params = _trained_like("desk")
+        out = forward(params, np.ones((3, 16)), "eval")
+        head = uncertainty_forward(params, out.embedding, "eval")
+        assert out.leaves == {}
+        ops, stack, seen = set(), [out.logits, head.u], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                ops.add(node.op)
+                stack.extend(node.parents)
+        assert ops == {"leaf", "matmul", "add", "relu", "exp"}
+        with pytest.raises(ValueError, match="no parameter leaves"):
+            forward(params, np.ones((3, 16)), "eval", leaves=param_leaves(params))
+
+    def test_fold_reads_the_current_weights(self):
+        # Nothing is cached: an edit to the weights or the running
+        # statistics shows in the next eval pass.
+        params = _trained_like("tiny")
+        x = RngStream(60).normal((5, 6))
+        forward(params, x, "eval")
+        params.weights["backbone.h1.bn.gamma"] = Tensor(np.full(8, 0.5))
+        params.bn_state["head.bn.var"] = Tensor(np.full(8, 2.0))
+        logits, u, _ = _eval_outputs(params, x)
+        want_logits, want_u, _ = unfolded_eval(params, x)
+        np.testing.assert_allclose(logits, want_logits, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(u, want_u, rtol=1e-12)

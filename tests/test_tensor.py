@@ -19,7 +19,6 @@ from uenl.tensor import (
     as_node,
     backward,
     batchnorm,
-    batchnorm_eval,
     div,
     exp,
     l2norm,
@@ -270,6 +269,21 @@ class TestBackwardWrt:
         grads = backward(loss, wrt=[w])
         np.testing.assert_array_equal(grads[w].array, np.full((3, 4), 5.0))
 
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("needs", [(True, False), (False, True)])
+    def test_binary_vjps_skip_unwanted_parents(self, op, needs):
+        # A dropout mask is the unwanted parent of a mul in every train step.
+        a, b = np.array([[1.0, -2.0], [3.0, 0.5]]), np.array([2.0, -4.0])
+        g = np.array([[0.5, 1.0], [-1.5, 2.0]])
+        out = PRIMITIVES[op].forward((a, b), {})
+        part = PRIMITIVES[op].vjp(g, (a, b), out, {}, needs)
+        full = PRIMITIVES[op].vjp(g, (a, b), out, {}, (True, True))
+        for need, got, want in zip(needs, part, full):
+            if need:
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert got is None
+
 
 ROW_SHAPES = [(1, 1), (16, 64), (784, 256), (128, 10), (7, 13), (2, 1000)]
 ROW_BATCHES = [1, 2, 3, 7, 128, 129, 511, 512, 513, 1100]
@@ -503,73 +517,6 @@ class TestBatchnorm:
             batchnorm(leaf(np.ones(z_shape)), leaf(np.ones(d)), leaf(np.zeros(d)), 1e-5)
 
 
-class TestBatchnormEval:
-    """The eval-mode node replaced sub/div/mul/add leaves and nodes; every
-    eval and ODIN bit depends on it matching them exactly."""
-
-    @staticmethod
-    def _inputs(n, d):
-        rng = np.random.default_rng(zlib.crc32(f"bn_eval{n}x{d}".encode()))
-        z = 3.0 * rng.standard_normal((n, d)) - 0.5
-        mean, var = rng.standard_normal(d), rng.random(d) * 2.0
-        var[0] = 0.0  # a column the running stats saw as constant
-        gamma, beta = rng.standard_normal(d) + 1.0, rng.standard_normal(d)
-        return z, gamma, beta, mean, var, rng.standard_normal((n, d))
-
-    @pytest.mark.parametrize("d", [32, 64, 128, 256])
-    @pytest.mark.parametrize("n", [1, 63, 512, 600])
-    def test_same_bits_as_former_composition(self, n, d):
-        z, gamma, beta, mean, var, w = self._inputs(n, d)
-        eps = 1e-5
-        zn, gn, bn = leaf(z), leaf(gamma), leaf(beta)
-        node = batchnorm_eval(zn, gn, bn, leaf(mean), leaf(var), eps)
-        z2 = leaf(z)
-        former = add(mul(div(sub(z2, leaf(mean)), leaf(np.sqrt(var + eps))), gn), bn)
-        np.testing.assert_array_equal(node.array, former.array)
-        g_new = backward(reduce_sum(mul(node, leaf(w))), wrt=[zn])[zn].array
-        g_old = backward(reduce_sum(mul(former, leaf(w))), wrt=[z2])[z2].array
-        np.testing.assert_array_equal(g_new, g_old)
-
-    @pytest.mark.parametrize("n", [1, 5])
-    def test_vjps_match_finite_differences(self, n):
-        z, gamma, beta, mean, var, w = self._inputs(n, 3)
-        var += 0.5  # keep the var derivative's central difference well inside var >= 0
-        weights = leaf(w)
-
-        def loss(*inputs):
-            return reduce_sum(mul(batchnorm_eval(*inputs, 1e-5), weights))
-
-        points = [z, gamma, beta, mean, var]
-        nodes = [leaf(p) for p in points]
-        grads = backward(loss(*nodes))
-        for i, point in enumerate(points):
-
-            def value(arr, i=i):
-                return float(loss(*points[:i], arr, *points[i + 1 :]).value.array)
-
-            np.testing.assert_allclose(
-                grads[nodes[i]].array, numeric_gradient(value, point), rtol=1e-6, atol=1e-8, err_msg=f"input {i}"
-            )
-        # Only z in wrt: the other four VJPs are skipped, z keeps its bits.
-        only_z = backward(loss(*nodes), wrt=[nodes[0]])
-        np.testing.assert_array_equal(only_z[nodes[0]].array, grads[nodes[0]].array)
-
-    def test_rows_do_not_depend_on_the_batch(self):
-        z, gamma, beta, mean, var, _ = self._inputs(7, 4)
-        full = batchnorm_eval(z, gamma, beta, mean, var, 1e-5).array
-        for i in range(7):
-            np.testing.assert_array_equal(batchnorm_eval(z[i : i + 1], gamma, beta, mean, var, 1e-5).array[0], full[i])
-
-    def test_negative_variance_and_shapes_rejected(self):
-        z, gamma, beta, mean, var, _ = self._inputs(2, 3)
-        with pytest.raises(ValueError, match="negative"):
-            batchnorm_eval(z, gamma, beta, mean, -1.0 - var, 1e-5)
-        with pytest.raises(ValueError, match="batchnorm_eval needs"):
-            batchnorm_eval(z, gamma, beta, mean[:2], var, 1e-5)
-        with pytest.raises(ValueError, match="epsilon"):
-            batchnorm_eval(z, gamma, beta, mean, var, 0.0)
-
-
 class TestGraphMechanics:
     def test_as_node_passthrough_and_wrap(self):
         n = leaf([1.0])
@@ -580,7 +527,7 @@ class TestGraphMechanics:
     def test_primitive_catalog(self):
         expected = {
             "matmul", "add", "sub", "mul", "div", "scale", "relu", "exp", "ln",
-            "square", "sum", "mean", "l2norm", "logsumexp", "batchnorm", "batchnorm_eval",
+            "square", "sum", "mean", "l2norm", "logsumexp", "batchnorm",
             "tempered_ce", "resample", "kl",
         }
         assert expected == set(PRIMITIVES)
