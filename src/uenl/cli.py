@@ -34,19 +34,13 @@ def _config_from_args(args):
 
 
 def _cmd_gen_data(args) -> int:
-    config = _config_from_args(args)
+    id_train, id_test, ood = build_raw_datasets(_config_from_args(args))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    id_train, id_test, ood = build_raw_datasets(config)
-    written = []
-    for ds, stem in [(id_train, "id_train"), (id_test, "id_test")]:
-        path = out_dir / f"{stem}.csv"
+    written = {out_dir / "id_train.csv": id_train, out_dir / "id_test.csv": id_test}
+    written.update((out_dir / f"ood_{name}.csv", ds) for name, ds in ood.items())
+    for path, ds in written.items():
         save_csv(ds, path)
-        written.append(path)
-    for name, ds in ood.items():
-        path = out_dir / f"ood_{name}.csv"
-        save_csv(ds, path)
-        written.append(path)
     for path in written:
         print(f"wrote {path}")
     return 0

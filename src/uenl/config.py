@@ -9,6 +9,9 @@ the class (an OOD set's ``name`` defaults to its kind). Unknown keys are
 rejected at every level so a typo cannot fall back to a default, and errors
 name the dotted key (``data.ood[0].seed``). The KL weight is "lambda" in JSON
 and on the command line, ``kl_weight`` in code.
+
+Each data spec builds its own raw datasets (``build``), so a new data kind
+is one spec class here plus an entry in its union.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ from functools import cache
 from pathlib import Path
 from typing import ClassVar, Union, get_args, get_origin, get_type_hints
 
+from .data import (
+    Dataset, Normalization, basis_means, gen_gaussian_clusters, gen_gaussian_noise_ood, gen_shifted_gaussian_ood,
+    gen_uniform_ood, load_csv, load_idx,
+)
 from .model import ModelConfig
 from .scoring import SCORE_METHODS
 
@@ -117,7 +124,12 @@ def json_parser(tp):
                     kwargs[name] = parse_field(value[json_key], f"{key}.{json_key}" if key else json_key)
                 elif required:
                     raise ValueError(f"missing required key {json_key!r} in {context}")
-            return tp(**kwargs)
+            try:
+                return tp(**kwargs)
+            except ValueError as exc:
+                if not hasattr(tp, "kind"):  # only data specs leave out their key
+                    raise
+                raise ValueError(f"{key}.{exc}") from None
     return parse
 
 
@@ -154,6 +166,12 @@ def _non_negative(value, key: str):
     return value
 
 
+def _seed(value, key: str):
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{key} must be a 64-bit unsigned integer, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class BackboneSpec(_Schema):
     input_dim: int
@@ -183,6 +201,10 @@ class ScoringSpec(_Schema):
             raise ValueError("scoring.histogram_bins must be at least 1")
 
 
+# A data spec's checks name its fields; the parser puts its key in front
+# ("data.ood[0].n must be positive"). ID specs build their raw (id_train,
+# id_test) pair, OOD specs their raw set from the model's input width and
+# the raw ID-train statistics.
 @dataclass(frozen=True)
 class GaussianClustersSpec:
     kind: ClassVar[str] = "gaussian_clusters"
@@ -195,12 +217,18 @@ class GaussianClustersSpec:
     mean_scale: float = 1.0
 
     def __post_init__(self):
-        _positive(self.dim, "data.id.dim")
-        _positive(self.n_train_per_class, "data.id.n_train_per_class")
-        _positive(self.n_test_per_class, "data.id.n_test_per_class")
-        _positive(self.sigma, "data.id.sigma")
-        if self.num_classes < 2:
-            raise ValueError("data.id.num_classes must be at least 2")
+        for name in ("dim", "n_train_per_class", "n_test_per_class", "sigma"):
+            _positive(getattr(self, name), name)
+        if not 2 <= self.num_classes <= self.dim:  # each class mean lies on its own axis
+            raise ValueError(f"num_classes must lie in [2, dim] = [2, {self.dim}], got {self.num_classes}")
+        if self.mean_scale == 0.0:
+            raise ValueError("mean_scale must be non-zero: at 0 every class mean is the origin")
+        _seed(self.seed, "seed")
+
+    def build(self) -> tuple[Dataset, Dataset]:
+        means = basis_means(self.num_classes, self.dim, self.mean_scale)
+        train = gen_gaussian_clusters(means, self.n_train_per_class, self.sigma, self.seed, "id_train")
+        return train, gen_gaussian_clusters(means, self.n_test_per_class, self.sigma, self.seed, "id_test")
 
 
 @dataclass(frozen=True)
@@ -208,7 +236,14 @@ class CsvIdSpec:
     kind: ClassVar[str] = "csv"
     train: str
     test: str
-    has_labels: bool = True
+    has_labels: bool = True  # kept as a key for stored checkpoints; only true is valid
+
+    def __post_init__(self):
+        if not self.has_labels:
+            raise ValueError("has_labels must be true: ID splits need labels")
+
+    def build(self) -> tuple[Dataset, Dataset]:
+        return load_csv(self.train, self.has_labels, "id_train"), load_csv(self.test, self.has_labels, "id_test")
 
 
 @dataclass(frozen=True)
@@ -218,6 +253,10 @@ class IdxIdSpec:
     train_labels: str
     test_images: str
     test_labels: str
+
+    def build(self) -> tuple[Dataset, Dataset]:
+        train = load_idx(self.train_images, self.train_labels, "id_train")
+        return train, load_idx(self.test_images, self.test_labels, "id_test")
 
 
 @dataclass(frozen=True)
@@ -229,6 +268,15 @@ class UniformOodSpec:
     high: float
     seed: int
 
+    def __post_init__(self):
+        _positive(self.n, "n")
+        if not self.high > self.low:
+            raise ValueError(f"high ({self.high}) must exceed low ({self.low})")
+        _seed(self.seed, "seed")
+
+    def build(self, dim: int, id_stats: Normalization) -> Dataset:
+        return gen_uniform_ood(self.n, dim, self.low, self.high, self.seed, self.name)
+
 
 @dataclass(frozen=True)
 class ShiftedGaussianOodSpec:
@@ -239,6 +287,14 @@ class ShiftedGaussianOodSpec:
     sigma: float
     seed: int
 
+    def __post_init__(self):
+        _positive(self.n, "n")
+        _positive(self.sigma, "sigma")
+        _seed(self.seed, "seed")
+
+    def build(self, dim: int, id_stats: Normalization) -> Dataset:
+        return gen_shifted_gaussian_ood(self.n, dim, self.offset, self.sigma, self.seed, self.name)
+
 
 @dataclass(frozen=True)
 class GaussianNoiseOodSpec:
@@ -247,6 +303,13 @@ class GaussianNoiseOodSpec:
     n: int
     seed: int
 
+    def __post_init__(self):
+        _positive(self.n, "n")
+        _seed(self.seed, "seed")
+
+    def build(self, dim: int, id_stats: Normalization) -> Dataset:
+        return gen_gaussian_noise_ood(self.n, id_stats, self.seed, self.name)
+
 
 @dataclass(frozen=True)
 class CsvOodSpec:
@@ -254,12 +317,18 @@ class CsvOodSpec:
     name: str
     path: str
 
+    def build(self, dim: int, id_stats: Normalization) -> Dataset:
+        return load_csv(self.path, has_labels=False, name=self.name)
+
 
 @dataclass(frozen=True)
 class IdxOodSpec:
     kind: ClassVar[str] = "idx"
     name: str
     images: str
+
+    def build(self, dim: int, id_stats: Normalization) -> Dataset:
+        return load_idx(self.images, name=self.name)
 
 
 def check_ood_names(names) -> None:
@@ -281,7 +350,10 @@ class DataSpec(_Schema):
     ood: tuple[UniformOodSpec | ShiftedGaussianOodSpec | GaussianNoiseOodSpec | CsvOodSpec | IdxOodSpec, ...] = ()
 
     def __post_init__(self):
-        check_ood_names([spec.name for spec in self.ood])
+        try:
+            check_ood_names([spec.name for spec in self.ood])
+        except ValueError as exc:
+            raise ValueError(f"{exc} (key data.ood)") from None
 
 
 # Config keys of the model fields whose checks can fail at load under
@@ -328,8 +400,7 @@ class ExperimentConfig(_Schema):
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r} (expected one of {METHODS})")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _seed(self.seed, "seed")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -355,6 +426,12 @@ class ExperimentConfig(_Schema):
         except ValueError as exc:
             name, _, rest = str(exc).partition(" ")
             raise ValueError(f"{_MODEL_FIELD_KEYS.get(name, name)} {rest}") from None
+        spec, k = self.data and self.data.id, self.backbone.num_classes
+        if isinstance(spec, GaussianClustersSpec):
+            if spec.num_classes != k:
+                raise ValueError(f"data.id.num_classes ({spec.num_classes}) != backbone.num_classes ({k})")
+            if spec.dim != self.backbone.input_dim:
+                raise ValueError(f"data.id.dim ({spec.dim}) != backbone.input_dim ({self.backbone.input_dim})")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -418,7 +495,7 @@ def load_config(path, overrides=()) -> ExperimentConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if overrides and isinstance(raw, dict):  # anything else fails in from_dict
         raw = apply_overrides(raw, overrides)

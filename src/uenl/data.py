@@ -8,6 +8,7 @@ fitted on the ID training split before handing anything to a model.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +28,7 @@ __all__ = [
     "gen_shifted_gaussian_ood",
     "gen_gaussian_noise_ood",
     "load_idx",
+    "read_lines",
     "load_csv",
     "save_csv",
     "standardize",
@@ -78,9 +80,7 @@ class Dataset:
         if self.labels is not None:
             labels = np.asarray(self.labels)
             if labels.shape != (feats.shape[0],):
-                raise ValueError(
-                    f"labels must have shape ({feats.shape[0]},), got {labels.shape}"
-                )
+                raise ValueError(f"labels must have shape ({feats.shape[0]},), got {labels.shape}")
             if not np.issubdtype(labels.dtype, np.integer):
                 raise ValueError("labels must be integers")
             if np.any(labels < 1):
@@ -182,9 +182,7 @@ def _read_idx_header(raw: bytes, path, expected_magic: int, n_dims: int) -> tupl
         raise ValueError(f"{path}: truncated IDX header ({len(raw)} bytes)")
     fields = struct.unpack(f">{1 + n_dims}I", raw[:header_len])
     if fields[0] != expected_magic:
-        raise ValueError(
-            f"{path}: bad IDX magic 0x{fields[0]:08x} at offset 0 (expected 0x{expected_magic:08x})"
-        )
+        raise ValueError(f"{path}: bad IDX magic 0x{fields[0]:08x} at offset 0 (expected 0x{expected_magic:08x})")
     return fields[1:]
 
 
@@ -199,9 +197,7 @@ def load_idx(images_path, labels_path=None, name: str | None = None) -> Dataset:
     n, rows, cols = _read_idx_header(raw, images_path, IDX_IMAGE_MAGIC, 3)
     expected = 16 + n * rows * cols
     if len(raw) != expected:
-        raise ValueError(
-            f"{images_path}: expected {expected} bytes for {n} images of {rows}x{cols}, found {len(raw)}"
-        )
+        raise ValueError(f"{images_path}: expected {expected} bytes for {n} images of {rows}x{cols}, found {len(raw)}")
     pixels = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(n, rows * cols)
     features = pixels.astype(np.float64) / 255.0
 
@@ -221,13 +217,22 @@ def load_idx(images_path, labels_path=None, name: str | None = None) -> Dataset:
     return Dataset(name or images_path.stem, features, labels)
 
 
+def read_lines(path) -> list[tuple[int, str]]:
+    """(line number, stripped line) for each non-blank line of a UTF-8 text
+    file; the numbers count blank lines, so they are the file's own."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [(line_no, line.strip()) for line_no, line in enumerate(fh, start=1) if line.strip()]
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+
+
 def load_csv(path, has_labels: bool = False, name: str | None = None) -> Dataset:
     """Load a headed CSV of float features, optionally with a trailing integer
-    label column. Malformed cells are reported with line and column numbers."""
+    label column. Malformed and non-finite cells are reported with line and
+    column numbers."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        # Blank lines are skipped but counted, so N in "line N" is the file's.
-        lines = [(line_no, line.rstrip("\n")) for line_no, line in enumerate(fh, start=1) if line.strip()]
+    lines = read_lines(path)
     if len(lines) < 2:
         raise ValueError(f"{path}: need a header line and at least one data row")
     n_cols = len(lines[0][1].split(","))
@@ -245,9 +250,9 @@ def load_csv(path, has_labels: bool = False, name: str | None = None) -> Dataset
             try:
                 values.append(float(cell))
             except ValueError:
-                raise ValueError(
-                    f"{path}: line {line_no}: column {col}: {cell.strip()!r} is not numeric"
-                ) from None
+                raise ValueError(f"{path}: line {line_no}: column {col}: {cell.strip()!r} is not numeric") from None
+            if not math.isfinite(values[-1]) and not (has_labels and col == n_cols):  # labels are checked below
+                raise ValueError(f"{path}: line {line_no}: column {col}: {cell.strip()!r} is not finite")
         if has_labels:
             label = values.pop()
             # is_integer is False for inf and nan, which int() would raise on.

@@ -16,32 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    CsvIdSpec,
-    CsvOodSpec,
-    ExperimentConfig,
-    GaussianClustersSpec,
-    GaussianNoiseOodSpec,
-    IdxIdSpec,
-    IdxOodSpec,
-    ShiftedGaussianOodSpec,
-    UniformOodSpec,
-    apply_overrides,
-    json_parser,
-)
-from .data import (
-    Dataset,
-    Normalization,
-    basis_means,
-    batch_iter,
-    gen_gaussian_clusters,
-    gen_gaussian_noise_ood,
-    gen_shifted_gaussian_ood,
-    gen_uniform_ood,
-    load_csv,
-    load_idx,
-    standardize,
-)
+from .config import ExperimentConfig, apply_overrides, json_parser
+from .data import Dataset, Normalization, batch_iter, gen_gaussian_noise_ood, read_lines, standardize
 from .losses import logitnorm_ce, plain_ce, uenl_total
 from .metrics import MetricReport, auroc, error_rate, histogram, histogram_range, write_histogram_csv, write_metrics_csv
 from .model import (
@@ -87,72 +63,25 @@ class DataBundle:
     clip_range: tuple[float, float]
 
 
-def _build_id_raw(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    spec = config.data.id
-    k = config.backbone.num_classes
-    if isinstance(spec, GaussianClustersSpec):
-        if spec.num_classes != k:
-            raise ValueError(
-                f"data.id.num_classes ({spec.num_classes}) != backbone.num_classes ({k})"
-            )
-        if spec.dim != config.backbone.input_dim:
-            raise ValueError(
-                f"data.id.dim ({spec.dim}) != backbone.input_dim ({config.backbone.input_dim})"
-            )
-        means = basis_means(spec.num_classes, spec.dim, spec.mean_scale)
-        train = gen_gaussian_clusters(means, spec.n_train_per_class, spec.sigma, spec.seed, "id_train")
-        test = gen_gaussian_clusters(means, spec.n_test_per_class, spec.sigma, spec.seed, "id_test")
-    elif isinstance(spec, CsvIdSpec):
-        train = load_csv(spec.train, has_labels=spec.has_labels, name="id_train")
-        test = load_csv(spec.test, has_labels=spec.has_labels, name="id_test")
-    elif isinstance(spec, IdxIdSpec):
-        train = load_idx(spec.train_images, spec.train_labels, name="id_train")
-        test = load_idx(spec.test_images, spec.test_labels, name="id_test")
-    else:
-        raise TypeError(f"unsupported ID data spec {type(spec).__name__}")
-
-    for split in (train, test):
-        if split.labels is None:
-            raise ValueError(f"ID split {split.name!r} has no labels")
-        if split.labels.max() > k:
-            raise ValueError(
-                f"ID split {split.name!r} has label {split.labels.max()} but the model has {k} classes"
-            )
-        if split.dim != config.backbone.input_dim:
-            raise ValueError(
-                f"ID split {split.name!r} is {split.dim}-dimensional, model expects {config.backbone.input_dim}"
-            )
-    return train, test
-
-
-def _build_ood_raw(config: ExperimentConfig, raw_stats: Normalization) -> dict[str, Dataset]:
-    dim = config.backbone.input_dim
-    sets: dict[str, Dataset] = {}
-    for spec in config.data.ood:
-        if isinstance(spec, UniformOodSpec):
-            ds = gen_uniform_ood(spec.n, dim, spec.low, spec.high, spec.seed, spec.name)
-        elif isinstance(spec, ShiftedGaussianOodSpec):
-            ds = gen_shifted_gaussian_ood(spec.n, dim, spec.offset, spec.sigma, spec.seed, spec.name)
-        elif isinstance(spec, GaussianNoiseOodSpec):
-            ds = gen_gaussian_noise_ood(spec.n, raw_stats, spec.seed, spec.name)
-        elif isinstance(spec, CsvOodSpec):
-            ds = load_csv(spec.path, has_labels=False, name=spec.name)
-        elif isinstance(spec, IdxOodSpec):
-            ds = load_idx(spec.images, name=spec.name)
-        else:
-            raise TypeError(f"unsupported OOD data spec {type(spec).__name__}")
-        if ds.dim != dim:
-            raise ValueError(f"OOD set {spec.name!r} is {ds.dim}-dimensional, model expects {dim}")
-        sets[spec.name] = ds
-    return sets
-
-
 def build_raw_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict[str, Dataset]]:
-    """ID train/test and OOD sets in raw feature space (not standardized)."""
+    """ID train/test and OOD sets in raw feature space (not standardized).
+    The config has checked everything it can; this checks what the files
+    hold: labels against the class count, and each set's width."""
     if config.data is None:
         raise ValueError("config has no data section")
-    train, test = _build_id_raw(config)
-    return train, test, _build_ood_raw(config, Normalization.fit(train.features))
+    dim, k = config.backbone.input_dim, config.backbone.num_classes
+    train, test = config.data.id.build()
+    for split in (train, test):
+        if split.labels.max() > k:
+            raise ValueError(f"ID split {split.name!r} has label {split.labels.max()} but the model has {k} classes")
+        if split.dim != dim:
+            raise ValueError(f"ID split {split.name!r} is {split.dim}-dimensional, model expects {dim}")
+    stats = Normalization.fit(train.features)
+    ood = {spec.name: spec.build(dim, stats) for spec in config.data.ood}
+    for name, ds in ood.items():
+        if ds.dim != dim:
+            raise ValueError(f"OOD set {name!r} is {ds.dim}-dimensional, model expects {dim}")
+    return train, test, ood
 
 
 def build_datasets(config: ExperimentConfig) -> DataBundle:
@@ -341,8 +270,7 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
     if config.select_best_validation:
         val_seed = derive_seed(config.seed, "validation-noise")
         raw = gen_gaussian_noise_ood(500, bundle.stats, val_seed, name="validation_noise")
-        val_set, _ = standardize(raw, bundle.stats)
-        val_features = val_set.features
+        val_features = standardize(raw, bundle.stats)[0].features
         val_id = bundle.id_train.features[: min(1000, len(bundle.id_train))]
         val_method = "uncertainty" if config.method == "uenl" else "msp"
         best_auroc = -1.0
@@ -459,12 +387,7 @@ class EvaluationReport:
     def write(self, out_dir) -> dict[str, Path]:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        paths = {
-            "metrics": out_dir / "metrics.csv",
-            "accuracy": out_dir / "accuracy.csv",
-            "scores": out_dir / "scores.csv",
-            "histograms": out_dir / "histograms.csv",
-        }
+        paths = {name: out_dir / f"{name}.csv" for name in ("metrics", "accuracy", "scores", "histograms")}
         write_metrics_csv(self.metric_rows, paths["metrics"])
         with open(paths["accuracy"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write("dataset,n,error_rate,accuracy\n")
@@ -518,7 +441,8 @@ def evaluate(
 
 
 def sweep(base: ExperimentConfig, grid: dict[str, list], progress=None) -> list[dict]:
-    """Train and evaluate one run per grid cell (full cross product).
+    """Train and evaluate one run per grid cell (full cross product), building
+    each cell's datasets once for both.
 
     Grid keys are config JSON keys, dotted paths allowed ("lambda", "delta",
     "data.id.sigma", ...). Each cell gets a seed derived from the base seed
@@ -543,8 +467,8 @@ def sweep(base: ExperimentConfig, grid: dict[str, list], progress=None) -> list[
     for idx, (combo, cell_config) in enumerate(cells):
         if progress is not None:
             progress(idx, dict(zip(keys, combo)))
-        checkpoint = train(cell_config)
-        report = evaluate(checkpoint)
+        bundle = build_datasets(cell_config)
+        report = evaluate(train(cell_config, bundle), bundle)
         row: dict = {key: value for key, value in zip(keys, combo)}
         row["seed"] = cell_config.seed
         row["error_rate"] = report.id_error_rate
@@ -563,11 +487,7 @@ def write_sweep_csv(rows: list[dict], path) -> None:
     for row in rows:
         if list(row) != header:
             raise ValueError("sweep rows have inconsistent columns")
-        cells = []
-        for key in header:
-            v = row[key]
-            cells.append(repr(float(v)) if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row.values()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -576,8 +496,7 @@ def scores_csv_to_histograms(scores_path, n_bins: int) -> list[tuple[str, str, f
     """Re-bin a per-sample scores CSV (dataset, sample_index, method, score)
     into histogram rows; each method gets one shared bin range across datasets."""
     path = Path(scores_path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(line_no, line.strip()) for line_no, line in enumerate(fh, start=1) if line.strip()]
+    lines = read_lines(path)
     if not lines or lines[0][1].split(",") != ["dataset", "sample_index", "method", "score"]:
         raise ValueError(f"{path}: expected header dataset,sample_index,method,score")
     if len(lines) == 1:
@@ -596,7 +515,4 @@ def scores_csv_to_histograms(scores_path, n_bins: int) -> list[tuple[str, str, f
             raise ValueError(f"{path}: line {line_no}: score {score!r} is not finite")
         grouped.setdefault(method, {}).setdefault(dataset, []).append(value)
 
-    rows = []
-    for method, by_dataset in grouped.items():
-        rows += _shared_histograms(method, by_dataset.items(), n_bins)
-    return rows
+    return [row for method, scores in grouped.items() for row in _shared_histograms(method, scores.items(), n_bins)]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import uenl.model
 import uenl.scoring
@@ -13,6 +14,11 @@ from uenl.config import ExperimentConfig
 from uenl.harness import Checkpoint, build_datasets, train
 from uenl.model import ModelConfig, init_params
 from uenl.rng import RngStream
+
+# One profile for every property test: the same examples on every run, no
+# example database on disk, and no per-example deadline.
+settings.register_profile("uenl", derandomize=True, database=None, deadline=None)
+settings.load_profile("uenl")
 
 # A version-1 checkpoint of train(tiny_experiment_config(epochs=2)); see
 # test_harness.TestCheckpointV1 for how it was written.

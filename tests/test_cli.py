@@ -358,6 +358,21 @@ MALFORMED_OVERRIDES = [
     ("dropout=1", "error: dropout must lie in [0, 1)"),
     ("bn_momentum=0", "error: bn_momentum must lie in (0, 1]"),
     ("bn_epsilon=0", "error: bn_epsilon must be positive"),
+    # Data errors that need only the config fail at load and name the key.
+    ("data.ood[0].high=-2.0", "error: data.ood[0].high (-2.0) must exceed low (-2.0)"),
+    ("data.ood[0].n=0", "error: data.ood[0].n must be positive"),
+    ("data.ood[1].n=-1", "error: data.ood[1].n must be positive"),
+    (
+        'data.ood[1]={"kind": "shifted_gaussian", "n": 5, "offset": 1.0, "sigma": 0, "seed": 1}',
+        "error: data.ood[1].sigma must be positive",
+    ),
+    ("data.id.num_classes=20", "error: data.id.num_classes must lie in [2, dim] = [2, 6], got 20"),
+    ("data.id.mean_scale=0", "error: data.id.mean_scale must be non-zero"),
+    ("data.id.seed=-1", "error: data.id.seed must be a 64-bit unsigned integer"),
+    ("data.ood[0].seed=-1", "error: data.ood[0].seed must be a 64-bit unsigned integer"),
+    ('data.id={"kind": "csv", "train": "a.csv", "test": "b.csv", "has_labels": false}', "error: data.id.has_labels"),
+    ("data.id.num_classes=3", "error: data.id.num_classes (3) != backbone.num_classes (2)"),
+    ("data.id.dim=8", "error: data.id.dim (8) != backbone.input_dim (6)"),
 ]
 
 # (checkpoint edit, text the error line must contain)
@@ -432,10 +447,16 @@ class TestMalformedInput:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(uenl.harness, "train", counted)
-        argv = ["sweep", "--config", str(config_path), "--set", "epochs=2", "--grid", "lambda=0.1,x"]
-        rc = main([*argv, "--out", str(tmp_path / "sweep.csv")])
-        assert_one_error_line(rc, capsys, 'lambda: expected finite number, got string "x"')
-        assert calls == []
+        # In each grid the first cell is valid and the second is not.
+        for grid, text in [
+            ("lambda=0.1,x", 'lambda: expected finite number, got string "x"'),
+            ("data.id.dim=6,8", "data.id.dim (8) != backbone.input_dim (6)"),
+            ("data.ood[0].high=2.0,-3.0", "data.ood[0].high (-3.0) must exceed low (-2.0)"),
+        ]:
+            argv = ["sweep", "--config", str(config_path), "--set", "epochs=2", "--grid", grid]
+            rc = main([*argv, "--out", str(tmp_path / "sweep.csv")])
+            assert_one_error_line(rc, capsys, text)
+            assert calls == []
 
     def test_eval_bins_checked_before_any_pass(self, trained, tmp_path, capsys, backbone_calls):
         _, ckpt = trained
@@ -456,6 +477,27 @@ class TestMalformedInput:
         scores.write_text("dataset,sample_index,method,score\nid_test,0,msp,0.5\n\nid_test,1,msp,nan\n")
         rc = main(["hist", "--scores", str(scores), "--out", str(tmp_path / "h.csv")])
         assert_one_error_line(rc, capsys, f"{scores}: line 4: score 'nan' is not finite")
+
+    def test_hist_not_utf8_names_file(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(b"datase\xff,sample_index,method,score\n")
+        rc = main(["hist", "--scores", str(scores), "--out", str(tmp_path / "h.csv")])
+        assert_one_error_line(rc, capsys, f"error: {scores}: not UTF-8 text")
+
+    @pytest.mark.parametrize("cell", ["nan", "1e999"])
+    def test_eval_ood_non_finite_feature_names_file_line_and_column(self, trained, tmp_path, capsys, cell):
+        _, ckpt = trained
+        ood = tmp_path / "nf.csv"
+        ood.write_text(f"x1,x2,x3,x4,x5,x6\n{','.join(['0.5'] * 6)}\n0.5,0.5,{cell},0.5,0.5,0.5\n")
+        rc = main(["eval", "--checkpoint", str(ckpt), "--ood", str(ood), "--out", str(tmp_path / "report")])
+        assert_one_error_line(rc, capsys, f"error: {ood}: line 3: column 3: '{cell}' is not finite")
+
+    def test_eval_ood_not_utf8_names_file(self, trained, tmp_path, capsys):
+        _, ckpt = trained
+        ood = tmp_path / "latin1.csv"
+        ood.write_bytes("x1,x2\n0.5,caf\xe9\n".encode("latin-1"))
+        rc = main(["eval", "--checkpoint", str(ckpt), "--ood", str(ood), "--out", str(tmp_path / "report")])
+        assert_one_error_line(rc, capsys, f"error: {ood}: not UTF-8 text")
 
     def test_hist_header_only(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"

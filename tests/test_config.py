@@ -1,11 +1,14 @@
 """Tests for the experiment config schema, overrides, and file loading."""
 
+import copy
 import hashlib
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uenl.config import (
     BackboneSpec,
@@ -23,6 +26,7 @@ from uenl.config import (
     apply_overrides,
     load_config,
 )
+from uenl.harness import build_raw_datasets
 
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json"
@@ -489,6 +493,12 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="broken.json"):
             load_config(path)
 
+    def test_not_utf8_names_path(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"method": "caf\xe9"}'.encode("latin-1"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not valid JSON"):
+            load_config(path)
+
     def test_override_can_introduce_invalid_value(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(full_config_dict()), encoding="utf-8")
@@ -503,3 +513,69 @@ class TestLoadConfig:
         assert isinstance(c.data.id, GaussianClustersSpec) and c.data.id.dim == 16
         assert [s.name for s in c.data.ood] == ["uniform", "shifted_gaussian", "gaussian_noise"]
         assert c.scoring.methods == ("msp", "energy", "odin", "uncertainty")
+
+
+def _key_paths(node, path=()):
+    """The path of every key and list entry below a JSON node."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, path + (key,))
+
+
+def _parent(node, path):
+    for key in path[:-1]:
+        node = node[key]
+    return node
+
+
+SHIPPED_DATA = json.loads(SHIPPED.read_text(encoding="utf-8"))["data"]
+DATA_KEYS = list(_key_paths(SHIPPED_DATA))
+DATA_LEAVES = [p for p in DATA_KEYS if not isinstance(_parent(SHIPPED_DATA, p)[p[-1]], (dict, list))]
+SIZES = [p for p in DATA_LEAVES if p[-1] in ("dim", "num_classes", "n_train_per_class", "n_test_per_class", "n")]
+SCALES = [p for p in DATA_LEAVES if p[-1] in ("sigma", "mean_scale", "offset")]
+SEEDS = [p for p in DATA_LEAVES if p[-1] == "seed"]
+NAMES = [("ood", i, "name") for i in range(len(SHIPPED_DATA["ood"]))]
+
+# (path, value) edits of the shipped data section; a None path swaps the
+# uniform set's low and high, and a value of DROP deletes the key.
+DROP = object()
+DATA_EDITS = st.one_of(
+    st.tuples(st.sampled_from([p for p in DATA_KEYS if isinstance(p[-1], str)]), st.just(DROP)),
+    st.tuples(st.sampled_from(DATA_LEAVES), st.sampled_from([None, True, "16", 1.5, 7, [], {}])),
+    st.tuples(st.sampled_from(SIZES), st.integers(-3, 40)),
+    st.tuples(st.just(None), st.none()),
+    st.tuples(st.sampled_from(SCALES), st.sampled_from([0.0, -0.0]) | st.floats(-100.0, -1e-6)),
+    st.tuples(st.sampled_from(SEEDS), st.integers(-(2**70), -1)),
+    st.tuples(
+        st.sampled_from(NAMES),
+        st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=6)
+        | st.sampled_from(["", "mean", "id_test", "a,b", "a\nb", "uniform", "gaussian_noise"]),
+    ),
+)
+
+
+class TestDataSectionProperty:
+    """One edit to the shipped config's data section either fails at load
+    with an error that names a data key, or leaves a config whose datasets
+    build."""
+
+    @settings(max_examples=150)
+    @given(edit=DATA_EDITS)
+    def test_edit_fails_at_load_or_builds(self, edit):
+        path, value = edit
+        doc = json.loads(SHIPPED.read_text(encoding="utf-8"))
+        data = doc["data"] = copy.deepcopy(SHIPPED_DATA)
+        if path is None:
+            box = data["ood"][0]
+            box["low"], box["high"] = box["high"], box["low"]
+        elif value is DROP:
+            del _parent(data, path)[path[-1]]
+        else:
+            _parent(data, path)[path[-1]] = value
+        try:
+            config = ExperimentConfig.from_dict(doc)
+        except ValueError as exc:
+            assert re.search(r"\bdata\b", str(exc)), str(exc)
+            return
+        build_raw_datasets(config)

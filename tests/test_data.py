@@ -242,6 +242,23 @@ class TestCsvLoader:
         assert "column 2" in str(err.value)
         assert "oops" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "1e999", "-inf"])
+    def test_non_finite_feature_names_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        # The blank line counts: the bad cell is on line 4 of the file.
+        path.write_text(f"x1,x2,label\n0.0,1.0,1\n\n0.5,{cell},2\n")
+        for has_labels in (False, True):
+            with pytest.raises(ValueError) as info:
+                load_csv(path, has_labels=has_labels)
+            assert str(info.value) == f"{path}: line 4: column 2: '{cell}' is not finite"
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"x1,x2\n0.5,\xff\n")
+        with pytest.raises(ValueError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: not UTF-8 text"
+
     def test_column_count_mismatch(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x1,x2\n1.0,2.0,3.0\n")

@@ -62,19 +62,14 @@ class TestBuildDatasets:
         with pytest.raises(ValueError, match="no data section"):
             build_datasets(cfg)
 
+    # The config rejects both mismatches when it loads, before any build.
     def test_class_count_mismatch(self):
-        cfg = tiny_experiment_config(
-            backbone={"input_dim": 6, "hidden_dims": [16, 8], "num_classes": 3}
-        )
         with pytest.raises(ValueError, match="num_classes"):
-            build_datasets(cfg)
+            tiny_experiment_config(backbone={"input_dim": 6, "hidden_dims": [16, 8], "num_classes": 3})
 
     def test_input_dim_mismatch(self):
-        cfg = tiny_experiment_config(
-            backbone={"input_dim": 7, "hidden_dims": [16, 8], "num_classes": 2}
-        )
         with pytest.raises(ValueError, match="dim"):
-            build_datasets(cfg)
+            tiny_experiment_config(backbone={"input_dim": 7, "hidden_dims": [16, 8], "num_classes": 2})
 
     def test_label_outside_model_classes(self, tmp_path):
         path = tmp_path / "id.csv"
@@ -572,6 +567,19 @@ class TestSweep:
         base = tiny_experiment_config(epochs=1)
         with pytest.raises(ValueError, match="delta"):
             sweep(base, {"delta": []})
+
+    def test_datasets_built_once_per_cell(self, monkeypatch):
+        import uenl.harness as harness
+
+        built = []
+
+        def counted(config, _original=harness.build_datasets):
+            built.append(config.seed)
+            return _original(config)
+
+        monkeypatch.setattr(harness, "build_datasets", counted)
+        rows = sweep(tiny_experiment_config(epochs=1), {"delta": [4, 8]})
+        assert built == [row["seed"] for row in rows]
 
     def test_progress_reports_cells(self):
         base = tiny_experiment_config(epochs=1)

@@ -12,7 +12,7 @@ from oracles import composed_ce, composed_uenl
 from uenl.losses import NORM_EPSILON, UHAT_FLOOR, logitnorm_ce, plain_ce, uenl_total
 from uenl.tensor import backward, kl, leaf, mul, reduce_sum, resample, tempered_ce
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+PROPERTY = settings(max_examples=40)  # on top of conftest's shared profile
 SEEDS = st.integers(0, 2**32 - 1)
 
 
