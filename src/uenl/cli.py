@@ -7,10 +7,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import check_ood_names, load_config, parse_value
-from .data import load_csv, save_csv, standardize
+import numpy as np
+
+from .config import CsvOodSpec, load_config, parse_value
+from .data import save_csv
 from .harness import (
     Checkpoint,
     build_datasets,
@@ -34,7 +37,7 @@ def _config_from_args(args):
 
 
 def _cmd_gen_data(args) -> int:
-    id_train, id_test, ood = build_raw_datasets(_config_from_args(args))
+    id_train, id_test, ood, _ = build_raw_datasets(_config_from_args(args))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = {out_dir / "id_train.csv": id_train, out_dir / "id_test.csv": id_test}
@@ -63,23 +66,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _parse_ood_args(entries, bundle):
-    """--ood entries are 'name=path.csv' or 'path.csv'; loaded sets replace
-    the config-declared OOD sets and share the ID standardization. The names
-    are checked as the config's are, before any file is read."""
-    named = []
-    for entry in entries:
-        name, sep, path = entry.partition("=")
-        named.append((name, path) if sep else (Path(entry).stem, entry))
-    check_ood_names([name for name, _ in named])
-    return {name: standardize(load_csv(path, name=name), bundle.stats)[0] for name, path in named}
-
-
 def _cmd_eval(args) -> int:
     checkpoint = Checkpoint.load(args.checkpoint)
-    bundle = build_datasets(checkpoint.config)
-    if args.ood:
-        bundle.ood = _parse_ood_args(args.ood, bundle)
+    config = checkpoint.config
+    if args.ood and config.data is not None:
+        # Each 'name=path.csv', or 'path.csv' named after its stem, replaces the config's OOD
+        # specs; DataSpec checks the names before any file is read, and build_datasets the sets.
+        specs = tuple(CsvOodSpec(*e.split("=", 1)) if "=" in e else CsvOodSpec(Path(e).stem, e) for e in args.ood)
+        config = replace(config, data=replace(config.data, ood=specs))
+    bundle = build_datasets(config)
     methods = tuple(args.methods.split(",")) if args.methods else None
     report = evaluate(checkpoint, bundle, methods=methods, histogram_bins=args.bins)
     paths = report.write(args.out)
@@ -197,8 +192,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.handler(args)
-    except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:
+        # Non-finite values fail checks that name them; numpy's warnings would add stderr lines.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return args.handler(args)
+    except (ValueError, OSError, RuntimeError, FloatingPointError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

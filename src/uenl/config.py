@@ -332,13 +332,14 @@ class IdxOodSpec:
 
 
 def check_ood_names(names) -> None:
-    """Reject OOD set names the report CSVs cannot hold: empty, with a comma
-    or a line break, repeated, or "mean" and "id_test", which name the
-    per-method mean row of metrics.csv and the ID set of scores.csv."""
+    """Reject OOD set names the report CSVs cannot hold: empty, not UTF-8 (a
+    lone surrogate), with a comma or a line break, repeated, or "mean" and
+    "id_test", which name metrics.csv's mean row and scores.csv's ID set."""
     for name in names:
-        if not name or any(c in name for c in ",\r\n") or name in ("mean", "id_test"):
+        if not name or any(c in ",\r\n" or "\ud800" <= c <= "\udfff" for c in name) or name in ("mean", "id_test"):
             raise ValueError(
-                f"ood set name {name!r} must be non-empty, free of commas and line breaks, and not 'mean' or 'id_test'"
+                f"ood set name {name!r} must be non-empty UTF-8 without commas or line breaks,"
+                " and not 'mean' or 'id_test'"
             )
     if len(names) != len(set(names)):
         raise ValueError(f"ood set names must be unique, got {names}")

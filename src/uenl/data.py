@@ -2,8 +2,8 @@
 standardization, and minibatch iteration.
 
 Features are float64 matrices of shape (n, dim); labels, when present, are
-1-based class ids. Generated data is raw; call standardize() with statistics
-fitted on the ID training split before handing anything to a model.
+1-based class ids. Data is raw until standardize(dataset, stats) applies the
+statistics that Normalization.fit fitted on the ID training split.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class Dataset:
     name: str
     features: np.ndarray
     labels: np.ndarray | None = None
-    normalization: Normalization | None = None
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=np.float64, order="C")
@@ -287,19 +286,12 @@ def save_csv(dataset: Dataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def standardize(dataset: Dataset, stats: Normalization | None = None) -> tuple[Dataset, Normalization]:
-    """Shift and scale features to zero mean and unit variance.
-
-    Without ``stats`` the statistics are fitted on this dataset (per-feature
-    std floored at 1e-8); pass the ID training statistics to transform every
-    other split consistently.
-    """
-    if stats is None:
-        stats = Normalization.fit(dataset.features)
+def standardize(dataset: Dataset, stats: Normalization) -> Dataset:
+    """Shift and scale features by ``stats``, the statistics that
+    ``Normalization.fit`` fitted on the ID training split."""
     if stats.mean.size != dataset.dim:
         raise ValueError(f"statistics are {stats.mean.size}-dimensional, data is {dataset.dim}-dimensional")
-    transformed = (dataset.features - stats.mean) / stats.std
-    return Dataset(dataset.name, transformed, dataset.labels, stats), stats
+    return Dataset(dataset.name, (dataset.features - stats.mean) / stats.std, dataset.labels)
 
 
 class Batch(NamedTuple):

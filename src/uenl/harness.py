@@ -52,7 +52,7 @@ __all__ = [
 CHECKPOINT_VERSION = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataBundle:
     """Standardized splits ready for training and scoring."""
 
@@ -63,10 +63,10 @@ class DataBundle:
     clip_range: tuple[float, float]
 
 
-def build_raw_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict[str, Dataset]]:
-    """ID train/test and OOD sets in raw feature space (not standardized).
-    The config has checked everything it can; this checks what the files
-    hold: labels against the class count, and each set's width."""
+def build_raw_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict[str, Dataset], Normalization]:
+    """ID train/test and OOD sets in raw feature space, and the raw ID-train
+    statistics. The config has checked everything it can; this checks what
+    the files hold: labels against the class count, and each set's width."""
     if config.data is None:
         raise ValueError("config has no data section")
     dim, k = config.backbone.input_dim, config.backbone.num_classes
@@ -81,15 +81,14 @@ def build_raw_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict
     for name, ds in ood.items():
         if ds.dim != dim:
             raise ValueError(f"OOD set {name!r} is {ds.dim}-dimensional, model expects {dim}")
-    return train, test, ood
+    return train, test, ood, stats
 
 
 def build_datasets(config: ExperimentConfig) -> DataBundle:
     """Raw datasets standardized with statistics fitted on the ID train split."""
-    train_raw, test_raw, ood_raw = build_raw_datasets(config)
-    train, stats = standardize(train_raw)
-    test, _ = standardize(test_raw, stats)
-    ood = {name: standardize(ds, stats)[0] for name, ds in ood_raw.items()}
+    train_raw, test_raw, ood_raw, stats = build_raw_datasets(config)
+    train, test = standardize(train_raw, stats), standardize(test_raw, stats)
+    ood = {name: standardize(ds, stats) for name, ds in ood_raw.items()}
     return DataBundle(train, test, ood, stats, train.feature_range())
 
 
@@ -270,7 +269,7 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
     if config.select_best_validation:
         val_seed = derive_seed(config.seed, "validation-noise")
         raw = gen_gaussian_noise_ood(500, bundle.stats, val_seed, name="validation_noise")
-        val_features = standardize(raw, bundle.stats)[0].features
+        val_features = standardize(raw, bundle.stats).features
         val_id = bundle.id_train.features[: min(1000, len(bundle.id_train))]
         val_method = "uncertainty" if config.method == "uenl" else "msp"
         best_auroc = -1.0

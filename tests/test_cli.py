@@ -1,16 +1,23 @@
 """Tests for the command-line interface (run in-process through main)."""
 
 import base64
+import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import uenl.harness
 from conftest import V1_CHECKPOINT, tiny_experiment_config
 from uenl.cli import main
+from uenl.config import CsvOodSpec, GaussianNoiseOodSpec, IdxOodSpec, ShiftedGaussianOodSpec, UniformOodSpec
 from uenl.harness import Checkpoint
-from uenl.rng import derive_seed
+from uenl.model import init_params
+from uenl.rng import RngStream, derive_seed
 
 
 @pytest.fixture()
@@ -123,6 +130,57 @@ class TestEval:
         assert "noise" in datasets
         assert "uniform" not in datasets
 
+    def test_ood_builds_only_the_csv_sets(self, trained, tmp_path, monkeypatch):
+        cfg_path, ckpt = trained
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--config", str(cfg_path), "--out", str(data_dir)]) == 0
+        built = []
+        for spec_type in (UniformOodSpec, ShiftedGaussianOodSpec, GaussianNoiseOodSpec, CsvOodSpec, IdxOodSpec):
+
+            def counted(spec, dim, id_stats, original=spec_type.build):
+                built.append((spec.kind, spec.name))
+                return original(spec, dim, id_stats)
+
+            monkeypatch.setattr(spec_type, "build", counted)
+        argv = ["eval", "--checkpoint", str(ckpt), "--ood", f"noise={data_dir / 'ood_gaussian_noise.csv'}"]
+        assert main([*argv, "--methods", "msp", "--out", str(tmp_path / "report")]) == 0
+        assert built == [("csv", "noise")]
+
+    def test_ood_report_matches_config_csv_spec(self, trained, tmp_path):
+        """``--ood name=path`` gives the report of a checkpoint whose config
+        declares that csv OOD set."""
+        cfg_path, ckpt = trained
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--config", str(cfg_path), "--out", str(data_dir)]) == 0
+        path = str(data_dir / "ood_uniform.csv")
+        doc = json.loads(ckpt.read_text(encoding="utf-8"))
+        doc["config"]["data"]["ood"] = [{"kind": "csv", "name": "box", "path": path}]
+        declared = tmp_path / "declared.ckpt.json"
+        declared.write_text(json.dumps(doc), encoding="utf-8")
+        runs = {"flag": [str(ckpt), "--ood", f"box={path}"], "config": [str(declared)]}
+        reports = {}
+        for name, argv in runs.items():
+            assert main(["eval", "--checkpoint", *argv, "--out", str(tmp_path / name)]) == 0
+            reports[name] = {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+        assert reports["flag"] == reports["config"]
+
+    def test_ood_width_mismatch_names_the_set(self, trained, tmp_path, capsys, backbone_calls):
+        _, ckpt = trained
+        two = tmp_path / "two.csv"
+        two.write_text("x1,x2\n0.5,0.5\n1.0,-1.0\n", encoding="utf-8")
+        rc = main(["eval", "--checkpoint", str(ckpt), "--ood", str(two), "--out", str(tmp_path / "report")])
+        assert_one_error_line(rc, capsys, "error: OOD set 'two' is 2-dimensional, model expects 6")
+        assert backbone_calls == []
+
+    def test_ood_without_data_section(self, trained, tmp_path, capsys):
+        _, ckpt = trained
+        doc = json.loads(ckpt.read_text(encoding="utf-8"))
+        doc["config"]["data"] = None
+        path = tmp_path / "no_data.ckpt.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["eval", "--checkpoint", str(path), "--ood", str(tmp_path / "x.csv"), "--out", str(tmp_path / "r")])
+        assert_one_error_line(rc, capsys, "config has no data section")
+
     @pytest.mark.parametrize(
         "entries,text",
         [
@@ -131,8 +189,10 @@ class TestEval:
             (["a,b=x.csv"], "ood set name 'a,b' must be non-empty"),
             (["mean=x.csv"], "ood set name 'mean' must be non-empty"),
             (["id_test.csv"], "ood set name 'id_test' must be non-empty"),
+            # A non-UTF-8 file name decodes to lone surrogates on POSIX.
+            (["\udcff.csv"], "ood set name '\\udcff' must be non-empty UTF-8"),
         ],
-        ids=["same-stem", "empty", "comma", "mean", "id_test"],
+        ids=["same-stem", "empty", "comma", "mean", "id_test", "surrogate-stem"],
     )
     def test_bad_ood_names_checked_before_loading(self, trained, tmp_path, capsys, backbone_calls, entries, text):
         # None of the CSV paths exists: a check after loading would report
@@ -344,6 +404,7 @@ MALFORMED_OVERRIDES = [
     ('data.id.n_train_per_class="5"', "data.id.n_train_per_class: expected integer"),
     ('data.ood=[{"kind": "uniform", "n": 10, "low": 0.0, "high": 1.0}]', "'seed' in data.ood[0]"),
     ('data.ood=[{"kind": "gaussian_noise", "name": "mean", "n": 10, "seed": 1}]', "error: ood set name 'mean'"),
+    ('data.ood[0].name="\\ud800"', "error: ood set name '\\ud800' must be non-empty UTF-8"),
     ("scoring.methods=msp", "scoring.methods: expected list"),
     ("data.id.seed=1.5", "data.id.seed: expected integer"),
     ("scoring.histogram_bins=2.7", "scoring.histogram_bins: expected integer"),
@@ -530,3 +591,115 @@ class TestMalformedInput:
         rc = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "report")])
         assert_one_error_line(rc, capsys, text)
         assert backbone_calls == []
+
+
+# --------------------------------------------------------------------------
+# Property: `uenl eval` on a mutated checkpoint or --ood CSV exits 0, or 1
+# with one error line. Each edit is a plain tuple, so @example can pin one.
+# --------------------------------------------------------------------------
+
+
+def _tiny_checkpoint_text() -> str:
+    """A v2 checkpoint with the tiny config's keys and shapes."""
+    config = tiny_experiment_config(epochs=2)
+    params = init_params(config.model_config(), RngStream(0))
+    return Checkpoint(config, params.weights, params.bn_state, 1, [0.7, 0.6], [0.2, 0.1]).to_json()
+
+
+def _paths(node, path=()):
+    """The path of every value below ``node`` in a JSON document."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+_TEXT = _tiny_checkpoint_text()
+CKPT_PATHS = sorted(_paths(json.loads(_TEXT)), key=repr)
+DATA_PATHS = [path for path in CKPT_PATHS if path[0] in ("weights", "bn_state") and path[-1] == "data"]
+# Every JSON type, edge numbers, and huge ints, none of which can ask for an
+# array large enough to allocate.
+SWAPS = (None, True, 0, -1, 7, 10**30, 1.5, 1e308, "x", "é", [], [7, 7], {})
+CKPT_EDITS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(CKPT_PATHS)),
+    st.tuples(st.just("swap"), st.sampled_from(CKPT_PATHS), st.sampled_from(SWAPS)),
+    st.tuples(st.just("cut"), st.sampled_from(DATA_PATHS), st.integers(0, 64)),
+    st.tuples(st.just("text"), st.integers(0, len(_TEXT) - 1)),
+)
+
+OOD_ROWS = [b"x1,x2,x3,x4,x5,x6", b"0.5,-0.25,1.0,0.0,2.0,-1.5", b"1e-3,0.75,-2.0,0.125,0.0,3.0"]
+CELLS = (b"nan", b"inf", b"-inf", b"1e999", b"9" * 400, b"1" + b"0" * 30, "é".encode(), b"\xff", b"caf\xe9", b"")
+CSV_EDITS = st.one_of(
+    st.tuples(st.sampled_from(["drop", "add"]), st.integers(0, 2), st.integers(0, 5)),
+    st.tuples(st.just("cell"), st.integers(0, 2), st.integers(0, 5), st.sampled_from(CELLS)),
+    st.tuples(st.just("cut"), st.integers(0, sum(len(row) + 1 for row in OOD_ROWS) - 1)),
+    st.tuples(st.just("header")),
+)
+
+
+def _edited_checkpoint(text: str, edit) -> str:
+    if edit[0] == "text":
+        return text[: edit[1]]
+    doc = json.loads(text)
+    *parents, key = edit[1]
+    node = doc
+    for step in parents:
+        node = node[step]
+    if edit[0] == "drop":
+        del node[key]
+    elif edit[0] == "swap":
+        node[key] = copy.deepcopy(edit[2])
+    else:  # "cut": truncate a base64 payload
+        node[key] = node[key][: edit[2]]
+    return json.dumps(doc)
+
+
+def _edited_ood_csv(edit) -> bytes:
+    rows = [row.split(b",") for row in OOD_ROWS]
+    if edit[0] == "drop":
+        del rows[edit[1]][edit[2]]
+    elif edit[0] == "add":
+        rows[edit[1]].insert(edit[2], b"0.5")
+    elif edit[0] == "cell":
+        rows[edit[1]][edit[2]] = edit[3]
+    elif edit[0] == "header":
+        del rows[1:]
+    text = b"\n".join(b",".join(row) for row in rows) + b"\n"
+    return text[: edit[1]] if edit[0] == "cut" else text
+
+
+def assert_eval_exits_cleanly(argv):
+    """``uenl eval`` returns 0 with nothing on stderr, or 1 with one error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["eval", *argv, "--methods", "msp,uncertainty"])
+    lines = err.getvalue().splitlines()
+    assert (rc, lines) == (0, []) or (rc == 1 and len(lines) == 1 and lines[0].startswith("error: ")), (rc, lines)
+
+
+class TestEvalProperty:
+    @settings(max_examples=60)
+    @given(edit=CKPT_EDITS)
+    # Found by this search: an OverflowError traceback, and numpy overflow
+    # warnings printed above the error line.
+    @example(edit=("swap", ("config", "data", "id", "n_train_per_class"), 10**30))
+    @example(edit=("swap", ("config", "data", "id", "sigma"), 1e308))
+    @example(edit=("swap", ("config", "data", "id", "mean_scale"), 1e308))
+    @example(edit=("swap", ("config", "data", "ood", 0, "high"), 1e308))
+    def test_mutated_checkpoint(self, trained, tmp_path_factory, edit):
+        _, ckpt = trained
+        root = tmp_path_factory.getbasetemp() / "eval_property_ckpt"
+        root.mkdir(exist_ok=True)
+        path = root / "edited.ckpt.json"
+        path.write_text(_edited_checkpoint(ckpt.read_text(encoding="utf-8"), edit), encoding="utf-8")
+        assert_eval_exits_cleanly(["--checkpoint", str(path), "--out", str(root / "report")])
+
+    @settings(max_examples=60)
+    @given(edit=CSV_EDITS)
+    def test_mutated_ood_csv(self, trained, tmp_path_factory, edit):
+        _, ckpt = trained
+        root = tmp_path_factory.getbasetemp() / "eval_property_csv"
+        root.mkdir(exist_ok=True)
+        path = root / "ood.csv"
+        path.write_bytes(_edited_ood_csv(edit))
+        assert_eval_exits_cleanly(["--checkpoint", str(ckpt), "--ood", str(path), "--out", str(root / "report")])

@@ -302,7 +302,7 @@ class TestValidation:
 
     # An empty name leaves the metrics.csv cell empty, a comma or line break
     # splits the CSV rows, and "mean" and "id_test" already name rows there.
-    @pytest.mark.parametrize("name", ["", "a,b", "a\nb", "a\rb", "mean", "id_test"])
+    @pytest.mark.parametrize("name", ["", "a,b", "a\nb", "a\rb", "mean", "id_test", "\ud800"])
     def test_unwritable_ood_names_rejected(self, name):
         a = UniformOodSpec(name=name, n=10, low=-1, high=1, seed=0)
         with pytest.raises(ValueError, match=re.escape(f"ood set name {name!r} must be non-empty")):

@@ -12,7 +12,7 @@ from numpy.testing import assert_array_equal
 
 from conftest import V1_CHECKPOINT, tiny_experiment_config
 from uenl.config import load_config
-from uenl.data import Dataset, basis_means, batch_iter, gen_gaussian_clusters, standardize
+from uenl.data import Dataset, Normalization, basis_means, batch_iter, gen_gaussian_clusters, standardize
 from uenl.harness import (
     Checkpoint,
     _batch_loss,
@@ -39,12 +39,24 @@ class TestBuildDatasets:
 
     def test_test_and_ood_use_train_stats(self, tiny_bundle):
         cfg = tiny_experiment_config()
-        train_raw, test_raw, ood_raw = build_raw_datasets(cfg)
+        train_raw, test_raw, ood_raw, _ = build_raw_datasets(cfg)
         stats = tiny_bundle.stats
         expected = (test_raw.features - stats.mean) / stats.std
         assert_array_equal(tiny_bundle.id_test.features, expected)
         expected_ood = (ood_raw["uniform"].features - stats.mean) / stats.std
         assert_array_equal(tiny_bundle.ood["uniform"].features, expected_ood)
+
+    def test_statistics_fitted_once(self, monkeypatch):
+        fitted = []
+        original = Normalization.fit
+
+        def counted(cls, features):
+            fitted.append(features.shape)
+            return original(features)
+
+        monkeypatch.setattr(Normalization, "fit", classmethod(counted))
+        build_datasets(tiny_experiment_config())
+        assert fitted == [(300, 6)]  # the raw ID-train split, once
 
     def test_clip_range_is_train_feature_range(self, tiny_bundle):
         assert tiny_bundle.clip_range == tiny_bundle.id_train.feature_range()
@@ -240,7 +252,7 @@ class TestEvaluate:
         cfg = tiny_checkpoint.config.data.id
         means = basis_means(cfg.num_classes, cfg.dim, cfg.mean_scale)
         big = gen_gaussian_clusters(means, 500, cfg.sigma, 777, "big")
-        std, _ = standardize(big, tiny_bundle.stats)
+        std = standardize(big, tiny_bundle.stats)
         feats, labels = std.features, std.labels
         # Rows are blocked by class, so interleave to keep both halves on the
         # same class mixture.
