@@ -4,8 +4,9 @@ normalized logits, built on a self-contained float64 autodiff core.
 The pieces: ``tensor`` (autodiff), ``model`` (MLP backbone + uncertainty
 head), ``losses`` (the uncertainty-tempered objective and baselines),
 ``scoring`` (post-hoc OOD scores), ``metrics`` (FPR95/AUROC/AUPR),
-``data`` (synthetic benchmarks, IDX/CSV ingestion), and ``harness``
-(training, evaluation, sweeps) behind the ``uenl`` command-line tool.
+``config`` (the schema; its data specs draw the synthetic benchmarks),
+``data`` (IDX/CSV ingestion), and ``harness`` (training, evaluation,
+sweeps) behind the ``uenl`` command-line tool.
 """
 
 from .config import ExperimentConfig, load_config

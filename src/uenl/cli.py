@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import CsvOodSpec, load_config, parse_value
+from .config import MAX_ARRAY_VALUES, CsvOodSpec, load_config, parse_value
 from .data import save_csv
 from .harness import (
     Checkpoint,
@@ -113,8 +113,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_hist(args) -> int:
-    if args.bins < 1:
-        raise ValueError(f"--bins must be at least 1, got {args.bins}")
+    if not 1 <= args.bins <= MAX_ARRAY_VALUES:
+        raise ValueError(f"--bins must be at least 1 and at most {MAX_ARRAY_VALUES}, got {args.bins}")
     rows = scores_csv_to_histograms(args.scores, args.bins)
     write_histogram_csv(rows, args.out)
     print(f"wrote {args.out} ({len(rows)} rows)")

@@ -10,13 +10,16 @@ rejected at every level so a typo cannot fall back to a default, and errors
 name the dotted key (``data.ood[0].seed``). The KL weight is "lambda" in JSON
 and on the command line, ``kl_weight`` in code.
 
-Each data spec builds its own raw datasets (``build``), so a new data kind
-is one spec class here plus an entry in its union.
+Each data spec builds its own raw datasets (``build``): a synthetic kind
+draws its rows from ``RngStream(seed, "data/<name>")``, a file kind calls
+data.py's loaders. A new data kind is one spec class here plus an entry in
+its union. No count may size an array of over ``MAX_ARRAY_VALUES`` floats.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -24,11 +27,11 @@ from functools import cache
 from pathlib import Path
 from typing import ClassVar, Union, get_args, get_origin, get_type_hints
 
-from .data import (
-    Dataset, Normalization, basis_means, gen_gaussian_clusters, gen_gaussian_noise_ood, gen_shifted_gaussian_ood,
-    gen_uniform_ood, load_csv, load_idx,
-)
+import numpy as np
+
+from .data import Dataset, Normalization, load_csv, load_idx
 from .model import ModelConfig
+from .rng import RngStream
 from .scoring import SCORE_METHODS
 
 __all__ = [
@@ -53,6 +56,8 @@ __all__ = [
 
 METHODS = ("uenl", "ce", "logitnorm")
 KL_FORMS = ("variance", "std")
+# The most float64 values (2 GiB) in any array that a config count sizes.
+MAX_ARRAY_VALUES = 2**28
 
 _JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string", list: "list", dict: "object"}
 
@@ -166,6 +171,11 @@ def _non_negative(value, key: str):
     return value
 
 
+def _array_size(key: str, *shape: int) -> None:
+    if math.prod(shape) > MAX_ARRAY_VALUES:
+        raise ValueError(f"{key} sizes a {' x '.join(map(str, shape))} array, over {MAX_ARRAY_VALUES} values")
+
+
 def _seed(value, key: str):
     if not 0 <= value < 2**64:
         raise ValueError(f"{key} must be a 64-bit unsigned integer, got {value}")
@@ -199,6 +209,7 @@ class ScoringSpec(_Schema):
         _non_negative(self.odin_epsilon, "scoring.odin_epsilon")
         if self.histogram_bins < 1:
             raise ValueError("scoring.histogram_bins must be at least 1")
+        _array_size("scoring.histogram_bins", self.histogram_bins)
 
 
 # A data spec's checks name its fields; the parser puts its key in front
@@ -226,9 +237,16 @@ class GaussianClustersSpec:
         _seed(self.seed, "seed")
 
     def build(self) -> tuple[Dataset, Dataset]:
-        means = basis_means(self.num_classes, self.dim, self.mean_scale)
-        train = gen_gaussian_clusters(means, self.n_train_per_class, self.sigma, self.seed, "id_train")
-        return train, gen_gaussian_clusters(means, self.n_test_per_class, self.sigma, self.seed, "id_test")
+        """Isotropic Gaussian blobs, one per class, labels 1..k in row order."""
+        k = self.num_classes
+        means = np.zeros((k, self.dim))
+        means[np.arange(k), np.arange(k)] = self.mean_scale
+
+        def split(n: int, name: str) -> Dataset:
+            noise = RngStream(self.seed, f"data/{name}").normal((k * n, self.dim))
+            return Dataset(name, np.repeat(means, n, axis=0) + self.sigma * noise, np.repeat(np.arange(1, k + 1), n))
+
+        return split(self.n_train_per_class, "id_train"), split(self.n_test_per_class, "id_test")
 
 
 @dataclass(frozen=True)
@@ -275,7 +293,8 @@ class UniformOodSpec:
         _seed(self.seed, "seed")
 
     def build(self, dim: int, id_stats: Normalization) -> Dataset:
-        return gen_uniform_ood(self.n, dim, self.low, self.high, self.seed, self.name)
+        """Points drawn uniformly from the box [low, high)^dim."""
+        return Dataset(self.name, RngStream(self.seed, f"data/{self.name}").uniform(self.low, self.high, (self.n, dim)))
 
 
 @dataclass(frozen=True)
@@ -293,7 +312,9 @@ class ShiftedGaussianOodSpec:
         _seed(self.seed, "seed")
 
     def build(self, dim: int, id_stats: Normalization) -> Dataset:
-        return gen_shifted_gaussian_ood(self.n, dim, self.offset, self.sigma, self.seed, self.name)
+        """An isotropic Gaussian centred at offset * (1, ..., 1): near-manifold OOD."""
+        noise = RngStream(self.seed, f"data/{self.name}").normal((self.n, dim))
+        return Dataset(self.name, self.offset + self.sigma * noise)
 
 
 @dataclass(frozen=True)
@@ -308,7 +329,9 @@ class GaussianNoiseOodSpec:
         _seed(self.seed, "seed")
 
     def build(self, dim: int, id_stats: Normalization) -> Dataset:
-        return gen_gaussian_noise_ood(self.n, id_stats, self.seed, self.name)
+        """Noise with the ID per-feature mean and std but no class structure."""
+        noise = RngStream(self.seed, f"data/{self.name}").normal((self.n, id_stats.mean.size))
+        return Dataset(self.name, id_stats.mean + id_stats.std * noise)
 
 
 @dataclass(frozen=True)
@@ -427,12 +450,23 @@ class ExperimentConfig(_Schema):
         except ValueError as exc:
             name, _, rest = str(exc).partition(" ")
             raise ValueError(f"{_MODEL_FIELD_KEYS.get(name, name)} {rest}") from None
-        spec, k = self.data and self.data.id, self.backbone.num_classes
+        # Each weight matrix, and each synthetic split's rows x input_dim.
+        dim, hidden, k = self.backbone.input_dim, self.backbone.hidden_dims, self.backbone.num_classes
+        widths = [("backbone.input_dim", dim), *((f"backbone.hidden_dims[{i}]", w) for i, w in enumerate(hidden))]
+        for (in_key, fan_in), (out_key, width) in zip(widths, [*widths[1:], ("backbone.num_classes", k)]):
+            _array_size(f"{in_key} x {out_key}", fan_in, width)
+        _array_size(f"{widths[-1][0]} x delta", widths[-1][1], self.delta)
+        spec = self.data and self.data.id
         if isinstance(spec, GaussianClustersSpec):
             if spec.num_classes != k:
                 raise ValueError(f"data.id.num_classes ({spec.num_classes}) != backbone.num_classes ({k})")
-            if spec.dim != self.backbone.input_dim:
-                raise ValueError(f"data.id.dim ({spec.dim}) != backbone.input_dim ({self.backbone.input_dim})")
+            if spec.dim != dim:
+                raise ValueError(f"data.id.dim ({spec.dim}) != backbone.input_dim ({dim})")
+            for key in ("n_train_per_class", "n_test_per_class"):
+                _array_size(f"data.id.{key}", k * getattr(spec, key), dim)
+        for i, ood in enumerate(self.data.ood if self.data else ()):
+            if hasattr(ood, "n"):  # the synthetic kinds
+                _array_size(f"data.ood[{i}].n", ood.n, dim)
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(

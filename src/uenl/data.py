@@ -1,9 +1,10 @@
-"""Datasets: synthetic Gaussian benchmarks, IDX and CSV ingestion,
+"""Datasets: the Dataset and Normalization types, IDX and CSV ingestion,
 standardization, and minibatch iteration.
 
 Features are float64 matrices of shape (n, dim); labels, when present, are
 1-based class ids. Data is raw until standardize(dataset, stats) applies the
-statistics that Normalization.fit fitted on the ID training split.
+statistics that Normalization.fit fitted on the ID training split. The
+synthetic sets are drawn by the data specs in config.py.
 """
 
 from __future__ import annotations
@@ -22,13 +23,9 @@ __all__ = [
     "Normalization",
     "Dataset",
     "Batch",
-    "basis_means",
-    "gen_gaussian_clusters",
-    "gen_uniform_ood",
-    "gen_shifted_gaussian_ood",
-    "gen_gaussian_noise_ood",
     "load_idx",
     "read_lines",
+    "parse_number",
     "load_csv",
     "save_csv",
     "standardize",
@@ -51,8 +48,8 @@ class Normalization:
         object.__setattr__(self, "std", np.asarray(self.std, dtype=np.float64))
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
             raise ValueError("mean and std must be 1-d arrays of equal length")
-        if np.any(self.std <= 0.0):
-            raise ValueError("std entries must be strictly positive")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all() and (self.std > 0.0).all()):
+            raise ValueError("mean and std entries must be finite, and std entries positive")
 
     @classmethod
     def fit(cls, features) -> "Normalization":
@@ -97,82 +94,6 @@ class Dataset:
 
     def feature_range(self) -> tuple[float, float]:
         return float(self.features.min()), float(self.features.max())
-
-
-def basis_means(num_classes: int, dim: int, mean_scale: float = 1.0) -> np.ndarray:
-    """Class means on scaled standard-basis directions. Needs dim >= num_classes."""
-    if num_classes > dim:
-        raise ValueError(f"cannot place {num_classes} basis means in {dim} dimensions")
-    means = np.zeros((num_classes, dim))
-    means[np.arange(num_classes), np.arange(num_classes)] = mean_scale
-    return means
-
-
-def gen_gaussian_clusters(
-    means,
-    n_per_class: int,
-    sigma: float,
-    seed: int,
-    name: str = "clusters",
-) -> Dataset:
-    """Isotropic Gaussian blobs, one per class, labels 1..k in row order."""
-    means = np.asarray(means, dtype=np.float64)
-    if means.ndim != 2:
-        raise ValueError(f"means must be (num_classes, dim), got shape {means.shape}")
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be at least 1")
-    for i in range(len(means)):
-        for j in range(i + 1, len(means)):
-            if np.array_equal(means[i], means[j]):
-                raise ValueError(f"class means {i} and {j} coincide")
-    k, dim = means.shape
-    rng = RngStream(seed, f"data/{name}")
-    features = np.repeat(means, n_per_class, axis=0) + sigma * rng.normal((k * n_per_class, dim))
-    labels = np.repeat(np.arange(1, k + 1), n_per_class)
-    return Dataset(name, features, labels)
-
-
-def gen_uniform_ood(n: int, dim: int, low: float, high: float, seed: int, name: str = "uniform") -> Dataset:
-    """Points drawn uniformly from the box [low, high)^dim."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not high > low:
-        raise ValueError("uniform box needs high > low")
-    rng = RngStream(seed, f"data/{name}")
-    return Dataset(name, rng.uniform(low, high, (n, dim)))
-
-
-def gen_shifted_gaussian_ood(
-    n: int,
-    dim: int,
-    offset: float,
-    sigma: float,
-    seed: int,
-    name: str = "shifted_gaussian",
-) -> Dataset:
-    """An isotropic Gaussian centered at offset * (1, ..., 1): near-manifold OOD."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    rng = RngStream(seed, f"data/{name}")
-    return Dataset(name, offset + sigma * rng.normal((n, dim)))
-
-
-def gen_gaussian_noise_ood(
-    n: int,
-    stats: Normalization,
-    seed: int,
-    name: str = "gaussian_noise",
-) -> Dataset:
-    """Gaussian noise matching the ID per-feature mean and std but with no
-    class structure; the standard validation OOD set."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rng = RngStream(seed, f"data/{name}")
-    return Dataset(name, stats.mean + stats.std * rng.normal((n, stats.mean.size)))
 
 
 def _read_idx_header(raw: bytes, path, expected_magic: int, n_dims: int) -> tuple[int, ...]:
@@ -226,6 +147,24 @@ def read_lines(path) -> list[tuple[int, str]]:
         raise ValueError(f"{path}: not UTF-8 text") from None
 
 
+def parse_number(cell: str, path, line_no: int, where: str, finite: bool = True) -> float:
+    """The number in a CSV cell, whitespace around it allowed. Anything else, or a
+    non-finite value if ``finite``, raises a ValueError naming file, line and ``where``."""
+    text = cell.strip()
+    try:
+        # float() also takes "1_0" and non-ASCII digits, which no CSV writer
+        # emits; on ASCII without "_" it takes only sign, digits, point,
+        # exponent and the nan/inf spellings.
+        if not text.isascii() or "_" in text:
+            raise ValueError
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{path}: line {line_no}: {where}{text!r} is not numeric") from None
+    if finite and not math.isfinite(value):
+        raise ValueError(f"{path}: line {line_no}: {where}{text!r} is not finite")
+    return value
+
+
 def load_csv(path, has_labels: bool = False, name: str | None = None) -> Dataset:
     """Load a headed CSV of float features, optionally with a trailing integer
     label column. Malformed and non-finite cells are reported with line and
@@ -238,20 +177,15 @@ def load_csv(path, has_labels: bool = False, name: str | None = None) -> Dataset
     if has_labels and n_cols < 2:
         raise ValueError(f"{path}: labeled data needs at least 2 columns, header has {n_cols}")
 
+    # (where, finite) per column; a label is checked below.
+    columns = [(f"column {col}: ", not (has_labels and col == n_cols)) for col in range(1, n_cols + 1)]
     rows = []
     labels = []
     for line_no, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != n_cols:
             raise ValueError(f"{path}: line {line_no}: expected {n_cols} columns, got {len(cells)}")
-        values = []
-        for col, cell in enumerate(cells, start=1):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: column {col}: {cell.strip()!r} is not numeric") from None
-            if not math.isfinite(values[-1]) and not (has_labels and col == n_cols):  # labels are checked below
-                raise ValueError(f"{path}: line {line_no}: column {col}: {cell.strip()!r} is not finite")
+        values = [parse_number(cell, path, line_no, *column) for cell, column in zip(cells, columns)]
         if has_labels:
             label = values.pop()
             # is_integer is False for inf and nan, which int() would raise on.
@@ -259,6 +193,8 @@ def load_csv(path, has_labels: bool = False, name: str | None = None) -> Dataset
                 raise ValueError(f"{path}: line {line_no}: label {cells[-1].strip()!r} is not an integer")
             if label < 1:
                 raise ValueError(f"{path}: line {line_no}: label {cells[-1].strip()!r} is below 1 (labels are 1-based)")
+            if label >= 2**63:
+                raise ValueError(f"{path}: line {line_no}: label {cells[-1].strip()!r} does not fit in 64 bits")
             labels.append(int(label))
         rows.append(values)
 

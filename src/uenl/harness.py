@@ -10,14 +10,13 @@ from __future__ import annotations
 import base64
 import itertools
 import json
-import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, apply_overrides, json_parser
-from .data import Dataset, Normalization, batch_iter, gen_gaussian_noise_ood, read_lines, standardize
+from .config import ExperimentConfig, GaussianNoiseOodSpec, apply_overrides, json_parser
+from .data import Dataset, Normalization, batch_iter, parse_number, read_lines, standardize
 from .losses import logitnorm_ce, plain_ce, uenl_total
 from .metrics import MetricReport, auroc, error_rate, histogram, histogram_range, write_histogram_csv, write_metrics_csv
 from .model import (
@@ -76,7 +75,10 @@ def build_raw_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict
             raise ValueError(f"ID split {split.name!r} has label {split.labels.max()} but the model has {k} classes")
         if split.dim != dim:
             raise ValueError(f"ID split {split.name!r} is {split.dim}-dimensional, model expects {dim}")
-    stats = Normalization.fit(train.features)
+    try:
+        stats = Normalization.fit(train.features)
+    except ValueError as exc:
+        raise ValueError(f"the ID-train statistics (data.id) are unusable: {exc}") from None
     ood = {spec.name: spec.build(dim, stats) for spec in config.data.ood}
     for name, ds in ood.items():
         if ds.dim != dim:
@@ -268,7 +270,7 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
     val_features = None
     if config.select_best_validation:
         val_seed = derive_seed(config.seed, "validation-noise")
-        raw = gen_gaussian_noise_ood(500, bundle.stats, val_seed, name="validation_noise")
+        raw = GaussianNoiseOodSpec("validation_noise", 500, val_seed).build(config.backbone.input_dim, bundle.stats)
         val_features = standardize(raw, bundle.stats).features
         val_id = bundle.id_train.features[: min(1000, len(bundle.id_train))]
         val_method = "uncertainty" if config.method == "uenl" else "msp"
@@ -506,12 +508,6 @@ def scores_csv_to_histograms(scores_path, n_bins: int) -> list[tuple[str, str, f
         if len(cells) != 4:
             raise ValueError(f"{path}: line {line_no}: expected 4 columns, got {len(cells)}")
         dataset, _, method, score = cells
-        try:
-            value = float(score)
-        except ValueError:
-            raise ValueError(f"{path}: line {line_no}: score {score!r} is not numeric") from None
-        if not math.isfinite(value):
-            raise ValueError(f"{path}: line {line_no}: score {score!r} is not finite")
-        grouped.setdefault(method, {}).setdefault(dataset, []).append(value)
+        grouped.setdefault(method, {}).setdefault(dataset, []).append(parse_number(score, path, line_no, "score "))
 
     return [row for method, scores in grouped.items() for row in _shared_histograms(method, scores.items(), n_bins)]

@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 import uenl.harness
 from conftest import V1_CHECKPOINT, tiny_experiment_config
 from uenl.cli import main
-from uenl.config import CsvOodSpec, GaussianNoiseOodSpec, IdxOodSpec, ShiftedGaussianOodSpec, UniformOodSpec
+from uenl.config import (
+    MAX_ARRAY_VALUES, CsvOodSpec, GaussianClustersSpec, GaussianNoiseOodSpec, IdxOodSpec, ShiftedGaussianOodSpec,
+    UniformOodSpec,
+)
 from uenl.harness import Checkpoint
 from uenl.model import init_params
 from uenl.rng import RngStream, derive_seed
@@ -434,6 +437,19 @@ MALFORMED_OVERRIDES = [
     ('data.id={"kind": "csv", "train": "a.csv", "test": "b.csv", "has_labels": false}', "error: data.id.has_labels"),
     ("data.id.num_classes=3", "error: data.id.num_classes (3) != backbone.num_classes (2)"),
     ("data.id.dim=8", "error: data.id.dim (8) != backbone.input_dim (6)"),
+    # ID-train statistics that overflow are named as such, not as a derived set's features.
+    ("data.id.mean_scale=1e308", "error: the ID-train statistics (data.id) are unusable: mean and std entries must"),
+    # Every count that sizes an array is bounded at load (MAX_ARRAY_VALUES = 2**28).
+    (f"data.id.n_train_per_class={10**30}", f"error: data.id.n_train_per_class sizes a {2 * 10**30} x 6 array"),
+    ("data.id.n_train_per_class=100000000000", "error: data.id.n_train_per_class sizes a 200000000000 x 6 array"),
+    ("data.id.n_test_per_class=22369622", "error: data.id.n_test_per_class sizes a 44739244 x 6 array, over 268435456"),
+    ("data.ood[0].n=100000000000", "error: data.ood[0].n sizes a 100000000000 x 6 array, over 268435456"),
+    ("data.ood[1].n=44739243", "error: data.ood[1].n sizes a 44739243 x 6 array, over 268435456 values"),
+    ("backbone.input_dim=100000000000", "error: backbone.input_dim x backbone.hidden_dims[0] sizes a 100000000000 x"),
+    ("backbone.hidden_dims=[16,16777217]", "error: backbone.hidden_dims[0] x backbone.hidden_dims[1] sizes a 16 x"),
+    ("backbone.num_classes=33554433", "error: backbone.hidden_dims[1] x backbone.num_classes sizes a 8 x 33554433"),
+    ("delta=33554433", "error: backbone.hidden_dims[1] x delta sizes a 8 x 33554433 array"),
+    ("scoring.histogram_bins=268435457", "error: scoring.histogram_bins sizes a 268435457 array"),
 ]
 
 # (checkpoint edit, text the error line must contain)
@@ -488,8 +504,21 @@ class TestMalformedInput:
     """Every malformed config, override or checkpoint ends in exit status 1
     and a single ``error:`` line on stderr."""
 
+    @pytest.fixture()
+    def small_builds(self, monkeypatch):
+        """Synthetic builds that fail, before they draw a row, when asked for
+        more than 10**6 values: a missing check at load cannot allocate."""
+        counts = ("n", "n_train_per_class", "n_test_per_class")
+        for cls in (GaussianClustersSpec, UniformOodSpec, ShiftedGaussianOodSpec, GaussianNoiseOodSpec):
+            def guarded(self, *args, original=cls.build):
+                rows = sum(getattr(self, f, 0) * getattr(self, "num_classes", 1) for f in counts)
+                assert rows * (args[0] if args else self.dim) <= 10**6, f"{self} reached build"
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, "build", guarded)
+
     @pytest.mark.parametrize("override,text", MALFORMED_OVERRIDES, ids=[o for o, _ in MALFORMED_OVERRIDES])
-    def test_override(self, config_path, tmp_path, capsys, override, text):
+    def test_override(self, config_path, tmp_path, capsys, small_builds, override, text):
         rc = main(["gen-data", "--config", str(config_path), "--set", override, "--out", str(tmp_path / "d")])
         assert_one_error_line(rc, capsys, text)
 
@@ -531,6 +560,18 @@ class TestMalformedInput:
         argv = ["hist", "--scores", str(tmp_path / "none.csv"), "--bins", "0"]
         rc = main([*argv, "--out", str(tmp_path / "h.csv")])
         assert_one_error_line(rc, capsys, "error: --bins must be at least 1")
+
+    def test_hist_bins_over_the_limit(self, tmp_path, capsys):
+        argv = ["hist", "--scores", str(tmp_path / "none.csv"), "--bins", str(MAX_ARRAY_VALUES + 1)]
+        rc = main([*argv, "--out", str(tmp_path / "h.csv")])
+        assert_one_error_line(rc, capsys, f"error: --bins must be at least 1 and at most {MAX_ARRAY_VALUES}, got")
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663"])
+    def test_hist_score_not_ascii_number(self, tmp_path, capsys, cell):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"dataset,sample_index,method,score\nid_test,0,msp,{cell}\n", encoding="utf-8")
+        rc = main(["hist", "--scores", str(scores), "--out", str(tmp_path / "h.csv")])
+        assert_one_error_line(rc, capsys, f"error: {scores}: line 2: score {cell!r} is not numeric")
 
     def test_hist_non_finite_score_names_file_and_line(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
@@ -629,12 +670,25 @@ CKPT_EDITS = st.one_of(
 
 OOD_ROWS = [b"x1,x2,x3,x4,x5,x6", b"0.5,-0.25,1.0,0.0,2.0,-1.5", b"1e-3,0.75,-2.0,0.125,0.0,3.0"]
 CELLS = (b"nan", b"inf", b"-inf", b"1e999", b"9" * 400, b"1" + b"0" * 30, "é".encode(), b"\xff", b"caf\xe9", b"")
-CSV_EDITS = st.one_of(
-    st.tuples(st.sampled_from(["drop", "add"]), st.integers(0, 2), st.integers(0, 5)),
-    st.tuples(st.just("cell"), st.integers(0, 2), st.integers(0, 5), st.sampled_from(CELLS)),
-    st.tuples(st.just("cut"), st.integers(0, sum(len(row) + 1 for row in OOD_ROWS) - 1)),
-    st.tuples(st.just("header")),
-)
+
+
+def csv_edits(rows, cells=CELLS):
+    """Edits of the CSV ``rows``: drop or add a cell, replace one, cut the
+    file short, or keep only the header."""
+    n_rows, n_cols = len(rows), len(rows[0].split(b","))
+    return st.one_of(
+        st.tuples(st.sampled_from(["drop", "add"]), st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+        st.tuples(st.just("cell"), st.integers(0, n_rows - 1), st.integers(0, n_cols - 1), st.sampled_from(cells)),
+        st.tuples(st.just("cut"), st.integers(0, sum(len(row) + 1 for row in rows) - 1)),
+        st.tuples(st.just("header")),
+    )
+
+
+CSV_EDITS = csv_edits(OOD_ROWS)
+# Cells that only a strict number parser rejects, and some it must accept.
+NUMBER_CELLS = (*CELLS, b"1_0", "\u0663".encode(), "\uff11".encode(), b"0x10", b" 2.5 ", b"-.5E+1", b"Infinity", b"3")
+SCORE_ROWS = [b"dataset,sample_index,method,score", b"id_test,0,msp,0.5", b"id_test,1,msp,-1.25e-3", b"uniform,0,msp,2"]
+ID_ROWS = [b"x1,x2,x3,x4,x5,x6,label", b"0.5,-0.25,1.0,0.0,2.0,-1.5,1", b"1e-3,0.75,-2.0,0.125,0.0,3.0,2"]
 
 
 def _edited_checkpoint(text: str, edit) -> str:
@@ -654,8 +708,8 @@ def _edited_checkpoint(text: str, edit) -> str:
     return json.dumps(doc)
 
 
-def _edited_ood_csv(edit) -> bytes:
-    rows = [row.split(b",") for row in OOD_ROWS]
+def _edited_csv(edit, rows=OOD_ROWS) -> bytes:
+    rows = [row.split(b",") for row in rows]
     if edit[0] == "drop":
         del rows[edit[1]][edit[2]]
     elif edit[0] == "add":
@@ -668,13 +722,17 @@ def _edited_ood_csv(edit) -> bytes:
     return text[: edit[1]] if edit[0] == "cut" else text
 
 
-def assert_eval_exits_cleanly(argv):
-    """``uenl eval`` returns 0 with nothing on stderr, or 1 with one error line."""
+def assert_exits_cleanly(argv):
+    """``main(argv)`` returns 0 with nothing on stderr, or 1 with one error line."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        rc = main(["eval", *argv, "--methods", "msp,uncertainty"])
+        rc = main(argv)
     lines = err.getvalue().splitlines()
     assert (rc, lines) == (0, []) or (rc == 1 and len(lines) == 1 and lines[0].startswith("error: ")), (rc, lines)
+
+
+def assert_eval_exits_cleanly(argv):
+    assert_exits_cleanly(["eval", *argv, "--methods", "msp,uncertainty"])
 
 
 class TestEvalProperty:
@@ -701,5 +759,36 @@ class TestEvalProperty:
         root = tmp_path_factory.getbasetemp() / "eval_property_csv"
         root.mkdir(exist_ok=True)
         path = root / "ood.csv"
-        path.write_bytes(_edited_ood_csv(edit))
+        path.write_bytes(_edited_csv(edit))
         assert_eval_exits_cleanly(["--checkpoint", str(ckpt), "--ood", str(path), "--out", str(root / "report")])
+
+
+class TestCsvProperty:
+    """``uenl hist`` on a mutated scores CSV, and ``uenl gen-data`` on mutated
+    data CSVs behind a csv ID spec, exit 0, or 1 with one error line."""
+
+    @settings(max_examples=60)
+    @given(edit=csv_edits(SCORE_ROWS, NUMBER_CELLS))
+    def test_mutated_scores_csv(self, tmp_path_factory, edit):
+        root = tmp_path_factory.getbasetemp() / "hist_property"
+        root.mkdir(exist_ok=True)
+        path = root / "scores.csv"
+        path.write_bytes(_edited_csv(edit, SCORE_ROWS))
+        assert_exits_cleanly(["hist", "--scores", str(path), "--bins", "3", "--out", str(root / "h.csv")])
+
+    @settings(max_examples=60)
+    @given(split=st.sampled_from(["train", "test"]), edit=csv_edits(ID_ROWS, NUMBER_CELLS))
+    # Found by this search: a label of 1e30 ended in "Python int too large to
+    # convert to C long", which names no file.
+    @example(split="train", edit=("cell", 1, 6, b"1" + b"0" * 30))
+    def test_mutated_id_csv(self, tmp_path_factory, split, edit):
+        root = tmp_path_factory.getbasetemp() / "id_csv_property"
+        root.mkdir(exist_ok=True)
+        paths = {name: root / f"{name}.csv" for name in ("train", "test")}
+        for name, path in paths.items():
+            path.write_bytes(_edited_csv(edit, ID_ROWS) if name == split else b"\n".join(ID_ROWS) + b"\n")
+        cfg = tiny_experiment_config(epochs=2).to_dict()
+        cfg["data"]["id"] = {"kind": "csv", "train": str(paths["train"]), "test": str(paths["test"])}
+        config = root / "exp.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        assert_exits_cleanly(["gen-data", "--config", str(config), "--out", str(root / "data")])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uenl.config import (
+    MAX_ARRAY_VALUES,
     BackboneSpec,
     CsvIdSpec,
     CsvOodSpec,
@@ -289,6 +290,13 @@ class TestValidation:
     def test_scoring_bins_at_least_one(self):
         with pytest.raises(ValueError, match="histogram_bins"):
             ScoringSpec(histogram_bins=0)
+
+    def test_array_budget_is_inclusive(self):
+        # Loading builds no array, so a config at the limit costs nothing here.
+        width = MAX_ARRAY_VALUES // 4
+        ExperimentConfig(backbone=BackboneSpec(input_dim=4, hidden_dims=(width,), num_classes=2), delta=4)
+        with pytest.raises(ValueError, match=r"^backbone.input_dim x backbone.hidden_dims\[0\] sizes a 4 x "):
+            ExperimentConfig(backbone=BackboneSpec(input_dim=4, hidden_dims=(width + 1,), num_classes=2), delta=4)
 
     def test_clusters_need_two_classes(self):
         with pytest.raises(ValueError, match="num_classes"):

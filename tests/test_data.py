@@ -1,25 +1,33 @@
-"""Datasets: generators, IDX/CSV loaders, standardization, batching."""
+"""Datasets: the synthetic data specs, IDX/CSV loaders, standardization,
+batching."""
 
+import hashlib
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from uenl.config import GaussianClustersSpec, GaussianNoiseOodSpec, ShiftedGaussianOodSpec, UniformOodSpec, load_config
 from uenl.data import (
     Batch,
     Dataset,
     Normalization,
-    basis_means,
     batch_iter,
-    gen_gaussian_clusters,
-    gen_gaussian_noise_ood,
-    gen_shifted_gaussian_ood,
-    gen_uniform_ood,
     load_csv,
     load_idx,
     save_csv,
     standardize,
 )
+from uenl.harness import build_raw_datasets
+
+SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json"
+
+
+def clusters(dim=3, num_classes=3, n=50, sigma=0.3, seed=9, mean_scale=1.0) -> Dataset:
+    """The train split of a Gaussian-clusters spec; its class means are
+    ``mean_scale * np.eye(num_classes, dim)``."""
+    return GaussianClustersSpec(dim, num_classes, n, 1, sigma, seed, mean_scale).build()[0]
 
 
 class TestDatasetType:
@@ -53,6 +61,11 @@ class TestNormalizationType:
         with pytest.raises(ValueError):
             Normalization(np.zeros((2, 2)), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("mean,std", [([np.nan], [1.0]), ([np.inf], [1.0]), ([0.0], [np.nan]), ([0.0], [np.inf])])
+    def test_rejects_non_finite_statistics(self, mean, std):
+        with pytest.raises(ValueError, match="must be finite"):
+            Normalization(np.array(mean), np.array(std))
+
     def test_fit_is_what_standardize_fits(self):
         features = np.column_stack([np.full(6, 3.0), np.arange(6.0)])
         stats = Normalization.fit(features)
@@ -64,78 +77,78 @@ class TestNormalizationType:
 
 class TestGaussianClusters:
     def test_cluster_sample_means(self):
-        # k=3 unit-triangle-ish means in 2-d, sigma 0.2: at n=1e4 per class the
-        # per-cluster sample mean concentrates within 0.02 of its center.
-        means = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
-        ds = gen_gaussian_clusters(means, 10_000, 0.2, seed=5)
+        # Three classes on the basis axes of 3-d space, sigma 0.2: at n=1e4 per
+        # class the per-cluster sample mean concentrates within 0.02 of its center.
+        ds = clusters(n=10_000, sigma=0.2, seed=5)
         for c in range(3):
             sample_mean = ds.features[ds.labels == c + 1].mean(axis=0)
-            assert np.abs(sample_mean - means[c]).max() < 0.02
+            assert np.abs(sample_mean - np.eye(3)[c]).max() < 0.02
 
     def test_same_seed_identical(self):
-        means = basis_means(3, 4)
-        a = gen_gaussian_clusters(means, 50, 0.3, seed=9)
-        b = gen_gaussian_clusters(means, 50, 0.3, seed=9)
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.labels, b.labels)
+        spec = GaussianClustersSpec(4, 3, 50, 20, 0.3, 9)
+        (a_train, a_test), (b_train, b_test) = spec.build(), spec.build()
+        for a, b in ((a_train, b_train), (a_test, b_test)):
+            np.testing.assert_array_equal(a.features, b.features)
+            np.testing.assert_array_equal(a.labels, b.labels)
+        # The splits draw from their own streams.
+        assert not np.array_equal(a_train.features[:20], a_test.features)
 
     def test_vanishing_sigma_degenerates_to_means(self):
-        means = basis_means(2, 3, mean_scale=2.0)
-        ds = gen_gaussian_clusters(means, 10, 1e-12, seed=1)
-        np.testing.assert_allclose(ds.features, np.repeat(means, 10, axis=0), atol=1e-10)
+        ds = clusters(dim=3, num_classes=2, n=10, sigma=1e-12, seed=1, mean_scale=2.0)
+        np.testing.assert_allclose(ds.features, np.repeat(2.0 * np.eye(2, 3), 10, axis=0), atol=1e-10)
 
     def test_labels_in_row_order(self):
-        ds = gen_gaussian_clusters(basis_means(3, 3), 4, 0.1, seed=2)
+        ds = clusters(n=4, sigma=0.1, seed=2)
         assert ds.labels.tolist() == [1] * 4 + [2] * 4 + [3] * 4
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            gen_gaussian_clusters(np.zeros((2, 3)), 5, 0.1, seed=0)  # coincident means
-        with pytest.raises(ValueError):
-            gen_gaussian_clusters(basis_means(2, 2), 5, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            gen_gaussian_clusters(basis_means(2, 2), 0, 0.1, seed=0)
-        with pytest.raises(ValueError):
-            gen_gaussian_clusters(np.zeros(3), 5, 0.1, seed=0)
+        with pytest.raises(ValueError, match="mean_scale"):
+            GaussianClustersSpec(3, 2, 5, 5, 0.1, 0, mean_scale=0.0)  # every class mean at the origin
+        with pytest.raises(ValueError, match="sigma"):
+            GaussianClustersSpec(2, 2, 5, 5, 0.0, 0)
+        with pytest.raises(ValueError, match="n_train_per_class"):
+            GaussianClustersSpec(2, 2, 0, 5, 0.1, 0)
+        with pytest.raises(ValueError, match="num_classes"):
+            GaussianClustersSpec(4, 5, 5, 5, 0.1, 0)  # one axis per class mean
 
     def test_basis_means_layout(self):
-        m = basis_means(2, 4, mean_scale=3.0)
-        np.testing.assert_array_equal(m, [[3.0, 0, 0, 0], [0, 3.0, 0, 0]])
-        with pytest.raises(ValueError):
-            basis_means(5, 4)
+        ds = clusters(dim=4, num_classes=2, n=1, sigma=1e-300, seed=3, mean_scale=3.0)
+        np.testing.assert_allclose(ds.features, [[3.0, 0, 0, 0], [0, 3.0, 0, 0]], rtol=0, atol=1e-290)
 
 
 class TestOodGenerators:
+    ID_STATS = Normalization(np.zeros(6), np.ones(6))  # read by gaussian_noise only
+
     def test_uniform_bounds_and_determinism(self):
-        a = gen_uniform_ood(500, 6, -2.0, 2.0, seed=3)
-        b = gen_uniform_ood(500, 6, -2.0, 2.0, seed=3)
+        spec = UniformOodSpec("uniform", 500, -2.0, 2.0, 3)
+        a, b = spec.build(6, self.ID_STATS), spec.build(6, self.ID_STATS)
         np.testing.assert_array_equal(a.features, b.features)
+        assert a.features.shape == (500, 6)
         assert a.features.min() >= -2.0 and a.features.max() < 2.0
         assert a.labels is None
         with pytest.raises(ValueError):
-            gen_uniform_ood(5, 2, 1.0, 1.0, seed=0)
+            UniformOodSpec("uniform", 5, 1.0, 1.0, 0)
         with pytest.raises(ValueError):
-            gen_uniform_ood(0, 2, 0.0, 1.0, seed=0)
+            UniformOodSpec("uniform", 0, 0.0, 1.0, 0)
 
     def test_shifted_gaussian_center(self):
-        ds = gen_shifted_gaussian_ood(20_000, 4, offset=3.0, sigma=0.2, seed=4)
+        ds = ShiftedGaussianOodSpec("shifted", 20_000, 3.0, 0.2, 4).build(4, self.ID_STATS)
         np.testing.assert_allclose(ds.features.mean(axis=0), 3.0, atol=0.01)
         with pytest.raises(ValueError):
-            gen_shifted_gaussian_ood(10, 2, 0.0, -1.0, seed=0)
+            ShiftedGaussianOodSpec("shifted", 10, 0.0, -1.0, 0)
 
     def test_noise_matches_id_moments(self):
         # Mean/std over 1e5 samples within 1% of the ID statistics.
         stats = Normalization(np.array([2.0, -1.0]), np.array([0.5, 3.0]))
-        ds = gen_gaussian_noise_ood(100_000, stats, seed=6)
+        ds = GaussianNoiseOodSpec("noise", 100_000, 6).build(2, stats)
         mean_err = (ds.features.mean(axis=0) - stats.mean) / stats.std
         assert np.abs(mean_err).max() < 0.01
         np.testing.assert_allclose(ds.features.std(axis=0), stats.std, rtol=0.01)
 
     def test_noise_deterministic(self):
         stats = Normalization(np.zeros(3), np.ones(3))
-        a = gen_gaussian_noise_ood(50, stats, seed=7)
-        b = gen_gaussian_noise_ood(50, stats, seed=7)
-        np.testing.assert_array_equal(a.features, b.features)
+        spec = GaussianNoiseOodSpec("noise", 50, 7)
+        np.testing.assert_array_equal(spec.build(3, stats).features, spec.build(3, stats).features)
 
     def test_noise_far_from_tight_clusters_in_high_dim(self):
         # Norm concentration: as the dimension grows past 8, matched-moment
@@ -143,16 +156,38 @@ class TestOodGenerators:
         # ever-larger fraction of points, reaching all of them by D = 32.
         fractions = []
         for dim in (8, 16, 32):
-            means = basis_means(3, dim)
-            train = gen_gaussian_clusters(means, 500, 0.2, seed=8)
+            train = clusters(dim=dim, n=500, sigma=0.2, seed=8)
             stats = Normalization.fit(train.features)
-            noise = gen_gaussian_noise_ood(2000, stats, seed=9)
-            dists = np.linalg.norm(noise.features[:, None, :] - means[None, :, :], axis=2)
+            noise = GaussianNoiseOodSpec("gaussian_noise", 2000, 9).build(dim, stats)
+            dists = np.linalg.norm(noise.features[:, None, :] - np.eye(3, dim)[None, :, :], axis=2)
             fractions.append((dists.min(axis=1) > 3 * 0.2).mean())
         assert fractions[0] >= 0.85
         assert fractions[1] >= 0.98
         assert fractions[2] == 1.0
         assert fractions[0] < fractions[1] < fractions[2]
+
+
+# sha256 of each raw split of configs/desk_synthetic.json: its little-endian
+# float64 features, then its int64 labels. The spec classes took over the
+# generators without changing a bit.
+SHIPPED_SHA256 = {
+    "id_train": "9897843dea8505a5287e61db6769e29e1c0f87e71316b122fc410c3979f33bc5",
+    "id_test": "4db1b0c8626be35de6453df25fd8bd3347d90ec2d085713bae96d5a1091d402e",
+    "uniform": "1e8efd993e902c77c7f9dc91ca7d83fa8658287feef1345be5d834a5b6426ccc",
+    "shifted_gaussian": "ba9380b5e0a38c9e38541fa873eae93c8bd2369a6de11356b8858ffb36c4a89e",
+    "gaussian_noise": "b55a8b56d77e4b3d478fbfb6842ed92afbc33766582acb07d6658d36f51da47e",
+}
+
+
+def test_shipped_raw_datasets_are_pinned():
+    train, test, ood, _ = build_raw_datasets(load_config(SHIPPED_CONFIG))
+    digests = {}
+    for ds in (train, test, *ood.values()):
+        h = hashlib.sha256(ds.features.astype("<f8").tobytes())
+        if ds.labels is not None:
+            h.update(ds.labels.astype("<i8").tobytes())
+        digests[ds.name] = h.hexdigest()
+    assert digests == SHIPPED_SHA256
 
 
 def _idx_image_bytes(n, rows, cols, pixels):
@@ -241,6 +276,22 @@ class TestCsvLoader:
         assert "column 2" in str(err.value)
         assert "oops" in str(err.value)
 
+    # float() takes all of these; no CSV writer emits them.
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663", "\uff11", "0x10", "1e", ".", "+-1", "\u0131nf", "1 2"])
+    def test_only_ascii_number_syntax(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"x1,x2\n0.5,1\n\n0.5,{cell}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: line 4: column 2: {cell!r} is not numeric"
+
+    def test_number_spellings_and_whitespace(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x1,x2,x3,x4,label\n 1.,-.5e+2 ,+3E-1,\t7\u00a0,2\n", encoding="utf-8")
+        ds = load_csv(path, has_labels=True)
+        np.testing.assert_array_equal(ds.features, [[1.0, -50.0, 0.3, 7.0]])
+        assert ds.labels.tolist() == [2]
+
     @pytest.mark.parametrize("cell", ["nan", "1e999", "-inf"])
     def test_non_finite_feature_names_line_and_column(self, tmp_path, cell):
         path = tmp_path / "data.csv"
@@ -291,6 +342,14 @@ class TestCsvLoader:
         with pytest.raises(ValueError) as info:
             load_csv(path, has_labels=True)
         assert str(info.value) == f"{path}: line 4: label '{cell}' is below 1 (labels are 1-based)"
+
+    def test_label_too_large_names_the_file_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x1,label\n0.0,9223372036854775807\n0.0,1e30\n")
+        with pytest.raises(ValueError) as info:
+            load_csv(path, has_labels=True)
+        # 2**63 - 1 reads as the float 2**63, one past the int64 range.
+        assert str(info.value) == f"{path}: line 2: label '9223372036854775807' does not fit in 64 bits"
 
     def test_save_load_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(10)

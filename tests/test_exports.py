@@ -35,3 +35,10 @@ def test_losses_exports_only_the_objectives():
         assert old not in uenl.__all__
         assert not hasattr(uenl, old)
         assert not hasattr(uenl.losses, old)
+
+
+def test_data_has_no_generators():
+    # The synthetic data specs in uenl.config draw their own rows.
+    leftovers = [name for name in dir(uenl.data) if name.startswith("gen_") or name == "basis_means"]
+    assert leftovers == []
+    assert not any(name.startswith("gen_") or name == "basis_means" for name in uenl.data.__all__)

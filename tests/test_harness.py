@@ -12,7 +12,7 @@ from numpy.testing import assert_array_equal
 
 from conftest import V1_CHECKPOINT, tiny_experiment_config
 from uenl.config import load_config
-from uenl.data import Dataset, Normalization, basis_means, batch_iter, gen_gaussian_clusters, standardize
+from uenl.data import Dataset, Normalization, batch_iter, standardize
 from uenl.harness import (
     Checkpoint,
     _batch_loss,
@@ -250,8 +250,7 @@ class TestEvaluate:
         """The same distribution on both sides is undetectable: subsampled
         halves of one large ID draw give AUROC about 0.5."""
         cfg = tiny_checkpoint.config.data.id
-        means = basis_means(cfg.num_classes, cfg.dim, cfg.mean_scale)
-        big = gen_gaussian_clusters(means, 500, cfg.sigma, 777, "big")
+        big, _ = replace(cfg, n_train_per_class=500, seed=777).build()
         std = standardize(big, tiny_bundle.stats)
         feats, labels = std.features, std.labels
         # Rows are blocked by class, so interleave to keep both halves on the
