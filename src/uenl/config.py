@@ -243,8 +243,11 @@ class GaussianClustersSpec:
         means[np.arange(k), np.arange(k)] = self.mean_scale
 
         def split(n: int, name: str) -> Dataset:
-            noise = RngStream(self.seed, f"data/{name}").normal((k * n, self.dim))
-            return Dataset(name, np.repeat(means, n, axis=0) + self.sigma * noise, np.repeat(np.arange(1, k + 1), n))
+            features = RngStream(self.seed, f"data/{name}").normal((k * n, self.dim))
+            features *= self.sigma
+            by_class = features.reshape(k, n, self.dim)  # a view: the means are added in place
+            by_class += means[:, None, :]
+            return Dataset(name, features, np.repeat(np.arange(1, k + 1), n))
 
         return split(self.n_train_per_class, "id_train"), split(self.n_test_per_class, "id_test")
 

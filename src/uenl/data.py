@@ -59,14 +59,17 @@ class Normalization:
 
 @dataclass
 class Dataset:
-    """A named feature matrix with optional 1-based labels."""
+    """A named feature matrix with optional 1-based labels. The features are a read-only C-order float64
+    matrix: a writeable one that owns its data is taken over and made read-only; anything else is copied."""
 
     name: str
     features: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=np.float64, order="C")
+        feats = self.features
+        if not (type(feats) is np.ndarray and feats.dtype == np.float64 and feats.flags.carray and feats.flags.owndata):
+            feats = np.array(feats, dtype=np.float64, order="C")
         if feats.ndim != 2 or feats.shape[0] < 1:
             raise ValueError(f"features must be a non-empty 2-d matrix, got shape {feats.shape}")
         if not np.all(np.isfinite(feats)):
@@ -227,7 +230,8 @@ def standardize(dataset: Dataset, stats: Normalization) -> Dataset:
     ``Normalization.fit`` fitted on the ID training split."""
     if stats.mean.size != dataset.dim:
         raise ValueError(f"statistics are {stats.mean.size}-dimensional, data is {dataset.dim}-dimensional")
-    return Dataset(dataset.name, (dataset.features - stats.mean) / stats.std, dataset.labels)
+    features = dataset.features - stats.mean
+    return Dataset(dataset.name, np.divide(features, stats.std, out=features), dataset.labels)
 
 
 class Batch(NamedTuple):

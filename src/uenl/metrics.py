@@ -3,6 +3,7 @@
 Conventions: scores are oriented so higher means more in-distribution; the
 positive class for AUPR is ID; FPR95 reports the fraction of OOD samples
 scoring at or above the loosest threshold that still keeps 95% of ID.
+AUROC, AUPR and FPR95 all read one ranking of the pooled scores.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
     "auroc",
@@ -37,19 +37,43 @@ def _validated(scores, name: str) -> np.ndarray:
     return arr
 
 
-def auroc(id_scores, ood_scores) -> float:
-    """Probability a random ID sample outscores a random OOD sample, ties 1/2.
+@dataclass(frozen=True)
+class FprResult:
+    fpr: float
+    threshold: float
 
-    Computed from average ranks (the Mann-Whitney statistic), which matches
-    the direct all-pairs count exactly in float64 for sample sizes where the
-    half-integer rank sums are exactly representable.
-    """
+
+def _ranking(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct pooled scores in descending order, with the counts tp/fp
+    of ID/OOD scores at or above each: one stable sort, cut at each value."""
     id_s = _validated(id_scores, "id_scores")
-    ood_s = _validated(ood_scores, "ood_scores")
-    n_id, n_ood = id_s.size, ood_s.size
-    ranks = rankdata(np.concatenate([id_s, ood_s]), method="average")
-    u_stat = ranks[:n_id].sum() - n_id * (n_id + 1) / 2
-    return float(u_stat / (n_id * n_ood))
+    scores = np.concatenate([id_s, _validated(ood_scores, "ood_scores")])
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))  # of each block of equal scores
+    tp = np.cumsum(order < id_s.size)[last]
+    return ranked[last], tp, last + 1 - tp
+
+
+def _auroc(tp, fp) -> float:
+    # 2U: each ID score counts 2 per lower OOD score and 1 per tied one.
+    two_u = np.sum(np.diff(tp, prepend=0) * (2 * (fp[-1] - fp) + np.diff(fp, prepend=0)))
+    return int(two_u) / (2 * int(tp[-1]) * int(fp[-1]))
+
+
+def _aupr(tp, fp) -> float:
+    return float(np.sum(np.diff(tp / tp[-1], prepend=0.0) * (tp / (tp + fp))))
+
+
+def _fpr_at_tpr(values, tp, fp, tpr: float) -> FprResult:
+    j = np.searchsorted(tp, math.ceil(tpr * tp[-1]))
+    return FprResult(int(fp[j]) / int(fp[-1]), float(values[j]))
+
+
+def auroc(id_scores, ood_scores) -> float:
+    """Probability a random ID sample outscores a random OOD sample, ties 1/2:
+    the Mann-Whitney U, counted exactly in integers and divided once."""
+    return _auroc(*_ranking(id_scores, ood_scores)[1:])
 
 
 def aupr(id_scores, ood_scores) -> float:
@@ -58,26 +82,7 @@ def aupr(id_scores, ood_scores) -> float:
     Average-precision style step integration: sum over descending distinct
     thresholds of (recall increment) * precision.
     """
-    id_s = _validated(id_scores, "id_scores")
-    ood_s = _validated(ood_scores, "ood_scores")
-    scores = np.concatenate([id_s, ood_s])
-    labels = np.concatenate([np.ones(id_s.size), np.zeros(ood_s.size)])
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    tp = np.cumsum(labels[order])
-    fp = np.cumsum(1.0 - labels[order])
-    # Keep only the last row of each tied-score block: thresholds sit at
-    # distinct score values.
-    last = np.flatnonzero(np.append(np.diff(sorted_scores) != 0.0, True))
-    precision = tp[last] / (tp[last] + fp[last])
-    recall = tp[last] / id_s.size
-    return float(np.sum(np.diff(recall, prepend=0.0) * precision))
-
-
-@dataclass(frozen=True)
-class FprResult:
-    fpr: float
-    threshold: float
+    return _aupr(*_ranking(id_scores, ood_scores)[1:])
 
 
 def fpr_at_tpr(id_scores, ood_scores, tpr: float = 0.95) -> FprResult:
@@ -88,12 +93,7 @@ def fpr_at_tpr(id_scores, ood_scores, tpr: float = 0.95) -> FprResult:
     """
     if not 0.0 < tpr <= 1.0:
         raise ValueError("tpr must lie in (0, 1]")
-    id_s = _validated(id_scores, "id_scores")
-    ood_s = _validated(ood_scores, "ood_scores")
-    k = math.ceil(tpr * id_s.size)
-    threshold = np.sort(id_s)[id_s.size - k]
-    fpr = np.count_nonzero(ood_s >= threshold) / ood_s.size
-    return FprResult(float(fpr), float(threshold))
+    return _fpr_at_tpr(*_ranking(id_scores, ood_scores), tpr)
 
 
 def fpr_at_95_tpr(id_scores, ood_scores) -> FprResult:
@@ -153,17 +153,9 @@ class MetricReport:
 
     @classmethod
     def from_scores(cls, id_scores, ood_scores) -> "MetricReport":
-        id_s = _validated(id_scores, "id_scores")
-        ood_s = _validated(ood_scores, "ood_scores")
-        fpr = fpr_at_95_tpr(id_s, ood_s)
-        return cls(
-            fpr95=fpr.fpr,
-            auroc=auroc(id_s, ood_s),
-            aupr=aupr(id_s, ood_s),
-            threshold=fpr.threshold,
-            n_id=id_s.size,
-            n_ood=ood_s.size,
-        )
+        values, tp, fp = _ranking(id_scores, ood_scores)
+        fpr = _fpr_at_tpr(values, tp, fp, 0.95)
+        return cls(fpr.fpr, _auroc(tp, fp), _aupr(tp, fp), fpr.threshold, int(tp[-1]), int(fp[-1]))
 
     @staticmethod
     def method_means(rows) -> dict[str, dict[str, float]]:

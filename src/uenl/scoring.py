@@ -1,6 +1,8 @@
 """Post-hoc detection scores. Every score is oriented the same way:
 higher means more in-distribution. A sample is declared ID when its score
 reaches the decision threshold.
+The softmax and logsumexp kernels repeat scipy.special's (1.17) operations
+in order, so scores.csv has the same bits without scipy.
 """
 
 from __future__ import annotations
@@ -9,8 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp as _np_logsumexp
-from scipy.special import softmax as _np_softmax
 
 from .model import EVAL, ForwardOutput, ModelParams, forward, uncertainty_forward
 from .tensor import backward, tempered_ce
@@ -30,22 +30,23 @@ __all__ = [
 SCORE_METHODS = ("msp", "energy", "odin", "uncertainty")
 
 
-def _as_logit_matrix(logits) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(logits, dtype=np.float64)
+def _as_rows(values, name: str) -> tuple[np.ndarray, bool]:
+    arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 1:
         return arr[None, :], True
     if arr.ndim != 2:
-        raise ValueError(f"logits must be 1-d or 2-d, got shape {arr.shape}")
+        raise ValueError(f"{name} must be 1-d or 2-d, got shape {arr.shape}")
     return arr, False
 
 
 def _max_softmax(logits: np.ndarray) -> np.ndarray:
-    return _np_softmax(logits, axis=-1).max(axis=-1)
+    # The largest softmax entry is exp(0) / sum(exp(z - max)).
+    return 1.0 / np.exp(logits - logits.max(axis=-1, keepdims=True)).sum(axis=-1)
 
 
 def msp_score(logits):
     """Maximum softmax probability. Shift-invariant in the logits."""
-    arr, single = _as_logit_matrix(logits)
+    arr, single = _as_rows(logits, "logits")
     out = _max_softmax(arr)
     return float(out[0]) if single else out
 
@@ -54,8 +55,14 @@ def energy_score(logits, temperature: float = 0.1):
     """Energy score T * logsumexp(logits / T); approaches max(logits) as T -> 0."""
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    arr, single = _as_logit_matrix(logits)
-    out = temperature * _np_logsumexp(arr / temperature, axis=-1)
+    arr, single = _as_rows(logits, "logits")
+    z = arr / temperature
+    z_max = z.max(axis=-1, keepdims=True)
+    at_max = z == z_max
+    # logsumexp(z) = log1p(s / m) + log(m) + max: m maximal entries, s the sum of the others' exp(z - max).
+    s = np.exp(z - z_max, out=np.zeros_like(z), where=~at_max).sum(axis=-1)
+    m = at_max.sum(axis=-1)
+    out = temperature * (np.log1p(s / m) + np.log(m) + z_max[:, 0])
     return float(out[0]) if single else out
 
 
@@ -75,10 +82,7 @@ def odin_score(
     bounds the perturbed input; it is only applied when epsilon > 0, so with
     epsilon = 0 and temperature = 1 the score is exactly msp_score.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    x, single = _as_rows(x, "x")
     scores = odin_from_pass(params, forward(params, x, EVAL), temperature, epsilon, clip_range)
     return float(scores[0]) if single else scores
 
@@ -149,10 +153,7 @@ def _chunk_pass(params: ModelParams, x: np.ndarray) -> tuple[ForwardOutput, np.n
 
 def uncertainty_score(params: ModelParams, x):
     """Negated total predicted uncertainty: -sum_i u_i(x). Higher = more ID."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    x, single = _as_rows(x, "x")
     scores = -np.concatenate([np.zeros(0), *eval_pass(params, x, lambda out, u_total: u_total)])
     return float(scores[0]) if single else scores
 

@@ -100,9 +100,14 @@ def uenl_terms(total):
     return ce_node.attrs["ce"], kl_term, ce_node.parents[1].attrs["uhat"].ravel()
 
 
-def random_scores(rng: np.random.Generator, n: int, m: int, ties: bool):
-    """A random (id, ood) score pair; integer grids force heavy ties."""
-    if ties:
+def random_scores(rng: np.random.Generator, n: int, m: int, ties: bool | str):
+    """A random (id, ood) score pair; integer grids force heavy ties. With
+    ``ties="few"`` the grids are {0, 1, 2} and {-1, 0, 1}, so most scores tie
+    with scores of both sets."""
+    if ties == "few":
+        id_s = rng.integers(0, 3, size=n).astype(np.float64)
+        ood_s = rng.integers(-1, 2, size=m).astype(np.float64)
+    elif ties:
         id_s = rng.integers(0, 8, size=n).astype(np.float64)
         ood_s = rng.integers(-2, 6, size=m).astype(np.float64)
     else:

@@ -85,6 +85,16 @@ class TestTrain:
         assert err.startswith("error:") and "delta" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_kl_form_std_blow_up_is_one_error_line(self, config_path, tmp_path, capsys):
+        # At the tiny config's lr of 0.1 the std-form KL drives u out of range
+        # within epoch 0.
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--config", str(config_path), "--set", "kl_form=std", "--out", str(out), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: non-finite value at epoch 0, batch 3: exp produced non-finite values\n"
+        assert not out.exists()
+
 
 class TestEval:
     def test_three_method_blocks(self, trained, tmp_path, capsys):

@@ -51,6 +51,53 @@ class TestDatasetType:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 9.0
 
+    def test_owned_float64_array_is_taken_over(self):
+        features = np.arange(6.0).reshape(3, 2).copy()
+        ds = Dataset("d", features)
+        assert ds.features is features
+        assert not features.flags.writeable
+        with pytest.raises(ValueError):
+            features[0, 0] = 9.0
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda base: base[1:],
+            lambda base: base[:, ::2],
+            lambda base: base.T,
+            lambda base: base.reshape(8, 3),
+        ],
+        ids=["rows", "strided", "fortran", "reshaped"],
+    )
+    def test_view_is_copied(self, view):
+        base = np.arange(24.0).reshape(4, 6)
+        given = view(base)
+        expected = given.copy()
+        ds = Dataset("d", given)
+        assert not np.shares_memory(ds.features, base)
+        assert ds.features.flags.c_contiguous and not ds.features.flags.writeable
+        base[...] = -1.0
+        np.testing.assert_array_equal(ds.features, expected)
+        assert given.flags.writeable
+
+    @pytest.mark.parametrize(
+        "features",
+        [np.ones((2, 3), dtype=np.float32), np.ones((2, 3), order="F"), [[1.0, 2.0]]],
+        ids=["float32", "fortran", "list"],
+    )
+    def test_other_dtypes_orders_and_lists_are_copied(self, features):
+        ds = Dataset("d", features)
+        assert ds.features is not features
+        assert ds.features.dtype == np.float64 and ds.features.flags.c_contiguous
+        np.testing.assert_array_equal(ds.features, np.asarray(features, dtype=np.float64))
+        if isinstance(features, np.ndarray):
+            assert features.flags.writeable
+
+    def test_read_only_array_is_copied(self):
+        features = np.zeros((2, 2))
+        features.setflags(write=False)
+        assert Dataset("d", features).features is not features
+
 
 class TestNormalizationType:
     def test_validation(self):

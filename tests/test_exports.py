@@ -1,7 +1,11 @@
 """Every exported name resolves, in the package and in each submodule."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,3 +46,29 @@ def test_data_has_no_generators():
     leftovers = [name for name in dir(uenl.data) if name.startswith("gen_") or name == "basis_means"]
     assert leftovers == []
     assert not any(name.startswith("gen_") or name == "basis_means" for name in uenl.data.__all__)
+
+
+# Loads the package the way each entry point does, then prints every loaded
+# scipy module.
+_IMPORT_PROBES = {
+    "import": "import uenl",
+    "help": """
+import runpy
+sys.argv = ["uenl", "--help"]
+try:
+    runpy.run_module("uenl", run_name="__main__")
+except SystemExit:
+    pass
+""",
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_IMPORT_PROBES))
+def test_runtime_loads_no_scipy(probe):
+    # numpy is the only runtime dependency; scipy is a test-only reference.
+    script = f"import sys\n{_IMPORT_PROBES[probe]}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(uenl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"

@@ -135,6 +135,19 @@ class TestTrain:
         with pytest.raises(RuntimeError, match=r"epoch \d+, batch \d+"):
             train(cfg)
 
+    def test_kl_form_std_trains_end_to_end_at_small_lr(self, tmp_path):
+        # The std form's KL slope u - 1/u has no bound as u -> 0; at lr 0.01
+        # the tiny problem still trains every epoch (at 0.1 it cannot, see
+        # test_cli's TestTrain).
+        checkpoint = train(tiny_experiment_config(kl_form="std", lr=0.01))
+        assert len(checkpoint.train_loss) == checkpoint.config.epochs == 20
+        assert np.isfinite(checkpoint.train_loss).all()
+        path = tmp_path / "std.ckpt.json"
+        checkpoint.save(path)
+        loaded = Checkpoint.load(path)
+        assert loaded.config.kl_form == "std"
+        assert loaded.to_json() == checkpoint.to_json()
+
     def test_bn_state_disjoint_from_weights(self, tiny_checkpoint):
         weights = set(tiny_checkpoint.weights)
         bn = set(tiny_checkpoint.bn_state)

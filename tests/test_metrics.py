@@ -29,7 +29,7 @@ class TestAuroc:
     def test_full_tie(self):
         assert auroc([1.0], [1.0]) == 0.5
 
-    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("ties", [False, True, "few"])
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_pairwise_oracle_exactly(self, seed, ties):
         rng = np.random.default_rng(1000 + seed)
@@ -83,7 +83,7 @@ class TestAupr:
     def test_all_identical_balanced(self):
         assert aupr([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]) == 0.5
 
-    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("ties", [False, True, "few"])
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_threshold_enumeration_oracle(self, seed, ties):
         rng = np.random.default_rng(2000 + seed)
@@ -120,7 +120,7 @@ class TestFprAtTpr:
         assert res.fpr == oracle_fpr == 0.85
         assert res.threshold == oracle_thr == 6.0
 
-    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("ties", [False, True, "few"])
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_enumeration_oracle(self, seed, ties):
         rng = np.random.default_rng(3000 + seed)

@@ -4,6 +4,9 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uenl.model import ModelConfig, forward, init_params
 from uenl.rng import RngStream
@@ -79,6 +82,37 @@ class TestEnergy:
             energy_score([1.0, 0.0], temperature=0.0)
         with pytest.raises(ValueError):
             energy_score([1.0, 0.0], temperature=-1.0)
+
+
+@st.composite
+def logit_matrices(draw):
+    """Logit rows up to +-1e3, some with tied maxima (integer grids, a row
+    maximum copied into other columns) or one entry far above the rest."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    value = st.one_of(st.floats(-1e3, 1e3), st.integers(-3, 3).map(float))
+    z = np.array(draw(st.lists(value, min_size=n * k, max_size=n * k))).reshape(n, k)
+    shape = draw(st.sampled_from(["plain", "tied_max", "dominant"]))
+    if shape == "tied_max":
+        z[:, draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k))] = z.max(axis=1, keepdims=True)
+    elif shape == "dominant":
+        z[:, draw(st.integers(0, k - 1))] = np.minimum(z.max(axis=1) + draw(st.floats(1.0, 1e3)), 1e3)
+    return z
+
+
+class TestScipyReference:
+    """The numpy kernels repeat scipy.special's order of operations, so their
+    bits are scipy's."""
+
+    @settings(max_examples=100)
+    @given(logit_matrices())
+    def test_msp_is_scipy_softmax_max(self, z):
+        assert np.array_equal(msp_score(z), scipy.special.softmax(z, axis=-1).max(axis=-1))
+
+    @settings(max_examples=100)
+    @given(logit_matrices(), st.sampled_from([0.1, 1000.0]))
+    def test_energy_is_scipy_logsumexp(self, z, temperature):
+        expected = temperature * scipy.special.logsumexp(z / temperature, axis=-1)
+        assert np.array_equal(energy_score(z, temperature), expected)
 
 
 class TestOdin:
@@ -171,6 +205,13 @@ class TestUncertaintyScore:
 
     def test_single_input_returns_float(self, small_params):
         assert isinstance(uncertainty_score(small_params, np.zeros(5)), float)
+
+
+@pytest.mark.parametrize("score", [odin_score, uncertainty_score])
+@pytest.mark.parametrize("shape", [(), (2, 2, 5)])
+def test_inputs_must_be_one_row_or_a_matrix(small_params, score, shape):
+    with pytest.raises(ValueError, match=r"x must be 1-d or 2-d, got shape"):
+        score(small_params, np.zeros(shape))
 
 
 class TestScoreExport:
