@@ -15,7 +15,7 @@ from .gradcheck import finite_diff_check
 from .harness import Checkpoint, build_datasets, evaluate, sweep, train
 from .losses import logitnorm_ce, plain_ce, uenl_total
 from .metrics import MetricReport, aupr, auroc, fpr_at_95_tpr
-from .model import ModelConfig, ModelParams, forward, init_params, uncertainty_forward
+from .model import ModelParams, forward, init_params, uncertainty_forward
 from .rng import RngStream
 from .scoring import energy_score, msp_score, odin_score, uncertainty_score
 from .tensor import GraphNode, Tensor, apply, backward, leaf
@@ -41,7 +41,6 @@ __all__ = [
     "aupr",
     "auroc",
     "fpr_at_95_tpr",
-    "ModelConfig",
     "ModelParams",
     "forward",
     "init_params",

@@ -30,7 +30,6 @@ from typing import ClassVar, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .data import Dataset, Normalization, load_csv, load_idx
-from .model import ModelConfig
 from .rng import RngStream
 from .scoring import SCORE_METHODS
 
@@ -184,10 +183,23 @@ def _seed(value, key: str):
 
 @dataclass(frozen=True)
 class BackboneSpec(_Schema):
+    """The classifier MLP. The uncertainty head reads the activation of the
+    last hidden layer, so ``hidden_dims[-1]`` is the embedding width."""
+
     input_dim: int
     hidden_dims: tuple[int, ...]
     num_classes: int
     use_batchnorm: bool = True
+
+    def __post_init__(self):
+        if self.input_dim < 1:
+            raise ValueError("backbone.input_dim must be at least 1")
+        if not self.hidden_dims:
+            raise ValueError("backbone.hidden_dims must name at least one hidden layer")
+        if any(d < 1 for d in self.hidden_dims):
+            raise ValueError("backbone.hidden_dims entries must be at least 1")
+        if self.num_classes < 2:
+            raise ValueError("backbone.num_classes must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -383,19 +395,12 @@ class DataSpec(_Schema):
             raise ValueError(f"{exc} (key data.ood)") from None
 
 
-# Config keys of the model fields whose checks can fail at load under
-# another name. delta, bn_momentum and bn_epsilon are named alike.
-_MODEL_FIELD_KEYS = {
-    "input_dim": "backbone.input_dim",
-    "hidden_dims": "backbone.hidden_dims",
-    "num_classes": "backbone.num_classes",
-    "dropout_rate": "dropout",
-}
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig(_Schema):
-    """Everything a training or evaluation run depends on.
+    """Everything a training or evaluation run depends on, and the model's
+    architecture: ``backbone`` plus the uncertainty head, which emits
+    ``delta`` values per row (one shared value with ``scalar_uncertainty``).
+    Backbone and head batchnorm share ``bn_momentum`` and ``bn_epsilon``.
 
     Identical configs (plus identical seeds, which live inside) give
     byte-identical checkpoints and reports.
@@ -445,14 +450,14 @@ class ExperimentConfig(_Schema):
         _positive(self.uhat_scale, "uhat_scale")
         if self.pinned_uhat is not None:
             _positive(self.pinned_uhat, "pinned_uhat")
-        # The model's checks (hidden widths, delta, dropout, batchnorm) run at
-        # load. Their messages start with the model's field name; name the
-        # config key instead.
-        try:
-            self.model_config()
-        except ValueError as exc:
-            name, _, rest = str(exc).partition(" ")
-            raise ValueError(f"{_MODEL_FIELD_KEYS.get(name, name)} {rest}") from None
+        if self.delta < 1:
+            raise ValueError("delta must be at least 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must lie in [0, 1)")
+        if not 0.0 < self.bn_momentum <= 1.0:
+            raise ValueError("bn_momentum must lie in (0, 1]")
+        if self.bn_epsilon <= 0.0:
+            raise ValueError("bn_epsilon must be positive")
         # Each weight matrix, and each synthetic split's rows x input_dim.
         dim, hidden, k = self.backbone.input_dim, self.backbone.hidden_dims, self.backbone.num_classes
         widths = [("backbone.input_dim", dim), *((f"backbone.hidden_dims[{i}]", w) for i, w in enumerate(hidden))]
@@ -470,19 +475,6 @@ class ExperimentConfig(_Schema):
         for i, ood in enumerate(self.data.ood if self.data else ()):
             if hasattr(ood, "n"):  # the synthetic kinds
                 _array_size(f"data.ood[{i}].n", ood.n, dim)
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            input_dim=self.backbone.input_dim,
-            hidden_dims=self.backbone.hidden_dims,
-            num_classes=self.backbone.num_classes,
-            delta=self.delta,
-            scalar_u=self.scalar_uncertainty,
-            dropout_rate=self.dropout,
-            use_batchnorm=self.backbone.use_batchnorm,
-            bn_momentum=self.bn_momentum,
-            bn_epsilon=self.bn_epsilon,
-        )
 
 
 def parse_value(raw: str):

@@ -124,7 +124,7 @@ class Checkpoint:
     test_error: list[float] = field(default_factory=list)
 
     def params(self) -> ModelParams:
-        return ModelParams(self.config.model_config(), dict(self.weights), dict(self.bn_state))
+        return ModelParams(self.config, dict(self.weights), dict(self.bn_state))
 
     def to_json(self) -> str:
         def pack(tensors: dict[str, Tensor]) -> dict:
@@ -162,7 +162,7 @@ class Checkpoint:
         except ValueError as exc:
             raise ValueError(f"config: {exc}") from None
         # Fresh parameters for the stored config; only their names and shapes are used.
-        reference = init_params(config.model_config(), RngStream(0))
+        reference = init_params(config, RngStream(0))
 
         def unpack(section: str, expected: dict[str, Tensor]) -> dict[str, Tensor]:
             packed = doc[section]
@@ -256,7 +256,7 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
     if bundle is None:
         bundle = build_datasets(config)
     root = RngStream(config.seed)
-    params = init_params(config.model_config(), root)
+    params = init_params(config, root)
     dropout_rng = root.substream("dropout")
     resample_rng = root.substream("resample")
     opt_state = OptState.zeros_like(params.weights)
@@ -289,22 +289,18 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
                     params, config, batch.features, batch.labels, dropout_rng, resample_rng, leaves
                 )
                 grads = backward(total, wrt=list(leaves.values()))
-            except FloatingPointError as exc:
-                raise RuntimeError(f"non-finite value at epoch {epoch}, batch {b}: {exc}") from exc
-            batch_losses.append(total.item())
-
-            # Weights outside this batch's graph (e.g. the head under a pinned
-            # temperature) see a zero gradient and still decay.
-            grad_map = {}
-            for name in params.weights:
-                g = grads.get(leaves[name])
-                grad_map[name] = g.array if g is not None else np.zeros(params.weights[name].shape)
-            try:
+                # Weights outside this batch's graph (e.g. the head under a
+                # pinned temperature) see a zero gradient and still decay.
+                grad_map = {}
+                for name in params.weights:
+                    g = grads.get(leaves[name])
+                    grad_map[name] = g.array if g is not None else np.zeros(params.weights[name].shape)
                 params.weights, opt_state = sgd_step(
                     params.weights, grad_map, opt_state, lr, config.momentum, config.weight_decay
                 )
             except FloatingPointError as exc:
-                raise RuntimeError(f"{exc} at epoch {epoch}, batch {b}") from exc
+                raise RuntimeError(f"non-finite value at epoch {epoch}, batch {b}: {exc}") from exc
+            batch_losses.append(total.item())
             bad = set(updates) - set(params.bn_state)
             if bad:
                 raise AssertionError(f"unknown batchnorm state keys: {sorted(bad)}")

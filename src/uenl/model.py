@@ -1,20 +1,25 @@
 """MLP backbone with a batch-normalized exponential uncertainty head.
 
-The backbone maps inputs to an embedding (the last hidden activation) and
-class logits. The head maps the same embedding to a strictly positive
-uncertainty vector u = exp(batchnorm(linear(e))). Both are built from graph
-primitives. In train mode every output is differentiable with respect to
-parameters and inputs alike. In eval mode batchnorm uses its running
-statistics, a fixed per-column affine map, so it is folded into the linear
-layer before it (Ioffe & Szegedy 2015): each layer is one matmul and one add
-on weights derived from the current parameters, and the pass is
-differentiable with respect to its input only.
+The architecture is read from an ``ExperimentConfig``: ``backbone`` (input,
+hidden and class widths, batchnorm on or off), ``dropout``, ``delta``,
+``scalar_uncertainty``, ``bn_momentum`` and ``bn_epsilon``. The backbone
+maps inputs to an embedding (the last hidden activation) and class logits.
+The head maps the same embedding to a strictly positive uncertainty vector
+u = exp(batchnorm(linear(e))), ``delta`` wide (1 with
+``scalar_uncertainty``). Both are built from graph primitives. In train
+mode every output is differentiable with respect to parameters and inputs
+alike. In eval mode batchnorm uses its running statistics, a fixed
+per-column affine map, so it is folded into the linear layer before it
+(Ioffe & Szegedy 2015): each layer is one matmul and one add on weights
+derived from the current parameters, and the pass is differentiable with
+respect to its input only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,8 +37,10 @@ from .tensor import (
     relu,
 )
 
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
+
 __all__ = [
-    "ModelConfig",
     "ModelParams",
     "ForwardOutput",
     "HeadOutput",
@@ -49,56 +56,6 @@ TRAIN = "train"
 EVAL = "eval"
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    """Architecture of the classifier MLP and its uncertainty head.
-
-    The embedding read by the uncertainty head is the activation of the last
-    hidden layer, so ``hidden_dims[-1]`` is the embedding width. ``delta`` is
-    the number of resampling dimensions. With ``scalar_u`` the head emits a
-    single shared uncertainty that is broadcast across all delta resampling
-    draws; otherwise it emits one value per dimension. Backbone and head
-    batchnorm share ``bn_momentum`` and ``bn_epsilon``.
-    """
-
-    input_dim: int
-    hidden_dims: tuple[int, ...]
-    num_classes: int
-    delta: int = 32
-    scalar_u: bool = False
-    dropout_rate: float = 0.3
-    use_batchnorm: bool = True
-    bn_momentum: float = 0.1
-    bn_epsilon: float = 1e-5
-
-    def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be at least 1")
-        if not self.hidden_dims:
-            raise ValueError("hidden_dims must name at least one hidden layer")
-        if any(d < 1 for d in self.hidden_dims):
-            raise ValueError("hidden_dims entries must be at least 1")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be at least 2")
-        if self.delta < 1:
-            raise ValueError("delta must be at least 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
-        if not 0.0 < self.bn_momentum <= 1.0:
-            raise ValueError("bn_momentum must lie in (0, 1]")
-        if self.bn_epsilon <= 0.0:
-            raise ValueError("bn_epsilon must be positive")
-
-    @property
-    def embed_dim(self) -> int:
-        return self.hidden_dims[-1]
-
-    @property
-    def out_dim(self) -> int:
-        return 1 if self.scalar_u else self.delta
-
-
 @dataclass
 class ModelParams:
     """Trainable weights plus batchnorm running statistics.
@@ -108,7 +65,7 @@ class ModelParams:
     receive gradient or weight-decay updates.
     """
 
-    config: ModelConfig
+    config: ExperimentConfig
     weights: dict[str, Tensor] = field(default_factory=dict)
     bn_state: dict[str, Tensor] = field(default_factory=dict)
 
@@ -141,8 +98,8 @@ def _lecun_uniform(rng: RngStream, fan_in: int, fan_out: int) -> Tensor:
     return Tensor(rng.uniform(-limit, limit, (fan_in, fan_out)))
 
 
-def init_params(config: ModelConfig, rng: RngStream) -> ModelParams:
-    """Fresh parameters.
+def init_params(config: ExperimentConfig, rng: RngStream) -> ModelParams:
+    """Fresh parameters for the architecture ``config`` describes.
 
     Linear layers draw LeCun-uniform weights (zero biases) from per-layer
     sub-streams. The head's linear layer starts at zero, so with zero-mean
@@ -159,20 +116,23 @@ def init_params(config: ModelConfig, rng: RngStream) -> ModelParams:
         bn_state[f"{prefix}.mean"] = Tensor.zeros(width)
         bn_state[f"{prefix}.var"] = Tensor(np.ones(width))
 
-    fan_in = config.input_dim
-    for i, width in enumerate(config.hidden_dims):
+    backbone = config.backbone
+    fan_in = backbone.input_dim
+    for i, width in enumerate(backbone.hidden_dims):
         name = f"backbone.h{i}"
         weights[f"{name}.w"] = _lecun_uniform(rng.substream(f"init.{name}"), fan_in, width)
         weights[f"{name}.b"] = Tensor.zeros(width)
-        if config.use_batchnorm:
+        if backbone.use_batchnorm:
             bn_block(f"{name}.bn", width)
         fan_in = width
-    weights["backbone.out.w"] = _lecun_uniform(rng.substream("init.backbone.out"), fan_in, config.num_classes)
-    weights["backbone.out.b"] = Tensor.zeros(config.num_classes)
+    weights["backbone.out.w"] = _lecun_uniform(rng.substream("init.backbone.out"), fan_in, backbone.num_classes)
+    weights["backbone.out.b"] = Tensor.zeros(backbone.num_classes)
 
-    weights["head.w"] = Tensor.zeros((config.embed_dim, config.out_dim))
-    weights["head.b"] = Tensor.zeros(config.out_dim)
-    bn_block("head.bn", config.out_dim)
+    # The head reads the embedding, the last hidden activation (width fan_in).
+    out_dim = 1 if config.scalar_uncertainty else config.delta
+    weights["head.w"] = Tensor.zeros((fan_in, out_dim))
+    weights["head.b"] = Tensor.zeros(out_dim)
+    bn_block("head.bn", out_dim)
 
     return ModelParams(config, weights, bn_state)
 
@@ -252,21 +212,21 @@ def forward(
     so is differentiable with respect to ``x`` only.
     """
     leaves = _mode_leaves(params, mode, leaves)
-    cfg = params.config
+    backbone, rate = params.config.backbone, params.config.dropout
     x_node = as_node(x)
-    if x_node.value.ndim != 2 or x_node.value.shape[1] != cfg.input_dim:
+    if x_node.value.ndim != 2 or x_node.value.shape[1] != backbone.input_dim:
         raise ValueError(
-            f"input must have shape (batch, {cfg.input_dim}), got {x_node.value.shape}"
+            f"input must have shape (batch, {backbone.input_dim}), got {x_node.value.shape}"
         )
-    if mode == TRAIN and cfg.dropout_rate > 0.0 and rng is None:
+    if mode == TRAIN and rate > 0.0 and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng stream")
 
     updates: dict[str, Tensor] = {}
     h = x_node
-    for i in range(len(cfg.hidden_dims)):
-        h = relu(_dense(params, leaves, f"backbone.h{i}", h, cfg.use_batchnorm, mode, updates))
-        if mode == TRAIN and cfg.dropout_rate > 0.0:
-            h = _dropout(h, cfg.dropout_rate, rng)
+    for i in range(len(backbone.hidden_dims)):
+        h = relu(_dense(params, leaves, f"backbone.h{i}", h, backbone.use_batchnorm, mode, updates))
+        if mode == TRAIN and rate > 0.0:
+            h = _dropout(h, rate, rng)
     embedding = h
     logits = _dense(params, leaves, "backbone.out", embedding, False, mode, updates)
     return ForwardOutput(logits, embedding, x_node, leaves, updates)
@@ -286,10 +246,10 @@ def uncertainty_forward(
     ``forward``: u = exp(e @ w' + b'), with no parameter leaves.
     """
     leaves = _mode_leaves(params, mode, leaves)
-    cfg = params.config
+    width = params.config.backbone.hidden_dims[-1]
     e = as_node(embedding)
-    if e.value.ndim != 2 or e.value.shape[1] != cfg.embed_dim:
-        raise ValueError(f"embedding must have shape (batch, {cfg.embed_dim}), got {e.value.shape}")
+    if e.value.ndim != 2 or e.value.shape[1] != width:
+        raise ValueError(f"embedding must have shape (batch, {width}), got {e.value.shape}")
     updates: dict[str, Tensor] = {}
     return HeadOutput(exp(_dense(params, leaves, "head", e, True, mode, updates)), updates)
 
@@ -301,7 +261,7 @@ def eval_logits(params: ModelParams, x, batch_size: int = 512) -> np.ndarray:
         forward(params, x[i : i + batch_size], EVAL).logits.array
         for i in range(0, len(x), batch_size)
     ]
-    return np.concatenate(parts, axis=0) if parts else np.zeros((0, params.config.num_classes))
+    return np.concatenate(parts, axis=0) if parts else np.zeros((0, params.config.backbone.num_classes))
 
 
 def predict_classes(params: ModelParams, x, batch_size: int = 512) -> np.ndarray:

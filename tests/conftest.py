@@ -10,9 +10,9 @@ from hypothesis import settings
 
 import uenl.model
 import uenl.scoring
-from uenl.config import ExperimentConfig
+from uenl.config import BackboneSpec, ExperimentConfig
 from uenl.harness import Checkpoint, build_datasets, train
-from uenl.model import ModelConfig, init_params
+from uenl.model import init_params
 from uenl.rng import RngStream
 
 # One profile for every property test: the same examples on every run, no
@@ -23,6 +23,11 @@ settings.load_profile("uenl")
 # A version-1 checkpoint of train(tiny_experiment_config(epochs=2)); see
 # test_harness.TestCheckpointV1 for how it was written.
 V1_CHECKPOINT = Path(__file__).parent / "fixtures" / "tiny_epochs2_v1.ckpt.json"
+
+
+def model_arch(input_dim, hidden_dims, num_classes, use_batchnorm=True, **fields) -> ExperimentConfig:
+    """A config with no data section, for tests that only build the model."""
+    return ExperimentConfig(BackboneSpec(input_dim, tuple(hidden_dims), num_classes, use_batchnorm), **fields)
 
 
 def tiny_experiment_config(**overrides) -> ExperimentConfig:
@@ -87,8 +92,7 @@ def backbone_calls(monkeypatch):
 @pytest.fixture()
 def small_params():
     """Fresh random small model (3 classes, 5 inputs, 8-dim head)."""
-    config = ModelConfig(input_dim=5, hidden_dims=(12, 6), num_classes=3, delta=8, dropout_rate=0.0)
-    return init_params(config, RngStream(99))
+    return init_params(model_arch(5, (12, 6), 3, delta=8, dropout=0.0), RngStream(99))
 
 
 def uenl_terms(total):

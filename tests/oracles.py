@@ -99,16 +99,18 @@ def numeric_gradient(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
 
 
 def expected_param_count(config) -> int:
-    """Closed-form trainable weight count for the given architecture."""
+    """Closed-form trainable weight count for the architecture of the
+    ExperimentConfig ``config``."""
     count = 0
-    fan_in = config.input_dim
-    for width in config.hidden_dims:
+    fan_in = config.backbone.input_dim
+    for width in config.backbone.hidden_dims:
         count += (fan_in + 1) * width
-        if config.use_batchnorm:
+        if config.backbone.use_batchnorm:
             count += 2 * width
         fan_in = width
-    count += (fan_in + 1) * config.num_classes
-    count += (config.embed_dim + 1) * config.out_dim + 2 * config.out_dim
+    count += (fan_in + 1) * config.backbone.num_classes
+    out_dim = 1 if config.scalar_uncertainty else config.delta
+    count += (fan_in + 1) * out_dim + 2 * out_dim
     return count
 
 
@@ -153,7 +155,7 @@ def unfolded_eval(params, x, temperature: float = 1000.0):
     each batchnorm applied after its linear layer, unfolded, as
     (z - mean) / sqrt(var + eps) * gamma + beta. The gradient is ODIN's: that
     of the summed NLL of each row's argmax class at ``temperature``."""
-    cfg = params.config
+    cfg, backbone = params.config, params.config.backbone
     w = {k: t.array for k, t in params.weights.items()}
     st = {k: t.array for k, t in params.bn_state.items()}
 
@@ -164,9 +166,9 @@ def unfolded_eval(params, x, temperature: float = 1000.0):
         return (z - st[f"{prefix}.mean"]) * inv_std(prefix) * w[f"{prefix}.gamma"] + w[f"{prefix}.beta"]
 
     h, masks = np.asarray(x, dtype=np.float64), []
-    for i in range(len(cfg.hidden_dims)):
+    for i in range(len(backbone.hidden_dims)):
         z = h @ w[f"backbone.h{i}.w"] + w[f"backbone.h{i}.b"]
-        if cfg.use_batchnorm:
+        if backbone.use_batchnorm:
             z = bn(z, f"backbone.h{i}.bn")
         masks.append(z > 0.0)
         h = np.maximum(z, 0.0)
@@ -177,9 +179,9 @@ def unfolded_eval(params, x, temperature: float = 1000.0):
     g = np.exp(logits / temperature - _logsumexp(logits / temperature, axis=1, keepdims=True))
     g[np.arange(len(g)), logits.argmax(axis=1)] -= 1.0
     g = (g / temperature) @ w["backbone.out.w"].T
-    for i in reversed(range(len(cfg.hidden_dims))):
+    for i in reversed(range(len(backbone.hidden_dims))):
         g = g * masks[i]
-        if cfg.use_batchnorm:
+        if backbone.use_batchnorm:
             g = g * (w[f"backbone.h{i}.bn.gamma"] * inv_std(f"backbone.h{i}.bn"))
         g = g @ w[f"backbone.h{i}.w"].T
     return logits, u, g

@@ -5,6 +5,7 @@ pass/fail line; the detection-threshold clauses currently fail honestly (see
 the assertion messages for the measured values and the structural analysis).
 """
 
+import hashlib
 import json
 import os
 import time
@@ -14,14 +15,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from conftest import random_scores, tiny_experiment_config
+from conftest import model_arch, random_scores, tiny_experiment_config
 from oracles import enumerate_fpr_at_tpr, mc_kl, pairwise_auroc, step_aupr
 from uenl.config import BackboneSpec, ExperimentConfig, load_config
 from uenl.gradcheck import finite_diff_check
 from uenl.harness import Checkpoint, build_datasets, evaluate, sweep, train, write_sweep_csv
 from uenl.losses import NORM_EPSILON, UHAT_FLOOR, logitnorm_ce, uenl_total
 from uenl.metrics import auroc, aupr, fpr_at_tpr
-from uenl.model import ModelConfig, eval_logits, init_params
+from uenl.model import eval_logits, init_params
 from uenl.rng import RngStream
 from uenl.scoring import msp_score, odin_score
 from uenl.tensor import (
@@ -256,7 +257,7 @@ def test_criterion_05_metric_oracles():
 
 def test_criterion_06_method_reductions():
     params = init_params(
-        ModelConfig(input_dim=5, hidden_dims=(12, 6), num_classes=3, delta=8, dropout_rate=0.0),
+        model_arch(5, (12, 6), 3, delta=8, dropout=0.0),
         RngStream(1006),
     )
     x = np.random.default_rng(1006).standard_normal((100, 5))
@@ -287,7 +288,7 @@ def desk_run():
     checkpoint = train(config, bundle)
     report = evaluate(checkpoint, bundle)
     elapsed = time.monotonic() - started
-    return report, elapsed
+    return report, elapsed, checkpoint
 
 
 def _uncertainty_metrics(report):
@@ -295,18 +296,18 @@ def _uncertainty_metrics(report):
 
 
 def test_criterion_07_id_accuracy(desk_run):
-    report, _ = desk_run
+    report, _, _ = desk_run
     accuracy = 1.0 - report.id_error_rate
     assert accuracy >= 0.97, f"ID test accuracy {accuracy:.4f} < 0.97"
 
 
 def test_criterion_07_runtime(desk_run):
-    _, elapsed = desk_run
+    _, elapsed, _ = desk_run
     assert elapsed < 300.0, f"experiment took {elapsed:.1f}s (budget 300s)"
 
 
 def test_criterion_07_mean_uncertainty_separation(desk_run):
-    report, _ = desk_run
+    report, _, _ = desk_run
     scores = next(s for s in report.score_sets if s.method == "uncertainty")
     mean_id = np.mean(-scores.id_scores)
     for name in FAR_OOD:
@@ -317,7 +318,7 @@ def test_criterion_07_mean_uncertainty_separation(desk_run):
 
 
 def test_criterion_07_uncertainty_auroc(desk_run):
-    report, _ = desk_run
+    report, _, _ = desk_run
     rows = _uncertainty_metrics(report)
     measured = {name: rows[name].auroc for name in FAR_OOD}
     baseline = {d: r.auroc for m, d, r in report.metric_rows if m == "msp" and d in FAR_OOD}
@@ -337,7 +338,7 @@ def test_criterion_07_uncertainty_auroc(desk_run):
 
 
 def test_criterion_07_uncertainty_fpr95(desk_run):
-    report, _ = desk_run
+    report, _, _ = desk_run
     rows = _uncertainty_metrics(report)
     measured = {name: rows[name].fpr95 for name in FAR_OOD}
     assert all(v <= 0.20 for v in measured.values()), (
@@ -345,6 +346,19 @@ def test_criterion_07_uncertainty_fpr95(desk_run):
         "the AUROC shortfall: at 95% TPR the ID and OOD uncertainty distributions "
         "overlap almost completely (see the AUROC clause for the structural analysis)."
     )
+
+
+def test_desk_output_bytes(desk_run, tmp_path):
+    # The shipped config's checkpoint and report bytes. The report digest is
+    # perfbench's: each sorted report key, a NUL byte, then the file bytes.
+    report, _, checkpoint = desk_run
+    ckpt_sha = hashlib.sha256(checkpoint.to_json().encode()).hexdigest()
+    assert ckpt_sha == "8e53b4da9f9201af3419ed26f44d264679791bedb106a56f2c7727ba87ec8bfc"
+    paths = report.write(tmp_path)
+    report_sha = hashlib.sha256()
+    for key in sorted(paths):
+        report_sha.update(key.encode() + b"\0" + Path(paths[key]).read_bytes())
+    assert report_sha.hexdigest() == "a5abe6244f3411ae1c13d8be63fedccb8fd97ecd3abce5b4125e2f553818e5cf"
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from uenl.config import (
 from uenl.harness import Checkpoint
 from uenl.model import init_params
 from uenl.rng import RngStream, derive_seed
+from uenl.tensor import Tensor
 
 
 @pytest.fixture()
@@ -93,6 +94,23 @@ class TestTrain:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == "error: non-finite value at epoch 0, batch 3: exp produced non-finite values\n"
+        assert not out.exists()
+
+    def test_non_finite_gradient_is_one_error_line(self, config_path, tmp_path, capsys, monkeypatch):
+        # A non-finite gradient is caught by sgd_step, on the same path and
+        # with the same message format as a non-finite loss or backward.
+        def inf_first_gradient(loss, wrt):
+            grads = original(loss, wrt=wrt)
+            grads[wrt[0]] = Tensor._wrap(np.full(grads[wrt[0]].shape, np.inf))
+            return grads
+
+        original = uenl.harness.backward
+        monkeypatch.setattr(uenl.harness, "backward", inf_first_gradient)
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--config", str(config_path), "--out", str(out), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: non-finite value at epoch 0, batch 0: non-finite gradient for parameter backbone.h0.w\n"
         assert not out.exists()
 
 
@@ -423,14 +441,15 @@ MALFORMED_OVERRIDES = [
     ("scoring.histogram_bins=2.7", "scoring.histogram_bins: expected integer"),
     ('backbone.use_batchnorm="no"', "backbone.use_batchnorm: expected boolean"),
     ("seed=true", "seed: expected integer"),
-    ("backbone.hidden_dims=[]", "hidden_dims"),
-    # The model's own checks, run at load, name the config key.
+    # The architecture checks, run at load, name the config key.
+    ("backbone.hidden_dims=[]", "error: backbone.hidden_dims must name at least one hidden layer"),
     ("backbone.hidden_dims=[0]", "error: backbone.hidden_dims entries must be at least 1"),
     ("backbone.input_dim=0", "error: backbone.input_dim must be at least 1"),
     ("backbone.num_classes=1", "error: backbone.num_classes must be at least 2"),
     ("delta=0", "error: delta must be at least 1"),
     ("dropout=1", "error: dropout must lie in [0, 1)"),
     ("bn_momentum=0", "error: bn_momentum must lie in (0, 1]"),
+    ("bn_momentum=2", "error: bn_momentum must lie in (0, 1]"),
     ("bn_epsilon=0", "error: bn_epsilon must be positive"),
     # Data errors that need only the config fail at load and name the key.
     ("data.ood[0].high=-2.0", "error: data.ood[0].high (-2.0) must exceed low (-2.0)"),
@@ -653,7 +672,7 @@ class TestMalformedInput:
 def _tiny_checkpoint_text() -> str:
     """A v2 checkpoint with the tiny config's keys and shapes."""
     config = tiny_experiment_config(epochs=2)
-    params = init_params(config.model_config(), RngStream(0))
+    params = init_params(config, RngStream(0))
     return Checkpoint(config, params.weights, params.bn_state, 1, [0.7, 0.6], [0.2, 0.1]).to_json()
 
 

@@ -1,11 +1,13 @@
 """Tests for the experiment config schema, overrides, and file loading."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,9 @@ from uenl.config import (
     load_config,
 )
 from uenl.harness import build_raw_datasets
+from uenl.model import forward, init_params, uncertainty_forward
+from uenl.rng import RngStream
+from uenl.tensor import Tensor
 
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json"
@@ -318,23 +323,50 @@ class TestValidation:
 
 
 class TestModelConfigPlumbing:
+    """The ExperimentConfig is the model's config: init_params and the
+    forward passes read the architecture from it."""
+
     def test_backbone_config(self):
-        mc = ExperimentConfig.from_dict(full_config_dict()).model_config()
-        assert mc.input_dim == 6
-        assert mc.hidden_dims == (16, 8)
-        assert mc.num_classes == 3
-        assert mc.dropout_rate == 0.2
-        assert mc.use_batchnorm is False
-        assert mc.bn_momentum == 0.2
-        assert mc.bn_epsilon == 1e-4
+        config = ExperimentConfig.from_dict(full_config_dict())
+        params = init_params(config, RngStream(0))
+        assert params.config is config
+        # 6 -> 16 -> 8 -> 3, and use_batchnorm false leaves no backbone batchnorm.
+        shapes = {name: t.shape for name, t in params.weights.items() if name.startswith("backbone.")}
+        assert shapes == {
+            "backbone.h0.w": (6, 16),
+            "backbone.h0.b": (16,),
+            "backbone.h1.w": (16, 8),
+            "backbone.h1.b": (8,),
+            "backbone.out.w": (8, 3),
+            "backbone.out.b": (3,),
+        }
+        assert not any(name.startswith("backbone.") for name in params.bn_state)
+        with pytest.raises(ValueError, match="dropout needs an rng stream"):  # dropout 0.2
+            forward(params, np.zeros((2, 6)), "train")
 
     def test_head_config(self):
-        mc = ExperimentConfig.from_dict(full_config_dict()).model_config()
-        assert mc.embed_dim == 8  # last hidden width
-        assert mc.delta == 16
-        assert mc.scalar_u is True
-        assert mc.bn_momentum == 0.2
-        assert mc.bn_epsilon == 1e-4
+        params = init_params(ExperimentConfig.from_dict(full_config_dict()), RngStream(0))
+        # The head reads the last hidden width and, with scalar_uncertainty, emits one value.
+        assert params.weights["head.w"].shape == (8, 1)
+        params.weights["head.w"] = Tensor(RngStream(1).normal((8, 1)))
+        e = RngStream(2).normal((10, 8))
+        z = e @ params.weights["head.w"].array
+        # bn_momentum 0.2 and bn_epsilon 1e-4 reach the head's batchnorm in both modes.
+        head = uncertainty_forward(params, e, "train")
+        np.testing.assert_allclose(head.bn_updates["head.bn.mean"].array, 0.2 * z.mean(axis=0), rtol=1e-12)
+        z_hat = (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + 1e-4)
+        np.testing.assert_allclose(head.u.array, np.exp(z_hat), rtol=1e-12)
+        u_eval = uncertainty_forward(params, e, "eval").u.array
+        np.testing.assert_allclose(u_eval, np.exp(z / np.sqrt(1.0 + 1e-4)), rtol=1e-12)
+
+    def test_config_is_frozen(self):
+        config = ExperimentConfig.from_dict(full_config_dict())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.delta = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.backbone.hidden_dims = (4,)
+        assert dataclasses.replace(config, delta=4).delta == 4
+        assert config.delta == 16
 
 
 def _leaves(value, path=()):
@@ -407,7 +439,7 @@ class TestTypeRules:
     def test_model_config_checked_at_load(self):
         d = full_config_dict()
         d["backbone"]["hidden_dims"] = []
-        with pytest.raises(ValueError, match="hidden_dims"):
+        with pytest.raises(ValueError, match="^backbone.hidden_dims must name at least one hidden layer$"):
             ExperimentConfig.from_dict(d)
 
     def test_shipped_config_writes_the_same_json(self):

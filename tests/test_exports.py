@@ -25,12 +25,14 @@ def test_every_name_in_all_resolves(name):
 
 
 def test_one_model_config():
-    assert "ModelConfig" in uenl.__all__
-    assert uenl.ModelConfig is uenl.model.ModelConfig
-    for old in ("BackboneConfig", "UncertaintyHeadConfig"):
+    # The ExperimentConfig is the model's config; no second copy of the architecture is exported.
+    config = uenl.load_config(Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json")
+    assert uenl.init_params(config, uenl.RngStream(0)).config is config
+    for old in ("ModelConfig", "BackboneConfig", "UncertaintyHeadConfig"):
         assert old not in uenl.__all__
         assert not hasattr(uenl, old)
         assert not hasattr(uenl.model, old)
+    assert not hasattr(uenl.ExperimentConfig, "model_config")
 
 
 def test_losses_exports_only_the_objectives():

@@ -69,8 +69,7 @@ class TestBuildDatasets:
         assert abs(noise.std() - 1.0) < 0.15
 
     def test_missing_data_section(self):
-        cfg = tiny_experiment_config()
-        cfg.data = None
+        cfg = replace(tiny_experiment_config(), data=None)
         with pytest.raises(ValueError, match="no data section"):
             build_datasets(cfg)
 
@@ -195,7 +194,7 @@ class TestTrainStepGraph:
                 monkeypatch.setattr(harness, name, recording)
         bundle = build_datasets(config)
         root = RngStream(config.seed)
-        params = init_params(config.model_config(), root)
+        params = init_params(config, root)
         batch = next(iter(batch_iter(bundle.id_train, config.batch_size, config.seed, 0)))
         total, _ = _batch_loss(
             params, config, batch.features, batch.labels,
@@ -664,7 +663,7 @@ class TestScoresCsvToHistograms:
         under every method; each histogram is then centred on that score
         with half a unit on each side, in the report and in the rebinning."""
         config = tiny_experiment_config()
-        params = init_params(config.model_config(), RngStream(config.seed))
+        params = init_params(config, RngStream(config.seed))
         params.weights["backbone.out.w"] = Tensor.zeros(params.weights["backbone.out.w"].shape)
         checkpoint = Checkpoint(config, params.weights, params.bn_state, 0)
         report = evaluate(checkpoint, tiny_bundle, histogram_bins=4)

@@ -1,14 +1,16 @@
 """Backbone and uncertainty head: init scheme, forward modes, BN, dropout."""
 
+import re
 import zlib
 
 import numpy as np
 import pytest
+from conftest import model_arch
 from oracles import expected_param_count, unfolded_eval
 
+from uenl.config import BackboneSpec, ExperimentConfig
 from uenl.gradcheck import finite_diff_check
 from uenl.model import (
-    ModelConfig,
     ModelParams,
     eval_logits,
     forward,
@@ -22,40 +24,45 @@ from uenl.tensor import Tensor, backward, reduce_mean, tempered_ce
 
 
 def make_params(seed=0, input_dim=5, hidden=(12, 6), k=3, delta=8, **config_kw):
-    return init_params(ModelConfig(input_dim, hidden, k, delta=delta, **config_kw), RngStream(seed))
+    return init_params(model_arch(input_dim, hidden, k, delta=delta, **config_kw), RngStream(seed))
 
 
 class TestConfigValidation:
+    """The architecture checks, on specs built in Python: each message names
+    the config key, as a load error does."""
+
     def test_backbone_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            ModelConfig(0, (4,), 2)
-        with pytest.raises(ValueError):
-            ModelConfig(4, (), 2)
-        with pytest.raises(ValueError):
-            ModelConfig(4, (0,), 2)
-        with pytest.raises(ValueError):
-            ModelConfig(4, (4,), 1)
-        with pytest.raises(ValueError):
-            ModelConfig(4, (4,), 2, dropout_rate=1.0)
-        with pytest.raises(ValueError):
-            ModelConfig(4, (4,), 2, dropout_rate=-0.1)
-        with pytest.raises(ValueError):
-            ModelConfig(4, (4,), 2, bn_momentum=0.0)
-        with pytest.raises(ValueError):
-            ModelConfig(4, (4,), 2, bn_epsilon=0.0)
+        for args, message in (
+            ((0, (4,), 2), "backbone.input_dim must be at least 1"),
+            ((4, (), 2), "backbone.hidden_dims must name at least one hidden layer"),
+            ((4, (4, 0), 2), "backbone.hidden_dims entries must be at least 1"),
+            ((4, (4,), 1), "backbone.num_classes must be at least 2"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                BackboneSpec(*args)
 
     def test_head_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            ModelConfig(4, (4,), 2, delta=0)
-        with pytest.raises(ValueError):
-            ModelConfig(4, (4,), 2, bn_momentum=2.0)
+        for fields, message in (
+            (dict(delta=0), "delta must be at least 1"),
+            (dict(dropout=1.0), "dropout must lie in [0, 1)"),
+            (dict(dropout=-0.1), "dropout must lie in [0, 1)"),
+            (dict(bn_momentum=0.0), "bn_momentum must lie in (0, 1]"),
+            (dict(bn_momentum=2.0), "bn_momentum must lie in (0, 1]"),
+            (dict(bn_epsilon=0.0), "bn_epsilon must be positive"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ExperimentConfig(BackboneSpec(4, (4,), 2), **fields)
 
     def test_embed_dim_is_last_hidden_width(self):
-        assert ModelConfig(4, (8, 6), 2).embed_dim == 6
+        params = make_params(input_dim=4, hidden=(8, 6), k=2)
+        assert params.weights["head.w"].shape == (6, 8)
+        assert forward(params, np.zeros((3, 4)), "eval").embedding.shape == (3, 6)
 
     def test_scalar_u_out_dim(self):
-        assert ModelConfig(4, (4,), 2, delta=8).out_dim == 8
-        assert ModelConfig(4, (4,), 2, delta=8, scalar_u=True).out_dim == 1
+        for scalar, width in ((False, 8), (True, 1)):
+            params = make_params(scalar_uncertainty=scalar)
+            assert params.weights["head.w"].shape == (6, width)
+            assert params.bn_state["head.bn.var"].shape == (width,)
 
 
 class TestInit:
@@ -117,7 +124,7 @@ class TestForwardBackbone:
         np.testing.assert_array_equal(full[::-1], shuffled)
 
     def test_train_equals_eval_without_stochastic_layers(self):
-        params = make_params(dropout_rate=0.0, use_batchnorm=False)
+        params = make_params(dropout=0.0, use_batchnorm=False)
         x = RngStream(3).normal((6, 5))
         train_out = forward(params, x, "train").logits.array
         eval_out = forward(params, x, "eval").logits.array
@@ -127,7 +134,7 @@ class TestForwardBackbone:
         # One hidden layer, no BN: the embedding is dropout(relu(z)), so the
         # ratio to the eval embedding exposes the mask directly.
         params = make_params(seed=9, input_dim=20, hidden=(100,), k=2, delta=4,
-                             dropout_rate=0.3, use_batchnorm=False)
+                             dropout=0.3, use_batchnorm=False)
         x = RngStream(4).normal((1000, 20))
         eval_emb = forward(params, x, "eval").embedding.array
         train_emb = forward(params, x, "train", rng=RngStream(77)).embedding.array
@@ -140,7 +147,7 @@ class TestForwardBackbone:
         np.testing.assert_allclose(ratios, 1.0 / 0.7, rtol=1e-12)
 
     def test_dropout_needs_rng_in_train_mode(self):
-        params = make_params(dropout_rate=0.3)
+        params = make_params(dropout=0.3)
         x = np.zeros((2, 5))
         with pytest.raises(ValueError):
             forward(params, x, "train")
@@ -157,7 +164,7 @@ class TestForwardBackbone:
     def test_train_bn_normalizes_batch(self):
         # With identity gamma/beta the train-mode BN output is the normalized
         # pre-activation: per-feature batch mean 0 and variance 1 within 1e-6.
-        params = make_params(seed=11, dropout_rate=0.0)
+        params = make_params(seed=11, dropout=0.0)
         params.weights["head.w"] = Tensor(RngStream(12).normal((6, 8)))
         x = RngStream(13).normal((200, 5))
         emb = forward(params, x, "train").embedding.array
@@ -167,7 +174,7 @@ class TestForwardBackbone:
         np.testing.assert_allclose(z_hat.var(axis=0), 1.0, atol=1e-4)  # eps shifts var slightly
 
     def test_train_bn_running_stat_update_rule(self):
-        params = make_params(seed=15, dropout_rate=0.0)
+        params = make_params(seed=15, dropout=0.0)
         x = RngStream(16).normal((64, 5))
         out = forward(params, x, "train")
         # New running stats = (1 - m) * old + m * batch statistic, m = 0.1.
@@ -242,7 +249,7 @@ class TestUncertaintyHead:
             uncertainty_forward(params, np.zeros((2, 6)), "eval")
 
     def test_scalar_u_broadcast_width(self):
-        params = init_params(ModelConfig(5, (6,), 3, delta=8, scalar_u=True, dropout_rate=0.0), RngStream(0))
+        params = make_params(hidden=(6,), scalar_uncertainty=True, dropout=0.0)
         u = uncertainty_forward(params, np.zeros((4, 6)), "eval").u.array
         assert u.shape == (4, 1)
         np.testing.assert_array_equal(u, 1.0)
@@ -269,7 +276,7 @@ class TestEvalHelpers:
 FOLD_SHAPES = {
     "tiny": dict(input_dim=6, hidden_dims=(16, 8), num_classes=2, delta=8),
     "tiny_no_bn": dict(input_dim=6, hidden_dims=(16, 8), num_classes=2, delta=8, use_batchnorm=False),
-    "tiny_scalar_u": dict(input_dim=6, hidden_dims=(16, 8), num_classes=2, delta=8, scalar_u=True),
+    "tiny_scalar_u": dict(input_dim=6, hidden_dims=(16, 8), num_classes=2, delta=8, scalar_uncertainty=True),
     "desk": dict(input_dim=16, hidden_dims=(64, 32), num_classes=3, delta=32),
     "image": dict(input_dim=784, hidden_dims=(256, 128), num_classes=10, delta=32),
 }
@@ -278,7 +285,7 @@ FOLD_SHAPES = {
 def _trained_like(shape: str) -> ModelParams:
     """Parameters of ``shape`` with every weight and running statistic moved
     off its initial value, so that no batchnorm is the identity."""
-    params = init_params(ModelConfig(**FOLD_SHAPES[shape]), RngStream(0))
+    params = init_params(model_arch(**FOLD_SHAPES[shape]), RngStream(0))
     rng = np.random.default_rng(zlib.crc32(shape.encode()))
     for name, t in params.weights.items():
         noise = rng.standard_normal(t.shape)
@@ -308,7 +315,8 @@ class TestEvalFold:
     @pytest.mark.parametrize("shape", FOLD_SHAPES)
     def test_matches_unfolded_reference(self, shape):
         params = _trained_like(shape)
-        x = np.random.default_rng(zlib.crc32(f"x{shape}".encode())).standard_normal((70, params.config.input_dim))
+        dim = params.config.backbone.input_dim
+        x = np.random.default_rng(zlib.crc32(f"x{shape}".encode())).standard_normal((70, dim))
         for got, want, what in zip(_eval_outputs(params, x), unfolded_eval(params, x), ("logits", "u", "odin grad")):
             assert got.shape == want.shape, what
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=what)
@@ -316,7 +324,8 @@ class TestEvalFold:
     @pytest.mark.parametrize("shape", ["tiny", "desk", "image"])
     def test_rows_do_not_depend_on_the_batch(self, shape):
         params = _trained_like(shape)
-        x = np.random.default_rng(zlib.crc32(f"rows{shape}".encode())).standard_normal((130, params.config.input_dim))
+        dim = params.config.backbone.input_dim
+        x = np.random.default_rng(zlib.crc32(f"rows{shape}".encode())).standard_normal((130, dim))
         alone = [_eval_outputs(params, x[i : i + 1]) for i in range(len(x))]
         for n in (63, 64, 65, 130):
             batch = _eval_outputs(params, x[:n])

@@ -8,7 +8,8 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uenl.model import ModelConfig, forward, init_params
+from conftest import model_arch
+from uenl.model import forward, init_params
 from uenl.rng import RngStream
 from uenl.scoring import (
     SCORE_METHODS,
@@ -177,7 +178,7 @@ class TestOdin:
 
 class TestUncertaintyScore:
     def test_fresh_head_scores_minus_delta(self):
-        config = ModelConfig(input_dim=5, hidden_dims=(12, 6), num_classes=3, delta=32, dropout_rate=0.0)
+        config = model_arch(5, (12, 6), 3, delta=32, dropout=0.0)
         params = init_params(config, RngStream(1))
         rng = np.random.default_rng(8)
         scores = uncertainty_score(params, rng.normal(size=(10, 5)))
