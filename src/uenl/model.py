@@ -6,13 +6,13 @@ hidden and class widths, batchnorm on or off), ``dropout``, ``delta``,
 maps inputs to an embedding (the last hidden activation) and class logits.
 The head maps the same embedding to a strictly positive uncertainty vector
 u = exp(batchnorm(linear(e))), ``delta`` wide (1 with
-``scalar_uncertainty``). Both are built from graph primitives. In train
-mode every output is differentiable with respect to parameters and inputs
-alike. In eval mode batchnorm uses its running statistics, a fixed
-per-column affine map, so it is folded into the linear layer before it
-(Ioffe & Szegedy 2015): each layer is one matmul and one add on weights
-derived from the current parameters, and the pass is differentiable with
-respect to its input only.
+``scalar_uncertainty``). Each layer, its batchnorm, activation and dropout
+included, is one ``dense`` graph node. In train mode every output is
+differentiable with respect to parameters and inputs alike. In eval mode
+batchnorm uses its running statistics, a fixed per-column affine map, so it
+is folded into the linear layer before it (Ioffe & Szegedy 2015): each
+layer is one ``dense`` node on weights derived from the current
+parameters, and the pass is differentiable with respect to its input only.
 """
 
 from __future__ import annotations
@@ -24,18 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .rng import RngStream
-from .tensor import (
-    GraphNode,
-    Tensor,
-    add,
-    as_node,
-    batchnorm,
-    exp,
-    leaf,
-    matmul,
-    mul,
-    relu,
-)
+from .tensor import GraphNode, Tensor, as_node, dense, leaf
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -148,15 +137,18 @@ def _dense(
     prefix: str,
     h: GraphNode,
     bn: bool,
+    act: str | None,
     mode: str,
     updates: dict[str, Tensor],
+    mask: np.ndarray | None = None,
 ) -> GraphNode:
-    """``h @ w + b``, batch-normalized by ``{prefix}.bn`` when ``bn``.
+    """``act(h @ w + b) * mask``, batch-normalized by ``{prefix}.bn`` before
+    ``act`` when ``bn``: one ``dense`` node named ``prefix``.
 
     In eval mode the running statistics make batchnorm a fixed per-column
     affine map, folded into the layer from the current weights: with
     s = gamma / sqrt(var + eps), w' = w * s and b' = (b - mean) * s + beta.
-    The layer is then one matmul and one add on constant leaves.
+    The layer is then ``act(h @ w' + b')`` on constant leaves.
     """
     cfg = params.config
     if mode == EVAL:
@@ -167,15 +159,14 @@ def _dense(
                 raise ValueError(f"{prefix}.bn: running variance has negative entries")
             s = params.weights[f"{prefix}.bn.gamma"].array / np.sqrt(var + cfg.bn_epsilon)
             w, b = w * s, (b - mean) * s + params.weights[f"{prefix}.bn.beta"].array
-        return add(matmul(h, w), b)
-    z = add(matmul(h, leaves[f"{prefix}.w"]), leaves[f"{prefix}.b"])
-    if not bn:
-        return z
-    z = batchnorm(z, leaves[f"{prefix}.bn.gamma"], leaves[f"{prefix}.bn.beta"], cfg.bn_epsilon)
-    for stat in ("mean", "var"):
+        return dense(h, w, b, act=act, name=prefix)
+    gamma, beta = (leaves[f"{prefix}.bn.{p}"] for p in ("gamma", "beta")) if bn else (None, None)
+    w, b = leaves[f"{prefix}.w"], leaves[f"{prefix}.b"]
+    node = dense(h, w, b, gamma, beta, act=act, mask=mask, epsilon=cfg.bn_epsilon, name=prefix)
+    for stat in ("mean", "var") if bn else ():
         old = params.bn_state[f"{prefix}.bn.{stat}"].array
-        updates[f"{prefix}.bn.{stat}"] = Tensor((1.0 - cfg.bn_momentum) * old + cfg.bn_momentum * z.attrs[stat])
-    return z
+        updates[f"{prefix}.bn.{stat}"] = Tensor((1.0 - cfg.bn_momentum) * old + cfg.bn_momentum * node.attrs[stat])
+    return node
 
 
 def _mode_leaves(params: ModelParams, mode: str, leaves: dict[str, GraphNode] | None) -> dict[str, GraphNode]:
@@ -186,12 +177,6 @@ def _mode_leaves(params: ModelParams, mode: str, leaves: dict[str, GraphNode] | 
     if leaves:
         raise ValueError("eval mode folds batchnorm into constant weights and takes no parameter leaves")
     return {}
-
-
-def _dropout(h: GraphNode, rate: float, rng: RngStream) -> GraphNode:
-    # Inverted dropout: surviving units scaled so the expectation is unchanged.
-    keep = rng.uniform(0.0, 1.0, h.shape) >= rate
-    return mul(h, leaf(keep / (1.0 - rate)))
 
 
 def forward(
@@ -223,12 +208,14 @@ def forward(
 
     updates: dict[str, Tensor] = {}
     h = x_node
-    for i in range(len(backbone.hidden_dims)):
-        h = relu(_dense(params, leaves, f"backbone.h{i}", h, backbone.use_batchnorm, mode, updates))
+    for i, width in enumerate(backbone.hidden_dims):
+        mask = None
         if mode == TRAIN and rate > 0.0:
-            h = _dropout(h, rate, rng)
+            # Inverted dropout: surviving units scaled so the expectation is unchanged.
+            mask = (rng.uniform(0.0, 1.0, (h.shape[0], width)) >= rate) / (1.0 - rate)
+        h = _dense(params, leaves, f"backbone.h{i}", h, backbone.use_batchnorm, "relu", mode, updates, mask)
     embedding = h
-    logits = _dense(params, leaves, "backbone.out", embedding, False, mode, updates)
+    logits = _dense(params, leaves, "backbone.out", embedding, False, None, mode, updates)
     return ForwardOutput(logits, embedding, x_node, leaves, updates)
 
 
@@ -251,7 +238,7 @@ def uncertainty_forward(
     if e.value.ndim != 2 or e.value.shape[1] != width:
         raise ValueError(f"embedding must have shape (batch, {width}), got {e.value.shape}")
     updates: dict[str, Tensor] = {}
-    return HeadOutput(exp(_dense(params, leaves, "head", e, True, mode, updates)), updates)
+    return HeadOutput(_dense(params, leaves, "head", e, True, "exp", mode, updates), updates)
 
 
 def eval_logits(params: ModelParams, x, batch_size: int = 512) -> np.ndarray:

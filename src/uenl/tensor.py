@@ -4,12 +4,12 @@ The primitives cover an MLP with batch normalization, the normalized-logit
 objective and gradient-based input perturbation, plus elementwise and
 reduction ones. Each carries an analytic vector-Jacobian product, so
 gradients of any composed scalar (including gradients with respect to
-network inputs) are exact up to float64 rounding. Train-mode batch
-normalization is one ``batchnorm`` primitive with the closed-form gradient
-for its input, scale and shift; it leaves the batch mean, variance and
-normalized input in its node's ``attrs``. Eval-mode batch normalization
-needs no primitive: the model folds its running statistics into the linear
-layer before it.
+network inputs) are exact up to float64 rounding. A model layer is one
+``dense`` node, act(batchnorm(x @ w + b)) * mask, whose parts are each
+optional; its train-mode batchnorm has the closed-form gradient for its
+input, scale and shift and leaves the batch mean and variance in the
+node's ``attrs``. Eval-mode batch normalization needs no part of its own:
+the model folds its running statistics into the layer's weights.
 
 The training objective is three closed-form primitives: ``tempered_ce``
 (cross-entropy of optionally row-normalized logits over a temperature
@@ -21,8 +21,8 @@ Graphs are immutable: a node's parents and value are fixed at
 construction, which makes the graph acyclic by construction and every
 evaluation repeatable.
 
-Row contract: a row's matmul value and its input gradient do not depend on
-the other rows in the batch (an eval row scores the same in any batch).
+Row contract: a row's matmul value and its input gradient (and a ``dense``
+layer's without batchnorm) do not depend on the other rows in the batch.
 The forward pass and the input gradient run one BLAS gemm per fixed block
 of 64 rows, the last block zero-padded, so every call has the same shape
 and BLAS takes the same path whatever the batch. K is cut into fixed
@@ -61,7 +61,7 @@ __all__ = [
     "reduce_mean",
     "l2norm",
     "logsumexp",
-    "batchnorm",
+    "dense",
     "tempered_ce",
     "resample",
     "kl",
@@ -422,37 +422,70 @@ def _vjp_logsumexp(g, values, out, attrs, needs):
     return (g_full * np.exp(a - out_full),)
 
 
-def _fw_batchnorm(values, attrs):
-    z, gamma, beta = values
-    # z is (n, d), gamma and beta (d,) vectors; epsilon is the ``constant`` attr.
-    if z.ndim != 2 or gamma.shape != (z.shape[1],) or beta.shape != (z.shape[1],):
-        raise ValueError(f"batchnorm needs z (n, d) and (d,) vectors, got {z.shape} and {gamma.shape}, {beta.shape}")
-    eps = attrs.get("constant")
-    if eps is None or not 0.0 < float(eps) < np.inf:
-        raise ValueError("batchnorm epsilon must be positive and finite")
-    attrs["constant"] = float(eps)
-    mean = np.mean(z, axis=0)
-    centered = z - mean
-    var = np.mean(centered * centered, axis=0)
-    # Batch statistics for the caller's running averages; the biased
-    # variance, as np.var gives it. The VJP reuses z_hat.
-    attrs["mean"], attrs["var"] = mean, var
-    attrs["z_hat"] = z_hat = centered / np.sqrt(var + attrs["constant"])
-    return z_hat * gamma + beta
+def _fw_dense(values, attrs):
+    x, w, b, *bn = values
+    act, mask = attrs.get("act"), attrs.get("mask")
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ValueError(f"dense needs x (n, k), w (k, d) and b (d,), got {x.shape}, {w.shape} and {b.shape}")
+    if act not in (None, "relu", "exp") or (mask is not None and np.shape(mask) != (x.shape[0], w.shape[1])):
+        raise ValueError(f"dense needs act None, 'relu' or 'exp' and an (n, d) mask or None, got {act!r}")
+    z = _rowwise_matmul(x, w) + b
+    if bn:
+        # Train-mode batchnorm over the rows; gamma and beta are (d,) and
+        # epsilon is the ``constant`` attr.
+        gamma, beta = bn
+        if gamma.shape != b.shape or beta.shape != b.shape:
+            raise ValueError(f"dense needs (d,) batchnorm vectors, got {gamma.shape} and {beta.shape} for d = {b.shape}")
+        eps = attrs.get("constant")
+        if eps is None or not 0.0 < float(eps) < np.inf:
+            raise ValueError("dense batchnorm epsilon must be positive and finite")
+        attrs["constant"] = float(eps)
+        mean = np.mean(z, axis=0)
+        centered = z - mean
+        var = np.mean(centered * centered, axis=0)
+        # Batch statistics for the caller's running averages; the biased
+        # variance, as np.var gives it. The VJP reuses z_hat.
+        attrs["mean"], attrs["var"] = mean, var
+        attrs["z_hat"] = z_hat = centered / np.sqrt(var + attrs["constant"])
+        z = z_hat * gamma + beta
+    # A relu could hide an overflow below it: a non-finite pre-activation is
+    # returned as it is, for apply's finiteness check to report.
+    if not np.isfinite(z).all():
+        return z
+    attrs["pre"] = z
+    attrs["act_out"] = a = np.maximum(z, 0.0) if act == "relu" else np.exp(z) if act == "exp" else z
+    return a if mask is None else a * mask
 
 
-def _vjp_batchnorm(g, values, out, attrs, needs):
-    # Closed form (Ioffe & Szegedy 2015), with z_hat the normalized input
-    # and means over the batch:
+def _vjp_dense(g, values, out, attrs, needs):
+    # Back through the mask, the activation (relu's subgradient is 0 at 0),
+    # batchnorm and the affine map. Batchnorm's closed form (Ioffe & Szegedy
+    # 2015), with z_hat the normalized input and means over the batch:
     #   dz = gamma / std * (g - mean(g) - z_hat * mean(g * z_hat)).
-    gamma, z_hat = values[1], attrs["z_hat"]
-    g_beta = g.sum(axis=0)
-    g_gamma = (g * z_hat).sum(axis=0)
-    g_z = None
-    if needs[0]:
-        n = z_hat.shape[0]
-        g_z = gamma / np.sqrt(attrs["var"] + attrs["constant"]) * (g - g_beta / n - z_hat * (g_gamma / n))
-    return g_z, g_gamma, g_beta
+    x, w = values[0], values[1]
+    if attrs["mask"] is not None:
+        g = g * attrs["mask"]
+    if attrs["act"] == "relu":
+        g = g * (attrs["pre"] > 0.0)
+    elif attrs["act"] == "exp":
+        g = g * attrs["act_out"]
+    bn_grads = ()
+    if len(values) == 5:
+        gamma, z_hat = values[3], attrs["z_hat"]
+        g_beta = g.sum(axis=0)
+        g_gamma = (g * z_hat).sum(axis=0)
+        bn_grads = g_gamma, g_beta
+        if any(needs[:3]):
+            n = z_hat.shape[0]
+            g = gamma / np.sqrt(attrs["var"] + attrs["constant"]) * (g - g_beta / n - z_hat * (g_gamma / n))
+    # The input gradient keeps the row contract like the forward pass; the
+    # weight gradient sums over the batch, so it has none and is one gemm.
+    return (
+        _rowwise_matmul(g, w.T) if needs[0] else None,
+        x.T @ g if needs[1] else None,
+        g.sum(axis=0) if needs[2] else None,
+        *bn_grads,
+    )
 
 
 def _fw_tempered_ce(values, attrs):
@@ -536,7 +569,7 @@ def _vjp_kl(g, values, out, attrs, needs):
 
 
 class _Primitive(NamedTuple):
-    n_inputs: int
+    n_inputs: int | tuple[int, ...]  # the accepted input counts
     forward: Callable
     vjp: Callable
 
@@ -556,7 +589,7 @@ PRIMITIVES: dict[str, _Primitive] = {
     "mean": _Primitive(1, _fw_mean, _vjp_mean),
     "l2norm": _Primitive(1, _fw_l2norm, _vjp_l2norm),
     "logsumexp": _Primitive(1, _fw_logsumexp, _vjp_logsumexp),
-    "batchnorm": _Primitive(3, _fw_batchnorm, _vjp_batchnorm),
+    "dense": _Primitive((3, 5), _fw_dense, _vjp_dense),
     "tempered_ce": _Primitive(2, _fw_tempered_ce, _vjp_tempered_ce),
     "resample": _Primitive(1, _fw_resample, _vjp_resample),
     "kl": _Primitive(1, _fw_kl, _vjp_kl),
@@ -569,23 +602,26 @@ def apply(op: str, *inputs, axis=None, keepdims: bool = False, constant: float |
 
     Raises ValueError for an unknown primitive name, a wrong input count, or
     operand shapes the primitive rejects; FloatingPointError if the result is
-    non-finite (overflow or an invalid operation).
+    non-finite (overflow or an invalid operation), naming the ``name`` attr
+    when there is one.
     """
     prim = PRIMITIVES.get(op)
     if prim is None:
         known = ", ".join(sorted(PRIMITIVES))
         raise ValueError(f"unknown primitive {op!r} (known: {known})")
-    if len(inputs) != prim.n_inputs:
-        raise ValueError(f"{op} takes {prim.n_inputs} input(s), got {len(inputs)}")
+    counts = prim.n_inputs if isinstance(prim.n_inputs, tuple) else (prim.n_inputs,)
+    if len(inputs) not in counts:
+        raise ValueError(f"{op} takes {' or '.join(map(str, counts))} input(s), got {len(inputs)}")
     nodes = tuple(as_node(x) for x in inputs)
     attrs = {"axis": axis, "keepdims": keepdims, "constant": constant, **extra}
-    # Overflow is detected by the finiteness check below, so numpy's own
-    # warning would be redundant noise.
-    with np.errstate(over="ignore"):
+    # Overflow and invalid operations are detected by the finiteness checks,
+    # so numpy's own warnings would be redundant noise.
+    with np.errstate(over="ignore", invalid="ignore"):
         out = prim.forward(tuple(n.value.array for n in nodes), attrs)
     out = np.asarray(out, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError(f"{op} produced non-finite values")
+    if not np.isfinite(out).all():
+        name = f"{extra['name']}: " if extra.get("name") else ""
+        raise FloatingPointError(f"{name}{op} produced non-finite values")
     return GraphNode(op, nodes, Tensor._wrap(out), attrs)
 
 
@@ -714,11 +750,16 @@ def logsumexp(a, axis=None, keepdims: bool = False) -> GraphNode:
     return apply("logsumexp", a, axis=axis, keepdims=keepdims)
 
 
-def batchnorm(z, gamma, beta, epsilon: float) -> GraphNode:
-    """Train-mode batch normalization of a (n, d) node over its rows:
-    (z - mean) / sqrt(var + epsilon) * gamma + beta, with the batch mean and
-    biased variance left in the node's ``attrs["mean"]`` and ``attrs["var"]``."""
-    return apply("batchnorm", z, gamma, beta, constant=epsilon)
+def dense(x, w, b, gamma=None, beta=None, *, act=None, mask=None, epsilon=None, name=None) -> GraphNode:
+    """One layer as one node: act(batchnorm(x @ w + b)) * mask, ``act`` None,
+    "relu" or "exp", ``mask`` None or an (n, d) array. Train-mode batchnorm
+    runs only with ``gamma`` and ``beta``, and leaves the batch mean and
+    biased variance in ``attrs["mean"]`` and ``attrs["var"]``. ``name``
+    labels the node and its errors."""
+    if (gamma is None) != (beta is None):
+        raise ValueError("dense needs both gamma and beta for batchnorm, or neither")
+    bn = () if gamma is None else (gamma, beta)
+    return apply("dense", x, w, b, *bn, constant=epsilon, act=act, mask=mask, name=name)
 
 
 def tempered_ce(p, t, labels=None, norm_floor: float | None = None, reduction: str = "mean") -> GraphNode:

@@ -27,7 +27,7 @@ from uenl.rng import RngStream
 from uenl.scoring import msp_score, odin_score
 from uenl.tensor import (
     add,
-    batchnorm,
+    dense,
     div,
     exp,
     kl,
@@ -94,21 +94,36 @@ def test_criterion_01_gradient_correctness():
     primitive_cases.append(
         ("matmul", lambda b: reduce_sum(matmul(a_const, b)), weight_rng.standard_normal((3, 2)))
     )
-    # batchnorm, from a stream of its own, once with respect to z and once
-    # with respect to one node passed as both gamma and beta, whose gradient
-    # is the sum of the two. The weights keep the z gradient from vanishing:
-    # each column of the output sums to n * beta whatever z is.
-    bn_rng = np.random.default_rng(1012)
-    bn_z = leaf(bn_rng.standard_normal((4, 3)))
-    bn_w = leaf(bn_rng.standard_normal((4, 3)))
-    bn_gamma, bn_beta = leaf(0.5 + bn_rng.random(3)), leaf(bn_rng.standard_normal(3))
+    # dense, each case from a stream of its own: train mode with batchnorm
+    # and without, each activation, with and without a dropout-style mask,
+    # and eval mode on constant weights. With batchnorm one node passed as
+    # both gamma and beta gets the sum of their gradients. The output
+    # weights keep the gradients from vanishing: with batchnorm and no
+    # activation each output column sums to n * beta whatever x is.
+    def dense_case(seed, wrt, bn, act, masked):
+        r = np.random.default_rng(seed)
+        args = {"x": r.standard_normal((4, 3)), "w": r.standard_normal((3, 2)), "b": r.standard_normal(2)}
+        args["gamma"] = 0.5 + r.random(2) if bn else None
+        mask = (r.random((4, 2)) >= 0.25) / 0.75 if masked else None
+        out_w = leaf(r.standard_normal((4, 2)))
+
+        def f(p):
+            a = {**args, wrt: p}
+            node = dense(a["x"], a["w"], a["b"], a["gamma"], a["gamma"], act=act, mask=mask, epsilon=1e-5)
+            return reduce_sum(mul(node, out_w))
+
+        return ("dense", f, args[wrt])
+
     primitive_cases += [
-        (
-            "batchnorm",
-            lambda z: reduce_sum(mul(batchnorm(z, bn_gamma, bn_beta, 1e-5), bn_w)),
-            bn_rng.standard_normal((4, 3)),
-        ),
-        ("batchnorm", lambda p: reduce_sum(mul(batchnorm(bn_z, p, p, 1e-5), bn_w)), bn_rng.standard_normal(3)),
+        dense_case(1020, "x", True, "relu", True),
+        dense_case(1021, "w", True, "relu", True),
+        dense_case(1022, "gamma", True, "exp", False),
+        dense_case(1023, "x", True, None, False),
+        dense_case(1024, "b", False, "relu", False),
+        dense_case(1025, "x", False, "exp", True),
+        dense_case(1026, "w", False, None, False),
+        # Eval mode: constant folded weights, the input gradient alone.
+        dense_case(1027, "x", False, "relu", False),
     ]
     # The loss primitives, each from a stream of its own: tempered_ce on
     # normalized logits against labels, once in the logits and once in the

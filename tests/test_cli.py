@@ -93,7 +93,7 @@ class TestTrain:
         rc = main(["train", "--config", str(config_path), "--set", "kl_form=std", "--out", str(out), "--quiet"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == "error: non-finite value at epoch 0, batch 3: exp produced non-finite values\n"
+        assert err == "error: non-finite value at epoch 0, batch 3: head: dense produced non-finite values\n"
         assert not out.exists()
 
     def test_non_finite_gradient_is_one_error_line(self, config_path, tmp_path, capsys, monkeypatch):

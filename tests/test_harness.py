@@ -202,15 +202,16 @@ class TestTrainStepGraph:
         )
         return total, built
 
-    def test_desk_step_builds_20_nodes_3_of_them_batchnorm(self):
-        """One train step on the shipped desk config: each of the three
-        train-mode batchnorm layers is a single graph node, and so are the
-        resampling, the cross-entropy and the KL term."""
+    def test_desk_step_builds_8_nodes_4_of_them_dense(self):
+        """One train step on the shipped desk config: each of the four model
+        layers (two hidden, the logits and the head) is a single dense node,
+        and so are the resampling, the cross-entropy, the KL term and their
+        sum."""
         total, _ = self._step(load_config(self.DESK))
         ops = Counter(node.op for node in _graph_nodes(total).values())
-        assert sum(ops.values()) == 20, ops
-        assert ops["batchnorm"] == 3
-        assert ops["tempered_ce"] == ops["resample"] == ops["kl"] == 1
+        assert ops == {"dense": 4, "resample": 1, "tempered_ce": 1, "kl": 1, "add": 1}, ops
+        layers = sorted(node.attrs["name"] for node in _graph_nodes(total).values() if node.op == "dense")
+        assert layers == ["backbone.h0", "backbone.h1", "backbone.out", "head"]
 
     @pytest.mark.parametrize(
         "method",

@@ -338,14 +338,16 @@ class TestEvalFold:
         out = forward(params, np.ones((3, 16)), "eval")
         head = uncertainty_forward(params, out.embedding, "eval")
         assert out.leaves == {}
-        ops, stack, seen = set(), [out.logits, head.u], set()
+        ops, stack, seen = [], [out.logits, head.u], set()
         while stack:
             node = stack.pop()
             if id(node) not in seen:
                 seen.add(id(node))
-                ops.add(node.op)
+                ops.append(node.op)
                 stack.extend(node.parents)
-        assert ops == {"leaf", "matmul", "add", "relu", "exp"}
+        # One dense node per layer: backbone.h0, backbone.h1, backbone.out, head.
+        assert set(ops) == {"leaf", "dense"}
+        assert ops.count("dense") == 4
         with pytest.raises(ValueError, match="no parameter leaves"):
             forward(params, np.ones((3, 16)), "eval", leaves=param_leaves(params))
 

@@ -21,9 +21,20 @@ def tracing():
     return tracing
 
 
-def test_install_rebinds_and_uninstall_restores(tracing, tiny_checkpoint, tiny_bundle):
+def test_install_rebinds_and_uninstall_restores(tracing, tiny_checkpoint, tiny_bundle, monkeypatch):
+    import uenl.tensor as tensor
     from uenl.harness import evaluate
 
+    # ODIN's input gradient must reach the VJPs through PRIMITIVES, where the
+    # tracer times them; a direct call would bypass this counting one.
+    dense_vjps = []
+    dense = tensor.PRIMITIVES["dense"]
+
+    def counted_vjp(*args, **kwargs):
+        dense_vjps.append(args[-1])
+        return dense.vjp(*args, **kwargs)
+
+    monkeypatch.setitem(tensor.PRIMITIVES, "dense", dense._replace(vjp=counted_vjp))
     tr = tracing.Tracer()
     installation = tracing.install(tr)
     try:
@@ -34,13 +45,12 @@ def test_install_rebinds_and_uninstall_restores(tracing, tiny_checkpoint, tiny_b
     assert installation.unrestored() == []
 
     traced = {name for _, _, name in tr.agg}
-    for name in ("model.forward", "tensor.apply.matmul", "metrics.from_scores", "metrics.histogram"):
+    for name in ("model.forward", "tensor.apply.dense", "metrics.from_scores", "metrics.histogram"):
         assert name in traced
-    # ODIN's input gradient must reach the VJPs through PRIMITIVES, where the
-    # tracer times them; a direct call would leave tensor.vjp.matmul at zero.
     assert "odin" in tiny_checkpoint.config.scoring.methods
-    for name in ("tensor.backward", "tensor.vjp.matmul"):
-        assert name in traced
+    assert "tensor.backward" in traced
+    # ODIN asks for the input gradient alone, so each dense VJP skips the weights.
+    assert dense_vjps and set(dense_vjps) == {(True, False, False)}
     for method in tiny_checkpoint.config.scoring.methods:
         assert f"scoring.{method}" in traced
 

@@ -18,7 +18,7 @@ from uenl.tensor import (
     apply,
     as_node,
     backward,
-    batchnorm,
+    dense,
     div,
     exp,
     l2norm,
@@ -41,6 +41,7 @@ import uenl.scoring
 import uenl.tensor
 from conftest import tiny_experiment_config
 from oracles import numeric_gradient
+from uenl.gradcheck import finite_diff_check
 from uenl.scoring import odin_score
 
 
@@ -312,6 +313,28 @@ class TestRowInvariance:
             for i in {0, batch // 2, batch - 1}:
                 np.testing.assert_array_equal(_rowwise_matmul(a[i : i + 1].copy(), b)[0], full[i])
 
+    @pytest.mark.parametrize("act", [None, "relu", "exp"])
+    @pytest.mark.parametrize("k, n", [(16, 64), (784, 256), (64, 10), (32, 8)])
+    def test_dense_row_matches_alone(self, k, n, act):
+        # An eval-mode layer: dense on constant weights without batchnorm.
+        # Its value and input gradient at every row of a 63-, 64-, 65- or
+        # 130-row batch are that row's results alone, bit for bit.
+        rng = np.random.default_rng(zlib.crc32(f"dense-rows{k}x{n}{act}".encode()))
+        w, b = rng.standard_normal((k, n)) / np.sqrt(k), rng.standard_normal(n)
+        x, weights = rng.standard_normal((130, k)), rng.standard_normal((130, n))
+
+        def run(rows):
+            xn = leaf(x[rows])
+            out = dense(xn, w, b, act=act)
+            return out.value.array, backward(reduce_sum(mul(out, weights[rows])), wrt=[xn])[xn].array
+
+        alone = [run(slice(i, i + 1)) for i in range(130)]
+        for batch in (63, 64, 65, 130):
+            value, grad = run(slice(0, batch))
+            for i in range(batch):
+                np.testing.assert_array_equal(value[i], alone[i][0][0], err_msg=f"value, row {i} of {batch}")
+                np.testing.assert_array_equal(grad[i], alone[i][1][0], err_msg=f"grad, row {i} of {batch}")
+
 
 BLAS_SHAPES = [(784, 256), (256, 784), (256, 128), (128, 10), (400, 64), (1000, 2), (16, 64)]
 BLAS_BATCHES = [1, 63, 64, 65, 128, 513]
@@ -463,43 +486,60 @@ class TestPrimitiveGradients:
         ids=["5x3", "batch1", "var0-column", "128x32"],
     )
     def test_batchnorm_vjps(self, n, d, constant_column):
-        rng = np.random.default_rng(zlib.crc32(f"bn{n}x{d}{constant_column}".encode()))
-        z = 2.0 * rng.standard_normal((n, d)) + 1.0
+        # Batchnorm is a part of dense, checked with each activation, and
+        # with a mask under relu as in a hidden layer.
+        for act, masked in (("relu", True), ("exp", False), (None, False)):
+            self._check_dense_vjps(n, d, constant_column, act, masked)
+
+    @staticmethod
+    def _check_dense_vjps(n, d, constant_column, act, masked):
+        rng = np.random.default_rng(zlib.crc32(f"dense{n}x{d}{constant_column}{act}".encode()))
+        x, w = rng.standard_normal((n, 3)), 0.7 * rng.standard_normal((3, d))
+        b = rng.standard_normal(d)
         if constant_column:
-            z[:, 1] = 0.7
-        gamma, beta = rng.standard_normal(d) + 1.0, rng.standard_normal(d)
+            w[:, 1] = 0.0  # the batchnorm input's column 1 is b[1] in every row
+        # A small gamma, and for exp a beta near -1, keep the outputs, and
+        # with them the rounding of the central differences, small.
+        gamma, beta = 0.2 * rng.standard_normal(d) + 0.4, 0.2 * rng.standard_normal(d) - (act == "exp")
+        mask = (rng.random((n, d)) >= 0.3) / 0.7 if masked else None
         weights = leaf(rng.standard_normal((n, d)))
 
-        def loss(z, gamma, beta):
-            return reduce_sum(mul(batchnorm(z, gamma, beta, 1e-5), weights))
+        def loss(*args):
+            return reduce_sum(mul(dense(*args, act=act, mask=mask, epsilon=1e-5), weights))
 
-        inputs = [leaf(z), leaf(gamma), leaf(beta)]
+        points = [x, w, b, gamma, beta]
+        inputs = [leaf(p) for p in points]
         out = loss(*inputs)
         grads = backward(out)
-        # Without z in wrt the VJP skips dz; gamma and beta keep their bits.
-        for node, g in backward(out, wrt=inputs[1:]).items():
+        # Without x, w and b in wrt the VJP skips their gradients; gamma and
+        # beta keep their bits.
+        for node, g in backward(out, wrt=inputs[3:]).items():
             np.testing.assert_array_equal(g.array, grads[node].array)
-        points = [z, gamma, beta]
         for i, point in enumerate(points):
-
-            def value(arr, i=i):
-                return float(loss(*points[:i], arr, *points[i + 1 :]).value.array)
-
-            # atol covers the rounding of the central difference itself: the
-            # 128x32 loss sums 4096 terms, which leaves about 3e-8 of noise.
+            # A step in one input moves every row's batchnorm output, so at
+            # 128x32 some step crosses a relu kink; those coordinates are
+            # left out. atol covers the rounding of the central difference
+            # itself: the 128x32 loss sums 4096 terms, which leaves about
+            # 3e-8 of noise.
+            res = finite_diff_check(lambda p, i=i: loss(*inputs[:i], p, *inputs[i + 1 :]), point)
+            smooth = ~res.kinks
+            assert smooth.mean() > 0.9, f"{act}: input {i}"
             np.testing.assert_allclose(
-                grads[inputs[i]].array, numeric_gradient(value, point), rtol=1e-6, atol=1e-7, err_msg=f"input {i}"
+                grads[inputs[i]].array[smooth], res.numeric[smooth], rtol=1e-6, atol=1e-7, err_msg=f"{act}: input {i}"
             )
 
 
 class TestBatchnorm:
+    """Train-mode batchnorm, the part of ``dense`` that mixes the rows."""
+
     @pytest.mark.parametrize("n", [37, 1])
     def test_forward_matches_numpy_and_reports_batch_stats(self, n):
         rng = np.random.default_rng(41 + n)
-        z = 3.0 * rng.standard_normal((n, 6)) - 2.0
-        z[:, 4] = 1.5  # a column with zero variance, as every column has at n = 1
+        x, w, b = rng.standard_normal((n, 5)), rng.standard_normal((5, 6)), rng.standard_normal(6)
+        w[:, 4], b[4] = 0.0, 1.5  # a column with zero variance, as every column has at n = 1
         gamma, beta = rng.standard_normal(6), rng.standard_normal(6)
-        node = batchnorm(leaf(z), leaf(gamma), leaf(beta), 1e-5)
+        node = dense(leaf(x), leaf(w), leaf(b), leaf(gamma), leaf(beta), epsilon=1e-5)
+        z = _rowwise_matmul(x, w) + b
         expected = (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + 1e-5) * gamma + beta
         np.testing.assert_allclose(node.value.array, expected, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(node.value.array[:, 4], beta[4])
@@ -508,13 +548,66 @@ class TestBatchnorm:
 
     @pytest.mark.parametrize("epsilon", [0.0, -1e-5, float("inf"), None])
     def test_epsilon_must_be_positive(self, epsilon):
+        ones = [leaf(np.ones(shape)) for shape in ((2, 3), (3, 3), (3,), (3,), (3,))]
         with pytest.raises(ValueError, match="epsilon"):
-            apply("batchnorm", leaf(np.ones((2, 3))), leaf(np.ones(3)), leaf(np.zeros(3)), constant=epsilon)
+            apply("dense", *ones, constant=epsilon)
 
     @pytest.mark.parametrize("z_shape, d", [((4,), 4), ((4, 3), 2), ((4, 3, 1), 3)])
     def test_shapes_checked(self, z_shape, d):
-        with pytest.raises(ValueError, match="batchnorm needs"):
-            batchnorm(leaf(np.ones(z_shape)), leaf(np.ones(d)), leaf(np.zeros(d)), 1e-5)
+        # z_shape is the input's; d the width of gamma and beta, which must
+        # be the layer's 3.
+        with pytest.raises(ValueError, match="dense needs"):
+            dense(leaf(np.ones(z_shape)), leaf(np.ones((3, 3))), leaf(np.zeros(3)), leaf(np.ones(d)),
+                  leaf(np.zeros(d)), epsilon=1e-5)
+
+    def test_takes_gamma_and_beta_together(self):
+        x, w, b = leaf(np.ones((2, 3))), leaf(np.ones((3, 3))), leaf(np.zeros(3))
+        with pytest.raises(ValueError, match="both gamma and beta"):
+            dense(x, w, b, leaf(np.ones(3)), epsilon=1e-5)
+        with pytest.raises(ValueError, match="dense takes 3 or 5 input"):
+            apply("dense", x, w, b, leaf(np.ones(3)))
+
+
+class TestDense:
+    @pytest.mark.parametrize("act", [None, "relu", "exp"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["no-mask", "mask"])
+    def test_matches_the_primitive_composition_bit_for_bit(self, act, masked):
+        # Without batchnorm, dense runs the numpy expressions of matmul,
+        # add, the activation and mul in their order, forward and backward.
+        rng = np.random.default_rng(zlib.crc32(f"compose{act}{masked}".encode()))
+        x, w, b = rng.standard_normal((70, 16)), rng.standard_normal((16, 8)), rng.standard_normal(8)
+        mask = (rng.random((70, 8)) >= 0.2) / 0.8 if masked else None
+        weights = leaf(rng.standard_normal((70, 8)))
+        fused_in = [leaf(v) for v in (x, w, b)]
+        composed_in = [leaf(v) for v in (x, w, b)]
+        fused = dense(*fused_in, act=act, mask=mask)
+        composed = add(matmul(composed_in[0], composed_in[1]), composed_in[2])
+        composed = {"relu": relu, "exp": exp, None: lambda h: h}[act](composed)
+        if masked:
+            composed = mul(composed, leaf(mask))
+        np.testing.assert_array_equal(fused.value.array, composed.value.array)
+        got = backward(reduce_sum(mul(fused, weights)))
+        want = backward(reduce_sum(mul(composed, weights)))
+        for f, c in zip(fused_in, composed_in):
+            np.testing.assert_array_equal(got[f].array, want[c].array)
+
+    @pytest.mark.parametrize(
+        "w_shape, b_shape, mask_shape, act",
+        [((2, 3), (3,), None, None), ((3, 3), (2,), None, None), ((3, 3), (3,), (4, 2), "relu"), ((3, 3), (3,), None, "tanh")],
+        ids=["inner", "bias", "mask", "act"],
+    )
+    def test_shapes_and_act_checked(self, w_shape, b_shape, mask_shape, act):
+        mask = None if mask_shape is None else np.ones(mask_shape)
+        with pytest.raises(ValueError, match="dense needs"):
+            dense(leaf(np.ones((4, 3))), leaf(np.ones(w_shape)), leaf(np.zeros(b_shape)), act=act, mask=mask)
+
+    def test_pre_activation_and_output_checked_with_the_layer_name(self):
+        # relu would turn the overflowed -inf into 0; the check before it
+        # catches it, as the matmul node would have.
+        with pytest.raises(FloatingPointError, match="^backbone.h0: dense produced non-finite values$"):
+            dense(leaf([[1e308]]), leaf([[-10.0]]), leaf([0.0]), act="relu", name="backbone.h0")
+        with pytest.raises(FloatingPointError, match="^dense produced non-finite values$"):
+            dense(leaf([[1000.0]]), leaf([[1.0]]), leaf([0.0]), act="exp")
 
 
 class TestGraphMechanics:
@@ -527,7 +620,7 @@ class TestGraphMechanics:
     def test_primitive_catalog(self):
         expected = {
             "matmul", "add", "sub", "mul", "div", "scale", "relu", "exp", "ln",
-            "square", "sum", "mean", "l2norm", "logsumexp", "batchnorm",
+            "square", "sum", "mean", "l2norm", "logsumexp", "dense",
             "tempered_ce", "resample", "kl",
         }
         assert expected == set(PRIMITIVES)
