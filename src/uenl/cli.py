@@ -1,6 +1,7 @@
 """Command-line entry point with gen-data, train, eval, sweep, and hist
 subcommands. Exit status is 0 on success; a failure prints one diagnostic
-line to stderr and returns nonzero.
+line to stderr and returns nonzero (130 after an interrupt). ``train`` and
+``sweep`` check that their ``--out`` file can be written before they train.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .harness import (
     Checkpoint,
     build_datasets,
     build_raw_datasets,
+    check_writable,
     evaluate,
     scores_csv_to_histograms,
     sweep,
@@ -56,8 +58,9 @@ def _cmd_train(args) -> int:
         if not args.quiet:
             print(f"epoch {epoch:4d}  loss {loss:.6f}  test error {err:.4f}")
 
-    checkpoint = train(config, progress=progress)
     out = Path(args.out)
+    check_writable(out)
+    checkpoint = train(config, progress=progress)
     checkpoint.save(out)
     print(
         f"saved checkpoint to {out} "
@@ -100,6 +103,7 @@ def _parse_grid(entries) -> dict[str, list]:
 def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
     grid = _parse_grid(args.grid)
+    check_writable(args.out)
 
     def progress(idx, cell):
         if not args.quiet:
@@ -198,6 +202,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RuntimeError, FloatingPointError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from .model import (
     forward,
     init_params,
     param_leaves,
+    param_shapes,
     predict_classes,
     uncertainty_forward,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "EvaluationReport",
     "build_raw_datasets",
     "build_datasets",
+    "check_writable",
     "train",
     "evaluate",
     "sweep",
@@ -107,6 +109,40 @@ def _check_names(what: str, expected: set[str], doc) -> None:
         raise ValueError(f"{what}: {'; '.join(problems)}")
 
 
+def _temporary_path(path: Path) -> Path:
+    return path.with_name(f".{path.name}.tmp")
+
+
+def check_writable(path) -> None:
+    """Raise OSError unless a file can be written at ``path``: its directory
+    must take a new file, and ``path`` must not be a directory. Commands
+    call this before any training, so a bad ``--out`` fails at once."""
+    path = Path(path)
+    if path.is_dir():
+        raise OSError(f"cannot write {path}: it is a directory")
+    probe = _temporary_path(path)
+    try:
+        probe.open("w").close()
+        probe.unlink()
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_atomically(path, text: str) -> None:
+    """Write ``text`` to a temporary file in ``path``'s directory and move
+    it onto ``path``: a failed or interrupted write leaves the old file
+    whole and no temporary file behind."""
+    path = Path(path)
+    tmp = _temporary_path(path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 @dataclass
 class Checkpoint:
     """A trained model: config, weights, batchnorm state, and training traces.
@@ -148,7 +184,7 @@ class Checkpoint:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        _write_atomically(path, self.to_json())
 
     @classmethod
     def from_json(cls, text: str) -> "Checkpoint":
@@ -161,16 +197,16 @@ class Checkpoint:
             config = ExperimentConfig.from_dict(doc["config"])
         except ValueError as exc:
             raise ValueError(f"config: {exc}") from None
-        # Fresh parameters for the stored config; only their names and shapes are used.
-        reference = init_params(config, RngStream(0))
+        weight_shapes, bn_shapes = param_shapes(config)
 
-        def unpack(section: str, expected: dict[str, Tensor]) -> dict[str, Tensor]:
+        def unpack(section: str, expected: dict[str, tuple[int, ...]]) -> dict[str, Tensor]:
             packed = doc[section]
             _check_names(f"checkpoint {section}", set(expected), packed)
             tensors = {}
             for name, entry in packed.items():
                 _check_names(f"{section}.{name}", {"data", "shape"}, entry)
-                shape, size = list(expected[name].shape), expected[name].size
+                shape = list(expected[name])
+                size = int(np.prod(shape))
                 if entry["shape"] != shape:
                     raise ValueError(f"{section}.{name} has shape {entry['shape']}, the config implies {shape}")
                 data = entry["data"]
@@ -198,8 +234,8 @@ class Checkpoint:
 
         return cls(
             config=config,
-            weights=unpack("weights", reference.weights),
-            bn_state=unpack("bn_state", reference.bn_state),
+            weights=unpack("weights", weight_shapes),
+            bn_state=unpack("bn_state", bn_shapes),
             final_epoch=json_parser(int)(doc["final_epoch"], "final_epoch"),
             train_loss=list(json_parser(tuple[float, ...])(doc["train_loss"], "train_loss")),
             test_error=list(json_parser(tuple[float, ...])(doc["test_error"], "test_error")),
@@ -259,7 +295,7 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
     params = init_params(config, root)
     dropout_rng = root.substream("dropout")
     resample_rng = root.substream("resample")
-    opt_state = OptState.zeros_like(params.weights)
+    opt_state = OptState(param_shapes(config)[0], params.weights)
 
     overlap = set(params.weights) & set(params.bn_state)
     if overlap:
@@ -290,13 +326,16 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
                 )
                 grads = backward(total, wrt=list(leaves.values()))
                 # Weights outside this batch's graph (e.g. the head under a
-                # pinned temperature) see a zero gradient and still decay.
-                grad_map = {}
-                for name in params.weights:
-                    g = grads.get(leaves[name])
-                    grad_map[name] = g.array if g is not None else np.zeros(params.weights[name].shape)
-                params.weights, opt_state = sgd_step(
-                    params.weights, grad_map, opt_state, lr, config.momentum, config.weight_decay
+                # pinned temperature) have no gradient: sgd_step gives them a
+                # zero one, and they still decay. Each step's weights are
+                # read-only views of a fresh vector, so the best-epoch
+                # snapshot below needs no copy.
+                params.weights = sgd_step(
+                    opt_state,
+                    {name: grads.get(node) for name, node in leaves.items()},
+                    lr,
+                    config.momentum,
+                    config.weight_decay,
                 )
             except FloatingPointError as exc:
                 raise RuntimeError(f"non-finite value at epoch {epoch}, batch {b}: {exc}") from exc
@@ -485,8 +524,7 @@ def write_sweep_csv(rows: list[dict], path) -> None:
         if list(row) != header:
             raise ValueError("sweep rows have inconsistent columns")
         lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row.values()))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomically(path, "\n".join(lines) + "\n")
 
 
 def scores_csv_to_histograms(scores_path, n_bins: int) -> list[tuple[str, str, float, float, int]]:

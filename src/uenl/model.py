@@ -33,6 +33,7 @@ __all__ = [
     "ModelParams",
     "ForwardOutput",
     "HeadOutput",
+    "param_shapes",
     "init_params",
     "param_leaves",
     "forward",
@@ -82,47 +83,54 @@ class HeadOutput:
     bn_updates: dict[str, Tensor]
 
 
-def _lecun_uniform(rng: RngStream, fan_in: int, fan_out: int) -> Tensor:
-    limit = math.sqrt(3.0 / fan_in)
-    return Tensor(rng.uniform(-limit, limit, (fan_in, fan_out)))
+def param_shapes(config: ExperimentConfig) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]]:
+    """Names and shapes of the trainable weights and of the batchnorm
+    running statistics, in layout order: each layer's ``w``, ``b`` and, with
+    batchnorm, ``bn.gamma`` and ``bn.beta`` (its ``bn.mean`` and ``bn.var``
+    in the second dict), for every hidden layer, the logits layer and the
+    head. The head reads the embedding, the last hidden activation, and is
+    ``delta`` wide (1 with ``scalar_uncertainty``)."""
+    backbone = config.backbone
+    layers, fan_in = [], backbone.input_dim
+    for i, width in enumerate(backbone.hidden_dims):
+        layers.append((f"backbone.h{i}", fan_in, width, backbone.use_batchnorm))
+        fan_in = width
+    layers.append(("backbone.out", fan_in, backbone.num_classes, False))
+    layers.append(("head", fan_in, 1 if config.scalar_uncertainty else config.delta, True))
+    weights: dict[str, tuple[int, ...]] = {}
+    bn_state: dict[str, tuple[int, ...]] = {}
+    for prefix, fan_in, width, bn in layers:
+        weights[f"{prefix}.w"] = (fan_in, width)
+        weights[f"{prefix}.b"] = (width,)
+        if bn:
+            weights[f"{prefix}.bn.gamma"] = weights[f"{prefix}.bn.beta"] = (width,)
+            bn_state[f"{prefix}.bn.mean"] = bn_state[f"{prefix}.bn.var"] = (width,)
+    return weights, bn_state
 
 
 def init_params(config: ExperimentConfig, rng: RngStream) -> ModelParams:
-    """Fresh parameters for the architecture ``config`` describes.
+    """Fresh parameters for the architecture ``config`` describes, laid out
+    as ``param_shapes`` lists them.
 
-    Linear layers draw LeCun-uniform weights (zero biases) from per-layer
-    sub-streams. The head's linear layer starts at zero, so with zero-mean
-    batchnorm output the initial uncertainty is exp(0) = 1 everywhere.
-    Batchnorm starts at identity (gamma 1, beta 0) with running mean 0 and
-    running variance 1.
+    Backbone linear layers draw LeCun-uniform weights (zero biases) from
+    per-layer sub-streams. The head's linear layer starts at zero, so with
+    zero-mean batchnorm output the initial uncertainty is exp(0) = 1
+    everywhere. Batchnorm starts at identity (gamma 1, beta 0) with running
+    mean 0 and running variance 1.
     """
+    weight_shapes, bn_shapes = param_shapes(config)
     weights: dict[str, Tensor] = {}
-    bn_state: dict[str, Tensor] = {}
-
-    def bn_block(prefix: str, width: int) -> None:
-        weights[f"{prefix}.gamma"] = Tensor(np.ones(width))
-        weights[f"{prefix}.beta"] = Tensor.zeros(width)
-        bn_state[f"{prefix}.mean"] = Tensor.zeros(width)
-        bn_state[f"{prefix}.var"] = Tensor(np.ones(width))
-
-    backbone = config.backbone
-    fan_in = backbone.input_dim
-    for i, width in enumerate(backbone.hidden_dims):
-        name = f"backbone.h{i}"
-        weights[f"{name}.w"] = _lecun_uniform(rng.substream(f"init.{name}"), fan_in, width)
-        weights[f"{name}.b"] = Tensor.zeros(width)
-        if backbone.use_batchnorm:
-            bn_block(f"{name}.bn", width)
-        fan_in = width
-    weights["backbone.out.w"] = _lecun_uniform(rng.substream("init.backbone.out"), fan_in, backbone.num_classes)
-    weights["backbone.out.b"] = Tensor.zeros(backbone.num_classes)
-
-    # The head reads the embedding, the last hidden activation (width fan_in).
-    out_dim = 1 if config.scalar_uncertainty else config.delta
-    weights["head.w"] = Tensor.zeros((fan_in, out_dim))
-    weights["head.b"] = Tensor.zeros(out_dim)
-    bn_block("head.bn", out_dim)
-
+    for name, shape in weight_shapes.items():
+        prefix, kind = name.rsplit(".", 1)
+        if kind == "w" and prefix != "head":
+            limit = math.sqrt(3.0 / shape[0])
+            weights[name] = Tensor(rng.substream(f"init.{prefix}").uniform(-limit, limit, shape))
+        else:
+            weights[name] = Tensor(np.ones(shape)) if kind == "gamma" else Tensor.zeros(shape)
+    bn_state = {
+        name: Tensor(np.ones(shape)) if name.endswith(".var") else Tensor.zeros(shape)
+        for name, shape in bn_shapes.items()
+    }
     return ModelParams(config, weights, bn_state)
 
 

@@ -82,12 +82,20 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        # Internal fast path: trusts finiteness was already checked.
-        if arr.dtype != np.float64 or not arr.flags.c_contiguous or not arr.flags.owndata:
+        # Internal fast path: trusts finiteness was already checked. A
+        # C-contiguous float64 array is adopted if it owns its data or is a
+        # view of a read-only array (a slice of the optimizer's weight
+        # vector); anything else is copied.
+        flags = arr.flags if type(arr) is np.ndarray and arr.dtype == np.float64 else None
+        if flags is None or not flags.c_contiguous or not (
+            flags.owndata or (type(arr.base) is np.ndarray and not arr.base.flags.writeable)
+        ):
             # np.array (not ascontiguousarray) so 0-d scalars keep their shape.
             arr = np.array(arr, dtype=np.float64, order="C")
+            flags = arr.flags
+        if flags.writeable:
+            arr.setflags(write=False)
         obj = object.__new__(cls)
-        arr.setflags(write=False)
         obj._array = arr
         return obj
 
@@ -691,7 +699,7 @@ def backward(loss: GraphNode, wrt=None) -> dict[GraphNode, Tensor]:
             held = grads.get(parent)
             grads[parent] = contribution if held is None else held + contribution
     keep = grads if wrt is None else [n for n in wrt if n in grads]
-    return {node: Tensor._wrap(np.array(grads[node], dtype=np.float64)) for node in keep}
+    return {node: Tensor._wrap(grads[node]) for node in keep}
 
 
 def matmul(a, b) -> GraphNode:

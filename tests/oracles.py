@@ -185,3 +185,17 @@ def unfolded_eval(params, x, temperature: float = 1000.0):
             g = g * (w[f"backbone.h{i}.bn.gamma"] * inv_std(f"backbone.h{i}.bn"))
         g = g @ w[f"backbone.h{i}.w"].T
     return logits, u, g
+
+
+def sgd_per_parameter(weights, velocity, grads, lr, momentum, weight_decay):
+    """One step of SGD with momentum and coupled weight decay, one parameter
+    at a time on plain numpy arrays: the per-parameter update the flat step
+    replaced. A gradient that is None (a weight outside the loss graph) is
+    zero. Returns the new (weights, velocity) dicts; the inputs are untouched."""
+    new_w, new_v = {}, {}
+    for name, w in weights.items():
+        g = grads[name]
+        g = np.zeros(w.shape) if g is None else np.asarray(g, dtype=np.float64)
+        new_v[name] = v = momentum * velocity[name] - lr * (g + weight_decay * w)
+        new_w[name] = w + v
+    return new_w, new_v

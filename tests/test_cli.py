@@ -4,13 +4,19 @@ import base64
 import copy
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import uenl.cli
 import uenl.harness
 from conftest import V1_CHECKPOINT, tiny_experiment_config
 from uenl.cli import main
@@ -112,6 +118,61 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == "error: non-finite value at epoch 0, batch 0: non-finite gradient for parameter backbone.h0.w\n"
         assert not out.exists()
+
+
+class TestOutputFiles:
+    """``train`` and ``sweep`` check their ``--out`` before any training, and
+    an interrupt is one line."""
+
+    DESK = Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json"
+
+    @pytest.mark.parametrize("out", ["missing_dir", "directory"])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_unwritable_out_fails_before_training(self, command, out, config_path, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting_train(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        original = uenl.harness.train
+        # ``uenl train`` calls the cli module's train; ``uenl sweep`` reaches
+        # it through harness.sweep.
+        monkeypatch.setattr(uenl.cli, "train", counting_train)
+        monkeypatch.setattr(uenl.harness, "train", counting_train)
+        target = tmp_path / "missing" / "out.json" if out == "missing_dir" else tmp_path
+        argv = [command, "--config", str(config_path), "--out", str(target), "--quiet"]
+        if command == "sweep":
+            argv += ["--grid", "lambda=0.1,0.2"]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1 and calls == []
+        assert err.startswith(f"error: cannot write {target}:") and len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
+    def test_writable_out_leaves_only_the_checkpoint(self, config_path, tmp_path):
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "m.ckpt"), "--quiet"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "m.ckpt"]
+
+    def test_sigint_is_one_error_line(self, tmp_path):
+        out = tmp_path / "m.json"
+        src = str(Path(uenl.cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-u", "-m", "uenl", "train", "--config", str(self.DESK), "--set", "epochs=400"]
+        proc = subprocess.Popen(
+            [*argv, "--out", str(out)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert first.startswith("epoch    0"), first
+        assert (proc.returncode, err) == (130, "error: interrupted\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEval:

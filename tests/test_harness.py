@@ -258,6 +258,35 @@ class TestSelectBestValidation:
         assert ck.config.select_best_validation is True
 
 
+    def test_returns_the_best_epochs_weights(self, monkeypatch):
+        """The best epoch's weights come back bit for bit, although training
+        went on after it: no step changes the weights an earlier one returned."""
+        import uenl.harness as harness
+
+        aurocs = iter([0.2, 0.9, 0.4, 0.3])
+        latest = {}
+
+        def recording_step(*args, **kwargs):
+            latest["weights"] = original(*args, **kwargs)
+            return latest["weights"]
+
+        original = harness.sgd_step
+        monkeypatch.setattr(harness, "sgd_step", recording_step)
+        monkeypatch.setattr(harness, "auroc", lambda s_id, s_ood: next(aurocs))
+        at_epoch = {}
+
+        def progress(epoch, loss, err):
+            at_epoch[epoch] = {name: t.array.copy() for name, t in latest["weights"].items()}
+
+        ck = train(tiny_experiment_config(epochs=4, select_best_validation=True), progress=progress)
+        assert ck.final_epoch == 1
+        assert list(ck.weights) == list(at_epoch[1])
+        for name, t in ck.weights.items():
+            assert t.array.tobytes() == at_epoch[1][name].tobytes()
+            assert not t.array.flags.writeable
+        assert any(not np.array_equal(at_epoch[1][name], at_epoch[3][name]) for name in at_epoch[1])
+
+
 class TestEvaluate:
     def test_identical_sets_score_near_half(self, tiny_checkpoint, tiny_bundle):
         """The same distribution on both sides is undetectable: subsampled
@@ -492,6 +521,65 @@ class TestCheckpointRoundTrip:
             a.setflags(write=True)
             assert a.flags.writeable
             a.setflags(write=False)
+
+
+class TestCheckpointSave:
+    def test_writes_to_json_and_leaves_no_temporary_file(self, tiny_checkpoint, tmp_path):
+        path = tmp_path / "model.ckpt"
+        tiny_checkpoint.save(path)
+        tiny_checkpoint.save(path)
+        assert path.read_text(encoding="utf-8") == tiny_checkpoint.to_json()
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    @pytest.mark.parametrize("fault", ["write", "interrupt", "replace"])
+    def test_failed_save_keeps_the_old_checkpoint(self, tiny_checkpoint, tmp_path, monkeypatch, fault):
+        """A write that fails half way (a full disk, an interrupt) or a
+        rename that fails leaves the old file's bytes and no temporary file."""
+        import uenl.harness as harness
+
+        path = tmp_path / "model.ckpt"
+        old = tiny_checkpoint.to_json().replace('"final_epoch":', '"final_epoch" :').encode()
+        path.write_bytes(old)
+        error = KeyboardInterrupt() if fault == "interrupt" else OSError(28, "No space left on device")
+        if fault == "replace":
+
+            def refuse(self, target):
+                raise error
+
+            monkeypatch.setattr(Path, "replace", refuse)
+        else:
+
+            class HalfWrite:
+                def __init__(self, fh):
+                    self.fh = fh
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self.fh.close()
+
+                def write(self, text):
+                    self.fh.write(text[: len(text) // 2])
+                    raise error
+
+            real_open = open
+            monkeypatch.setattr(harness, "open", lambda *a, **k: HalfWrite(real_open(*a, **k)), raising=False)
+        with pytest.raises(type(error)):
+            tiny_checkpoint.save(path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_from_json_builds_no_parameters(self, tiny_checkpoint, monkeypatch):
+        """Loading reads names and shapes from param_shapes; it draws no
+        throwaway initialization."""
+        import uenl.harness as harness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("init_params called")
+
+        monkeypatch.setattr(harness, "init_params", refuse)
+        assert Checkpoint.from_json(tiny_checkpoint.to_json()).to_json() == tiny_checkpoint.to_json()
 
 
 class TestCheckpointV1:

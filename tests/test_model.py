@@ -16,6 +16,7 @@ from uenl.model import (
     forward,
     init_params,
     param_leaves,
+    param_shapes,
     predict_classes,
     uncertainty_forward,
 )
@@ -103,6 +104,38 @@ class TestInit:
             params = make_params(**kwargs)
             expected = expected_param_count(params.config)
             assert params.weight_count() == expected
+
+
+class TestParamShapes:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(input_dim=5, hidden=(12, 6), k=3, delta=8),
+            dict(input_dim=7, hidden=(9,), k=2, delta=4, use_batchnorm=False),
+            dict(input_dim=4, hidden=(3, 5, 2), k=6, delta=8, scalar_uncertainty=True),
+        ],
+    )
+    def test_init_params_follows_the_layout(self, kwargs):
+        """init_params builds exactly the names, order and shapes that
+        param_shapes lists, weights and batchnorm statistics apart."""
+        params = make_params(**kwargs)
+        weight_shapes, bn_shapes = param_shapes(params.config)
+        assert [(n, t.shape) for n, t in params.weights.items()] == list(weight_shapes.items())
+        assert [(n, t.shape) for n, t in params.bn_state.items()] == list(bn_shapes.items())
+
+    def test_desk_layout(self):
+        weights, bn_state = param_shapes(model_arch(16, (64, 32), 3, delta=32))
+        assert list(weights.items()) == [
+            ("backbone.h0.w", (16, 64)), ("backbone.h0.b", (64,)),
+            ("backbone.h0.bn.gamma", (64,)), ("backbone.h0.bn.beta", (64,)),
+            ("backbone.h1.w", (64, 32)), ("backbone.h1.b", (32,)),
+            ("backbone.h1.bn.gamma", (32,)), ("backbone.h1.bn.beta", (32,)),
+            ("backbone.out.w", (32, 3)), ("backbone.out.b", (3,)),
+            ("head.w", (32, 32)), ("head.b", (32,)), ("head.bn.gamma", (32,)), ("head.bn.beta", (32,)),
+        ]
+        assert list(bn_state) == [
+            f"{layer}.bn.{stat}" for layer in ("backbone.h0", "backbone.h1", "head") for stat in ("mean", "var")
+        ]
 
 
 class TestForwardBackbone:

@@ -1,4 +1,4 @@
-"""Tests for SGD with momentum, coupled weight decay, and the LR schedule."""
+"""Tests for the flat SGD step (momentum, coupled weight decay) and the LR schedule."""
 
 from types import SimpleNamespace
 
@@ -6,38 +6,51 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from oracles import sgd_per_parameter
+from uenl import optim
 from uenl.config import BackboneSpec, ExperimentConfig
 from uenl.optim import OptState, lr_at_epoch, sgd_step
 from uenl.tensor import Tensor
 
 
+def start(weights):
+    """An OptState laid out in the order of ``weights`` (name -> array)."""
+    weights = {name: Tensor(w) for name, w in weights.items()}
+    return OptState({name: w.shape for name, w in weights.items()}, weights)
+
+
 def one_param(theta):
-    weights = {"w": Tensor(np.asarray(theta, dtype=np.float64))}
-    return weights, OptState.zeros_like(weights)
+    return start({"w": np.asarray(theta, dtype=np.float64)})
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
 
 
 class TestFrozenSteps:
     def test_vanilla_step(self):
         # m=0, wd=0, theta=1, g=0.5, lr=0.1  ->  theta'=0.95
-        weights, state = one_param(1.0)
-        new_w, _ = sgd_step(weights, {"w": np.asarray(0.5)}, state, lr=0.1, momentum=0.0, weight_decay=0.0)
+        state = one_param(1.0)
+        new_w = sgd_step(state, {"w": np.asarray(0.5)}, lr=0.1, momentum=0.0, weight_decay=0.0)
         assert new_w["w"].item() == 0.95
 
     def test_momentum_recurrence_two_steps(self):
         # m=0.9, wd=0, g=1 each step, lr=0.1, from v=0: v1=-0.1, v2=-0.19
-        weights, state = one_param(1.0)
+        state = one_param(1.0)
         g = {"w": np.asarray(1.0)}
-        w1, s1 = sgd_step(weights, g, state, lr=0.1, momentum=0.9, weight_decay=0.0)
-        assert s1.velocity["w"].item() == -0.1
+        w1 = sgd_step(state, g, lr=0.1, momentum=0.9, weight_decay=0.0)
+        assert state.velocity.tolist() == [-0.1]
         assert w1["w"].item() == 0.9
-        w2, s2 = sgd_step(w1, g, s1, lr=0.1, momentum=0.9, weight_decay=0.0)
-        assert s2.velocity["w"].item() == pytest.approx(-0.19, abs=1e-15)
+        w2 = sgd_step(state, g, lr=0.1, momentum=0.9, weight_decay=0.0)
+        assert state.velocity[0] == pytest.approx(-0.19, abs=1e-15)
         assert w2["w"].item() == pytest.approx(0.71, abs=1e-15)
 
     def test_pure_decay_step(self):
         # wd=0.0005, g=0, theta=1, lr=0.1, m=0  ->  theta'=0.99995
-        weights, state = one_param(1.0)
-        new_w, _ = sgd_step(weights, {"w": np.asarray(0.0)}, state, lr=0.1, momentum=0.0, weight_decay=0.0005)
+        state = one_param(1.0)
+        new_w = sgd_step(state, {"w": np.asarray(0.0)}, lr=0.1, momentum=0.0, weight_decay=0.0005)
         assert new_w["w"].item() == 0.99995
 
 
@@ -47,109 +60,200 @@ class TestUpdateRule:
         hand-rolled numpy loop using the same v <- m*v - lr*(g + wd*w) rule."""
         rng = np.random.default_rng(7)
         theta = rng.standard_normal((4, 3))
-        weights = {"w": Tensor(theta)}
-        state = OptState.zeros_like(weights)
+        state = start({"w": theta})
         v_ref = np.zeros_like(theta)
         w_ref = theta.copy()
         lr, m, wd = 0.05, 0.9, 0.01
         for _ in range(6):
             g = rng.standard_normal((4, 3))
-            weights, state = sgd_step(weights, {"w": g}, state, lr=lr, momentum=m, weight_decay=wd)
+            weights = sgd_step(state, {"w": g}, lr=lr, momentum=m, weight_decay=wd)
             v_ref = m * v_ref - lr * (g + wd * w_ref)
             w_ref = w_ref + v_ref
-            assert_array_equal(state.velocity["w"].array, v_ref)
+            assert_array_equal(state.velocity.reshape(4, 3), v_ref)
             assert_array_equal(weights["w"].array, w_ref)
 
     def test_multiple_parameters_updated_independently(self):
-        weights = {
-            "a": Tensor(np.array([1.0, 2.0])),
-            "b": Tensor(np.array([[3.0]])),
-        }
+        state = start({"a": np.array([1.0, 2.0]), "b": np.array([[3.0]])})
         grads = {"a": np.array([0.5, 0.5]), "b": np.array([[1.0]])}
-        new_w, new_s = sgd_step(weights, grads, OptState.zeros_like(weights), lr=0.1, momentum=0.0, weight_decay=0.0)
+        new_w = sgd_step(state, grads, lr=0.1, momentum=0.0, weight_decay=0.0)
+        assert list(new_w) == ["a", "b"]
         assert_array_equal(new_w["a"].array, [0.95, 1.95])
         assert_array_equal(new_w["b"].array, [[2.9]])
-        assert set(new_s.velocity) == {"a", "b"}
 
     def test_accepts_tensor_gradients(self):
-        weights, state = one_param(1.0)
-        new_w, _ = sgd_step(weights, {"w": Tensor(0.5)}, state, lr=0.1, momentum=0.0, weight_decay=0.0)
+        state = one_param(1.0)
+        new_w = sgd_step(state, {"w": Tensor(0.5)}, lr=0.1, momentum=0.0, weight_decay=0.0)
         assert new_w["w"].item() == 0.95
 
     def test_inputs_not_mutated(self):
-        weights, state = one_param(2.0)
-        before_w = weights["w"].array.copy()
-        before_v = state.velocity["w"].array.copy()
-        new_w, new_s = sgd_step(weights, {"w": np.asarray(1.0)}, state, lr=0.1)
-        assert new_w is not weights and new_s is not state
-        assert_array_equal(weights["w"].array, before_w)
-        assert_array_equal(state.velocity["w"].array, before_v)
+        """The gradients passed in and the weights an earlier step returned
+        are left as they were; only the state's own buffers move."""
+        state = start({"w": np.array([2.0, -1.0])})
+        grads = {"w": np.array([1.0, 3.0])}
+        before = sgd_step(state, grads, lr=0.1)
+        kept = before["w"].array.copy()
+        after = sgd_step(state, grads, lr=0.1)
+        assert after is not before and after["w"] is not before["w"]
+        assert_array_equal(grads["w"], [1.0, 3.0])
+        assert_array_equal(before["w"].array, kept)
 
     def test_momentum_coasts_with_zero_gradient(self):
         """Momentum alone (zero gradient, zero decay) keeps coasting."""
-        weights, state = one_param(0.0)
-        g1 = {"w": np.asarray(1.0)}
-        weights, state = sgd_step(weights, g1, state, lr=0.1, momentum=0.5, weight_decay=0.0)
-        weights, state = sgd_step(weights, {"w": np.asarray(0.0)}, state, lr=0.1, momentum=0.5, weight_decay=0.0)
-        assert state.velocity["w"].item() == -0.05
+        state = one_param(0.0)
+        sgd_step(state, {"w": np.asarray(1.0)}, lr=0.1, momentum=0.5, weight_decay=0.0)
+        weights = sgd_step(state, {"w": np.asarray(0.0)}, lr=0.1, momentum=0.5, weight_decay=0.0)
+        assert state.velocity.tolist() == [-0.05]
         assert weights["w"].item() == -0.1 + -0.05
 
 
 class TestOptState:
     def test_zeros_like_mirrors_shapes(self):
-        weights = {
-            "w1": Tensor(np.ones((3, 2))),
-            "w2": Tensor(np.ones(5)),
-            "w3": Tensor(1.0),
-        }
-        state = OptState.zeros_like(weights)
-        assert set(state.velocity) == set(weights)
-        for name, w in weights.items():
-            v = state.velocity[name]
-            assert v.shape == w.shape
-            assert_array_equal(v.array, np.zeros(w.shape))
+        """A fresh state has zero velocity and holds each weight, in layout
+        order, in one flat vector whose named views have the weights' shapes."""
+        weights = {"w1": np.ones((3, 2)), "w2": np.arange(5.0), "w3": np.asarray(7.0)}
+        state = start(weights)
+        assert [(name, shape) for name, _, shape in state.layout] == [("w1", (3, 2)), ("w2", (5,)), ("w3", ())]
+        assert_array_equal(state.velocity, np.zeros(12))
+        assert_array_equal(state.weights, [1.0] * 6 + [0.0, 1.0, 2.0, 3.0, 4.0, 7.0])
+        for name, t in state.named().items():
+            assert_array_equal(t.array, weights[name])
+
+    def test_layout_follows_the_shapes_not_the_weights(self):
+        shapes = {"b": (2,), "a": (1, 2)}
+        state = OptState(shapes, {"a": Tensor([[1.0, 2.0]]), "b": Tensor([3.0, 4.0])})
+        assert [name for name, _, _ in state.layout] == ["b", "a"]
+        assert_array_equal(state.weights, [3.0, 4.0, 1.0, 2.0])
+
+    def test_weights_must_match_the_layout(self):
+        with pytest.raises(ValueError, match="layout"):
+            OptState({"a": (2,)}, {"a": Tensor([1.0, 2.0]), "b": Tensor(1.0)})
+        with pytest.raises(ValueError, match="weight a has shape"):
+            OptState({"a": (3,)}, {"a": Tensor([1.0, 2.0])})
+
+
+class TestFlatStep:
+    """The fused flat step against the per-parameter update of
+    ``oracles.sgd_per_parameter``, and what it promises about the arrays
+    it returns."""
+
+    @pytest.mark.parametrize("case", range(24))
+    def test_matches_per_parameter_oracle_bit_for_bit(self, case):
+        rng = np.random.default_rng(1000 + case)
+        shapes = {}
+        for i in range(int(rng.integers(1, 7))):
+            ndim = int(rng.integers(0, 3))
+            shapes[f"p{i}"] = tuple(int(n) for n in rng.integers(1, 9, ndim))
+        lr = float(10.0 ** rng.uniform(-4, 0))
+        momentum = float(rng.choice([0.0, 0.5, 0.9, rng.uniform(0, 1)]))
+        weight_decay = float(rng.choice([0.0, 0.0005, 10.0 ** rng.uniform(-6, -1)]))
+        w_ref = {name: rng.standard_normal(shape) * 3 for name, shape in shapes.items()}
+        v_ref = {name: np.zeros(shape) for name, shape in shapes.items()}
+        state = OptState(shapes, {name: Tensor(w) for name, w in w_ref.items()})
+        absent = rng.choice(list(shapes)) if case % 2 else None  # outside the loss graph
+        for _ in range(4):
+            grads = {name: None if name == absent else rng.standard_normal(shape) for name, shape in shapes.items()}
+            weights = sgd_step(state, grads, lr, momentum, weight_decay)
+            w_ref, v_ref = sgd_per_parameter(w_ref, v_ref, grads, lr, momentum, weight_decay)
+            assert list(weights) == list(shapes)
+            for name, part, _ in state.layout:
+                assert_same_bits(weights[name].array, w_ref[name])
+                assert_same_bits(state.velocity[part], v_ref[name].reshape(-1))
+
+    def test_matches_per_parameter_oracle_across_blocks(self):
+        """A layout longer than the update's block, with block edges inside
+        a weight, updates as the per-parameter oracle does."""
+        rng = np.random.default_rng(77)
+        shapes = {"a": (7,), "big": (257, 300), "c": (5, 3)}
+        assert sum(int(np.prod(shape)) for shape in shapes.values()) > 2 * optim._BLOCK
+        w_ref = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        v_ref = {name: np.zeros(shape) for name, shape in shapes.items()}
+        state = OptState(shapes, {name: Tensor(w) for name, w in w_ref.items()})
+        for absent in (None, "c", None):
+            grads = {name: None if name == absent else rng.standard_normal(shape) for name, shape in shapes.items()}
+            weights = sgd_step(state, grads, 0.05, 0.9, 0.0005)
+            w_ref, v_ref = sgd_per_parameter(w_ref, v_ref, grads, 0.05, 0.9, 0.0005)
+            for name, part, _ in state.layout:
+                assert_same_bits(weights[name].array, w_ref[name])
+                assert_same_bits(state.velocity[part], v_ref[name].reshape(-1))
+
+    def test_returned_weights_are_read_only_and_never_change(self):
+        state = start({"w": np.ones((3, 2)), "b": np.zeros(2)})
+        grads = {"w": np.full((3, 2), 0.5), "b": np.ones(2)}
+        step_k = sgd_step(state, grads, lr=0.1)
+        kept = {name: t.array.copy() for name, t in step_k.items()}
+        for t in step_k.values():
+            assert not t.array.flags.writeable
+            with pytest.raises(ValueError):
+                t.array[...] = 0.0
+        step_k1 = sgd_step(state, grads, lr=0.1)
+        for name, t in step_k.items():
+            assert_array_equal(t.array, kept[name])
+            assert not np.array_equal(step_k1[name].array, kept[name])
+            assert not np.shares_memory(step_k1[name].array, t.array)
+
+    def test_returned_weights_view_one_vector(self):
+        """No copy per parameter: every returned weight is a view of the
+        step's one read-only weight vector."""
+        state = start({"w": np.ones((3, 2)), "b": np.zeros(2)})
+        weights = sgd_step(state, {"w": np.ones((3, 2)), "b": np.ones(2)}, lr=0.1)
+        for t in weights.values():
+            assert t.array.base is state.weights
+        assert not state.weights.flags.writeable
+
+    def test_failed_step_leaves_the_state_alone(self):
+        state = start({"w": np.ones(2), "b": np.ones(3)})
+        sgd_step(state, {"w": np.ones(2), "b": np.ones(3)}, lr=0.1)
+        weights, velocity = state.weights, state.velocity.copy()
+        with pytest.raises(FloatingPointError, match="parameter b"):
+            sgd_step(state, {"w": np.ones(2), "b": np.array([0.0, np.inf, 0.0])}, lr=0.1)
+        assert state.weights is weights
+        assert_array_equal(state.velocity, velocity)
 
 
 class TestErrors:
     def test_lr_must_be_positive(self):
-        weights, state = one_param(1.0)
+        state = one_param(1.0)
         with pytest.raises(ValueError, match="lr"):
-            sgd_step(weights, {"w": np.asarray(0.0)}, state, lr=0.0)
+            sgd_step(state, {"w": np.asarray(0.0)}, lr=0.0)
         with pytest.raises(ValueError, match="lr"):
-            sgd_step(weights, {"w": np.asarray(0.0)}, state, lr=-0.1)
+            sgd_step(state, {"w": np.asarray(0.0)}, lr=-0.1)
 
     def test_momentum_range(self):
-        weights, state = one_param(1.0)
+        state = one_param(1.0)
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError, match="momentum"):
-                sgd_step(weights, {"w": np.asarray(0.0)}, state, lr=0.1, momentum=bad)
+                sgd_step(state, {"w": np.asarray(0.0)}, lr=0.1, momentum=bad)
 
     def test_negative_weight_decay_rejected(self):
-        weights, state = one_param(1.0)
+        state = one_param(1.0)
         with pytest.raises(ValueError, match="weight_decay"):
-            sgd_step(weights, {"w": np.asarray(0.0)}, state, lr=0.1, weight_decay=-1e-4)
+            sgd_step(state, {"w": np.asarray(0.0)}, lr=0.1, weight_decay=-1e-4)
 
     def test_missing_gradient_names_parameter(self):
-        weights = {"w": Tensor(1.0), "head.b": Tensor(2.0)}
-        state = OptState.zeros_like(weights)
+        state = start({"w": np.asarray(1.0), "head.b": np.asarray(2.0)})
         with pytest.raises(ValueError, match="head.b"):
-            sgd_step(weights, {"w": np.asarray(0.0)}, state, lr=0.1)
+            sgd_step(state, {"w": np.asarray(0.0)}, lr=0.1)
 
     def test_shape_mismatch_names_parameter(self):
-        weights = {"w": Tensor(np.ones((2, 3)))}
-        state = OptState.zeros_like(weights)
+        state = start({"w": np.ones((2, 3))})
         with pytest.raises(ValueError, match="w"):
-            sgd_step(weights, {"w": np.ones((3, 2))}, state, lr=0.1)
+            sgd_step(state, {"w": np.ones((3, 2))}, lr=0.1)
 
     def test_non_finite_gradient_names_parameter(self):
-        weights = {"w": Tensor(np.ones(3)), "other": Tensor(1.0)}
-        state = OptState.zeros_like(weights)
+        """The first non-finite parameter in layout order is named."""
+        state = start({"w": np.ones(3), "other": np.asarray(1.0)})
         grads = {"w": np.array([0.0, np.nan, 0.0]), "other": np.asarray(0.0)}
-        with pytest.raises(FloatingPointError, match="w"):
-            sgd_step(weights, grads, state, lr=0.1)
+        with pytest.raises(FloatingPointError, match="parameter w$"):
+            sgd_step(state, grads, lr=0.1)
         grads["w"] = np.array([np.inf, 0.0, 0.0])
-        with pytest.raises(FloatingPointError, match="w"):
-            sgd_step(weights, grads, state, lr=0.1)
+        with pytest.raises(FloatingPointError, match="parameter w$"):
+            sgd_step(state, grads, lr=0.1)
+        grads["other"] = np.asarray(-np.inf)
+        with pytest.raises(FloatingPointError, match="parameter w$"):
+            sgd_step(state, grads, lr=0.1)
+        grads["w"] = np.zeros(3)
+        with pytest.raises(FloatingPointError, match="parameter other$"):
+            sgd_step(state, grads, lr=0.1)
 
 
 class TestLrSchedule:
