@@ -1,7 +1,8 @@
 """Command-line entry point with gen-data, train, eval, sweep, and hist
 subcommands. Exit status is 0 on success; a failure prints one diagnostic
-line to stderr and returns nonzero (130 after an interrupt). ``train`` and
-``sweep`` check that their ``--out`` file can be written before they train.
+line to stderr and returns nonzero (130 after an interrupt). ``train``,
+``sweep``, ``eval`` and ``hist`` check that their ``--out`` can be written
+before any work starts.
 """
 
 from __future__ import annotations
@@ -69,7 +70,21 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_report_dir(out_dir: Path) -> None:
+    """Raise OSError unless the report files can be written in ``out_dir``.
+    Nothing is created: ``EvaluationReport.write`` makes a missing
+    ``out_dir``, so its first missing component must be creatable in a
+    directory that exists."""
+    target = out_dir / "metrics.csv"
+    while not target.parent.exists() and target.parent != target:
+        target = target.parent
+    if not target.parent.is_dir():
+        raise OSError(f"cannot write {out_dir}: {target.parent} is not a directory")
+    check_writable(target)
+
+
 def _cmd_eval(args) -> int:
+    _check_report_dir(Path(args.out))
     checkpoint = Checkpoint.load(args.checkpoint)
     config = checkpoint.config
     if args.ood and config.data is not None:
@@ -119,6 +134,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_hist(args) -> int:
     if not 1 <= args.bins <= MAX_ARRAY_VALUES:
         raise ValueError(f"--bins must be at least 1 and at most {MAX_ARRAY_VALUES}, got {args.bins}")
+    check_writable(args.out)
     rows = scores_csv_to_histograms(args.scores, args.bins)
     write_histogram_csv(rows, args.out)
     print(f"wrote {args.out} ({len(rows)} rows)")

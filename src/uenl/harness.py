@@ -370,21 +370,23 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
 
 def _dataset_scores(params, features, methods, spec, clip_range) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Eval-mode logits and each method's scores on one dataset, all from
-    one eval_pass: every method scores each chunk while its graph is alive."""
+    one eval_pass on one fold of ``params``: every method scores each chunk
+    while its graph is alive, and ODIN's perturbed forward shares the fold."""
+    model = params.fold()
 
     def score(out, u_total):
-        return out.logits.array, [_scores_for(params, out, m, spec, clip_range, u_total) for m in methods]
+        return out.logits.array, [_scores_for(model, out, m, spec, clip_range, u_total) for m in methods]
 
-    chunks = eval_pass(params, features, score)
+    chunks = eval_pass(model, features, score)
     logits = np.concatenate([logits for logits, _ in chunks])
     return logits, {m: np.concatenate([scores[j] for _, scores in chunks]) for j, m in enumerate(methods)}
 
 
-def _scores_for(params, out, method, spec, clip_range, u_total) -> np.ndarray:
+def _scores_for(model, out, method, spec, clip_range, u_total) -> np.ndarray:
     """One method's scores on one eval_pass chunk: ``out`` is its eval-mode
-    ForwardOutput and ``u_total`` its rows' total uncertainty. Only ODIN
-    runs more: an input gradient through ``out``'s graph and one perturbed
-    forward."""
+    ForwardOutput on the FoldedModel ``model`` and ``u_total`` its rows'
+    total uncertainty. Only ODIN runs more: an input gradient through
+    ``out``'s graph and one perturbed forward on ``model``."""
     if method == "msp":
         return msp_score(out.logits.array)
     if method == "energy":
@@ -392,7 +394,7 @@ def _scores_for(params, out, method, spec, clip_range, u_total) -> np.ndarray:
     if method == "uncertainty":
         return -u_total
     if method == "odin":
-        return odin_from_pass(params, out, spec.odin_temperature, spec.odin_epsilon, clip_range)
+        return odin_from_pass(model, out, spec.odin_temperature, spec.odin_epsilon, clip_range)
     raise ValueError(f"unknown scoring method {method!r}")
 
 

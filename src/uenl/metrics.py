@@ -3,7 +3,9 @@
 Conventions: scores are oriented so higher means more in-distribution; the
 positive class for AUPR is ID; FPR95 reports the fraction of OOD samples
 scoring at or above the loosest threshold that still keeps 95% of ID.
-AUROC, AUPR and FPR95 all read one ranking of the pooled scores.
+AUROC, AUPR and FPR95 all read one ranking of the pooled scores. They read
+its cumulative counts only at the end of each block of equal scores, so the
+order within a tie does not matter and numpy's default (unstable) sort does.
 """
 
 from __future__ import annotations
@@ -45,10 +47,15 @@ class FprResult:
 
 def _ranking(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct pooled scores in descending order, with the counts tp/fp
-    of ID/OOD scores at or above each: one stable sort, cut at each value."""
+    of ID/OOD scores at or above each: one sort, whose order within ties
+    does not matter, cut at the end of each block of equal scores.
+
+    A block holding both 0.0 and -0.0 is represented by whichever the sort
+    put last, so its value (an FPR threshold) may read either sign; the
+    two compare equal, and the counts do not depend on it."""
     id_s = _validated(id_scores, "id_scores")
     scores = np.concatenate([id_s, _validated(ood_scores, "ood_scores")])
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores)
     ranked = scores[order]
     last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))  # of each block of equal scores
     tp = np.cumsum(order < id_s.size)[last]

@@ -10,9 +10,11 @@ u = exp(batchnorm(linear(e))), ``delta`` wide (1 with
 included, is one ``dense`` graph node. In train mode every output is
 differentiable with respect to parameters and inputs alike. In eval mode
 batchnorm uses its running statistics, a fixed per-column affine map, so it
-is folded into the linear layer before it (Ioffe & Szegedy 2015): each
-layer is one ``dense`` node on weights derived from the current
-parameters, and the pass is differentiable with respect to its input only.
+is folded into the linear layer before it (Ioffe & Szegedy 2015):
+``ModelParams.fold`` builds a ``FoldedModel`` of constant per-layer leaves
+from the current parameters, each layer is one ``dense`` node on them, and
+the pass is differentiable with respect to its input only. An eval pass
+over many chunks folds once and hands the ``FoldedModel`` to every chunk.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ModelParams",
+    "FoldedModel",
     "ForwardOutput",
     "HeadOutput",
     "param_shapes",
@@ -59,8 +62,44 @@ class ModelParams:
     weights: dict[str, Tensor] = field(default_factory=dict)
     bn_state: dict[str, Tensor] = field(default_factory=dict)
 
-    def weight_count(self) -> int:
-        return sum(t.size for t in self.weights.values())
+    def fold(self) -> FoldedModel:
+        """The eval-mode model of the current weights and running statistics.
+
+        Each running-statistics batchnorm is a fixed per-column affine map,
+        folded into the linear layer before it: with s = gamma / sqrt(var +
+        eps), w' = w * s and b' = (b - mean) * s + beta. Every layer's ``w``
+        and ``b`` (w' and b' with batchnorm) become one constant leaf each;
+        a layer without batchnorm wraps its own weight tensors, uncopied.
+        """
+        shapes, eps = param_shapes(self.config)[0], self.config.bn_epsilon
+        leaves: dict[str, GraphNode] = {}
+        for prefix in (name[:-2] for name in shapes if name.endswith(".w")):
+            w, b = self.weights[f"{prefix}.w"], self.weights[f"{prefix}.b"]
+            if f"{prefix}.bn.gamma" in shapes:
+                mean, var = (self.bn_state[f"{prefix}.bn.{stat}"].array for stat in ("mean", "var"))
+                if np.any(var < 0.0):
+                    raise ValueError(f"{prefix}.bn: running variance has negative entries")
+                s = self.weights[f"{prefix}.bn.gamma"].array / np.sqrt(var + eps)
+                w = Tensor(w.array * s)
+                b = Tensor((b.array - mean) * s + self.weights[f"{prefix}.bn.beta"].array)
+            leaves[f"{prefix}.w"], leaves[f"{prefix}.b"] = leaf(w), leaf(b)
+        return FoldedModel(self.config, leaves)
+
+
+@dataclass(frozen=True)
+class FoldedModel:
+    """An eval-mode model: each layer's ``{prefix}.w`` and ``{prefix}.b``,
+    batchnorm folded in, as constant graph leaves that every eval forward
+    and head pass given this value shares. Built by ``ModelParams.fold``
+    and never changed; it does not follow later edits to the parameters
+    it was folded from."""
+
+    config: ExperimentConfig
+    leaves: dict[str, GraphNode]
+
+    def fold(self) -> FoldedModel:
+        """Already folded: the model itself."""
+        return self
 
 
 @dataclass
@@ -140,34 +179,21 @@ def param_leaves(params: ModelParams) -> dict[str, GraphNode]:
 
 
 def _dense(
-    params: ModelParams,
+    params: ModelParams | FoldedModel,
     leaves: dict[str, GraphNode],
     prefix: str,
     h: GraphNode,
     bn: bool,
     act: str | None,
-    mode: str,
     updates: dict[str, Tensor],
     mask: np.ndarray | None = None,
 ) -> GraphNode:
-    """``act(h @ w + b) * mask``, batch-normalized by ``{prefix}.bn`` before
-    ``act`` when ``bn``: one ``dense`` node named ``prefix``.
-
-    In eval mode the running statistics make batchnorm a fixed per-column
-    affine map, folded into the layer from the current weights: with
-    s = gamma / sqrt(var + eps), w' = w * s and b' = (b - mean) * s + beta.
-    The layer is then ``act(h @ w' + b')`` on constant leaves.
-    """
+    """``act(h @ w + b) * mask`` on the ``leaves`` of layer ``prefix``,
+    batch-normalized by ``{prefix}.bn`` before ``act`` when ``bn`` (train
+    mode only: eval-mode leaves have batchnorm folded in), as one ``dense``
+    node named ``prefix``. Train-mode batchnorm reports its running-stat
+    updates in ``updates``."""
     cfg = params.config
-    if mode == EVAL:
-        w, b = params.weights[f"{prefix}.w"].array, params.weights[f"{prefix}.b"].array
-        if bn:
-            mean, var = (params.bn_state[f"{prefix}.bn.{stat}"].array for stat in ("mean", "var"))
-            if np.any(var < 0.0):
-                raise ValueError(f"{prefix}.bn: running variance has negative entries")
-            s = params.weights[f"{prefix}.bn.gamma"].array / np.sqrt(var + cfg.bn_epsilon)
-            w, b = w * s, (b - mean) * s + params.weights[f"{prefix}.bn.beta"].array
-        return dense(h, w, b, act=act, name=prefix)
     gamma, beta = (leaves[f"{prefix}.bn.{p}"] for p in ("gamma", "beta")) if bn else (None, None)
     w, b = leaves[f"{prefix}.w"], leaves[f"{prefix}.b"]
     node = dense(h, w, b, gamma, beta, act=act, mask=mask, epsilon=cfg.bn_epsilon, name=prefix)
@@ -177,10 +203,14 @@ def _dense(
     return node
 
 
-def _mode_leaves(params: ModelParams, mode: str, leaves: dict[str, GraphNode] | None) -> dict[str, GraphNode]:
+def _mode_leaves(
+    params: ModelParams | FoldedModel, mode: str, leaves: dict[str, GraphNode] | None
+) -> dict[str, GraphNode]:
     if mode not in (TRAIN, EVAL):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == TRAIN:
+        if isinstance(params, FoldedModel):
+            raise ValueError("a folded model runs in eval mode only")
         return param_leaves(params) if leaves is None else leaves
     if leaves:
         raise ValueError("eval mode folds batchnorm into constant weights and takes no parameter leaves")
@@ -188,7 +218,7 @@ def _mode_leaves(params: ModelParams, mode: str, leaves: dict[str, GraphNode] | 
 
 
 def forward(
-    params: ModelParams,
+    params: ModelParams | FoldedModel,
     x,
     mode: str,
     rng: RngStream | None = None,
@@ -199,10 +229,11 @@ def forward(
     ``x`` is a (batch, input_dim) array or node. In train mode batchnorm uses
     batch statistics (and reports running-stat updates); dropout needs ``rng``.
     In eval mode the pass is deterministic and each row's outputs are exactly
-    the values it would get in any other batch. Eval mode folds batchnorm
-    into each linear layer from the current ``params``, builds no parameter
-    leaves (``leaves`` must be None or empty, and the output's is empty) and
-    so is differentiable with respect to ``x`` only.
+    the values it would get in any other batch. Eval mode runs on
+    ``params.fold()``: a ``FoldedModel`` as it is, ``ModelParams`` folded
+    from their current values. It builds no parameter leaves (``leaves``
+    must be None or empty, and the output's is empty) and so is
+    differentiable with respect to ``x`` only.
     """
     leaves = _mode_leaves(params, mode, leaves)
     backbone, rate = params.config.backbone, params.config.dropout
@@ -214,6 +245,8 @@ def forward(
     if mode == TRAIN and rate > 0.0 and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng stream")
 
+    layers = leaves if mode == TRAIN else params.fold().leaves
+    bn = backbone.use_batchnorm and mode == TRAIN
     updates: dict[str, Tensor] = {}
     h = x_node
     for i, width in enumerate(backbone.hidden_dims):
@@ -221,14 +254,14 @@ def forward(
         if mode == TRAIN and rate > 0.0:
             # Inverted dropout: surviving units scaled so the expectation is unchanged.
             mask = (rng.uniform(0.0, 1.0, (h.shape[0], width)) >= rate) / (1.0 - rate)
-        h = _dense(params, leaves, f"backbone.h{i}", h, backbone.use_batchnorm, "relu", mode, updates, mask)
+        h = _dense(params, layers, f"backbone.h{i}", h, bn, "relu", updates, mask)
     embedding = h
-    logits = _dense(params, leaves, "backbone.out", embedding, False, None, mode, updates)
+    logits = _dense(params, layers, "backbone.out", embedding, False, None, updates)
     return ForwardOutput(logits, embedding, x_node, leaves, updates)
 
 
 def uncertainty_forward(
-    params: ModelParams,
+    params: ModelParams | FoldedModel,
     embedding,
     mode: str,
     leaves: dict[str, GraphNode] | None = None,
@@ -237,28 +270,30 @@ def uncertainty_forward(
 
     Pass the ``leaves`` of a backbone ForwardOutput to share one parameter
     leaf set across backbone and head (required for joint gradients). In
-    eval mode the head's batchnorm is folded into its linear layer, as in
-    ``forward``: u = exp(e @ w' + b'), with no parameter leaves.
+    eval mode the head runs on ``params.fold()``, as in ``forward``: u =
+    exp(e @ w' + b'), with no parameter leaves.
     """
     leaves = _mode_leaves(params, mode, leaves)
     width = params.config.backbone.hidden_dims[-1]
     e = as_node(embedding)
     if e.value.ndim != 2 or e.value.shape[1] != width:
         raise ValueError(f"embedding must have shape (batch, {width}), got {e.value.shape}")
+    layers = leaves if mode == TRAIN else params.fold().leaves
     updates: dict[str, Tensor] = {}
-    return HeadOutput(_dense(params, leaves, "head", e, True, "exp", mode, updates), updates)
+    return HeadOutput(_dense(params, layers, "head", e, mode == TRAIN, "exp", updates), updates)
 
 
-def eval_logits(params: ModelParams, x, batch_size: int = 512) -> np.ndarray:
-    """Deterministic eval-mode logits, computed in batches."""
+def eval_logits(params: ModelParams | FoldedModel, x, batch_size: int = 512) -> np.ndarray:
+    """Deterministic eval-mode logits, computed in batches on one fold."""
     x = np.asarray(x, dtype=np.float64)
+    model = params.fold()
     parts = [
-        forward(params, x[i : i + batch_size], EVAL).logits.array
+        forward(model, x[i : i + batch_size], EVAL).logits.array
         for i in range(0, len(x), batch_size)
     ]
     return np.concatenate(parts, axis=0) if parts else np.zeros((0, params.config.backbone.num_classes))
 
 
-def predict_classes(params: ModelParams, x, batch_size: int = 512) -> np.ndarray:
+def predict_classes(params: ModelParams | FoldedModel, x, batch_size: int = 512) -> np.ndarray:
     """Predicted labels in 1..num_classes."""
     return np.argmax(eval_logits(params, x, batch_size), axis=1) + 1

@@ -83,7 +83,8 @@ def odin_score(
     epsilon = 0 and temperature = 1 the score is exactly msp_score.
     """
     x, single = _as_rows(x, "x")
-    scores = odin_from_pass(params, forward(params, x, EVAL), temperature, epsilon, clip_range)
+    model = params.fold()
+    scores = odin_from_pass(model, forward(model, x, EVAL), temperature, epsilon, clip_range)
     return float(scores[0]) if single else scores
 
 
@@ -98,7 +99,9 @@ def odin_from_pass(
 
     The input gradient comes from ``out``'s own graph, so only the
     perturbed forward runs again, and with epsilon = 0 nothing does: the
-    unperturbed rows' logits are ``out``'s.
+    unperturbed rows' logits are ``out``'s. ``params`` may be the
+    ``FoldedModel`` that ``out`` ran on (``ModelParams.fold``), which the
+    perturbed forward then shares.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
@@ -122,12 +125,16 @@ def _odin_perturbed(
     # so each input row's gradient is exactly its own NLL gradient.
     nll = tempered_ce(out.logits, np.full((len(logits), 1), temperature), onehot, reduction="sum")
     grad = backward(nll, wrt=[out.x])[out.x].array
-    x_perturbed = out.x.array - epsilon * np.sign(grad)
+    # x - epsilon * sign(grad), in one buffer: x + sign(grad) * -epsilon
+    # rounds the same, signed zeros included.
+    x_perturbed = np.sign(grad)
+    x_perturbed *= -epsilon
+    x_perturbed += out.x.array
     if clip_range is not None:
         lo, hi = clip_range
         if not hi > lo:
             raise ValueError("clip_range must satisfy hi > lo")
-        x_perturbed = np.clip(x_perturbed, lo, hi)
+        np.clip(x_perturbed, lo, hi, out=x_perturbed)
     return x_perturbed
 
 
@@ -140,14 +147,17 @@ def eval_pass(params: ModelParams, x, score: Callable, chunk: int = 512) -> list
     uncertainty sum_i u_i (the row sums only, which keeps memory flat).
     Only one chunk's graph is alive at a time. Eval rows do not depend on
     their batch, so the chunks together equal an unchunked pass bit for bit.
+    ``params`` is folded once (``ModelParams.fold``; a ``FoldedModel`` is
+    used as it is), and every chunk runs on the same constant leaves.
     """
     x = np.asarray(x, dtype=np.float64)
-    return [score(*_chunk_pass(params, x[i : i + chunk])) for i in range(0, len(x), chunk)]
+    model = params.fold()
+    return [score(*_chunk_pass(model, x[i : i + chunk])) for i in range(0, len(x), chunk)]
 
 
-def _chunk_pass(params: ModelParams, x: np.ndarray) -> tuple[ForwardOutput, np.ndarray]:
-    out = forward(params, x, EVAL)
-    u = uncertainty_forward(params, out.embedding, EVAL).u.array
+def _chunk_pass(model, x: np.ndarray) -> tuple[ForwardOutput, np.ndarray]:
+    out = forward(model, x, EVAL)
+    u = uncertainty_forward(model, out.embedding, EVAL).u.array
     return out, np.sum(u, axis=1)
 
 

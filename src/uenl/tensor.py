@@ -9,7 +9,10 @@ network inputs) are exact up to float64 rounding. A model layer is one
 optional; its train-mode batchnorm has the closed-form gradient for its
 input, scale and shift and leaves the batch mean and variance in the
 node's ``attrs``. Eval-mode batch normalization needs no part of its own:
-the model folds its running statistics into the layer's weights.
+the model folds its running statistics into the layer's weights. ``dense``
+adds the bias and applies its activation in place on the fresh matmul
+output, and relu's gradient mask is read from the activated values
+(relu(z) > 0 exactly where z > 0), so no pre-activation copy is kept.
 
 The training objective is three closed-form primitives: ``tempered_ce``
 (cross-entropy of optionally row-normalized logits over a temperature
@@ -437,7 +440,8 @@ def _fw_dense(values, attrs):
         raise ValueError(f"dense needs x (n, k), w (k, d) and b (d,), got {x.shape}, {w.shape} and {b.shape}")
     if act not in (None, "relu", "exp") or (mask is not None and np.shape(mask) != (x.shape[0], w.shape[1])):
         raise ValueError(f"dense needs act None, 'relu' or 'exp' and an (n, d) mask or None, got {act!r}")
-    z = _rowwise_matmul(x, w) + b
+    z = _rowwise_matmul(x, w)
+    z += b
     if bn:
         # Train-mode batchnorm over the rows; gamma and beta are (d,) and
         # epsilon is the ``constant`` attr.
@@ -455,14 +459,19 @@ def _fw_dense(values, attrs):
         # variance, as np.var gives it. The VJP reuses z_hat.
         attrs["mean"], attrs["var"] = mean, var
         attrs["z_hat"] = z_hat = centered / np.sqrt(var + attrs["constant"])
-        z = z_hat * gamma + beta
+        z = z_hat * gamma
+        z += beta
     # A relu could hide an overflow below it: a non-finite pre-activation is
     # returned as it is, for apply's finiteness check to report.
     if not np.isfinite(z).all():
         return z
-    attrs["pre"] = z
-    attrs["act_out"] = a = np.maximum(z, 0.0) if act == "relu" else np.exp(z) if act == "exp" else z
-    return a if mask is None else a * mask
+    # z is this node's own array, so the activation overwrites it.
+    if act == "relu":
+        np.maximum(z, 0.0, out=z)
+    elif act == "exp":
+        np.exp(z, out=z)
+    attrs["act_out"] = z
+    return z if mask is None else z * mask
 
 
 def _vjp_dense(g, values, out, attrs, needs):
@@ -474,7 +483,7 @@ def _vjp_dense(g, values, out, attrs, needs):
     if attrs["mask"] is not None:
         g = g * attrs["mask"]
     if attrs["act"] == "relu":
-        g = g * (attrs["pre"] > 0.0)
+        g = g * (attrs["act_out"] > 0.0)
     elif attrs["act"] == "exp":
         g = g * attrs["act_out"]
     bn_grads = ()

@@ -199,3 +199,18 @@ def sgd_per_parameter(weights, velocity, grads, lr, momentum, weight_decay):
         new_v[name] = v = momentum * velocity[name] - lr * (g + weight_decay * w)
         new_w[name] = w + v
     return new_w, new_v
+
+
+def stable_ranking(id_scores, ood_scores):
+    """The metrics ranking as a stable sort gives it: the distinct pooled
+    scores in descending order, with the counts tp/fp of ID/OOD scores at or
+    above each. Ties keep their pooled order (ID first, then OOD), so the
+    last member of each tie block, whose value represents the block, is
+    fixed."""
+    id_s = np.asarray(id_scores, dtype=np.float64).ravel()
+    scores = np.concatenate([id_s, np.asarray(ood_scores, dtype=np.float64).ravel()])
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tp = np.cumsum(order < id_s.size)[last]
+    return ranked[last], tp, last + 1 - tp

@@ -8,6 +8,7 @@ the assertion messages for the measured values and the structural analysis).
 import hashlib
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -374,6 +375,51 @@ def test_desk_output_bytes(desk_run, tmp_path):
     for key in sorted(paths):
         report_sha.update(key.encode() + b"\0" + Path(paths[key]).read_bytes())
     assert report_sha.hexdigest() == "a5abe6244f3411ae1c13d8be63fedccb8fd97ecd3abce5b4125e2f553818e5cf"
+
+
+@pytest.fixture(scope="module")
+def perfbench_workloads():
+    perfbench = str(SHIPPED_CONFIG.parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(perfbench)
+    return workloads
+
+
+@pytest.mark.parametrize(
+    "workload, ckpt_digest, report_digest",
+    [
+        pytest.param(
+            "image",
+            "23f8e2d5f2674f4280ea06a0d4ac5e64bded1956fade6b8f1ce1a696c5b20c07",
+            "131ca001d183b01426f14c7c1a766b3c9cee6c466ca400c5698f75dcc1fc3cda",
+            id="image",
+        ),
+        pytest.param(
+            "desk_score",
+            "f0589f5eeb5f6b3137799ceb6eaf1fc5dc7af57d8320b058eb10ef7cce22a432",
+            "22ed09cef0f2f01944718bbe7d00c6515c537bdb85afe9f59549a053ea3b7821",
+            id="desk_score",
+        ),
+    ],
+)
+def test_workload_output_bytes(perfbench_workloads, workload, ckpt_digest, report_digest, tmp_path):
+    # The benchmark's gemm-bound (image) and scoring-bound (desk_score)
+    # workloads at seed 0, built from perfbench/workloads.py's overrides:
+    # their checkpoint and report bytes, digested as for the desk run.
+    shipped = json.loads(SHIPPED_CONFIG.read_text(encoding="utf-8"))
+    overrides = perfbench_workloads.overrides_for(perfbench_workloads.WORKLOADS[workload], shipped, 0)
+    config = load_config(SHIPPED_CONFIG, overrides)
+    bundle = build_datasets(config)
+    checkpoint = train(config, bundle)
+    assert hashlib.sha256(checkpoint.to_json().encode()).hexdigest() == ckpt_digest
+    paths = evaluate(checkpoint, bundle).write(tmp_path)
+    report_sha = hashlib.sha256()
+    for key in sorted(paths):
+        report_sha.update(key.encode() + b"\0" + Path(paths[key]).read_bytes())
+    assert report_sha.hexdigest() == report_digest
 
 
 # --------------------------------------------------------------------------

@@ -175,6 +175,72 @@ class TestOutputFiles:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestEvalAndHistOutput:
+    """``eval`` checks its report directory and ``hist`` its ``--out`` file
+    before scoring or reading anything, and creates nothing doing so."""
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls, original = [], getattr(uenl.cli, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(uenl.cli, name, counted)
+        return calls
+
+    @staticmethod
+    def unwritable(kind, tmp_path, name):
+        """(--out value, the path the error line names) for one kind of bad target."""
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        if kind == "file_parent":
+            target = tmp_path / "afile" / name
+            return target, target
+        if kind == "file_grandparent":
+            target = tmp_path / "afile" / "sub" / name
+            return target, target
+        (tmp_path / name).mkdir()
+        if kind == "directory":
+            return tmp_path / name, tmp_path / name
+        (tmp_path / name / "metrics.csv").mkdir()  # "report_file_is_a_directory"
+        return tmp_path / name, tmp_path / name / "metrics.csv"
+
+    @pytest.mark.parametrize("kind", ["file_parent", "file_grandparent", "report_file_is_a_directory"])
+    def test_unwritable_eval_out_fails_before_scoring(self, trained, tmp_path, capsys, monkeypatch, kind):
+        calls = self.counting(monkeypatch, "evaluate")
+        loads, load = [], Checkpoint.load.__func__
+        monkeypatch.setattr(Checkpoint, "load", classmethod(lambda cls, path: loads.append(path) or load(cls, path)))
+        out, named = self.unwritable(kind, tmp_path, "report")
+        rc = main(["eval", "--checkpoint", str(trained[1]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and calls == [] and loads == []
+        assert err.startswith(f"error: cannot write {named}:") and len(err.splitlines()) == 1
+        made = ["afile"] if kind.startswith("file") else ["afile", "report"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == made
+
+    @pytest.mark.parametrize("kind", ["file_parent", "file_grandparent", "directory"])
+    def test_unwritable_hist_out_fails_before_reading(self, tmp_path, capsys, monkeypatch, kind):
+        calls = self.counting(monkeypatch, "scores_csv_to_histograms")
+        out, named = self.unwritable(kind, tmp_path, "hist.csv")
+        rc = main(["hist", "--scores", str(tmp_path / "scores.csv"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and calls == []
+        assert err.startswith(f"error: cannot write {named}:") and len(err.splitlines()) == 1
+
+    def test_eval_check_creates_nothing(self, tmp_path, capsys):
+        # A missing checkpoint fails after the --out check, which made no
+        # directory and left no probe file.
+        rc = main(["eval", "--checkpoint", str(tmp_path / "none.json"), "--out", str(tmp_path / "new" / "report")])
+        assert rc == 1 and "none.json" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_eval_writes_into_a_new_nested_directory(self, trained, tmp_path):
+        out = tmp_path / "a" / "b" / "report"
+        assert main(["eval", "--checkpoint", str(trained[1]), "--methods", "msp", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["accuracy.csv", "histograms.csv", "metrics.csv", "scores.csv"]
+
+
 class TestEval:
     def test_three_method_blocks(self, trained, tmp_path, capsys):
         _, ckpt = trained

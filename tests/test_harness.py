@@ -449,6 +449,55 @@ class TestOnePassEvaluate:
         assert backbone_calls == []
 
 
+class TestOneFoldPerDataset:
+    """evaluate folds the model once per dataset; every chunk's forward and
+    head, and ODIN's perturbed forward, run on that one FoldedModel."""
+
+    def test_desk_evaluate_folds_each_layer_once_per_dataset(self, monkeypatch):
+        import uenl.scoring
+        from uenl.model import FoldedModel, ModelParams
+
+        config = load_config(Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json")
+        bundle = build_datasets(config)
+        params = init_params(config, RngStream(0))
+        checkpoint = Checkpoint(config, params.weights, params.bn_state, 0)
+        folds, forwards, heads = [], [], []
+        fold = ModelParams.fold
+
+        def counted_fold(self):
+            folds.append(fold(self))
+            return folds[-1]
+
+        def recorded(calls, original):
+            def call(model, *args, **kwargs):
+                out = original(model, *args, **kwargs)
+                calls.append((model, out))
+                return out
+
+            return call
+
+        monkeypatch.setattr(ModelParams, "fold", counted_fold)
+        monkeypatch.setattr(uenl.scoring, "forward", recorded(forwards, uenl.scoring.forward))
+        monkeypatch.setattr(uenl.scoring, "uncertainty_forward", recorded(heads, uenl.scoring.uncertainty_forward))
+        evaluate(checkpoint, bundle)
+
+        datasets = [bundle.id_test, *bundle.ood.values()]
+        assert len(folds) == len(datasets) == 4
+        # backbone.h0, backbone.h1, backbone.out and head: 16 layer folds in all.
+        assert sum(len(m.leaves) // 2 for m in folds) == 16
+        chunks = sum(-(-len(ds) // 512) for ds in datasets)
+        assert config.scoring.odin_epsilon > 0.0  # so each chunk has a perturbed forward
+        assert (len(forwards), len(heads)) == (2 * chunks, chunks)
+        for model, out in forwards + heads:
+            assert type(model) is FoldedModel and any(model is m for m in folds)
+            node = out.logits if hasattr(out, "logits") else out.u
+            assert node.parents[1] is model.leaves[f"{node.attrs['name']}.w"]
+        # Each fold serves its own dataset's chunks: one forward and one
+        # perturbed forward per chunk.
+        used = [model for model, _ in forwards]
+        assert [sum(model is m for model in used) for m in folds] == [2 * -(-len(ds) // 512) for ds in datasets]
+
+
 class TestMethodReductionIdentity:
     def test_pinned_uenl_equals_logitnorm(self):
         """UE-NL with lambda=0 and u-hat pinned to T builds the same loss graph

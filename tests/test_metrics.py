@@ -5,11 +5,15 @@ import time
 
 import numpy as np
 import pytest
-from oracles import enumerate_fpr_at_tpr, pairwise_auroc, step_aupr
+from oracles import enumerate_fpr_at_tpr, pairwise_auroc, stable_ranking, step_aupr
 
 from conftest import random_scores
 from uenl.metrics import (
     FprResult,
+    _auroc,
+    _aupr,
+    _fpr_at_tpr,
+    _ranking,
     MetricReport,
     aupr,
     auroc,
@@ -229,6 +233,48 @@ class TestMetricReport:
         assert (report.n_id, report.n_ood) == (80, 60)
         for value in (report.fpr95, report.auroc, report.aupr):
             assert 0.0 <= value <= 1.0
+
+
+def _tied_pools(seed: int):
+    """Pooled scores with heavy ID/OOD ties: small integer grids, plus one
+    block of zeros that mixes 0.0 and -0.0 in both sets."""
+    rng = np.random.default_rng(seed)
+    id_s, ood_s = random_scores(rng, 700, 500, ties="few" if seed % 2 else True)
+    for scores in (id_s, ood_s):
+        zeros = rng.random(scores.size) < 0.3
+        scores[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return id_s, ood_s
+
+
+class TestUnstableRanking:
+    """The ranking sorts with numpy's default sort, not a stable one; every
+    metric must equal what the stable sort gives, tie for tie."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_stable_sort(self, seed):
+        id_s, ood_s = _tied_pools(seed)
+        assert (np.signbit(id_s) & (id_s == 0.0)).any() and (np.signbit(ood_s) & (ood_s == 0.0)).any()
+        got, want = _ranking(id_s, ood_s), stable_ranking(id_s, ood_s)
+        for g, w in zip(got, want):
+            # Equal as numbers; the zero block may read 0.0 or -0.0.
+            np.testing.assert_array_equal(g, w)
+        values, tp, fp = want
+        assert auroc(id_s, ood_s) == _auroc(tp, fp)
+        assert aupr(id_s, ood_s) == _aupr(tp, fp)
+        for tpr in (0.05, 0.5, 0.95, 1.0):
+            assert fpr_at_tpr(id_s, ood_s, tpr) == _fpr_at_tpr(values, tp, fp, tpr)
+        fpr = _fpr_at_tpr(values, tp, fp, 0.95)
+        report = MetricReport.from_scores(id_s, ood_s)
+        assert report == MetricReport(fpr.fpr, _auroc(tp, fp), _aupr(tp, fp), fpr.threshold, 700, 500)
+
+    def test_zero_block_threshold_compares_equal_whatever_its_sign(self):
+        # FPR95's threshold lands in the mixed zero block: the counts are
+        # exact, and the threshold equals 0.0 with either sign bit.
+        id_s = np.array([1.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0, -0.0] * 10)
+        ood_s = np.array([-0.0, 0.0, -1.0, 0.0, -0.0] * 10)
+        report = MetricReport.from_scores(id_s, ood_s)
+        assert report.threshold == 0.0
+        assert (report.fpr95, report.n_id, report.n_ood) == (0.8, 100, 50)
 
 
 class TestCsvExport:

@@ -1,5 +1,6 @@
 """Backbone and uncertainty head: init scheme, forward modes, BN, dropout."""
 
+import math
 import re
 import zlib
 
@@ -103,7 +104,8 @@ class TestInit:
         ):
             params = make_params(**kwargs)
             expected = expected_param_count(params.config)
-            assert params.weight_count() == expected
+            assert sum(math.prod(shape) for shape in param_shapes(params.config)[0].values()) == expected
+            assert sum(t.size for t in params.weights.values()) == expected
 
 
 class TestParamShapes:
@@ -396,3 +398,79 @@ class TestEvalFold:
         want_logits, want_u, _ = unfolded_eval(params, x)
         np.testing.assert_allclose(logits, want_logits, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(u, want_u, rtol=1e-12)
+
+
+def _graph_leaves(*outputs) -> list:
+    leaves, stack, seen = [], list(outputs), set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node.op == "leaf":
+                leaves.append(node)
+            stack.extend(node.parents)
+    return leaves
+
+
+class TestFoldedModel:
+    """ModelParams.fold builds the eval model once; passes on it share its
+    constant leaves and equal passes on the parameters bit for bit."""
+
+    @pytest.mark.parametrize("shape", FOLD_SHAPES)
+    def test_folded_pass_equals_the_params_pass(self, shape):
+        params = _trained_like(shape)
+        x = np.random.default_rng(zlib.crc32(f"fold{shape}".encode())).standard_normal((70, params.config.backbone.input_dim))
+        model = params.fold()
+        for got, want in zip(_eval_outputs(model, x), _eval_outputs(params, x)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(eval_logits(model, x, batch_size=16), eval_logits(params, x))
+
+    def test_a_pass_builds_only_its_input_leaf(self):
+        params = _trained_like("desk")
+        model = params.fold()
+        assert list(model.leaves) == [n for n in param_shapes(params.config)[0] if n[-2:] in (".w", ".b")]
+        for _ in range(2):
+            out = forward(model, np.ones((3, 16)), "eval")
+            head = uncertainty_forward(model, out.embedding, "eval")
+            constants = {id(n) for n in model.leaves.values()}
+            assert [n for n in _graph_leaves(out.logits, head.u) if id(n) not in constants] == [out.x]
+            assert len({id(n) for n in _graph_leaves(out.logits, head.u)} & constants) == 8
+        # Unfolded parameters fold on each call: 4 layers' w and b, plus x.
+        out = forward(params, np.ones((3, 16)), "eval")
+        assert len(_graph_leaves(out.logits, uncertainty_forward(params, out.embedding, "eval").u)) == 1 + 6 + 2
+
+    def test_layers_without_batchnorm_keep_their_tensors(self):
+        params = _trained_like("tiny_no_bn")
+        model = params.fold()
+        for name in ("backbone.h0.w", "backbone.h1.b", "backbone.out.w", "backbone.out.b"):
+            assert model.leaves[name].value is params.weights[name]
+        assert model.leaves["head.w"].value is not params.weights["head.w"]
+
+    def test_is_an_immutable_snapshot(self):
+        params = _trained_like("tiny")
+        x = RngStream(61).normal((5, 6))
+        model = params.fold()
+        before = forward(model, x, "eval").logits.array
+        assert model.fold() is model
+        with pytest.raises(AttributeError):
+            model.leaves = {}
+        assert not any(n.array.flags.writeable for n in model.leaves.values())
+        params.weights["backbone.h1.bn.gamma"] = Tensor(np.full(8, 0.5))
+        np.testing.assert_array_equal(forward(model, x, "eval").logits.array, before)
+        assert not np.array_equal(forward(params, x, "eval").logits.array, before)
+        assert not np.array_equal(forward(params.fold(), x, "eval").logits.array, before)
+
+    def test_runs_in_eval_mode_only(self):
+        model = _trained_like("tiny").fold()
+        with pytest.raises(ValueError, match="eval mode only"):
+            forward(model, np.ones((2, 6)), "train", rng=RngStream(0))
+        with pytest.raises(ValueError, match="eval mode only"):
+            uncertainty_forward(model, np.ones((2, 8)), "train")
+        with pytest.raises(ValueError, match="no parameter leaves"):
+            forward(model, np.ones((2, 6)), "eval", leaves=model.leaves)
+
+    def test_negative_running_variance_fails_the_fold(self):
+        params = _trained_like("tiny")
+        params.bn_state["backbone.h0.bn.var"] = Tensor(-np.ones(16))
+        with pytest.raises(ValueError, match="backbone.h0.bn: running variance has negative entries"):
+            params.fold()

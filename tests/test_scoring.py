@@ -8,6 +8,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uenl.scoring
 from conftest import model_arch
 from uenl.model import forward, init_params
 from uenl.rng import RngStream
@@ -21,6 +22,7 @@ from uenl.scoring import (
     uncertainty_score,
     write_scores_csv,
 )
+from uenl.tensor import Tensor, backward, tempered_ce
 
 
 class TestMsp:
@@ -174,6 +176,47 @@ class TestOdin:
             odin_score(small_params, np.zeros(5), temperature=0.0)
         with pytest.raises(ValueError):
             odin_score(small_params, np.zeros(5), epsilon=-0.1)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestOdinPerturbationBits:
+    """_odin_perturbed builds x' in one buffer; it must equal the plain
+    expression np.clip(x - eps * np.sign(g), lo, hi) bit for bit."""
+
+    @staticmethod
+    def reference(x, g, eps, clip_range):
+        x_tilde = x - eps * np.sign(g)
+        return x_tilde if clip_range is None else np.clip(x_tilde, *clip_range)
+
+    @pytest.mark.parametrize("clip_range", [None, (-0.5, 0.5), (0.0, 1.0), (-1.0, -0.0)])
+    @pytest.mark.parametrize("eps", [0.0014, 0.5, 0.0])
+    def test_signed_zeros_and_zero_gradients(self, small_params, monkeypatch, clip_range, eps):
+        # Every pairing of x in {+-0, +-0.3, +-eps, +-1} with a gradient in
+        # {+-0, +-1e-300, +-2}; the gradient is planted, since a real one
+        # rarely holds signed zeros.
+        xs = np.array([0.0, -0.0, 0.3, -0.3, eps, -eps, 1.0, -1.0])
+        gs = np.array([0.0, -0.0, 1e-300, -1e-300, 2.0, -2.0])
+        x = np.repeat(xs, gs.size)[:40].reshape(8, 5)
+        g = np.tile(gs, xs.size)[:40].reshape(8, 5)
+        out = forward(small_params, x, "eval")
+        monkeypatch.setattr(uenl.scoring, "backward", lambda loss, wrt: {wrt[0]: Tensor(g)})
+        got = _odin_perturbed(out, 1000.0, eps, clip_range)
+        np.testing.assert_array_equal(_bits(got), _bits(self.reference(x, g, eps, clip_range)))
+
+    @pytest.mark.parametrize("clip_range", [None, (-1.0, 1.0)])
+    def test_real_gradient(self, small_params, clip_range):
+        x = np.random.default_rng(13).uniform(-1.2, 1.2, size=(70, 5))
+        x[::3, 1], x[1::3, 2] = 0.0, -0.0
+        out = forward(small_params, x, "eval")
+        g = backward(
+            tempered_ce(out.logits, np.full((70, 1), 1000.0), np.eye(3)[out.logits.array.argmax(axis=1)], reduction="sum"),
+            wrt=[out.x],
+        )[out.x].array
+        got = _odin_perturbed(out, 1000.0, 0.0014, clip_range)
+        np.testing.assert_array_equal(_bits(got), _bits(self.reference(x, g, 0.0014, clip_range)))
 
 
 class TestUncertaintyScore:
