@@ -29,7 +29,7 @@ from scipy.optimize import minimize
 from uenl.config import load_config
 from uenl.harness import build_datasets, train
 from uenl.metrics import auroc
-from uenl.model import EVAL, forward
+from uenl.model import forward
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json"
 PROBE_L2 = 1e-3
@@ -75,8 +75,9 @@ def main():
     for name, value in rank_measures(w).items():
         print(f"  {name:>22}: {value:.2f}")
 
-    id_emb = forward(params, bundle.id_test.features, EVAL).embedding.array
-    noise_emb = forward(params, bundle.ood["gaussian_noise"].features, EVAL).embedding.array
+    model = params.fold()
+    id_emb = forward(model, bundle.id_test.features).embedding.array
+    noise_emb = forward(model, bundle.ood["gaussian_noise"].features).embedding.array
     fit_id, fit_noise = id_emb[0::2], noise_emb[0::2]
     probe = fit_logistic_probe(np.vstack([fit_id, fit_noise]), np.r_[np.ones(len(fit_id)), np.zeros(len(fit_noise))])
     held_id, held_noise = (emb[1::2] @ probe[:-1] + probe[-1] for emb in (id_emb, noise_emb))

@@ -15,7 +15,7 @@ import numpy as np
 
 from uenl.config import load_config
 from uenl.harness import build_datasets, evaluate, train
-from uenl.metrics import fpr_at_95_tpr, histogram
+from uenl.metrics import fpr_at_tpr, histogram
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json"
 BAR_WIDTH = 48
@@ -43,7 +43,7 @@ def main():
         id_s, ood_s = scores.id_scores, scores.ood_scores[ood_name]
         pooled = np.concatenate([id_s, ood_s])
         span = (float(pooled.min()), float(pooled.max()))
-        res = fpr_at_95_tpr(id_s, ood_s)
+        res = fpr_at_tpr(id_s, ood_s, 0.95)
         print(f"\n=== {method} scores vs {ood_name} "
               f"(fpr95={res.fpr:.3f}, threshold={res.threshold:.4f}) ===")
         render("id_test", id_s, span, res.threshold)

@@ -11,13 +11,12 @@ sweeps) behind the ``uenl`` command-line tool.
 
 from .config import ExperimentConfig, load_config
 from .data import Dataset, load_csv, load_idx
-from .gradcheck import finite_diff_check
 from .harness import Checkpoint, build_datasets, evaluate, sweep, train
 from .losses import logitnorm_ce, plain_ce, uenl_total
-from .metrics import MetricReport, aupr, auroc, fpr_at_95_tpr
+from .metrics import MetricReport, aupr, auroc
 from .model import ModelParams, forward, init_params, uncertainty_forward
 from .rng import RngStream
-from .scoring import energy_score, msp_score, odin_score, uncertainty_score
+from .scoring import energy_score, msp_score
 from .tensor import GraphNode, Tensor, apply, backward, leaf
 
 __version__ = "0.1.0"
@@ -28,7 +27,6 @@ __all__ = [
     "Dataset",
     "load_csv",
     "load_idx",
-    "finite_diff_check",
     "Checkpoint",
     "build_datasets",
     "evaluate",
@@ -40,7 +38,6 @@ __all__ = [
     "MetricReport",
     "aupr",
     "auroc",
-    "fpr_at_95_tpr",
     "ModelParams",
     "forward",
     "init_params",
@@ -48,8 +45,6 @@ __all__ = [
     "RngStream",
     "energy_score",
     "msp_score",
-    "odin_score",
-    "uncertainty_score",
     "GraphNode",
     "Tensor",
     "apply",

@@ -1,8 +1,7 @@
 """Command-line entry point with gen-data, train, eval, sweep, and hist
 subcommands. Exit status is 0 on success; a failure prints one diagnostic
-line to stderr and returns nonzero (130 after an interrupt). ``train``,
-``sweep``, ``eval`` and ``hist`` check that their ``--out`` can be written
-before any work starts.
+line to stderr and returns nonzero (130 after an interrupt). Every
+subcommand checks that its ``--out`` can be written before any work starts.
 """
 
 from __future__ import annotations
@@ -40,9 +39,11 @@ def _config_from_args(args):
 
 
 def _cmd_gen_data(args) -> int:
-    id_train, id_test, ood, _ = build_raw_datasets(_config_from_args(args))
+    config = _config_from_args(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    check_writable(out_dir / "id_train.csv")
+    id_train, id_test, ood, _ = build_raw_datasets(config)
     written = {out_dir / "id_train.csv": id_train, out_dir / "id_test.csv": id_test}
     written.update((out_dir / f"ood_{name}.csv", ds) for name, ds in ood.items())
     for path, ds in written.items():

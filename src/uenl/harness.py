@@ -20,7 +20,6 @@ from .data import Dataset, Normalization, batch_iter, parse_number, read_lines, 
 from .losses import logitnorm_ce, plain_ce, uenl_total
 from .metrics import MetricReport, auroc, error_rate, histogram, histogram_range, write_histogram_csv, write_metrics_csv
 from .model import (
-    TRAIN,
     ModelParams,
     eval_logits,  # unused here, but perfbench/tracing.py rebinds harness.eval_logits
     forward,
@@ -252,7 +251,7 @@ class Checkpoint:
 
 def _batch_loss(params, config, xb, yb, dropout_rng, resample_rng, leaves):
     """Loss graph for one minibatch plus the batchnorm updates it implies."""
-    fo = forward(params, xb, TRAIN, dropout_rng, leaves=leaves)
+    fo = forward(params, xb, dropout_rng, leaves=leaves)
     updates = dict(fo.bn_updates)
     if config.method == "ce":
         return plain_ce(fo.logits, yb), updates
@@ -264,11 +263,11 @@ def _batch_loss(params, config, xb, yb, dropout_rng, resample_rng, leaves):
         # fixed-temperature baseline's own tempered_ce node.
         total = logitnorm_ce(fo.logits, yb, config.pinned_uhat)
         if config.kl_weight > 0.0:
-            head = uncertainty_forward(params, fo.embedding, TRAIN, leaves=fo.leaves)
+            head = uncertainty_forward(params, fo.embedding, leaves=fo.leaves)
             updates.update(head.bn_updates)
             total = add(total, kl(head.u, config.kl_form, config.kl_weight))
         return total, updates
-    head = uncertainty_forward(params, fo.embedding, TRAIN, leaves=fo.leaves)
+    head = uncertainty_forward(params, fo.embedding, leaves=fo.leaves)
     updates.update(head.bn_updates)
     total = uenl_total(
         fo.logits,

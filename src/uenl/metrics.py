@@ -19,7 +19,6 @@ __all__ = [
     "auroc",
     "aupr",
     "fpr_at_tpr",
-    "fpr_at_95_tpr",
     "FprResult",
     "error_rate",
     "histogram",
@@ -101,10 +100,6 @@ def fpr_at_tpr(id_scores, ood_scores, tpr: float = 0.95) -> FprResult:
     if not 0.0 < tpr <= 1.0:
         raise ValueError("tpr must lie in (0, 1]")
     return _fpr_at_tpr(*_ranking(id_scores, ood_scores), tpr)
-
-
-def fpr_at_95_tpr(id_scores, ood_scores) -> FprResult:
-    return fpr_at_tpr(id_scores, ood_scores, 0.95)
 
 
 def error_rate(predicted, actual) -> float:

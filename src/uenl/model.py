@@ -7,14 +7,14 @@ maps inputs to an embedding (the last hidden activation) and class logits.
 The head maps the same embedding to a strictly positive uncertainty vector
 u = exp(batchnorm(linear(e))), ``delta`` wide (1 with
 ``scalar_uncertainty``). Each layer, its batchnorm, activation and dropout
-included, is one ``dense`` graph node. In train mode every output is
-differentiable with respect to parameters and inputs alike. In eval mode
-batchnorm uses its running statistics, a fixed per-column affine map, so it
-is folded into the linear layer before it (Ioffe & Szegedy 2015):
-``ModelParams.fold`` builds a ``FoldedModel`` of constant per-layer leaves
-from the current parameters, each layer is one ``dense`` node on them, and
-the pass is differentiable with respect to its input only. An eval pass
-over many chunks folds once and hands the ``FoldedModel`` to every chunk.
+included, is one ``dense`` graph node. The model argument's type picks
+the mode. ``ModelParams`` run in train mode, where every output is
+differentiable with respect to parameters and inputs alike. A
+``FoldedModel`` (``ModelParams.fold``) runs in eval mode: batchnorm's
+running statistics, a fixed per-column affine map, are folded into the
+linear layer before it (Ioffe & Szegedy 2015), each layer is one ``dense``
+node on constant leaves, and the pass is differentiable with respect to its
+input only. An eval pass over many chunks folds once for all of them.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ __all__ = [
     "eval_logits",
     "predict_classes",
 ]
-
-TRAIN = "train"
-EVAL = "eval"
-
 
 @dataclass
 class ModelParams:
@@ -203,84 +199,77 @@ def _dense(
     return node
 
 
-def _mode_leaves(
-    params: ModelParams | FoldedModel, mode: str, leaves: dict[str, GraphNode] | None
-) -> dict[str, GraphNode]:
-    if mode not in (TRAIN, EVAL):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == TRAIN:
-        if isinstance(params, FoldedModel):
-            raise ValueError("a folded model runs in eval mode only")
-        return param_leaves(params) if leaves is None else leaves
-    if leaves:
-        raise ValueError("eval mode folds batchnorm into constant weights and takes no parameter leaves")
-    return {}
+def _layer_leaves(params: ModelParams | FoldedModel, leaves: dict[str, GraphNode] | None) -> tuple[bool, dict]:
+    """Whether a pass on ``params`` trains, and the leaves its layers read:
+    ``leaves`` (fresh ``param_leaves`` when None) for ``ModelParams``, the
+    folded constants for a ``FoldedModel``, which takes no ``leaves``."""
+    if isinstance(params, FoldedModel):
+        if leaves:
+            raise ValueError("a folded model runs in eval mode and takes no parameter leaves")
+        return False, params.leaves
+    return True, param_leaves(params) if leaves is None else leaves
 
 
 def forward(
     params: ModelParams | FoldedModel,
     x,
-    mode: str,
     rng: RngStream | None = None,
     leaves: dict[str, GraphNode] | None = None,
 ) -> ForwardOutput:
     """Run the backbone on a batch.
 
-    ``x`` is a (batch, input_dim) array or node. In train mode batchnorm uses
-    batch statistics (and reports running-stat updates); dropout needs ``rng``.
-    In eval mode the pass is deterministic and each row's outputs are exactly
-    the values it would get in any other batch. Eval mode runs on
-    ``params.fold()``: a ``FoldedModel`` as it is, ``ModelParams`` folded
-    from their current values. It builds no parameter leaves (``leaves``
-    must be None or empty, and the output's is empty) and so is
-    differentiable with respect to ``x`` only.
+    ``x`` is a (batch, input_dim) array or node. ``ModelParams`` run in train
+    mode: batchnorm uses batch statistics (and reports running-stat updates),
+    dropout needs ``rng``, and the layers read ``leaves``, fresh
+    ``param_leaves`` when None. A ``FoldedModel`` (``ModelParams.fold``)
+    runs in eval mode: the pass is deterministic and each row's outputs are
+    exactly the values it would get in any other batch. It builds no
+    parameter leaves (``leaves`` must be None or empty, and the output's is
+    empty) and so is differentiable with respect to ``x`` only.
     """
-    leaves = _mode_leaves(params, mode, leaves)
+    train, layers = _layer_leaves(params, leaves)
     backbone, rate = params.config.backbone, params.config.dropout
     x_node = as_node(x)
     if x_node.value.ndim != 2 or x_node.value.shape[1] != backbone.input_dim:
         raise ValueError(
             f"input must have shape (batch, {backbone.input_dim}), got {x_node.value.shape}"
         )
-    if mode == TRAIN and rate > 0.0 and rng is None:
+    if train and rate > 0.0 and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng stream")
 
-    layers = leaves if mode == TRAIN else params.fold().leaves
-    bn = backbone.use_batchnorm and mode == TRAIN
+    bn = backbone.use_batchnorm and train
     updates: dict[str, Tensor] = {}
     h = x_node
     for i, width in enumerate(backbone.hidden_dims):
         mask = None
-        if mode == TRAIN and rate > 0.0:
+        if train and rate > 0.0:
             # Inverted dropout: surviving units scaled so the expectation is unchanged.
             mask = (rng.uniform(0.0, 1.0, (h.shape[0], width)) >= rate) / (1.0 - rate)
         h = _dense(params, layers, f"backbone.h{i}", h, bn, "relu", updates, mask)
     embedding = h
     logits = _dense(params, layers, "backbone.out", embedding, False, None, updates)
-    return ForwardOutput(logits, embedding, x_node, leaves, updates)
+    return ForwardOutput(logits, embedding, x_node, layers if train else {}, updates)
 
 
 def uncertainty_forward(
     params: ModelParams | FoldedModel,
     embedding,
-    mode: str,
     leaves: dict[str, GraphNode] | None = None,
 ) -> HeadOutput:
     """Uncertainty head: u = exp(batchnorm(linear(embedding))), strictly positive.
 
-    Pass the ``leaves`` of a backbone ForwardOutput to share one parameter
-    leaf set across backbone and head (required for joint gradients). In
-    eval mode the head runs on ``params.fold()``, as in ``forward``: u =
-    exp(e @ w' + b'), with no parameter leaves.
+    On ``ModelParams`` (train mode), pass the ``leaves`` of a backbone
+    ForwardOutput to share one parameter leaf set across backbone and head
+    (required for joint gradients). On a ``FoldedModel`` (eval mode), as in
+    ``forward``: u = exp(e @ w' + b'), with no parameter leaves.
     """
-    leaves = _mode_leaves(params, mode, leaves)
+    train, layers = _layer_leaves(params, leaves)
     width = params.config.backbone.hidden_dims[-1]
     e = as_node(embedding)
     if e.value.ndim != 2 or e.value.shape[1] != width:
         raise ValueError(f"embedding must have shape (batch, {width}), got {e.value.shape}")
-    layers = leaves if mode == TRAIN else params.fold().leaves
     updates: dict[str, Tensor] = {}
-    return HeadOutput(_dense(params, layers, "head", e, mode == TRAIN, "exp", updates), updates)
+    return HeadOutput(_dense(params, layers, "head", e, train, "exp", updates), updates)
 
 
 def eval_logits(params: ModelParams | FoldedModel, x, batch_size: int = 512) -> np.ndarray:
@@ -288,7 +277,7 @@ def eval_logits(params: ModelParams | FoldedModel, x, batch_size: int = 512) -> 
     x = np.asarray(x, dtype=np.float64)
     model = params.fold()
     parts = [
-        forward(model, x[i : i + batch_size], EVAL).logits.array
+        forward(model, x[i : i + batch_size]).logits.array
         for i in range(0, len(x), batch_size)
     ]
     return np.concatenate(parts, axis=0) if parts else np.zeros((0, params.config.backbone.num_classes))

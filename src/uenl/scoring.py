@@ -1,6 +1,12 @@
 """Post-hoc detection scores. Every score is oriented the same way:
 higher means more in-distribution. A sample is declared ID when its score
 reaches the decision threshold.
+
+``msp_score`` and ``energy_score`` score (n, k) logit rows. ``eval_pass``
+hands each chunk's eval-mode pass and total uncertainty sum_i u_i to a
+score: the uncertainty score is -sum_i u_i, and ``odin_from_pass`` perturbs
+the chunk's inputs along its graph.
+
 The softmax and logsumexp kernels repeat scipy.special's (1.17) operations
 in order, so scores.csv has the same bits without scipy.
 """
@@ -12,15 +18,13 @@ from typing import Callable
 
 import numpy as np
 
-from .model import EVAL, ForwardOutput, ModelParams, forward, uncertainty_forward
+from .model import FoldedModel, ForwardOutput, ModelParams, forward, uncertainty_forward
 from .tensor import backward, tempered_ce
 
 __all__ = [
     "msp_score",
     "energy_score",
-    "odin_score",
     "odin_from_pass",
-    "uncertainty_score",
     "eval_pass",
     "ScoreSet",
     "write_scores_csv",
@@ -30,13 +34,11 @@ __all__ = [
 SCORE_METHODS = ("msp", "energy", "odin", "uncertainty")
 
 
-def _as_rows(values, name: str) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[None, :], True
+def _logit_rows(logits) -> np.ndarray:
+    arr = np.asarray(logits, dtype=np.float64)
     if arr.ndim != 2:
-        raise ValueError(f"{name} must be 1-d or 2-d, got shape {arr.shape}")
-    return arr, False
+        raise ValueError(f"logits must be 2-d (rows, classes), got shape {arr.shape}")
+    return arr
 
 
 def _max_softmax(logits: np.ndarray) -> np.ndarray:
@@ -44,71 +46,44 @@ def _max_softmax(logits: np.ndarray) -> np.ndarray:
     return 1.0 / np.exp(logits - logits.max(axis=-1, keepdims=True)).sum(axis=-1)
 
 
-def msp_score(logits):
-    """Maximum softmax probability. Shift-invariant in the logits."""
-    arr, single = _as_rows(logits, "logits")
-    out = _max_softmax(arr)
-    return float(out[0]) if single else out
+def msp_score(logits) -> np.ndarray:
+    """Maximum softmax probability of each (n, k) logit row; shift-invariant."""
+    return _max_softmax(_logit_rows(logits))
 
 
-def energy_score(logits, temperature: float = 0.1):
-    """Energy score T * logsumexp(logits / T); approaches max(logits) as T -> 0."""
+def energy_score(logits, temperature: float = 0.1) -> np.ndarray:
+    """T * logsumexp(logits / T) of each (n, k) logit row; max(logits) as T -> 0."""
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    arr, single = _as_rows(logits, "logits")
-    z = arr / temperature
+    z = _logit_rows(logits) / temperature
     z_max = z.max(axis=-1, keepdims=True)
     at_max = z == z_max
     # logsumexp(z) = log1p(s / m) + log(m) + max: m maximal entries, s the sum of the others' exp(z - max).
     s = np.exp(z - z_max, out=np.zeros_like(z), where=~at_max).sum(axis=-1)
     m = at_max.sum(axis=-1)
-    out = temperature * (np.log1p(s / m) + np.log(m) + z_max[:, 0])
-    return float(out[0]) if single else out
-
-
-def odin_score(
-    params: ModelParams,
-    x,
-    temperature: float = 1000.0,
-    epsilon: float = 0.0014,
-    clip_range: tuple[float, float] | None = None,
-):
-    """Temperature-scaled max softmax after a small adversarial-style input nudge.
-
-    The input moves a step of size ``epsilon`` against the sign of the
-    gradient of the predicted class's temperature-scaled NLL, which inflates
-    the confidence of samples near the training manifold more than that of
-    outliers. ``clip_range`` (lo, hi), normally the ID training feature range,
-    bounds the perturbed input; it is only applied when epsilon > 0, so with
-    epsilon = 0 and temperature = 1 the score is exactly msp_score.
-    """
-    x, single = _as_rows(x, "x")
-    model = params.fold()
-    scores = odin_from_pass(model, forward(model, x, EVAL), temperature, epsilon, clip_range)
-    return float(scores[0]) if single else scores
+    return temperature * (np.log1p(s / m) + np.log(m) + z_max[:, 0])
 
 
 def odin_from_pass(
-    params: ModelParams,
+    model: ModelParams | FoldedModel,
     out: ForwardOutput,
     temperature: float,
     epsilon: float,
     clip_range: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """odin_score of the rows of ``out``, an eval-mode forward pass of them.
-
-    The input gradient comes from ``out``'s own graph, so only the
-    perturbed forward runs again, and with epsilon = 0 nothing does: the
-    unperturbed rows' logits are ``out``'s. ``params`` may be the
-    ``FoldedModel`` that ``out`` ran on (``ModelParams.fold``), which the
-    perturbed forward then shares.
+    """ODIN: the temperature-scaled max softmax of the rows of ``out``, an
+    eval-mode pass on ``model.fold()``, after each input moves ``epsilon``
+    against the sign of the gradient of its predicted class's tempered NLL
+    (taken through ``out``'s graph). ``clip_range`` (lo, hi), normally the ID
+    training feature range, bounds the moved input. With epsilon = 0 nothing
+    runs again, and at temperature 1 the score is exactly msp_score.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     if epsilon < 0.0:
         raise ValueError("epsilon must be non-negative")
     if epsilon > 0.0:
-        out = forward(params, _odin_perturbed(out, temperature, epsilon, clip_range), EVAL)
+        out = forward(model.fold(), _odin_perturbed(out, temperature, epsilon, clip_range))
     return _max_softmax(out.logits.array / temperature)
 
 
@@ -138,7 +113,7 @@ def _odin_perturbed(
     return x_perturbed
 
 
-def eval_pass(params: ModelParams, x, score: Callable, chunk: int = 512) -> list:
+def eval_pass(params: ModelParams | FoldedModel, x, score: Callable, chunk: int = 512) -> list:
     """Run backbone and head in eval mode on ``x``, ``chunk`` rows at a time,
     and return ``[score(out, u_total)]``, one entry per chunk.
 
@@ -155,17 +130,10 @@ def eval_pass(params: ModelParams, x, score: Callable, chunk: int = 512) -> list
     return [score(*_chunk_pass(model, x[i : i + chunk])) for i in range(0, len(x), chunk)]
 
 
-def _chunk_pass(model, x: np.ndarray) -> tuple[ForwardOutput, np.ndarray]:
-    out = forward(model, x, EVAL)
-    u = uncertainty_forward(model, out.embedding, EVAL).u.array
+def _chunk_pass(model: FoldedModel, x: np.ndarray) -> tuple[ForwardOutput, np.ndarray]:
+    out = forward(model, x)
+    u = uncertainty_forward(model, out.embedding).u.array
     return out, np.sum(u, axis=1)
-
-
-def uncertainty_score(params: ModelParams, x):
-    """Negated total predicted uncertainty: -sum_i u_i(x). Higher = more ID."""
-    x, single = _as_rows(x, "x")
-    scores = -np.concatenate([np.zeros(0), *eval_pass(params, x, lambda out, u_total: u_total)])
-    return float(scores[0]) if single else scores
 
 
 @dataclass

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import GraphNode, backward, leaf
+from uenl.tensor import GraphNode, backward, leaf
 
 __all__ = ["GradCheckResult", "finite_diff_check"]
 

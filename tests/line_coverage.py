@@ -1,0 +1,81 @@
+"""Line coverage of ``src/uenl`` under the tier-1 suite, standard library only.
+
+    PYTHONPATH=src python tests/line_coverage.py [pytest args ...]
+
+Installs a ``sys.settrace`` hook, runs pytest in this process (by default
+the whole suite, quietly), and prints every executable line of
+``src/uenl/*.py`` that no test ran, with its text, then the total
+``ran/executable``. Executable lines are the line numbers of the compiled
+code objects. Code that tests run in a subprocess (``python -m uenl``) is
+not seen. The name does not match ``test_*``, so pytest does not collect
+this script.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "uenl"
+
+
+def executable_lines(path: Path) -> set[int]:
+    """Every line number that the code objects compiled from ``path`` carry."""
+    lines: set[int] = set()
+    todo = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    while todo:
+        code = todo.pop()
+        lines.update(line for _, _, line in code.co_lines() if line)
+        todo.extend(c for c in code.co_consts if isinstance(c, type(code)))
+    return lines
+
+
+def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
+    """Run pytest with ``pytest_args`` under the hook; return its exit code
+    and the lines run per ``src/uenl`` file."""
+    import pytest
+
+    prefix = str(PACKAGE) + "/"
+    ran: dict[str, set[int]] = {}
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran[frame.f_code.co_filename].add(frame.f_lineno)
+        return local
+
+    def hook(frame, event, arg):
+        filename = frame.f_code.co_filename
+        if not filename.startswith(prefix):
+            return None
+        ran.setdefault(filename, set()).add(frame.f_lineno)
+        return local
+
+    threading.settrace(hook)
+    sys.settrace(hook)
+    try:
+        code = pytest.main(pytest_args)
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    return int(code), ran
+
+
+def main(argv: list[str]) -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    code, ran = run_traced(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    total = hit = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = executable_lines(path)
+        done = ran.get(str(path), set()) & lines
+        total, hit = total + len(lines), hit + len(done)
+        text = path.read_text(encoding="utf-8").splitlines()
+        for line in sorted(lines - done):
+            print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
+    print(f"ran {hit}/{total} executable lines of src/uenl (pytest exit {code})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

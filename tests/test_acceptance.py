@@ -17,15 +17,15 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from conftest import model_arch, random_scores, tiny_experiment_config
+from gradcheck import finite_diff_check
 from oracles import enumerate_fpr_at_tpr, mc_kl, pairwise_auroc, step_aupr
 from uenl.config import BackboneSpec, ExperimentConfig, load_config
-from uenl.gradcheck import finite_diff_check
 from uenl.harness import Checkpoint, build_datasets, evaluate, sweep, train, write_sweep_csv
 from uenl.losses import NORM_EPSILON, UHAT_FLOOR, logitnorm_ce, uenl_total
 from uenl.metrics import auroc, aupr, fpr_at_tpr
-from uenl.model import eval_logits, init_params
+from uenl.model import eval_logits, forward, init_params
 from uenl.rng import RngStream
-from uenl.scoring import msp_score, odin_score
+from uenl.scoring import msp_score, odin_from_pass
 from uenl.tensor import (
     add,
     dense,
@@ -277,7 +277,8 @@ def test_criterion_06_method_reductions():
         RngStream(1006),
     )
     x = np.random.default_rng(1006).standard_normal((100, 5))
-    odin = odin_score(params, x, temperature=1.0, epsilon=0.0, clip_range=(-3.0, 3.0))
+    model = params.fold()
+    odin = odin_from_pass(model, forward(model, x), temperature=1.0, epsilon=0.0, clip_range=(-3.0, 3.0))
     msp = msp_score(eval_logits(params, x))
     assert_array_equal(odin, msp)
 

@@ -394,6 +394,25 @@ class TestGenData:
         ood_header = (out / "ood_uniform.csv").read_text(encoding="utf-8").splitlines()[0]
         assert "label" not in ood_header
 
+    @pytest.mark.parametrize("out", ["file", "under_file"])
+    def test_unwritable_out_fails_before_building(self, out, config_path, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        original = uenl.cli.build_raw_datasets
+        monkeypatch.setattr(uenl.cli, "build_raw_datasets", counting_build)
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n", encoding="utf-8")
+        target = afile if out == "file" else afile / "data"
+        rc = main(["gen-data", "--config", str(config_path), "--out", str(target)])
+        assert_one_error_line(rc, capsys, str(afile))
+        assert calls == []
+        assert afile.read_text(encoding="utf-8") == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "exp.json"]
+
 
 class TestSweep:
     def test_grid_rows_and_seed_derivation(self, config_path, tmp_path, capsys):

@@ -342,7 +342,7 @@ class TestModelConfigPlumbing:
         }
         assert not any(name.startswith("backbone.") for name in params.bn_state)
         with pytest.raises(ValueError, match="dropout needs an rng stream"):  # dropout 0.2
-            forward(params, np.zeros((2, 6)), "train")
+            forward(params, np.zeros((2, 6)))
 
     def test_head_config(self):
         params = init_params(ExperimentConfig.from_dict(full_config_dict()), RngStream(0))
@@ -352,11 +352,11 @@ class TestModelConfigPlumbing:
         e = RngStream(2).normal((10, 8))
         z = e @ params.weights["head.w"].array
         # bn_momentum 0.2 and bn_epsilon 1e-4 reach the head's batchnorm in both modes.
-        head = uncertainty_forward(params, e, "train")
+        head = uncertainty_forward(params, e)
         np.testing.assert_allclose(head.bn_updates["head.bn.mean"].array, 0.2 * z.mean(axis=0), rtol=1e-12)
         z_hat = (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + 1e-4)
         np.testing.assert_allclose(head.u.array, np.exp(z_hat), rtol=1e-12)
-        u_eval = uncertainty_forward(params, e, "eval").u.array
+        u_eval = uncertainty_forward(params.fold(), e).u.array
         np.testing.assert_allclose(u_eval, np.exp(z / np.sqrt(1.0 + 1e-4)), rtol=1e-12)
 
     def test_config_is_frozen(self):

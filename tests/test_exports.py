@@ -43,6 +43,26 @@ def test_losses_exports_only_the_objectives():
         assert not hasattr(uenl.losses, old)
 
 
+def test_runtime_ships_no_test_only_helpers():
+    # The finite-difference checker lives in tests/gradcheck.py; ODIN and the
+    # uncertainty score run through odin_from_pass and eval_pass, and FPR95 is
+    # fpr_at_tpr(..., 0.95). The model argument's type picks train or eval mode.
+    assert "gradcheck" not in SUBMODULES
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("uenl.gradcheck")
+    for module, old in [
+        (uenl, "finite_diff_check"),
+        (uenl.metrics, "fpr_at_95_tpr"),
+        (uenl.scoring, "odin_score"),
+        (uenl.scoring, "uncertainty_score"),
+        (uenl.model, "EVAL"),
+        (uenl.model, "TRAIN"),
+    ]:
+        assert old not in uenl.__all__ and old not in module.__all__
+        assert not hasattr(uenl, old)
+        assert not hasattr(module, old)
+
+
 def test_data_has_no_generators():
     # The synthetic data specs in uenl.config draw their own rows.
     leftovers = [name for name in dir(uenl.data) if name.startswith("gen_") or name == "basis_means"]

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+from gradcheck import GradCheckResult, finite_diff_check
 
-from uenl.gradcheck import GradCheckResult, finite_diff_check
 from uenl.tensor import add, leaf, logsumexp, l2norm, mul, reduce_mean, reduce_sum, relu, square
 
 

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import struct
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -25,9 +26,9 @@ from uenl.harness import (
     write_sweep_csv,
 )
 from uenl.metrics import error_rate
-from uenl.model import EVAL, eval_logits, forward, init_params, param_leaves, predict_classes, uncertainty_forward
+from uenl.model import eval_logits, forward, init_params, param_leaves, predict_classes, uncertainty_forward
 from uenl.rng import RngStream, derive_seed
-from uenl.scoring import energy_score, msp_score, odin_score
+from uenl.scoring import energy_score, msp_score, odin_from_pass
 from uenl.tensor import Tensor, kl
 
 
@@ -103,6 +104,62 @@ class TestBuildDatasets:
             build_datasets(ExperimentConfig.from_dict(d))
 
 
+def _write_idx(path: Path, images: np.ndarray, labels: np.ndarray | None = None) -> None:
+    """``images`` (n, rows, cols) uint8 as an IDX image file at ``path``, and
+    0-based ``labels`` as an IDX label file next to it."""
+    path.write_bytes(struct.pack(">4I", 0x00000803, *images.shape) + images.tobytes())
+    if labels is not None:
+        path.with_suffix(".labels").write_bytes(struct.pack(">2I", 0x00000801, len(labels)) + labels.tobytes())
+
+
+class TestIdxConfig:
+    """The ``kind: "idx"`` ID and OOD specs, end to end on a tiny synthetic
+    IDX set: 4x4 images of 3 classes (each a bright quadrant over noise) and
+    an IDX OOD file of plain noise."""
+
+    def test_build_train_evaluate(self, tmp_path):
+        rng = np.random.default_rng(26)
+
+        def images(labels):
+            pixels = rng.integers(0, 96, size=(len(labels), 4, 4))
+            for i, c in enumerate(labels):
+                pixels[i, 2 * (c // 2) : 2 * (c // 2) + 2, 2 * (c % 2) : 2 * (c % 2) + 2] += 128
+            return pixels.astype(np.uint8)
+
+        paths = {}
+        for split, n in (("train", 300), ("test", 90)):
+            labels = np.arange(n, dtype=np.uint8) % 3
+            paths[split] = tmp_path / f"{split}.idx"
+            _write_idx(paths[split], images(labels), labels)
+        _write_idx(tmp_path / "noise.idx", rng.integers(0, 256, size=(60, 4, 4)).astype(np.uint8))
+        cfg = tiny_experiment_config().to_dict()
+        cfg.update(epochs=2, backbone={"input_dim": 16, "hidden_dims": [8], "num_classes": 3})
+        cfg["data"] = {
+            "id": {
+                "kind": "idx",
+                **{f"{split}_{what}": str(paths[split].with_suffix(suffix))
+                   for split in ("train", "test") for what, suffix in (("images", ".idx"), ("labels", ".labels"))},
+            },
+            "ood": [{"kind": "idx", "name": "noise", "images": str(tmp_path / "noise.idx")}],
+        }
+        config_path = tmp_path / "idx.json"
+        config_path.write_text(json.dumps(cfg), encoding="utf-8")
+        config = load_config(config_path)
+
+        bundle = build_datasets(config)
+        assert (len(bundle.id_train), len(bundle.id_test), len(bundle.ood["noise"])) == (300, 90, 60)
+        assert bundle.id_train.dim == bundle.ood["noise"].dim == 16
+        assert sorted(set(bundle.id_test.labels.tolist())) == [1, 2, 3]
+        checkpoint = train(config, bundle)
+        assert len(checkpoint.train_loss) == 2
+        report = evaluate(checkpoint, bundle)
+        assert [(m, d) for m, d, _ in report.metric_rows] == [(m, "noise") for m in config.scoring.methods]
+        assert report.n_id_test == 90 and 0.0 <= report.id_error_rate <= 1.0
+        for score_set in report.score_sets:
+            assert score_set.id_scores.shape == (90,) and score_set.ood_scores["noise"].shape == (60,)
+            assert np.isfinite(score_set.id_scores).all() and np.isfinite(score_set.ood_scores["noise"]).all()
+
+
 class TestTrain:
     def test_separable_problem_reaches_high_accuracy(self, tiny_checkpoint):
         assert tiny_checkpoint.test_error[-1] <= 0.01
@@ -121,9 +178,9 @@ class TestTrain:
     def test_uncertainty_stays_bounded(self, tiny_checkpoint, tiny_bundle):
         """With the KL pull toward 1 at lambda=0.1, per-dim u stays in (0.01, 100)
         and the final KL term is finite."""
-        params = tiny_checkpoint.params()
-        fo = forward(params, tiny_bundle.id_test.features, "eval")
-        head = uncertainty_forward(params, fo.embedding, "eval")
+        model = tiny_checkpoint.params().fold()
+        fo = forward(model, tiny_bundle.id_test.features)
+        head = uncertainty_forward(model, fo.embedding)
         u = head.u.array
         assert u.min() > 0.01 and u.max() < 100.0
         kl_term = kl(head.u, "variance").item()
@@ -402,13 +459,16 @@ class TestOnePassEvaluate:
                 return msp_score(eval_logits(params, x))
             if method == "energy":
                 return energy_score(eval_logits(params, x), spec.energy_temperature)
+            model = params.fold()
             if method == "odin":
                 return np.concatenate([
-                    odin_score(params, x[i : i + 512], spec.odin_temperature, spec.odin_epsilon, bundle.clip_range)
+                    odin_from_pass(
+                        model, forward(model, x[i : i + 512]), spec.odin_temperature, spec.odin_epsilon, bundle.clip_range
+                    )
                     for i in range(0, len(x), 512)
                 ])
-            out = forward(params, x, EVAL)
-            return -np.sum(uncertainty_forward(params, out.embedding, EVAL, leaves=out.leaves).u.array, axis=1)
+            out = forward(model, x)
+            return -np.sum(uncertainty_forward(model, out.embedding).u.array, axis=1)
 
         report = evaluate(tiny_checkpoint, bundle, methods=("msp", "energy", "odin", "uncertainty"))
         for score_set in report.score_sets:
@@ -436,9 +496,9 @@ class TestOnePassEvaluate:
         report = evaluate(checkpoint, bundle, methods=("msp", "energy", "odin", "uncertainty"))
         assert len(backbone_calls) == sum(-(-len(ds) // 512) for ds in datasets)
         (odin,) = [s for s in report.score_sets if s.method == "odin"]
-        params, spec = checkpoint.params(), checkpoint.config.scoring
+        model, spec = checkpoint.params().fold(), checkpoint.config.scoring
         for got, ds in zip([odin.id_scores, *odin.ood_scores.values()], datasets):
-            want = odin_score(params, ds.features, spec.odin_temperature, epsilon=0.0, clip_range=bundle.clip_range)
+            want = odin_from_pass(model, forward(model, ds.features), spec.odin_temperature, 0.0, bundle.clip_range)
             assert_array_equal(got, want)
 
     def test_methods_checked_before_any_pass(self, tiny_checkpoint, tiny_bundle, backbone_calls):

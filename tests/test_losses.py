@@ -7,9 +7,9 @@ The normalization, resampling, tempered CE and KL are the ``tempered_ce``,
 import numpy as np
 import pytest
 from conftest import uenl_terms
+from gradcheck import finite_diff_check
 from oracles import mc_kl, numeric_gradient, softmax_ce
 
-from uenl.gradcheck import finite_diff_check
 from uenl.losses import NORM_EPSILON, UHAT_FLOOR, logitnorm_ce, plain_ce, uenl_total
 from uenl.rng import RngStream
 from uenl.tensor import as_node, backward, kl, leaf, mul, reduce_sum, resample, tempered_ce

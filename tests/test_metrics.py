@@ -18,7 +18,6 @@ from uenl.metrics import (
     aupr,
     auroc,
     error_rate,
-    fpr_at_95_tpr,
     fpr_at_tpr,
     histogram,
     write_histogram_csv,
@@ -106,12 +105,12 @@ class TestAupr:
 
 class TestFprAtTpr:
     def test_perfect_separation_with_margin(self):
-        res = fpr_at_95_tpr([10.0, 11.0, 12.0], [1.0, 2.0])
+        res = fpr_at_tpr([10.0, 11.0, 12.0], [1.0, 2.0], 0.95)
         assert res.fpr == 0.0
 
     def test_identical_multisets_fpr_at_least_tpr(self):
         scores = np.arange(100, dtype=np.float64)
-        res = fpr_at_95_tpr(scores, scores.copy())
+        res = fpr_at_tpr(scores, scores.copy(), 0.95)
         assert res.fpr >= 0.95
 
     def test_shifted_range_frozen_case(self):
@@ -119,7 +118,7 @@ class TestFprAtTpr:
         # shifted ood scores (id - 10 = -9..90) have 85 values >= 6.
         id_s = np.arange(1.0, 101.0)
         ood_s = id_s - 10.0
-        res = fpr_at_95_tpr(id_s, ood_s)
+        res = fpr_at_tpr(id_s, ood_s, 0.95)
         oracle_fpr, oracle_thr = enumerate_fpr_at_tpr(id_s, ood_s)
         assert res.fpr == oracle_fpr == 0.85
         assert res.threshold == oracle_thr == 6.0
@@ -170,11 +169,11 @@ class TestFprAtTpr:
         with pytest.raises(ValueError):
             fpr_at_tpr([], [1.0])
 
-    def test_alias_returns_same_result(self):
+    def test_default_is_fpr95(self):
         rng = np.random.default_rng(8)
         id_s, ood_s = random_scores(rng, 30, 30, ties=False)
-        assert fpr_at_95_tpr(id_s, ood_s) == fpr_at_tpr(id_s, ood_s, 0.95)
-        assert isinstance(fpr_at_95_tpr(id_s, ood_s), FprResult)
+        assert fpr_at_tpr(id_s, ood_s) == fpr_at_tpr(id_s, ood_s, 0.95)
+        assert isinstance(fpr_at_tpr(id_s, ood_s), FprResult)
 
 
 class TestErrorRate:
@@ -227,7 +226,7 @@ class TestMetricReport:
         report = MetricReport.from_scores(id_s, ood_s)
         assert report.auroc == auroc(id_s, ood_s)
         assert report.aupr == aupr(id_s, ood_s)
-        fpr = fpr_at_95_tpr(id_s, ood_s)
+        fpr = fpr_at_tpr(id_s, ood_s, 0.95)
         assert report.fpr95 == fpr.fpr
         assert report.threshold == fpr.threshold
         assert (report.n_id, report.n_ood) == (80, 60)

@@ -1,4 +1,4 @@
-"""Backbone and uncertainty head: init scheme, forward modes, BN, dropout."""
+"""Backbone and uncertainty head: init scheme, train and eval passes, BN, dropout."""
 
 import math
 import re
@@ -7,11 +7,12 @@ import zlib
 import numpy as np
 import pytest
 from conftest import model_arch
+from gradcheck import finite_diff_check
 from oracles import expected_param_count, unfolded_eval
 
 from uenl.config import BackboneSpec, ExperimentConfig
-from uenl.gradcheck import finite_diff_check
 from uenl.model import (
+    FoldedModel,
     ModelParams,
     eval_logits,
     forward,
@@ -58,7 +59,7 @@ class TestConfigValidation:
     def test_embed_dim_is_last_hidden_width(self):
         params = make_params(input_dim=4, hidden=(8, 6), k=2)
         assert params.weights["head.w"].shape == (6, 8)
-        assert forward(params, np.zeros((3, 4)), "eval").embedding.shape == (3, 6)
+        assert forward(params.fold(), np.zeros((3, 4))).embedding.shape == (3, 6)
 
     def test_scalar_u_out_dim(self):
         for scalar, width in ((False, 8), (True, 1)):
@@ -144,7 +145,7 @@ class TestForwardBackbone:
     def test_output_shapes(self):
         params = make_params()
         x = RngStream(1).normal((7, 5))
-        out = forward(params, x, "eval")
+        out = forward(params.fold(), x)
         assert out.logits.shape == (7, 3)
         assert out.embedding.shape == (7, 6)
 
@@ -152,17 +153,18 @@ class TestForwardBackbone:
         # A row's eval output is identical whatever batch it sits in.
         params = make_params(seed=5)
         x = RngStream(2).normal((10, 5))
-        full = forward(params, x, "eval").logits.array
-        single = forward(params, x[3:4], "eval").logits.array
+        model = params.fold()
+        full = forward(model, x).logits.array
+        single = forward(model, x[3:4]).logits.array
         np.testing.assert_array_equal(full[3:4], single)
-        shuffled = forward(params, x[::-1].copy(), "eval").logits.array
+        shuffled = forward(model, x[::-1].copy()).logits.array
         np.testing.assert_array_equal(full[::-1], shuffled)
 
     def test_train_equals_eval_without_stochastic_layers(self):
         params = make_params(dropout=0.0, use_batchnorm=False)
         x = RngStream(3).normal((6, 5))
-        train_out = forward(params, x, "train").logits.array
-        eval_out = forward(params, x, "eval").logits.array
+        train_out = forward(params, x).logits.array
+        eval_out = forward(params.fold(), x).logits.array
         np.testing.assert_array_equal(train_out, eval_out)
 
     def test_dropout_zero_fraction_and_scaling(self):
@@ -171,8 +173,8 @@ class TestForwardBackbone:
         params = make_params(seed=9, input_dim=20, hidden=(100,), k=2, delta=4,
                              dropout=0.3, use_batchnorm=False)
         x = RngStream(4).normal((1000, 20))
-        eval_emb = forward(params, x, "eval").embedding.array
-        train_emb = forward(params, x, "train", rng=RngStream(77)).embedding.array
+        eval_emb = forward(params.fold(), x).embedding.array
+        train_emb = forward(params, x, rng=RngStream(77)).embedding.array
         alive = eval_emb > 1e-12  # relu zeros are zero in both modes
         assert alive.sum() > 20_000
         dropped = train_emb[alive] == 0.0
@@ -185,16 +187,17 @@ class TestForwardBackbone:
         params = make_params(dropout=0.3)
         x = np.zeros((2, 5))
         with pytest.raises(ValueError):
-            forward(params, x, "train")
+            forward(params, x)
+        forward(params.fold(), x)  # eval mode draws no dropout mask
 
     def test_mode_and_shape_validation(self):
-        params = make_params()
-        with pytest.raises(ValueError):
-            forward(params, np.zeros((2, 5)), "test")
-        with pytest.raises(ValueError):
-            forward(params, np.zeros((2, 4)), "eval")
-        with pytest.raises(ValueError):
-            forward(params, np.zeros(5), "eval")
+        # Train mode (ModelParams) and eval mode (a FoldedModel) check the input alike.
+        params = make_params(dropout=0.0)
+        for model in (params, params.fold()):
+            with pytest.raises(ValueError, match=r"input must have shape \(batch, 5\)"):
+                forward(model, np.zeros((2, 4)))
+            with pytest.raises(ValueError, match=r"input must have shape \(batch, 5\)"):
+                forward(model, np.zeros(5))
 
     def test_train_bn_normalizes_batch(self):
         # With identity gamma/beta the train-mode BN output is the normalized
@@ -202,8 +205,8 @@ class TestForwardBackbone:
         params = make_params(seed=11, dropout=0.0)
         params.weights["head.w"] = Tensor(RngStream(12).normal((6, 8)))
         x = RngStream(13).normal((200, 5))
-        emb = forward(params, x, "train").embedding.array
-        u = uncertainty_forward(params, emb, "train").u.array
+        emb = forward(params, x).embedding.array
+        u = uncertainty_forward(params, emb).u.array
         z_hat = np.log(u)  # u = exp(z_hat) with gamma 1, beta 0
         np.testing.assert_allclose(z_hat.mean(axis=0), 0.0, atol=1e-6)
         np.testing.assert_allclose(z_hat.var(axis=0), 1.0, atol=1e-4)  # eps shifts var slightly
@@ -211,7 +214,7 @@ class TestForwardBackbone:
     def test_train_bn_running_stat_update_rule(self):
         params = make_params(seed=15, dropout=0.0)
         x = RngStream(16).normal((64, 5))
-        out = forward(params, x, "train")
+        out = forward(params, x)
         # New running stats = (1 - m) * old + m * batch statistic, m = 0.1.
         leaves = param_leaves(params)
         z = x @ params.weights["backbone.h0.w"].array + params.weights["backbone.h0.b"].array
@@ -227,7 +230,7 @@ class TestForwardBackbone:
 
     def test_eval_mode_reports_no_updates(self):
         params = make_params()
-        out = forward(params, np.zeros((3, 5)), "eval")
+        out = forward(params.fold(), np.zeros((3, 5)))
         assert out.bn_updates == {}
 
 
@@ -235,7 +238,7 @@ class TestUncertaintyHead:
     def test_fresh_head_gives_all_ones(self):
         params = make_params()
         e = RngStream(20).normal((9, 6))
-        u = uncertainty_forward(params, e, "eval").u.array
+        u = uncertainty_forward(params.fold(), e).u.array
         assert u.shape == (9, 8)
         np.testing.assert_array_equal(u, 1.0)
 
@@ -243,7 +246,7 @@ class TestUncertaintyHead:
         # beta = 1 with zero head weights gives z_hat = 1 exactly, u = e.
         params = make_params()
         params.weights["head.bn.beta"] = Tensor(np.ones(8))
-        u = uncertainty_forward(params, np.zeros((2, 6)), "eval").u.array
+        u = uncertainty_forward(params.fold(), np.zeros((2, 6))).u.array
         np.testing.assert_allclose(u, 2.718282, atol=1e-6)
 
     def test_u_strictly_positive_random_params(self):
@@ -251,8 +254,8 @@ class TestUncertaintyHead:
         params.weights["head.w"] = Tensor(RngStream(32).normal((6, 8)))
         params.weights["head.b"] = Tensor(RngStream(33).normal((8,)))
         e = RngStream(34).normal((50, 6)) * 5.0
-        for mode in ("train", "eval"):
-            u = uncertainty_forward(params, e, mode).u.array
+        for model in (params, params.fold()):  # train mode, eval mode
+            u = uncertainty_forward(model, e).u.array
             assert (u > 0.0).all()
 
     def test_head_gradient_matches_finite_differences(self):
@@ -265,27 +268,26 @@ class TestUncertaintyHead:
         def f(w_node):
             leaves = dict(base)
             leaves["head.w"] = w_node
-            return reduce_mean(uncertainty_forward(params, e, "train", leaves).u)
+            return reduce_mean(uncertainty_forward(params, e, leaves).u)
 
         res = finite_diff_check(f, np.full((6, 8), 0.05))
         assert res.max_rel_err < 1e-5
 
     def test_embedding_shape_validation(self):
         params = make_params()
-        with pytest.raises(ValueError):
-            uncertainty_forward(params, np.zeros((2, 5)), "eval")
-        with pytest.raises(ValueError):
-            uncertainty_forward(params, np.zeros((2, 6)), "predict")
+        for model in (params, params.fold()):
+            with pytest.raises(ValueError, match=r"embedding must have shape \(batch, 6\)"):
+                uncertainty_forward(model, np.zeros((2, 5)))
 
     def test_corrupt_running_variance_raises(self):
         params = make_params()
         params.bn_state["head.bn.var"] = Tensor(-np.ones(8))
         with pytest.raises(ValueError):
-            uncertainty_forward(params, np.zeros((2, 6)), "eval")
+            uncertainty_forward(params.fold(), np.zeros((2, 6)))
 
     def test_scalar_u_broadcast_width(self):
         params = make_params(hidden=(6,), scalar_uncertainty=True, dropout=0.0)
-        u = uncertainty_forward(params, np.zeros((4, 6)), "eval").u.array
+        u = uncertainty_forward(params.fold(), np.zeros((4, 6))).u.array
         assert u.shape == (4, 1)
         np.testing.assert_array_equal(u, 1.0)
 
@@ -334,10 +336,12 @@ def _trained_like(shape: str) -> ModelParams:
     return params
 
 
-def _eval_outputs(params: ModelParams, x: np.ndarray, temperature: float = 1000.0):
-    """Eval logits, u and the ODIN input gradient, as scoring computes them."""
-    out = forward(params, x, "eval")
-    u = uncertainty_forward(params, out.embedding, "eval").u.array
+def _eval_outputs(params: ModelParams | FoldedModel, x: np.ndarray, temperature: float = 1000.0):
+    """Eval logits, u and the ODIN input gradient, as scoring computes them,
+    on ``params.fold()``."""
+    model = params.fold()
+    out = forward(model, x)
+    u = uncertainty_forward(model, out.embedding).u.array
     logits = out.logits.array
     onehot = np.eye(logits.shape[1])[logits.argmax(axis=1)]
     nll = tempered_ce(out.logits, np.full((len(x), 1), temperature), onehot, reduction="sum")
@@ -369,9 +373,9 @@ class TestEvalFold:
                     np.testing.assert_array_equal(got[i], want[0], err_msg=f"row {i} of {n}")
 
     def test_builds_no_batchnorm_and_no_parameter_leaves(self):
-        params = _trained_like("desk")
-        out = forward(params, np.ones((3, 16)), "eval")
-        head = uncertainty_forward(params, out.embedding, "eval")
+        model = _trained_like("desk").fold()
+        out = forward(model, np.ones((3, 16)))
+        head = uncertainty_forward(model, out.embedding)
         assert out.leaves == {}
         ops, stack, seen = [], [out.logits, head.u], set()
         while stack:
@@ -384,14 +388,14 @@ class TestEvalFold:
         assert set(ops) == {"leaf", "dense"}
         assert ops.count("dense") == 4
         with pytest.raises(ValueError, match="no parameter leaves"):
-            forward(params, np.ones((3, 16)), "eval", leaves=param_leaves(params))
+            forward(model, np.ones((3, 16)), leaves=param_leaves(_trained_like("desk")))
 
     def test_fold_reads_the_current_weights(self):
         # Nothing is cached: an edit to the weights or the running
         # statistics shows in the next eval pass.
         params = _trained_like("tiny")
         x = RngStream(60).normal((5, 6))
-        forward(params, x, "eval")
+        forward(params.fold(), x)
         params.weights["backbone.h1.bn.gamma"] = Tensor(np.full(8, 0.5))
         params.bn_state["head.bn.var"] = Tensor(np.full(8, 2.0))
         logits, u, _ = _eval_outputs(params, x)
@@ -430,14 +434,11 @@ class TestFoldedModel:
         model = params.fold()
         assert list(model.leaves) == [n for n in param_shapes(params.config)[0] if n[-2:] in (".w", ".b")]
         for _ in range(2):
-            out = forward(model, np.ones((3, 16)), "eval")
-            head = uncertainty_forward(model, out.embedding, "eval")
+            out = forward(model, np.ones((3, 16)))
+            head = uncertainty_forward(model, out.embedding)
             constants = {id(n) for n in model.leaves.values()}
             assert [n for n in _graph_leaves(out.logits, head.u) if id(n) not in constants] == [out.x]
             assert len({id(n) for n in _graph_leaves(out.logits, head.u)} & constants) == 8
-        # Unfolded parameters fold on each call: 4 layers' w and b, plus x.
-        out = forward(params, np.ones((3, 16)), "eval")
-        assert len(_graph_leaves(out.logits, uncertainty_forward(params, out.embedding, "eval").u)) == 1 + 6 + 2
 
     def test_layers_without_batchnorm_keep_their_tensors(self):
         params = _trained_like("tiny_no_bn")
@@ -450,24 +451,28 @@ class TestFoldedModel:
         params = _trained_like("tiny")
         x = RngStream(61).normal((5, 6))
         model = params.fold()
-        before = forward(model, x, "eval").logits.array
+        before = forward(model, x).logits.array
         assert model.fold() is model
         with pytest.raises(AttributeError):
             model.leaves = {}
         assert not any(n.array.flags.writeable for n in model.leaves.values())
         params.weights["backbone.h1.bn.gamma"] = Tensor(np.full(8, 0.5))
-        np.testing.assert_array_equal(forward(model, x, "eval").logits.array, before)
-        assert not np.array_equal(forward(params, x, "eval").logits.array, before)
-        assert not np.array_equal(forward(params.fold(), x, "eval").logits.array, before)
+        np.testing.assert_array_equal(forward(model, x).logits.array, before)
+        assert not np.array_equal(forward(params.fold(), x).logits.array, before)
 
     def test_runs_in_eval_mode_only(self):
-        model = _trained_like("tiny").fold()
-        with pytest.raises(ValueError, match="eval mode only"):
-            forward(model, np.ones((2, 6)), "train", rng=RngStream(0))
-        with pytest.raises(ValueError, match="eval mode only"):
-            uncertainty_forward(model, np.ones((2, 8)), "train")
-        with pytest.raises(ValueError, match="no parameter leaves"):
-            forward(model, np.ones((2, 6)), "eval", leaves=model.leaves)
+        # A FoldedModel rejects parameter leaves, and its passes report no
+        # batchnorm updates and no leaves.
+        params = _trained_like("tiny")
+        model = params.fold()
+        for leaves in (model.leaves, param_leaves(params)):
+            with pytest.raises(ValueError, match="a folded model runs in eval mode and takes no parameter leaves"):
+                forward(model, np.ones((2, 6)), leaves=leaves)
+            with pytest.raises(ValueError, match="a folded model runs in eval mode and takes no parameter leaves"):
+                uncertainty_forward(model, np.ones((2, 8)), leaves=leaves)
+        out = forward(model, np.ones((2, 6)), rng=RngStream(0), leaves={})
+        head = uncertainty_forward(model, out.embedding)
+        assert out.leaves == {} and out.bn_updates == {} and head.bn_updates == {}
 
     def test_negative_running_variance_fails_the_fold(self):
         params = _trained_like("tiny")

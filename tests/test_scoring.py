@@ -17,29 +17,41 @@ from uenl.scoring import (
     ScoreSet,
     _odin_perturbed,
     energy_score,
+    eval_pass,
     msp_score,
-    odin_score,
-    uncertainty_score,
+    odin_from_pass,
     write_scores_csv,
 )
 from uenl.tensor import Tensor, backward, tempered_ce
 
 
+def odin(params, x, temperature=1000.0, epsilon=0.0014, clip_range=None):
+    """ODIN scores of the rows of ``x``, on one fold of ``params``, as the
+    harness computes them."""
+    model = params.fold()
+    return odin_from_pass(model, forward(model, x), temperature, epsilon, clip_range)
+
+
+def uncertainty(params, x):
+    """The uncertainty score -sum_i u_i of each row of ``x``, from eval_pass."""
+    return -np.concatenate(eval_pass(params, x, lambda out, u_total: u_total))
+
+
 class TestMsp:
     def test_uniform_logits(self):
-        assert msp_score(np.zeros(10)) == pytest.approx(0.1, abs=1e-12)
+        assert msp_score(np.zeros((1, 10)))[0] == pytest.approx(0.1, abs=1e-12)
 
     def test_two_class_frozen_value(self):
         # softmax([1, 0])[0] = e / (e + 1).
-        assert msp_score([1.0, 0.0]) == pytest.approx(0.731059, abs=1e-6)
-        assert msp_score([1.0, 0.0]) == pytest.approx(np.e / (np.e + 1.0), abs=1e-12)
+        assert msp_score([[1.0, 0.0]])[0] == pytest.approx(0.731059, abs=1e-6)
+        assert msp_score([[1.0, 0.0]])[0] == pytest.approx(np.e / (np.e + 1.0), abs=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
-        logits = rng.normal(size=12)
-        base = msp_score(logits)
+        logits = rng.normal(size=(1, 12))
+        base = msp_score(logits)[0]
         for c in (-100.0, 0.3, 57.0):
-            assert msp_score(logits + c) == pytest.approx(base, abs=1e-12)
+            assert msp_score(logits + c)[0] == pytest.approx(base, abs=1e-12)
 
     def test_batch_and_range(self):
         rng = np.random.default_rng(1)
@@ -48,17 +60,19 @@ class TestMsp:
         assert ((scores > 0.0) & (scores <= 1.0)).all()
 
     def test_bad_shape(self):
-        with pytest.raises(ValueError):
-            msp_score(np.zeros((2, 2, 2)))
+        # Only (n, k) logit rows: a single row is [[...]].
+        for shape in ((), (10,), (2, 2, 2)):
+            with pytest.raises(ValueError, match=r"logits must be 2-d \(rows, classes\), got shape"):
+                msp_score(np.zeros(shape))
 
 
 class TestEnergy:
     def test_ln_two(self):
-        assert energy_score([0.0, 0.0], temperature=1.0) == pytest.approx(0.693147, abs=1e-6)
+        assert energy_score([[0.0, 0.0]], temperature=1.0)[0] == pytest.approx(0.693147, abs=1e-6)
 
     def test_ten_zero_frozen_value(self):
         # T = 1: logsumexp([10, 0]) = 10 + ln(1 + e^{-10}).
-        val = energy_score([10.0, 0.0], temperature=1.0)
+        val = energy_score([[10.0, 0.0]], temperature=1.0)[0]
         assert val == pytest.approx(10.0000454, abs=1e-7)
         assert val == pytest.approx(10.0 + np.log1p(np.exp(-10.0)), abs=1e-12)
 
@@ -74,17 +88,22 @@ class TestEnergy:
         np.testing.assert_array_equal(np.argsort(b01), np.argsort(s01))
 
     def test_small_temperature_approaches_max(self):
-        logits = np.array([2.0, -1.0, 0.5])
-        assert energy_score(logits, temperature=1e-4) == pytest.approx(2.0, abs=1e-3)
+        logits = np.array([[2.0, -1.0, 0.5]])
+        assert energy_score(logits, temperature=1e-4)[0] == pytest.approx(2.0, abs=1e-3)
 
     def test_overflow_safe(self):
-        assert energy_score([1000.0, 1000.0], 1.0) == pytest.approx(1000.0 + np.log(2.0), abs=1e-9)
+        assert energy_score([[1000.0, 1000.0]], 1.0)[0] == pytest.approx(1000.0 + np.log(2.0), abs=1e-9)
 
     def test_temperature_validation(self):
         with pytest.raises(ValueError):
-            energy_score([1.0, 0.0], temperature=0.0)
+            energy_score([[1.0, 0.0]], temperature=0.0)
         with pytest.raises(ValueError):
-            energy_score([1.0, 0.0], temperature=-1.0)
+            energy_score([[1.0, 0.0]], temperature=-1.0)
+
+    def test_bad_shape(self):
+        for shape in ((), (10,), (2, 2, 2)):
+            with pytest.raises(ValueError, match=r"logits must be 2-d \(rows, classes\), got shape"):
+                energy_score(np.zeros(shape), temperature=1.0)
 
 
 @st.composite
@@ -122,16 +141,19 @@ class TestOdin:
     def test_no_perturbation_unit_temperature_equals_msp(self, small_params):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(100, 5))
-        logits = forward(small_params, x, "eval").logits.array
-        odin = odin_score(small_params, x, temperature=1.0, epsilon=0.0)
-        np.testing.assert_array_equal(odin, msp_score(logits))
+        model = small_params.fold()
+        out = forward(model, x)
+        odin_scores = odin_from_pass(model, out, temperature=1.0, epsilon=0.0)
+        np.testing.assert_array_equal(odin_scores, msp_score(out.logits.array))
 
     def test_no_perturbation_scaled_temperature(self, small_params):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(20, 5))
-        logits = forward(small_params, x, "eval").logits.array
-        odin = odin_score(small_params, x, temperature=1000.0, epsilon=0.0)
-        np.testing.assert_array_equal(odin, msp_score(logits / 1000.0))
+        model = small_params.fold()
+        out = forward(model, x)
+        logits = out.logits.array
+        odin_scores = odin_from_pass(model, out, temperature=1000.0, epsilon=0.0)
+        np.testing.assert_array_equal(odin_scores, msp_score(logits / 1000.0))
         # Temperature scaling preserves each sample's argmax class.
         np.testing.assert_array_equal(
             np.argmax(logits, axis=1), np.argmax(logits / 1000.0, axis=1)
@@ -141,7 +163,7 @@ class TestOdin:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(30, 5))
         eps = 0.0014
-        x_tilde = _odin_perturbed(forward(small_params, x, "eval"), 1000.0, eps, None)
+        x_tilde = _odin_perturbed(forward(small_params.fold(), x), 1000.0, eps, None)
         moves = np.abs(x_tilde - x)
         # Where the input gradient is nonzero the step is exactly epsilon.
         assert (np.max(moves, axis=1) <= eps + 1e-15).all()
@@ -151,31 +173,34 @@ class TestOdin:
     def test_clip_range_bounds_perturbed_input(self, small_params):
         rng = np.random.default_rng(6)
         x = rng.uniform(-1.0, 1.0, size=(15, 5))
-        x_tilde = _odin_perturbed(forward(small_params, x, "eval"), 1000.0, 0.5, (-1.0, 1.0))
+        x_tilde = _odin_perturbed(forward(small_params.fold(), x), 1000.0, 0.5, (-1.0, 1.0))
         assert x_tilde.min() >= -1.0 and x_tilde.max() <= 1.0
 
     def test_bad_clip_range(self, small_params):
-        with pytest.raises(ValueError):
-            odin_score(small_params, np.zeros((2, 5)), epsilon=0.1, clip_range=(1.0, -1.0))
+        with pytest.raises(ValueError, match="clip_range must satisfy hi > lo"):
+            odin(small_params, np.zeros((2, 5)), epsilon=0.1, clip_range=(1.0, -1.0))
 
     def test_batch_matches_per_sample(self, small_params):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(6, 5))
-        batch = odin_score(small_params, x, temperature=10.0, epsilon=0.01)
+        batch = odin(small_params, x, temperature=10.0, epsilon=0.01)
         singles = np.array(
-            [odin_score(small_params, x[i], temperature=10.0, epsilon=0.01) for i in range(6)]
+            [odin(small_params, x[i : i + 1], temperature=10.0, epsilon=0.01)[0] for i in range(6)]
         )
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
-    def test_single_input_returns_float(self, small_params):
-        out = odin_score(small_params, np.zeros(5), temperature=1.0, epsilon=0.0)
-        assert isinstance(out, float)
+    def test_parameters_score_as_their_fold(self, small_params):
+        # Given ModelParams, the perturbed forward still runs in eval mode.
+        x = np.random.default_rng(15).normal(size=(9, 5))
+        model = small_params.fold()
+        want = odin_from_pass(model, forward(model, x), 1000.0, 0.0014)
+        np.testing.assert_array_equal(odin_from_pass(small_params, forward(model, x), 1000.0, 0.0014), want)
 
     def test_parameter_validation(self, small_params):
-        with pytest.raises(ValueError):
-            odin_score(small_params, np.zeros(5), temperature=0.0)
-        with pytest.raises(ValueError):
-            odin_score(small_params, np.zeros(5), epsilon=-0.1)
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            odin(small_params, np.zeros((1, 5)), temperature=0.0)
+        with pytest.raises(ValueError, match="epsilon must be non-negative"):
+            odin(small_params, np.zeros((1, 5)), epsilon=-0.1)
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -201,7 +226,7 @@ class TestOdinPerturbationBits:
         gs = np.array([0.0, -0.0, 1e-300, -1e-300, 2.0, -2.0])
         x = np.repeat(xs, gs.size)[:40].reshape(8, 5)
         g = np.tile(gs, xs.size)[:40].reshape(8, 5)
-        out = forward(small_params, x, "eval")
+        out = forward(small_params.fold(), x)
         monkeypatch.setattr(uenl.scoring, "backward", lambda loss, wrt: {wrt[0]: Tensor(g)})
         got = _odin_perturbed(out, 1000.0, eps, clip_range)
         np.testing.assert_array_equal(_bits(got), _bits(self.reference(x, g, eps, clip_range)))
@@ -210,7 +235,7 @@ class TestOdinPerturbationBits:
     def test_real_gradient(self, small_params, clip_range):
         x = np.random.default_rng(13).uniform(-1.2, 1.2, size=(70, 5))
         x[::3, 1], x[1::3, 2] = 0.0, -0.0
-        out = forward(small_params, x, "eval")
+        out = forward(small_params.fold(), x)
         g = backward(
             tempered_ce(out.logits, np.full((70, 1), 1000.0), np.eye(3)[out.logits.array.argmax(axis=1)], reduction="sum"),
             wrt=[out.x],
@@ -224,13 +249,13 @@ class TestUncertaintyScore:
         config = model_arch(5, (12, 6), 3, delta=32, dropout=0.0)
         params = init_params(config, RngStream(1))
         rng = np.random.default_rng(8)
-        scores = uncertainty_score(params, rng.normal(size=(10, 5)))
+        scores = uncertainty(params, rng.normal(size=(10, 5)))
         np.testing.assert_array_equal(scores, -32.0)
 
     def test_deterministic(self, small_params):
         x = np.random.default_rng(9).normal(size=(7, 5))
-        a = uncertainty_score(small_params, x)
-        b = uncertainty_score(small_params, x)
+        a = uncertainty(small_params, x)
+        b = uncertainty(small_params, x)
         np.testing.assert_array_equal(a, b)
 
     def test_matches_monte_carlo_resampling_mean(self, small_params):
@@ -240,22 +265,13 @@ class TestUncertaintyScore:
 
         small_params.weights["head.w"] = Tensor(RngStream(10).normal((6, 8)) * 0.3)
         x = np.random.default_rng(11).normal(size=(1, 5))
-        score = uncertainty_score(small_params, x)[0]
-        emb = forward(small_params, x, "eval").embedding.array
-        u = uncertainty_forward(small_params, emb, "eval").u.array[0]
+        score = uncertainty(small_params, x)[0]
+        model = small_params.fold()
+        emb = forward(model, x).embedding.array
+        u = uncertainty_forward(model, emb).u.array[0]
         eps = RngStream(12).normal((10_000, u.shape[0]))
         mc_mean = (u * eps * eps).sum(axis=1).mean()
         assert abs(mc_mean - (-score)) / (-score) < 0.02
-
-    def test_single_input_returns_float(self, small_params):
-        assert isinstance(uncertainty_score(small_params, np.zeros(5)), float)
-
-
-@pytest.mark.parametrize("score", [odin_score, uncertainty_score])
-@pytest.mark.parametrize("shape", [(), (2, 2, 5)])
-def test_inputs_must_be_one_row_or_a_matrix(small_params, score, shape):
-    with pytest.raises(ValueError, match=r"x must be 1-d or 2-d, got shape"):
-        score(small_params, np.zeros(shape))
 
 
 class TestScoreExport:

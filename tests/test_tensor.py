@@ -40,9 +40,10 @@ import uenl.harness
 import uenl.scoring
 import uenl.tensor
 from conftest import tiny_experiment_config
+from gradcheck import finite_diff_check
 from oracles import numeric_gradient
-from uenl.gradcheck import finite_diff_check
-from uenl.scoring import odin_score
+from uenl.model import forward
+from uenl.scoring import odin_from_pass
 
 
 class TestTensorContainer:
@@ -235,7 +236,8 @@ class TestBackwardWrt:
         calls = []
         monkeypatch.setattr(uenl.scoring, "backward", _checked_backward(calls))
         x = np.random.default_rng(5).standard_normal((9, 5))
-        odin_score(small_params, x, temperature=1000.0, epsilon=0.002)
+        model = small_params.fold()
+        odin_from_pass(model, forward(model, x), temperature=1000.0, epsilon=0.002)
         assert calls == [1]
 
     def test_unrequested_nodes_absent(self):
