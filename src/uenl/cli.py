@@ -1,7 +1,7 @@
-"""Command-line entry point with gen-data, train, eval, sweep, and hist
-subcommands. Exit status is 0 on success; a failure prints one diagnostic
-line to stderr and returns nonzero (130 after an interrupt). Every
-subcommand checks that its ``--out`` can be written before any work starts.
+"""Command-line entry point: gen-data, train, eval, sweep and hist. Exit
+status is 0 on success; a failure prints one diagnostic line to stderr and
+returns nonzero (130 after an interrupt). Each subcommand checks its ``--out``
+before any work and writes through ``harness.write_files`` once it is done.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import MAX_ARRAY_VALUES, CsvOodSpec, load_config, parse_value
-from .data import save_csv
+from .data import dataset_csv
 from .harness import (
     Checkpoint,
     build_datasets,
@@ -24,9 +24,10 @@ from .harness import (
     scores_csv_to_histograms,
     sweep,
     train,
+    write_files,
     write_sweep_csv,
 )
-from .metrics import write_histogram_csv
+from .metrics import histogram_csv
 
 __all__ = ["main"]
 
@@ -38,18 +39,28 @@ def _config_from_args(args):
     return load_config(args.config, overrides)
 
 
+def _check_out_dir(out_dir: Path, name: str) -> None:
+    """Raise OSError unless a file ``name`` can be written in ``out_dir``.
+    Nothing is created: the command makes a missing ``out_dir`` after its work,
+    so its first missing component must be creatable in an existing directory."""
+    target = out_dir / name
+    while not target.parent.exists() and target.parent != target:
+        target = target.parent
+    if not target.parent.is_dir():
+        raise OSError(f"cannot write {out_dir}: {target.parent} is not a directory")
+    check_writable(target)
+
+
 def _cmd_gen_data(args) -> int:
     config = _config_from_args(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    check_writable(out_dir / "id_train.csv")
+    _check_out_dir(out_dir, "id_train.csv")
     id_train, id_test, ood, _ = build_raw_datasets(config)
-    written = {out_dir / "id_train.csv": id_train, out_dir / "id_test.csv": id_test}
-    written.update((out_dir / f"ood_{name}.csv", ds) for name, ds in ood.items())
-    for path, ds in written.items():
-        save_csv(ds, path)
-    for path in written:
-        print(f"wrote {path}")
+    written = {"id_train": id_train, "id_test": id_test, **{f"ood_{name}": ds for name, ds in ood.items()}}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_files({out_dir / f"{name}.csv": [dataset_csv(ds)] for name, ds in written.items()})
+    for name in written:
+        print(f"wrote {out_dir / name}.csv")
     return 0
 
 
@@ -71,21 +82,8 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _check_report_dir(out_dir: Path) -> None:
-    """Raise OSError unless the report files can be written in ``out_dir``.
-    Nothing is created: ``EvaluationReport.write`` makes a missing
-    ``out_dir``, so its first missing component must be creatable in a
-    directory that exists."""
-    target = out_dir / "metrics.csv"
-    while not target.parent.exists() and target.parent != target:
-        target = target.parent
-    if not target.parent.is_dir():
-        raise OSError(f"cannot write {out_dir}: {target.parent} is not a directory")
-    check_writable(target)
-
-
 def _cmd_eval(args) -> int:
-    _check_report_dir(Path(args.out))
+    _check_out_dir(Path(args.out), "metrics.csv")
     checkpoint = Checkpoint.load(args.checkpoint)
     config = checkpoint.config
     if args.ood and config.data is not None:
@@ -137,7 +135,7 @@ def _cmd_hist(args) -> int:
         raise ValueError(f"--bins must be at least 1 and at most {MAX_ARRAY_VALUES}, got {args.bins}")
     check_writable(args.out)
     rows = scores_csv_to_histograms(args.scores, args.bins)
-    write_histogram_csv(rows, args.out)
+    write_files({args.out: [histogram_csv(rows)]})
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 

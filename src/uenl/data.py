@@ -1,5 +1,5 @@
-"""Datasets: the Dataset and Normalization types, IDX and CSV ingestion,
-standardization, and minibatch iteration.
+"""Datasets: the Dataset and Normalization types, IDX and CSV reading, CSV
+text that ``harness.write_files`` writes, standardization and batching.
 
 Features are float64 matrices of shape (n, dim); labels, when present, are
 1-based class ids. Data is raw until standardize(dataset, stats) applies the
@@ -27,7 +27,7 @@ __all__ = [
     "read_lines",
     "parse_number",
     "load_csv",
-    "save_csv",
+    "dataset_csv",
     "standardize",
     "batch_iter",
 ]
@@ -209,9 +209,9 @@ def load_csv(path, has_labels: bool = False, name: str | None = None) -> Dataset
     )
 
 
-def save_csv(dataset: Dataset, path) -> None:
-    """Inverse of load_csv: header x1..xD (plus label), floats via repr so a
-    round trip reproduces every value exactly."""
+def dataset_csv(dataset: Dataset) -> str:
+    """CSV text that load_csv reads back: header x1..xD (plus label), floats
+    via repr so a round trip reproduces every value exactly."""
     header = [f"x{i + 1}" for i in range(dataset.dim)]
     if dataset.labels is not None:
         header.append("label")
@@ -221,8 +221,7 @@ def save_csv(dataset: Dataset, path) -> None:
         if dataset.labels is not None:
             cells.append(str(int(dataset.labels[i])))
         lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def standardize(dataset: Dataset, stats: Normalization) -> Dataset:

@@ -18,7 +18,7 @@ import numpy as np
 from .config import ExperimentConfig, GaussianNoiseOodSpec, apply_overrides, json_parser
 from .data import Dataset, Normalization, batch_iter, parse_number, read_lines, standardize
 from .losses import logitnorm_ce, plain_ce, uenl_total
-from .metrics import MetricReport, auroc, error_rate, histogram, histogram_range, write_histogram_csv, write_metrics_csv
+from .metrics import MetricReport, auroc, error_rate, histogram, histogram_csv, histogram_range, metrics_csv
 from .model import (
     ModelParams,
     eval_logits,  # unused here, but perfbench/tracing.py rebinds harness.eval_logits
@@ -31,7 +31,7 @@ from .model import (
 )
 from .optim import OptState, lr_at_epoch, sgd_step
 from .rng import RngStream, derive_seed
-from .scoring import ScoreSet, energy_score, eval_pass, msp_score, odin_from_pass, write_scores_csv
+from .scoring import ScoreSet, energy_score, eval_pass, msp_score, odin_from_pass, scores_csv
 from .tensor import Tensor, add, backward, kl
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "build_raw_datasets",
     "build_datasets",
     "check_writable",
+    "write_files",
     "train",
     "evaluate",
     "sweep",
@@ -127,18 +128,25 @@ def check_writable(path) -> None:
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_atomically(path, text: str) -> None:
-    """Write ``text`` to a temporary file in ``path``'s directory and move
-    it onto ``path``: a failed or interrupted write leaves the old file
-    whole and no temporary file behind."""
-    path = Path(path)
-    tmp = _temporary_path(path)
+def write_files(files) -> None:
+    """Write each ``{path: chunks}`` entry, ``chunks`` an iterable of text, as
+    UTF-8 with "\\n" line ends: the package's one write path. Each file goes to
+    a temporary file beside its target; all are renamed into place once all
+    are complete, so a failed write leaves every old file whole and no
+    temporary file. A rename refused after another succeeded leaves a mix."""
+    temporaries = {}
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        tmp.replace(path)
+        for path, chunks in files.items():
+            tmp = temporaries[Path(path)] = _temporary_path(Path(path))
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+                    del chunk  # free it before the next is built: one chunk in memory at a time
+        for path, tmp in temporaries.items():
+            tmp.replace(path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in temporaries.values():
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -183,7 +191,7 @@ class Checkpoint:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     def save(self, path) -> None:
-        _write_atomically(path, self.to_json())
+        write_files({path: [self.to_json()]})
 
     @classmethod
     def from_json(cls, text: str) -> "Checkpoint":
@@ -425,12 +433,11 @@ class EvaluationReport:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         paths = {name: out_dir / f"{name}.csv" for name in ("metrics", "accuracy", "scores", "histograms")}
-        write_metrics_csv(self.metric_rows, paths["metrics"])
-        with open(paths["accuracy"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("dataset,n,error_rate,accuracy\n")
-            fh.write(f"id_test,{self.n_id_test},{self.id_error_rate!r},{1.0 - self.id_error_rate!r}\n")
-        write_scores_csv(self.score_sets, paths["scores"])
-        write_histogram_csv(self.histograms, paths["histograms"])
+        err = self.id_error_rate
+        accuracy = f"dataset,n,error_rate,accuracy\nid_test,{self.n_id_test},{err!r},{1.0 - err!r}\n"
+        metrics, histograms = metrics_csv(self.metric_rows), histogram_csv(self.histograms)
+        texts = [metrics], [accuracy], scores_csv(self.score_sets), [histograms]
+        write_files(dict(zip(paths.values(), texts)))  # one call: a failed write keeps every old file
         return paths
 
 
@@ -525,7 +532,7 @@ def write_sweep_csv(rows: list[dict], path) -> None:
         if list(row) != header:
             raise ValueError("sweep rows have inconsistent columns")
         lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row.values()))
-    _write_atomically(path, "\n".join(lines) + "\n")
+    write_files({path: ["\n".join(lines) + "\n"]})
 
 
 def scores_csv_to_histograms(scores_path, n_bins: int) -> list[tuple[str, str, float, float, int]]:

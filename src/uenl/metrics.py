@@ -1,4 +1,4 @@
-"""Detection metrics over ID/OOD score samples.
+"""Detection metrics over ID/OOD score samples; their CSV text (no file I/O).
 
 Conventions: scores are oriented so higher means more in-distribution; the
 positive class for AUPR is ID; FPR95 reports the fraction of OOD samples
@@ -24,8 +24,8 @@ __all__ = [
     "histogram",
     "histogram_range",
     "MetricReport",
-    "write_metrics_csv",
-    "write_histogram_csv",
+    "metrics_csv",
+    "histogram_csv",
 ]
 
 
@@ -172,21 +172,19 @@ class MetricReport:
         }
 
 
-def write_metrics_csv(rows, path) -> None:
-    """Write (method, ood_dataset, report) rows, appending one arithmetic-mean
-    row per method across its OOD sets."""
+def metrics_csv(rows) -> str:
+    """CSV text of (method, ood_dataset, report) rows, with one arithmetic-mean
+    row appended per method across its OOD sets."""
     lines = ["method,ood_dataset,fpr95,auroc,aupr"]
     lines += [f"{method},{ood_name},{r.fpr95!r},{r.auroc!r},{r.aupr!r}" for method, ood_name, r in rows]
     for method, m in MetricReport.method_means(rows).items():
         lines.append(f"{method},mean,{m['fpr95']!r},{m['auroc']!r},{m['aupr']!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def write_histogram_csv(rows, path) -> None:
-    """Write (dataset, method, bin_left, bin_right, count) rows."""
+def histogram_csv(rows) -> str:
+    """CSV text of (dataset, method, bin_left, bin_right, count) rows."""
     lines = ["dataset,method,bin_left,bin_right,count"]
     for dataset, method, left, right, count in rows:
         lines.append(f"{dataset},{method},{float(left)!r},{float(right)!r},{int(count)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ reaches the decision threshold.
 ``msp_score`` and ``energy_score`` score (n, k) logit rows. ``eval_pass``
 hands each chunk's eval-mode pass and total uncertainty sum_i u_i to a
 score: the uncertainty score is -sum_i u_i, and ``odin_from_pass`` perturbs
-the chunk's inputs along its graph.
+the chunk's inputs along its graph. ``scores_csv`` only formats CSV text.
 
 The softmax and logsumexp kernels repeat scipy.special's (1.17) operations
 in order, so scores.csv has the same bits without scipy.
@@ -14,7 +14,7 @@ in order, so scores.csv has the same bits without scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -27,7 +27,7 @@ __all__ = [
     "odin_from_pass",
     "eval_pass",
     "ScoreSet",
-    "write_scores_csv",
+    "scores_csv",
     "SCORE_METHODS",
 ]
 
@@ -146,14 +146,12 @@ class ScoreSet:
     id_name: str = "id"
 
 
-def write_scores_csv(score_sets, path) -> None:
-    """Per-sample score dump: dataset, sample_index, method, score."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("dataset,sample_index,method,score\n")
-        for s in score_sets:
-            for name, scores in [(s.id_name, s.id_scores), *s.ood_scores.items()]:
-                # One write per dataset, so only one dataset's text is held at
-                # a time. Python floats have the numpy scalars' repr and
-                # format faster.
-                values = np.asarray(scores, dtype=np.float64).ravel().tolist()
-                fh.write("".join(f"{name},{i},{s.method},{value!r}\n" for i, value in enumerate(values)))
+def scores_csv(score_sets) -> Iterator[str]:
+    """Per-sample score dump (dataset, sample_index, method, score) as CSV text:
+    the header, then one chunk per (method, dataset), so one is held at a time."""
+    yield "dataset,sample_index,method,score\n"
+    for s in score_sets:
+        for name, scores in [(s.id_name, s.id_scores), *s.ood_scores.items()]:
+            # Python floats have the numpy scalars' repr and format faster.
+            values = np.asarray(scores, dtype=np.float64).ravel().tolist()
+            yield "".join(f"{name},{i},{s.method},{value!r}\n" for i, value in enumerate(values))

@@ -118,3 +118,48 @@ def random_scores(rng: np.random.Generator, n: int, m: int, ties: bool | str):
         id_s = rng.standard_normal(n) + 0.8
         ood_s = rng.standard_normal(m)
     return id_s, ood_s
+
+
+WRITE_FAULTS = ("write", "interrupt", "replace")
+
+
+def fail_third_file(monkeypatch, fault: str) -> type[BaseException]:
+    """Make the next ``harness.write_files`` call fail, and return the
+    exception type it raises. ``"write"`` and ``"interrupt"`` let the third
+    file it opens take half of its first chunk and then raise a full disk's
+    OSError or a KeyboardInterrupt. ``"replace"`` refuses every rename, so
+    the call fails once all of its files are complete."""
+    import uenl.harness as harness
+
+    error = KeyboardInterrupt() if fault == "interrupt" else OSError(28, "No space left on device")
+    if fault == "replace":
+
+        def refuse(self, target):
+            raise error
+
+        monkeypatch.setattr(Path, "replace", refuse)
+        return type(error)
+
+    class HalfWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise error
+
+    opened = []
+
+    def open_third_half(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(args[0])
+        return HalfWrite(fh) if len(opened) == 3 else fh
+
+    monkeypatch.setattr(harness, "open", open_third_half, raising=False)
+    return type(error)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import uenl.cli
 import uenl.harness
-from conftest import V1_CHECKPOINT, tiny_experiment_config
+from conftest import V1_CHECKPOINT, WRITE_FAULTS, fail_third_file, tiny_experiment_config
 from uenl.cli import main
 from uenl.config import (
     MAX_ARRAY_VALUES, CsvOodSpec, GaussianClustersSpec, GaussianNoiseOodSpec, IdxOodSpec, ShiftedGaussianOodSpec,
@@ -412,6 +412,29 @@ class TestGenData:
         assert calls == []
         assert afile.read_text(encoding="utf-8") == "keep\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "exp.json"]
+
+    def test_failed_build_creates_no_directory(self, config_path, tmp_path, capsys):
+        missing = {key: str(tmp_path / "missing" / key) for key in ("train_images", "train_labels")}
+        spec = {"kind": "idx", **missing, "test_images": "c", "test_labels": "d"}
+        target = tmp_path / "new_dir" / "data"
+        args = ["--config", str(config_path), "--set", f"data.id={json.dumps(spec)}", "--out", str(target)]
+        rc = main(["gen-data", *args])
+        assert_one_error_line(rc, capsys, missing["train_images"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
+    @pytest.mark.parametrize("fault", WRITE_FAULTS)
+    def test_failed_overwrite_keeps_the_old_files(self, fault, config_path, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", str(config_path), "--out", str(out)]) == 0
+        old = {p.name: p.read_bytes() + b"old\n" for p in out.iterdir()}
+        for name, data in old.items():
+            (out / name).write_bytes(data)
+        capsys.readouterr()
+        error = fail_third_file(monkeypatch, fault)
+        rc = main(["gen-data", "--config", str(config_path), "--out", str(out)])
+        assert rc == (130 if error is KeyboardInterrupt else 1)
+        assert capsys.readouterr().out == ""
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == old
 
 
 class TestSweep:

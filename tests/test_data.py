@@ -14,12 +14,12 @@ from uenl.data import (
     Dataset,
     Normalization,
     batch_iter,
+    dataset_csv,
     load_csv,
     load_idx,
-    save_csv,
     standardize,
 )
-from uenl.harness import build_raw_datasets
+from uenl.harness import build_raw_datasets, write_files
 
 SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json"
 
@@ -402,7 +402,7 @@ class TestCsvLoader:
         rng = np.random.default_rng(10)
         ds = Dataset("blob", rng.normal(size=(20, 5)) * 1e3, labels=rng.integers(1, 4, 20))
         path = tmp_path / "round.csv"
-        save_csv(ds, path)
+        write_files({path: [dataset_csv(ds)]})
         back = load_csv(path, has_labels=True)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
@@ -410,7 +410,7 @@ class TestCsvLoader:
     def test_round_trip_unlabeled(self, tmp_path):
         ds = Dataset("blob", np.array([[1.0 / 3.0, np.pi], [-1e-17, 2.0**52]]))
         path = tmp_path / "round.csv"
-        save_csv(ds, path)
+        write_files({path: [dataset_csv(ds)]})
         back = load_csv(path)
         np.testing.assert_array_equal(back.features, ds.features)
 

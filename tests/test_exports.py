@@ -1,5 +1,6 @@
 """Every exported name resolves, in the package and in each submodule."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -68,6 +69,39 @@ def test_data_has_no_generators():
     leftovers = [name for name in dir(uenl.data) if name.startswith("gen_") or name == "basis_means"]
     assert leftovers == []
     assert not any(name.startswith("gen_") or name == "basis_means" for name in uenl.data.__all__)
+
+
+def _write_mode(call: ast.Call) -> bool:
+    """Whether an ``open`` call's mode (second positional or ``mode=``) can write."""
+    modes = call.args[1:2] if isinstance(call.func, ast.Name) else call.args[:1]
+    modes += [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
+
+
+def test_one_write_path():
+    # harness.write_files is the package's only writer; check_writable's
+    # probe opens (and removes) one empty file.
+    writers, other = [], []
+    for path in sorted(Path(uenl.__file__).parent.glob("*.py")):
+        scopes = []
+
+        class Visitor(ast.NodeVisitor):
+            def visit_FunctionDef(self, node):
+                scopes.append(node.name)
+                self.generic_visit(node)
+                scopes.pop()
+
+            def visit_Call(self, node):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "open" and _write_mode(node):
+                    writers.append(f"{path.stem}.{'.'.join(scopes)}")
+                elif name in ("write_text", "write_bytes"):
+                    other.append(f"{path.stem}.{'.'.join(scopes)}: {name}")
+                self.generic_visit(node)
+
+        Visitor().visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(writers) == ["harness.check_writable", "harness.write_files"]
+    assert other == []
 
 
 # Loads the package the way each entry point does, then prints every loaded

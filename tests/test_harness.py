@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from conftest import V1_CHECKPOINT, tiny_experiment_config
+from conftest import V1_CHECKPOINT, WRITE_FAULTS, fail_third_file, tiny_experiment_config
 from uenl.config import load_config
 from uenl.data import Dataset, Normalization, batch_iter, standardize
 from uenl.harness import (
@@ -23,6 +23,7 @@ from uenl.harness import (
     scores_csv_to_histograms,
     sweep,
     train,
+    write_files,
     write_sweep_csv,
 )
 from uenl.metrics import error_rate
@@ -689,6 +690,56 @@ class TestCheckpointSave:
 
         monkeypatch.setattr(harness, "init_params", refuse)
         assert Checkpoint.from_json(tiny_checkpoint.to_json()).to_json() == tiny_checkpoint.to_json()
+
+
+class TestWriteFiles:
+    def test_generator_chunks_are_written_in_order(self, tmp_path):
+        def chunks():
+            yield "a,b\n"
+            yield ""
+            yield "é,"
+            yield "2\n"
+
+        path = tmp_path / "out.csv"
+        write_files({path: chunks()})
+        assert path.read_bytes() == "a,b\né,2\n".encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_empty_chunks_write_an_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("old\n", encoding="utf-8")
+        write_files({path: [], str(tmp_path / "new.csv"): iter(())})
+        assert path.read_bytes() == b""
+        assert (tmp_path / "new.csv").read_bytes() == b""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.csv", "new.csv"]
+
+    def test_failing_chunks_leave_every_target_untouched(self, tmp_path):
+        def failing():
+            yield "half,"
+            raise ValueError("no more rows")
+
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_bytes(b"keep\n")
+        with pytest.raises(ValueError, match="no more rows"):
+            write_files({old: ["x\n"], tmp_path / "first.csv": ["y\n"], new: failing()})
+        assert old.read_bytes() == b"keep\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
+
+
+class TestReportWrite:
+    @pytest.mark.parametrize("fault", WRITE_FAULTS)
+    def test_failed_write_keeps_the_old_report(self, fault, tiny_checkpoint, tiny_bundle, tmp_path, monkeypatch):
+        """A report write that fails on its third file (scores.csv), or whose
+        renames are refused, leaves all four old files and no temporary file."""
+        report = evaluate(tiny_checkpoint, tiny_bundle, methods=("msp",), histogram_bins=4)
+        paths = report.write(tmp_path)
+        old = {name: path.read_bytes() + b"old\n" for name, path in paths.items()}
+        for name, path in paths.items():
+            path.write_bytes(old[name])
+        with pytest.raises(fail_third_file(monkeypatch, fault)):
+            report.write(tmp_path)
+        assert {name: path.read_bytes() for name, path in paths.items()} == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths.values())
 
 
 class TestCheckpointV1:

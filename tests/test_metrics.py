@@ -8,6 +8,7 @@ import pytest
 from oracles import enumerate_fpr_at_tpr, pairwise_auroc, stable_ranking, step_aupr
 
 from conftest import random_scores
+from uenl.harness import write_files
 from uenl.metrics import (
     FprResult,
     _auroc,
@@ -20,8 +21,8 @@ from uenl.metrics import (
     error_rate,
     fpr_at_tpr,
     histogram,
-    write_histogram_csv,
-    write_metrics_csv,
+    histogram_csv,
+    metrics_csv,
 )
 
 
@@ -285,7 +286,7 @@ class TestCsvExport:
                 id_s, ood_s = random_scores(rng, 50, 50, ties=False)
                 rows.append((method, ds, MetricReport.from_scores(id_s, ood_s)))
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(rows, path)
+        write_files({path: [metrics_csv(rows)]})
         with open(path, newline="") as fh:
             parsed = list(csv.DictReader(fh))
         assert set(parsed[0]) == {"method", "ood_dataset", "fpr95", "auroc", "aupr"}
@@ -302,7 +303,7 @@ class TestCsvExport:
     def test_histogram_csv(self, tmp_path):
         rows = [("id", "msp", 0.0, 0.5, 3), ("id", "msp", 0.5, 1.0, 2)]
         path = tmp_path / "hist.csv"
-        write_histogram_csv(rows, path)
+        write_files({path: [histogram_csv(rows)]})
         with open(path, newline="") as fh:
             parsed = list(csv.DictReader(fh))
         assert set(parsed[0]) == {"dataset", "method", "bin_left", "bin_right", "count"}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import uenl.scoring
 from conftest import model_arch
+from uenl.harness import write_files
 from uenl.model import forward, init_params
 from uenl.rng import RngStream
 from uenl.scoring import (
@@ -20,7 +21,7 @@ from uenl.scoring import (
     eval_pass,
     msp_score,
     odin_from_pass,
-    write_scores_csv,
+    scores_csv,
 )
 from uenl.tensor import Tensor, backward, tempered_ce
 
@@ -285,7 +286,7 @@ class TestScoreExport:
             ScoreSet("energy", rng.normal(size=3), {"uniform": rng.normal(size=2)}),
         ]
         path = tmp_path / "scores.csv"
-        write_scores_csv(sets, path)
+        write_files({path: scores_csv(sets)})
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 10
