@@ -16,6 +16,7 @@ import numpy as np
 from .config import MAX_ARRAY_VALUES, CsvOodSpec, load_config, parse_value
 from .data import dataset_csv
 from .harness import (
+    REPORT_FILES,
     Checkpoint,
     build_datasets,
     build_raw_datasets,
@@ -39,22 +40,25 @@ def _config_from_args(args):
     return load_config(args.config, overrides)
 
 
-def _check_out_dir(out_dir: Path, name: str) -> None:
-    """Raise OSError unless a file ``name`` can be written in ``out_dir``.
-    Nothing is created: the command makes a missing ``out_dir`` after its work,
-    so its first missing component must be creatable in an existing directory."""
-    target = out_dir / name
-    while not target.parent.exists() and target.parent != target:
-        target = target.parent
-    if not target.parent.is_dir():
-        raise OSError(f"cannot write {out_dir}: {target.parent} is not a directory")
-    check_writable(target)
+def _check_out_dir(out_dir: Path, names) -> None:
+    """Raise OSError unless every file in ``names`` can be written in
+    ``out_dir``. Nothing is created: the command makes a missing ``out_dir``
+    after its work, so its first missing component must be creatable in an
+    existing directory."""
+    missing, target = None, out_dir
+    while not target.exists() and target.parent != target:
+        missing, target = target, target.parent
+    if not target.is_dir():
+        raise OSError(f"cannot write {out_dir}: {target} is not a directory")
+    for path in [missing] if missing else [out_dir / name for name in names]:
+        check_writable(path)
 
 
 def _cmd_gen_data(args) -> int:
     config = _config_from_args(args)
     out_dir = Path(args.out)
-    _check_out_dir(out_dir, "id_train.csv")
+    specs = config.data.ood if config.data is not None else ()
+    _check_out_dir(out_dir, ["id_train.csv", "id_test.csv", *(f"ood_{spec.name}.csv" for spec in specs)])
     id_train, id_test, ood, _ = build_raw_datasets(config)
     written = {"id_train": id_train, "id_test": id_test, **{f"ood_{name}": ds for name, ds in ood.items()}}
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -83,7 +87,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _check_out_dir(Path(args.out), "metrics.csv")
+    _check_out_dir(Path(args.out), REPORT_FILES)
     checkpoint = Checkpoint.load(args.checkpoint)
     config = checkpoint.config
     if args.ood and config.data is not None:

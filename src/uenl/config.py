@@ -328,8 +328,10 @@ class ShiftedGaussianOodSpec:
 
     def build(self, dim: int, id_stats: Normalization) -> Dataset:
         """An isotropic Gaussian centred at offset * (1, ..., 1): near-manifold OOD."""
-        noise = RngStream(self.seed, f"data/{self.name}").normal((self.n, dim))
-        return Dataset(self.name, self.offset + self.sigma * noise)
+        features = RngStream(self.seed, f"data/{self.name}").normal((self.n, dim))
+        features *= self.sigma  # in place: offset + sigma * noise, with no temporary
+        features += self.offset
+        return Dataset(self.name, features)
 
 
 @dataclass(frozen=True)
@@ -345,8 +347,10 @@ class GaussianNoiseOodSpec:
 
     def build(self, dim: int, id_stats: Normalization) -> Dataset:
         """Noise with the ID per-feature mean and std but no class structure."""
-        noise = RngStream(self.seed, f"data/{self.name}").normal((self.n, id_stats.mean.size))
-        return Dataset(self.name, id_stats.mean + id_stats.std * noise)
+        features = RngStream(self.seed, f"data/{self.name}").normal((self.n, id_stats.mean.size))
+        features *= id_stats.std  # in place: mean + std * noise, with no temporary
+        features += id_stats.mean
+        return Dataset(self.name, features)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, GaussianNoiseOodSpec, apply_overrides, json_parser
-from .data import Dataset, Normalization, batch_iter, parse_number, read_lines, standardize
+from .data import Dataset, Normalization, batch_iter, parse_number, read_lines, standardize_in_place
 from .losses import logitnorm_ce, plain_ce, uenl_total
 from .metrics import MetricReport, auroc, error_rate, histogram, histogram_csv, histogram_range, metrics_csv
 from .model import (
@@ -36,6 +36,7 @@ from .tensor import Tensor, add, backward, kl
 
 __all__ = [
     "CHECKPOINT_VERSION",
+    "REPORT_FILES",
     "DataBundle",
     "Checkpoint",
     "EvaluationReport",
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 2
+# The files EvaluationReport.write writes, in its order.
+REPORT_FILES = ("metrics.csv", "accuracy.csv", "scores.csv", "histograms.csv")
 
 
 @dataclass(frozen=True)
@@ -64,10 +67,13 @@ class DataBundle:
     clip_range: tuple[float, float]
 
 
-def build_raw_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict[str, Dataset], Normalization]:
-    """ID train/test and OOD sets in raw feature space, and the raw ID-train
-    statistics. The config has checked everything it can; this checks what
-    the files hold: labels against the class count, and each set's width."""
+def _build(config: ExperimentConfig, finish) -> tuple[Dataset, Dataset, dict[str, Dataset], Normalization]:
+    """ID train/test and OOD sets, each passed through ``finish(dataset,
+    stats)`` as soon as it is built and checked, and the raw ID-train
+    statistics ``stats``: the ID splits once the statistics are fitted, then
+    each OOD set before the next is built. The config has checked everything
+    it can; this checks what the files hold: labels against the class count,
+    and each set's width."""
     if config.data is None:
         raise ValueError("config has no data section")
     dim, k = config.backbone.input_dim, config.backbone.num_classes
@@ -81,18 +87,28 @@ def build_raw_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict
         stats = Normalization.fit(train.features)
     except ValueError as exc:
         raise ValueError(f"the ID-train statistics (data.id) are unusable: {exc}") from None
-    ood = {spec.name: spec.build(dim, stats) for spec in config.data.ood}
-    for name, ds in ood.items():
+    train, test = finish(train, stats), finish(test, stats)
+    ood = {}
+    for spec in config.data.ood:
+        ds = spec.build(dim, stats)
         if ds.dim != dim:
-            raise ValueError(f"OOD set {name!r} is {ds.dim}-dimensional, model expects {dim}")
+            raise ValueError(f"OOD set {spec.name!r} is {ds.dim}-dimensional, model expects {dim}")
+        ood[spec.name] = finish(ds, stats)
     return train, test, ood, stats
 
 
+def build_raw_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict[str, Dataset], Normalization]:
+    """ID train/test and OOD sets in raw feature space, and the raw ID-train
+    statistics."""
+    return _build(config, lambda dataset, stats: dataset)
+
+
 def build_datasets(config: ExperimentConfig) -> DataBundle:
-    """Raw datasets standardized with statistics fitted on the ID train split."""
-    train_raw, test_raw, ood_raw, stats = build_raw_datasets(config)
-    train, test = standardize(train_raw, stats), standardize(test_raw, stats)
-    ood = {name: standardize(ds, stats) for name, ds in ood_raw.items()}
+    """The datasets standardized with statistics fitted on the ID train split.
+    Each set is standardized in place as soon as it is built, so set-up holds
+    at most one raw set (the ID pair while the statistics are fitted) beside
+    the finished ones, and no second copy of any."""
+    train, test, ood, stats = _build(config, standardize_in_place)
     return DataBundle(train, test, ood, stats, train.feature_range())
 
 
@@ -132,8 +148,8 @@ def write_files(files) -> None:
     """Write each ``{path: chunks}`` entry, ``chunks`` an iterable of text, as
     UTF-8 with "\\n" line ends: the package's one write path. Each file goes to
     a temporary file beside its target; all are renamed into place once all
-    are complete, so a failed write leaves every old file whole and no
-    temporary file. A rename refused after another succeeded leaves a mix."""
+    are complete, and every target is checked before the first rename, so a
+    failed write leaves every old file whole and no temporary file."""
     temporaries = {}
     try:
         for path, chunks in files.items():
@@ -142,6 +158,9 @@ def write_files(files) -> None:
                 for chunk in chunks:
                     fh.write(chunk)
                     del chunk  # free it before the next is built: one chunk in memory at a time
+        for path in temporaries:
+            if path.is_dir():  # a rename cannot replace a directory: fail before the first rename
+                raise IsADirectoryError(f"cannot write {path}: it is a directory")
         for path, tmp in temporaries.items():
             tmp.replace(path)
     except BaseException:
@@ -314,7 +333,7 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
     if config.select_best_validation:
         val_seed = derive_seed(config.seed, "validation-noise")
         raw = GaussianNoiseOodSpec("validation_noise", 500, val_seed).build(config.backbone.input_dim, bundle.stats)
-        val_features = standardize(raw, bundle.stats).features
+        val_features = standardize_in_place(raw, bundle.stats).features
         val_id = bundle.id_train.features[: min(1000, len(bundle.id_train))]
         val_method = "uncertainty" if config.method == "uenl" else "msp"
         best_auroc = -1.0
@@ -430,9 +449,10 @@ class EvaluationReport:
         return means[method]
 
     def write(self, out_dir) -> dict[str, Path]:
+        """Write the REPORT_FILES into ``out_dir``; returns their paths by name."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        paths = {name: out_dir / f"{name}.csv" for name in ("metrics", "accuracy", "scores", "histograms")}
+        paths = {name.removesuffix(".csv"): out_dir / name for name in REPORT_FILES}
         err = self.id_error_rate
         accuracy = f"dataset,n,error_rate,accuracy\nid_test,{self.n_id_test},{err!r},{1.0 - err!r}\n"
         metrics, histograms = metrics_csv(self.metric_rows), histogram_csv(self.histograms)

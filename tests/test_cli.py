@@ -228,6 +228,24 @@ class TestEvalAndHistOutput:
         assert rc == 1 and calls == []
         assert err.startswith(f"error: cannot write {named}:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("blocked", ["accuracy.csv", "scores.csv", "histograms.csv"])
+    def test_any_report_file_that_is_a_directory_fails_before_scoring(self, trained, tmp_path, capsys, monkeypatch, blocked):
+        # Every report file is probed, not only metrics.csv: an old report
+        # whose scores.csv is now a directory keeps its metrics.csv bytes.
+        out = tmp_path / "report"
+        assert main(["eval", "--checkpoint", str(trained[1]), "--methods", "msp", "--out", str(out)]) == 0
+        old_metrics = (out / "metrics.csv").read_bytes()
+        (out / blocked).unlink()
+        (out / blocked).mkdir()
+        capsys.readouterr()
+        calls = self.counting(monkeypatch, "evaluate")
+        rc = main(["eval", "--checkpoint", str(trained[1]), "--methods", "msp,energy", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and calls == []
+        assert err.startswith(f"error: cannot write {out / blocked}:") and len(err.splitlines()) == 1
+        assert (out / "metrics.csv").read_bytes() == old_metrics
+        assert sorted(p.name for p in out.iterdir()) == ["accuracy.csv", "histograms.csv", "metrics.csv", "scores.csv"]
+
     def test_eval_check_creates_nothing(self, tmp_path, capsys):
         # A missing checkpoint fails after the --out check, which made no
         # directory and left no probe file.
@@ -412,6 +430,19 @@ class TestGenData:
         assert calls == []
         assert afile.read_text(encoding="utf-8") == "keep\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "exp.json"]
+
+    def test_an_ood_file_that_is_a_directory_fails_before_building(self, config_path, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", str(config_path), "--out", str(out)]) == 0
+        old = (out / "id_train.csv").read_bytes()
+        (out / "ood_uniform.csv").unlink()
+        (out / "ood_uniform.csv").mkdir()
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(uenl.cli, "build_raw_datasets", lambda *args: calls.append(args))
+        rc = main(["gen-data", "--config", str(config_path), "--out", str(out)])
+        assert_one_error_line(rc, capsys, f"cannot write {out / 'ood_uniform.csv'}: it is a directory")
+        assert calls == [] and (out / "id_train.csv").read_bytes() == old
 
     def test_failed_build_creates_no_directory(self, config_path, tmp_path, capsys):
         missing = {key: str(tmp_path / "missing" / key) for key in ("train_images", "train_labels")}

@@ -3,6 +3,7 @@
 import base64
 import json
 import struct
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -93,6 +94,13 @@ class TestBuildDatasets:
         with pytest.raises(ValueError, match="label 3"):
             build_datasets(cfg)
 
+    def test_id_file_width_mismatch_names_split(self, tmp_path):
+        path = tmp_path / "id.csv"
+        path.write_text("x1,x2,label\n0,0,1\n1,1,2\n", encoding="utf-8")
+        cfg = tiny_experiment_config(data={"id": {"kind": "csv", "train": str(path), "test": str(path)}, "ood": []})
+        with pytest.raises(ValueError, match="ID split 'id_train' is 2-dimensional, model expects 6"):
+            build_datasets(cfg)
+
     def test_ood_dim_mismatch_names_set(self, tmp_path):
         path = tmp_path / "ood.csv"
         path.write_text("x1,x2\n0.5,0.5\n", encoding="utf-8")
@@ -103,6 +111,83 @@ class TestBuildDatasets:
 
         with pytest.raises(ValueError, match="narrow"):
             build_datasets(ExperimentConfig.from_dict(d))
+
+
+SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json"
+# The 784-d, 10-class image-scale data of the benchmark's image workload.
+IMAGE_OVERRIDES = [
+    "backbone.input_dim=784",
+    "backbone.hidden_dims=[256,128]",
+    "backbone.num_classes=10",
+    "data.id.dim=784",
+    "data.id.num_classes=10",
+    "data.id.n_train_per_class=100",
+    "data.id.n_test_per_class=100",
+    *(f"data.ood[{i}].n=1000" for i in range(3)),
+]
+
+
+def _feature_bytes(bundle) -> int:
+    return sum(ds.features.nbytes for ds in (bundle.id_train, bundle.id_test, *bundle.ood.values()))
+
+
+class TestOneCopy:
+    """``build_datasets`` standardizes each set in place as soon as it is
+    built: set-up holds one copy of the data, with the same bits as
+    standardizing the raw sets into new arrays."""
+
+    @pytest.mark.parametrize("overrides", [[], IMAGE_OVERRIDES], ids=["shipped", "image"])
+    def test_same_bits_as_standardizing_the_raw_sets(self, overrides):
+        config = load_config(SHIPPED_CONFIG, overrides)
+        bundle = build_datasets(config)
+        train, test, ood, stats = build_raw_datasets(config)
+        assert stats.mean.tobytes() == bundle.stats.mean.tobytes()
+        assert stats.std.tobytes() == bundle.stats.std.tobytes()
+        pairs = [(bundle.id_train, train), (bundle.id_test, test), *((bundle.ood[name], ds) for name, ds in ood.items())]
+        assert list(bundle.ood) == list(ood) == [spec.name for spec in config.data.ood]
+        for built, raw in pairs:
+            assert built.features.tobytes() == standardize(raw, stats).features.tobytes()
+            assert not built.features.flags.writeable
+
+    @staticmethod
+    def traced_peak_ratio(config) -> float:
+        """Peak traced allocation during ``build_datasets(config)`` over the
+        feature bytes of the bundle it returns."""
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            bundle = build_datasets(config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        return peak / _feature_bytes(bundle)
+
+    def test_synthetic_peak_is_one_copy(self):
+        # All three synthetic OOD kinds; the 1000-row train split spans two fit blocks.
+        config = load_config(SHIPPED_CONFIG, IMAGE_OVERRIDES)
+        assert sorted(spec.kind for spec in config.data.ood) == ["gaussian_noise", "shifted_gaussian", "uniform"]
+        assert self.traced_peak_ratio(config) <= 1.25
+
+    def test_idx_peak_is_one_copy(self, tmp_path):
+        # A 3000-row train split spans five fit blocks of 668 rows, so the fit's
+        # temporaries would show; standardizing into new arrays reads ~2.
+        rng = np.random.default_rng(28)
+        paths = {}
+        for split, n in (("train", 3000), ("test", 500), ("ood", 500)):
+            paths[split] = tmp_path / f"{split}.idx"
+            labels = rng.integers(0, 10, size=n).astype(np.uint8) if split != "ood" else None
+            _write_idx(paths[split], rng.integers(0, 256, size=(n, 28, 28)).astype(np.uint8), labels)
+        spec = {
+            "kind": "idx",
+            **{f"{split}_{what}": str(paths[split].with_suffix(suffix))
+               for split in ("train", "test") for what, suffix in (("images", ".idx"), ("labels", ".labels"))},
+        }
+        ood = [{"kind": "idx", "name": "noise", "images": str(paths["ood"])}]
+        overrides = ["backbone.input_dim=784", "backbone.num_classes=10", f"data.id={json.dumps(spec)}", f"data.ood={json.dumps(ood)}"]
+        assert self.traced_peak_ratio(load_config(SHIPPED_CONFIG, overrides)) <= 1.25
 
 
 def _write_idx(path: Path, images: np.ndarray, labels: np.ndarray | None = None) -> None:
@@ -724,6 +809,16 @@ class TestWriteFiles:
             write_files({old: ["x\n"], tmp_path / "first.csv": ["y\n"], new: failing()})
         assert old.read_bytes() == b"keep\n"
         assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
+
+
+    def test_a_directory_target_fails_before_any_rename(self, tmp_path):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        first.write_bytes(b"keep\n")
+        second.mkdir()
+        with pytest.raises(IsADirectoryError, match="second.csv: it is a directory"):
+            write_files({first: ["new\n"], second: ["new\n"], tmp_path / "third.csv": ["new\n"]})
+        assert first.read_bytes() == b"keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["first.csv", "second.csv"]
 
 
 class TestReportWrite:
