@@ -7,9 +7,10 @@ statistics that Normalization.fit fitted on the ID training split. The
 synthetic sets are drawn by the data specs in config.py.
 
 Set-up holds one copy of the data: each set is made once, in its final
-float64 array. The loaders scale their arrays in place, Normalization.fit
-reduces in row blocks, and standardize_in_place shifts and scales a set's
-own array, so no step allocates a second array the size of a dataset.
+float64 array. The loaders scale their arrays in place, and
+harness.build_datasets standardizes each set's own array as soon as it is
+built, so the only second array the size of a dataset is the temporary
+that Normalization.fit's std makes of the ID training split.
 standardize() returns a new Dataset and leaves its input alone.
 """
 
@@ -35,14 +36,11 @@ __all__ = [
     "load_csv",
     "dataset_csv",
     "standardize",
-    "standardize_in_place",
     "batch_iter",
 ]
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
-# Normalization.fit reduces its input in row blocks of about this many bytes.
-FIT_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -62,45 +60,8 @@ class Normalization:
 
     @classmethod
     def fit(cls, features) -> "Normalization":
-        """Per-feature mean and std of ``features``, the std floored at 1e-8.
-
-        A C-order float64 matrix wider than one column and larger than one
-        block is reduced in row blocks of about ``FIT_BLOCK_BYTES``, so the
-        std makes no temporary the size of ``features``. The result equals
-        ``features.mean(axis=0)`` and ``features.std(axis=0)`` bit for bit:
-        numpy sums such a matrix over axis 0 one row after another, and each
-        block is summed after a row that holds the running sum. numpy sums a
-        single column or a non-C-order matrix pairwise, so those are reduced
-        in one piece.
-        """
-        n, d = features.shape if features.ndim == 2 else (0, 1)
-        rows = FIT_BLOCK_BYTES // (8 * d) if d > 1 else 0
-        if not (rows and n > rows and features.dtype == np.float64 and features.flags.c_contiguous):
-            return cls(features.mean(axis=0), np.maximum(features.std(axis=0), 1e-8))
-        buf = np.empty((rows + 1, d))
-
-        def row_sum(center=None):
-            total = None
-            for start in range(0, n, rows):
-                block = features[start : start + rows]
-                stack = buf[: len(block) + 1]
-                if center is None:
-                    stack[1:] = block
-                else:  # squared deviations, as numpy's var takes them
-                    np.subtract(block, center, out=stack[1:])
-                    np.square(stack[1:], out=stack[1:])
-                if total is None:
-                    total = stack[1:].sum(axis=0)
-                else:
-                    stack[0] = total
-                    total = stack.sum(axis=0)
-            return total
-
-        mean = row_sum()
-        mean /= n
-        var = row_sum(mean)
-        var /= n
-        return cls(mean, np.maximum(np.sqrt(var, out=var), 1e-8))
+        """Per-feature mean and std of ``features``, the std floored at 1e-8."""
+        return cls(features.mean(axis=0), np.maximum(features.std(axis=0), 1e-8))
 
 
 @dataclass
@@ -275,23 +236,9 @@ def standardize(dataset: Dataset, stats: Normalization) -> Dataset:
     """Shift and scale features by ``stats``, the statistics that
     ``Normalization.fit`` fitted on the ID training split, into a new
     Dataset; ``dataset`` is left alone."""
-    return _standardized(dataset, stats, False)
-
-
-def standardize_in_place(dataset: Dataset, stats: Normalization) -> Dataset:
-    """``standardize`` without a copy: ``dataset``'s own feature array is
-    shifted and scaled and becomes the returned Dataset's, so ``dataset`` is
-    spent. For a set that nothing else holds, as a builder has just made it."""
-    return _standardized(dataset, stats, True)
-
-
-def _standardized(dataset: Dataset, stats: Normalization, in_place: bool) -> Dataset:
     if stats.mean.size != dataset.dim:
         raise ValueError(f"statistics are {stats.mean.size}-dimensional, data is {dataset.dim}-dimensional")
-    features = dataset.features
-    if in_place:
-        features.setflags(write=True)  # a Dataset owns its features, so they can be made writeable again
-    features = np.subtract(features, stats.mean, out=features if in_place else None)
+    features = dataset.features - stats.mean
     return Dataset(dataset.name, np.divide(features, stats.std, out=features), dataset.labels)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, GaussianNoiseOodSpec, apply_overrides, json_parser
-from .data import Dataset, Normalization, batch_iter, parse_number, read_lines, standardize_in_place
+from .data import Dataset, Normalization, batch_iter, parse_number, read_lines
 from .losses import logitnorm_ce, plain_ce, uenl_total
 from .metrics import MetricReport, auroc, error_rate, histogram, histogram_csv, histogram_range, metrics_csv
 from .model import (
@@ -67,6 +67,21 @@ class DataBundle:
     clip_range: tuple[float, float]
 
 
+def _standardize_in_place(dataset: Dataset, stats: Normalization) -> Dataset:
+    """``data.standardize`` without a copy, for a set that nothing else holds,
+    as a builder has just made it: ``dataset``'s own array is shifted and
+    scaled and handed to the returned Dataset, so ``dataset`` is spent. The
+    array is read-only again on return, and also when the result fails
+    Dataset's checks."""
+    features = dataset.features
+    features.setflags(write=True)  # a Dataset owns its features, so they can be made writeable again
+    try:
+        np.subtract(features, stats.mean, out=features)
+        return Dataset(dataset.name, np.divide(features, stats.std, out=features), dataset.labels)
+    finally:
+        features.setflags(write=False)
+
+
 def _build(config: ExperimentConfig, finish) -> tuple[Dataset, Dataset, dict[str, Dataset], Normalization]:
     """ID train/test and OOD sets, each passed through ``finish(dataset,
     stats)`` as soon as it is built and checked, and the raw ID-train
@@ -107,8 +122,9 @@ def build_datasets(config: ExperimentConfig) -> DataBundle:
     """The datasets standardized with statistics fitted on the ID train split.
     Each set is standardized in place as soon as it is built, so set-up holds
     at most one raw set (the ID pair while the statistics are fitted) beside
-    the finished ones, and no second copy of any."""
-    train, test, ood, stats = _build(config, standardize_in_place)
+    the finished ones, and no second copy of any but the temporary that
+    ``Normalization.fit``'s std makes of the ID train split."""
+    train, test, ood, stats = _build(config, _standardize_in_place)
     return DataBundle(train, test, ood, stats, train.feature_range())
 
 
@@ -333,7 +349,7 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
     if config.select_best_validation:
         val_seed = derive_seed(config.seed, "validation-noise")
         raw = GaussianNoiseOodSpec("validation_noise", 500, val_seed).build(config.backbone.input_dim, bundle.stats)
-        val_features = standardize_in_place(raw, bundle.stats).features
+        val_features = _standardize_in_place(raw, bundle.stats).features
         val_id = bundle.id_train.features[: min(1000, len(bundle.id_train))]
         val_method = "uncertainty" if config.method == "uenl" else "msp"
         best_auroc = -1.0

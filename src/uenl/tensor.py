@@ -471,9 +471,6 @@ def _fw_dense(values, attrs):
     elif act == "exp":
         np.exp(z, out=z)
     attrs["act_out"] = z
-    # A finite z stays finite under no activation or a relu, so apply need
-    # not scan again; exp and a mask can overflow.
-    attrs["finite"] = act != "exp" and mask is None
     return z if mask is None else z * mask
 
 
@@ -633,14 +630,13 @@ def apply(op: str, *inputs, axis=None, keepdims: bool = False, constant: float |
     if len(inputs) not in counts:
         raise ValueError(f"{op} takes {' or '.join(map(str, counts))} input(s), got {len(inputs)}")
     nodes = tuple(as_node(x) for x in inputs)
-    attrs = {"axis": axis, "keepdims": keepdims, "constant": constant, **extra, "finite": False}
+    attrs = {"axis": axis, "keepdims": keepdims, "constant": constant, **extra}
     # Overflow and invalid operations are detected by the finiteness checks,
     # so numpy's own warnings would be redundant noise.
     with np.errstate(over="ignore", invalid="ignore"):
         out = prim.forward(tuple(n.value.array for n in nodes), attrs)
     out = np.asarray(out, dtype=np.float64)
-    # A primitive that has proved its output finite sets attrs["finite"].
-    if not attrs.pop("finite") and not np.isfinite(out).all():
+    if not np.isfinite(out).all():
         name = f"{extra['name']}: " if extra.get("name") else ""
         raise FloatingPointError(f"{name}{op} produced non-finite values")
     return GraphNode(op, nodes, Tensor._wrap(out), attrs)

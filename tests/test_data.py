@@ -18,9 +18,7 @@ from uenl.data import (
     load_csv,
     load_idx,
     standardize,
-    standardize_in_place,
 )
-import uenl.data
 from uenl.harness import build_raw_datasets, write_files
 
 SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json"
@@ -122,49 +120,6 @@ class TestNormalizationType:
         np.testing.assert_array_equal(stats.std, [1e-8, features[:, 1].std()])
         out = standardize(Dataset("d", features), stats)
         np.testing.assert_array_equal(out.features, (features - stats.mean) / stats.std)
-
-
-class TestNormalizationFit:
-    """``Normalization.fit`` reduces in row blocks of about FIT_BLOCK_BYTES
-    and matches numpy's one-piece mean and std bit for bit."""
-
-    @staticmethod
-    def features(n, d, seed=31):
-        # Columns of very different scale and offset, so a change in the
-        # order of the additions changes the low bits.
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3, d) + rng.uniform(-1e3, 1e3, d)
-
-    @staticmethod
-    def assert_numpy_bits(features):
-        stats = Normalization.fit(features)
-        assert stats.mean.tobytes() == features.mean(axis=0).tobytes()
-        assert stats.std.tobytes() == np.maximum(features.std(axis=0), 1e-8).tobytes()
-
-    # At 4 MB, a block holds 668 rows of 784 columns.
-    @pytest.mark.parametrize("n", [3, 668, 1336, 3000], ids=["one-block", "full-block", "two-blocks", "partial-last-block"])
-    def test_matches_numpy_at_the_real_block_size(self, n):
-        self.assert_numpy_bits(self.features(n, 784))
-
-    @pytest.mark.parametrize("n, d", [(3, 2), (5, 2), (7, 3), (100, 16), (101, 16), (1000, 5)])
-    @pytest.mark.parametrize("block_bytes", [16, 64, 200], ids=lambda b: f"{b}B")
-    def test_matches_numpy_across_many_blocks(self, n, d, block_bytes, monkeypatch):
-        monkeypatch.setattr(uenl.data, "FIT_BLOCK_BYTES", block_bytes)
-        self.assert_numpy_bits(self.features(n, d))
-
-    @pytest.mark.parametrize("n, d", [(700, 1), (50, 4)])
-    def test_single_column_and_non_c_order_match_numpy(self, n, d, monkeypatch):
-        # numpy sums a single column, or an F-order matrix, pairwise: these are
-        # reduced in one piece.
-        monkeypatch.setattr(uenl.data, "FIT_BLOCK_BYTES", 64)
-        self.assert_numpy_bits(self.features(n, d))
-        self.assert_numpy_bits(np.asfortranarray(self.features(n, d)))
-
-    def test_constant_columns_keep_the_floor_across_blocks(self, monkeypatch):
-        monkeypatch.setattr(uenl.data, "FIT_BLOCK_BYTES", 48)
-        features = np.column_stack([np.full(40, -0.0), np.full(40, 3.0), np.arange(40.0)])
-        self.assert_numpy_bits(features)
-        assert Normalization.fit(features).std[:2].tolist() == [1e-8, 1e-8]
 
 
 class TestGaussianClusters:
@@ -505,10 +460,6 @@ class TestStandardize:
         stats = Normalization(np.zeros(2), np.ones(2))
         with pytest.raises(ValueError):
             standardize(Dataset("d", np.zeros((3, 4))), stats)
-        ds = Dataset("d", np.zeros((3, 4)))
-        with pytest.raises(ValueError):
-            standardize_in_place(ds, stats)
-        assert not ds.features.flags.writeable
 
     def test_standardize_leaves_its_input_alone(self):
         features = np.random.default_rng(13).normal(size=(20, 3))
@@ -517,22 +468,6 @@ class TestStandardize:
         out = standardize(ds, stats)
         assert out is not ds and not np.shares_memory(out.features, ds.features)
         assert ds.features.tobytes() == features.tobytes()
-
-    def test_in_place_reuses_the_array_with_the_same_bits(self):
-        rng = np.random.default_rng(14)
-        ds = Dataset("d", rng.normal(3.0, 2.0, size=(20, 3)), np.arange(1, 21))
-        stats = Normalization.fit(ds.features)
-        expected = standardize(ds, stats)
-        array = ds.features
-        out = standardize_in_place(ds, stats)
-        assert out.features is array and not array.flags.writeable
-        assert out.features.tobytes() == expected.features.tobytes()
-        assert out.name == "d" and out.labels.tolist() == list(range(1, 21))
-
-    def test_in_place_overflow_is_an_error(self):
-        ds = Dataset("d", np.array([[1e308], [-1e308]]))
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            standardize_in_place(ds, Normalization(np.array([-1e308]), np.array([1.0])))
 
 
 class TestBatchIter:

@@ -18,6 +18,7 @@ from uenl.data import Dataset, Normalization, batch_iter, standardize
 from uenl.harness import (
     Checkpoint,
     _batch_loss,
+    _standardize_in_place,
     build_datasets,
     build_raw_datasets,
     evaluate,
@@ -166,28 +167,45 @@ class TestOneCopy:
         return peak / _feature_bytes(bundle)
 
     def test_synthetic_peak_is_one_copy(self):
-        # All three synthetic OOD kinds; the 1000-row train split spans two fit blocks.
+        # All three synthetic OOD kinds.
         config = load_config(SHIPPED_CONFIG, IMAGE_OVERRIDES)
         assert sorted(spec.kind for spec in config.data.ood) == ["gaussian_noise", "shifted_gaussian", "uniform"]
         assert self.traced_peak_ratio(config) <= 1.25
 
     def test_idx_peak_is_one_copy(self, tmp_path):
-        # A 3000-row train split spans five fit blocks of 668 rows, so the fit's
-        # temporaries would show; standardizing into new arrays reads ~2.
+        # Sized like the image workload: 1000 rows per ID split and per OOD
+        # set. Standardizing each set into a new array reads ~2.
         rng = np.random.default_rng(28)
         paths = {}
-        for split, n in (("train", 3000), ("test", 500), ("ood", 500)):
+        for split in ("train", "test", "ood_a", "ood_b", "ood_c"):
             paths[split] = tmp_path / f"{split}.idx"
-            labels = rng.integers(0, 10, size=n).astype(np.uint8) if split != "ood" else None
-            _write_idx(paths[split], rng.integers(0, 256, size=(n, 28, 28)).astype(np.uint8), labels)
+            labels = rng.integers(0, 10, size=1000).astype(np.uint8) if split in ("train", "test") else None
+            _write_idx(paths[split], rng.integers(0, 256, size=(1000, 28, 28)).astype(np.uint8), labels)
         spec = {
             "kind": "idx",
             **{f"{split}_{what}": str(paths[split].with_suffix(suffix))
                for split in ("train", "test") for what, suffix in (("images", ".idx"), ("labels", ".labels"))},
         }
-        ood = [{"kind": "idx", "name": "noise", "images": str(paths["ood"])}]
+        ood = [{"kind": "idx", "name": name, "images": str(paths[name])} for name in ("ood_a", "ood_b", "ood_c")]
         overrides = ["backbone.input_dim=784", "backbone.num_classes=10", f"data.id={json.dumps(spec)}", f"data.ood={json.dumps(ood)}"]
         assert self.traced_peak_ratio(load_config(SHIPPED_CONFIG, overrides)) <= 1.25
+
+    def test_in_place_reuses_the_array_with_the_same_bits(self):
+        rng = np.random.default_rng(14)
+        ds = Dataset("d", rng.normal(3.0, 2.0, size=(20, 3)), np.arange(1, 21))
+        stats = Normalization.fit(ds.features)
+        expected = standardize(ds, stats)
+        array = ds.features
+        out = _standardize_in_place(ds, stats)
+        assert out.features is array and not array.flags.writeable
+        assert out.features.tobytes() == expected.features.tobytes()
+        assert out.name == "d" and out.labels.tolist() == list(range(1, 21))
+
+    def test_in_place_overflow_is_an_error_and_leaves_the_array_read_only(self):
+        ds = Dataset("d", np.array([[1e308], [-1e308]]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            _standardize_in_place(ds, Normalization(np.array([-1e308]), np.array([1.0])))
+        assert not ds.features.flags.writeable
 
 
 def _write_idx(path: Path, images: np.ndarray, labels: np.ndarray | None = None) -> None:

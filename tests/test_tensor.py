@@ -615,8 +615,8 @@ class TestDense:
     @pytest.mark.parametrize("layer", ["plain", "masked", "batchnorm"])
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+inf", "-inf"])
     def test_overflowing_pre_activation_raises_in_every_layer_kind(self, act, layer, sign):
-        # Layers whose output apply does not rescan (no mask, act None or
-        # relu) still raise: the pre-activation scan reports the overflow.
+        # An overflow raises with the layer's name whatever the activation,
+        # mask or batchnorm: a relu must not hide a -inf pre-activation.
         x, w = np.array([[1e308, 1.0], [1.0, 1.0]]), np.array([[sign * 10.0], [1.0]])
         mask = np.ones((2, 1)) if layer == "masked" else None
         bn = (leaf([1.0]), leaf([0.0])) if layer == "batchnorm" else ()
@@ -624,15 +624,9 @@ class TestDense:
             dense(leaf(x), leaf(w), leaf([0.0]), *bn, act=act, mask=mask, epsilon=1e-5 if bn else None, name="head.h0")
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
-    def test_overflowing_mask_still_raises(self, value):
+    def test_non_finite_mask_raises(self, value):
         with pytest.raises(FloatingPointError, match="^head.h0: dense produced non-finite values$"):
             dense(leaf([[1.0]]), leaf([[1.0]]), leaf([0.0]), act="relu", mask=np.array([[value]]), name="head.h0")
-
-    def test_finite_flag_is_not_a_caller_option(self):
-        with pytest.raises(FloatingPointError, match="^mul produced non-finite values$"):
-            apply("mul", leaf([1e308]), leaf([10.0]), finite=True)
-        node = dense(leaf([[1.0]]), leaf([[2.0]]), leaf([0.0]), act="relu")
-        assert "finite" not in node.attrs
 
 
 class TestGraphMechanics:
