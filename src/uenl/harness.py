@@ -15,24 +15,17 @@ from pathlib import Path
 
 import numpy as np
 
+# forward, uncertainty_forward, uenl_total, backward and eval_logits are unused
+# here, but perfbench/tracing.py rebinds them by name in this module.
 from .config import ExperimentConfig, GaussianNoiseOodSpec, apply_overrides, json_parser
 from .data import Dataset, Normalization, batch_iter, parse_number, read_lines
-from .losses import logitnorm_ce, plain_ce, uenl_total
+from .losses import NORM_EPSILON, UHAT_FLOOR, uenl_total
 from .metrics import MetricReport, auroc, error_rate, histogram, histogram_csv, histogram_range, metrics_csv
-from .model import (
-    ModelParams,
-    eval_logits,  # unused here, but perfbench/tracing.py rebinds harness.eval_logits
-    forward,
-    init_params,
-    param_leaves,
-    param_shapes,
-    predict_classes,
-    uncertainty_forward,
-)
+from .model import ModelParams, eval_logits, forward, init_params, param_shapes, predict_classes, uncertainty_forward
 from .optim import OptState, lr_at_epoch, sgd_step
 from .rng import RngStream, derive_seed
 from .scoring import ScoreSet, energy_score, eval_pass, msp_score, odin_from_pass, scores_csv
-from .tensor import Tensor, add, backward, kl
+from .tensor import PRIMITIVES, Tensor, backward, checked_forward
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -292,44 +285,100 @@ class Checkpoint:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _batch_loss(params, config, xb, yb, dropout_rng, resample_rng, leaves):
-    """Loss graph for one minibatch plus the batchnorm updates it implies."""
-    fo = forward(params, xb, dropout_rng, leaves=leaves)
-    updates = dict(fo.bn_updates)
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness checks report overflow and invalid values
+def _train_step(params: ModelParams, xb: np.ndarray, yb: np.ndarray, dropout_rng, resample_rng):
+    """One minibatch on ``params`` without a graph: returns the loss and each
+    weight's gradient by name (None for a weight the objective does not
+    reach), and updates the batchnorm running statistics in
+    ``params.bn_state``.
+
+    The step calls the primitives of the train loss graph (``batch_loss`` in
+    tests/oracles.py builds it) in the graph's order: each ``dense`` layer in
+    model order, then ``resample``, ``tempered_ce`` and ``kl`` as the
+    objective needs. A tape keeps each call's inputs, output and attrs, and
+    where each input came from: an earlier call, a weight, or neither (the
+    batch, a fixed temperature). Walking it back through the VJPs from
+    np.ones(()) at each loss term, with ``needs`` set for the inputs that
+    came from somewhere, gives ``backward``'s weight gradients bit for bit:
+    an output feeds at most two later calls, and a sum of two does not
+    depend on its order.
+    """
+    config, weights = params.config, params.weights
+    tape = []  # (op, sources, values, out, attrs) per call
+
+    def run(op, sources, values, attrs):
+        out = checked_forward(op, values, attrs)
+        tape.append((op, sources, values, out, attrs))
+        return len(tape) - 1, out
+
+    def layer(prefix, source, x, bn, act, mask=None):
+        names = (f"{prefix}.w", f"{prefix}.b", *((f"{prefix}.bn.gamma", f"{prefix}.bn.beta") if bn else ()))
+        attrs = {"act": act, "mask": mask, "constant": config.bn_epsilon, "name": prefix}
+        called = run("dense", (source, *names), (x, *(weights[name].array for name in names)), attrs)
+        if bn:
+            params.bn_state.update(params.running_stats(prefix, attrs))
+        return called
+
+    at_h, h = None, xb
+    for i, width in enumerate(config.backbone.hidden_dims):
+        mask = None
+        if config.dropout > 0.0:
+            # Inverted dropout: surviving units scaled so the expectation is unchanged.
+            mask = (dropout_rng.uniform(0.0, 1.0, (len(xb), width)) >= config.dropout) / (1.0 - config.dropout)
+        at_h, h = layer(f"backbone.h{i}", at_h, h, config.backbone.use_batchnorm, "relu", mask)
+    at_logits, logits = layer("backbone.out", at_h, h, False, None)
+    n = len(logits)
+    onehot = np.zeros(logits.shape)
+    onehot[np.arange(n), yb - 1] = 1.0
+
+    def ce(at_t, t, norm_floor):
+        attrs = {"labels": onehot, "norm_floor": norm_floor, "reduction": "mean"}
+        return run("tempered_ce", (at_logits, at_t), (logits, t), attrs)
+
     if config.method == "ce":
-        return plain_ce(fo.logits, yb), updates
-    if config.method == "logitnorm":
-        return logitnorm_ce(fo.logits, yb, config.temperature), updates
-    if config.pinned_uhat is not None:
-        # Fixed temperature ablation: the resampler is bypassed entirely, and
-        # with kl weight 0 the head never runs, so the loss is the
-        # fixed-temperature baseline's own tempered_ce node.
-        total = logitnorm_ce(fo.logits, yb, config.pinned_uhat)
+        terms = [ce(None, np.full((n, 1), 1.0), None)]
+    elif config.method == "logitnorm":
+        terms = [ce(None, np.full((n, 1), config.temperature), NORM_EPSILON)]
+    elif config.pinned_uhat is not None:
+        # Fixed temperature ablation: no resampling, and with kl weight 0 the
+        # head never runs.
+        terms = [ce(None, np.full((n, 1), config.pinned_uhat), NORM_EPSILON)]
         if config.kl_weight > 0.0:
-            head = uncertainty_forward(params, fo.embedding, leaves=fo.leaves)
-            updates.update(head.bn_updates)
-            total = add(total, kl(head.u, config.kl_form, config.kl_weight))
-        return total, updates
-    head = uncertainty_forward(params, fo.embedding, leaves=fo.leaves)
-    updates.update(head.bn_updates)
-    total = uenl_total(
-        fo.logits,
-        head.u,
-        yb,
-        config.kl_weight,
-        resample_rng,
-        n_dims=config.delta,
-        uhat_scale=config.uhat_scale,
-        kl_form=config.kl_form,
-    )
-    return total, updates
+            at_u, u = layer("head", at_h, h, True, "exp")
+    else:
+        at_u, u = layer("head", at_h, h, True, "exp")
+        epsilon = resample_rng.normal((n, config.delta))
+        attrs = {"constant": float(config.uhat_scale), "weights": epsilon * epsilon, "floor": UHAT_FLOOR}
+        terms = [ce(*run("resample", (at_u,), (u,), attrs), NORM_EPSILON)]
+    if config.method == "uenl" and config.kl_weight > 0.0:
+        terms.append(run("kl", (at_u,), (u,), {"constant": float(config.kl_weight), "form": config.kl_form}))
+    loss = float(terms[0][1] if len(terms) == 1 else terms[0][1] + terms[1][1])
+
+    grads = dict.fromkeys(weights)
+    out_grads = [None] * len(tape)
+    for at, _ in terms:
+        out_grads[at] = np.ones(())
+    for at in reversed(range(len(tape))):
+        op, sources, values, out, attrs = tape[at]
+        needs = tuple(source is not None for source in sources)
+        for source, grad in zip(sources, PRIMITIVES[op].vjp(out_grads[at], values, out, attrs, needs)):
+            if type(source) is int:
+                held = out_grads[source]
+                out_grads[source] = grad if held is None else held + grad
+            elif source is not None:
+                grads[source] = grad
+    return loss, grads
 
 
 def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=None) -> Checkpoint:
     """Train a model per the config; returns the final checkpoint.
 
-    ``progress``, if given, is called as progress(epoch, mean_loss, test_error)
-    after each epoch.
+    Each minibatch is one ``_train_step``, which runs the layer and objective
+    primitives without a graph and walks them back for the weight gradients,
+    then one ``sgd_step``. A non-finite value in a step or in its gradients
+    ends training with a RuntimeError that names the epoch and the batch.
+    ``progress``, if given, is called as progress(epoch, mean_loss,
+    test_error) after each epoch.
     """
     if bundle is None:
         bundle = build_datasets(config)
@@ -361,31 +410,17 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
         lr = lr_at_epoch(epoch, config)
         batch_losses: list[float] = []
         for b, batch in enumerate(batch_iter(bundle.id_train, config.batch_size, config.seed, epoch)):
-            leaves = param_leaves(params)
             try:
-                total, updates = _batch_loss(
-                    params, config, batch.features, batch.labels, dropout_rng, resample_rng, leaves
-                )
-                grads = backward(total, wrt=list(leaves.values()))
-                # Weights outside this batch's graph (e.g. the head under a
+                loss, grads = _train_step(params, batch.features, batch.labels, dropout_rng, resample_rng)
+                # Weights the objective does not reach (e.g. the head under a
                 # pinned temperature) have no gradient: sgd_step gives them a
                 # zero one, and they still decay. Each step's weights are
                 # read-only views of a fresh vector, so the best-epoch
                 # snapshot below needs no copy.
-                params.weights = sgd_step(
-                    opt_state,
-                    {name: grads.get(node) for name, node in leaves.items()},
-                    lr,
-                    config.momentum,
-                    config.weight_decay,
-                )
+                params.weights = sgd_step(opt_state, grads, lr, config.momentum, config.weight_decay)
             except FloatingPointError as exc:
                 raise RuntimeError(f"non-finite value at epoch {epoch}, batch {b}: {exc}") from exc
-            batch_losses.append(total.item())
-            bad = set(updates) - set(params.bn_state)
-            if bad:
-                raise AssertionError(f"unknown batchnorm state keys: {sorted(bad)}")
-            params.bn_state = {**params.bn_state, **updates}
+            batch_losses.append(loss)
 
         loss_trace.append(float(np.mean(batch_losses)))
         predicted = predict_classes(params, bundle.id_test.features)

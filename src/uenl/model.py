@@ -15,6 +15,10 @@ running statistics, a fixed per-column affine map, are folded into the
 linear layer before it (Ioffe & Szegedy 2015), each layer is one ``dense``
 node on constant leaves, and the pass is differentiable with respect to its
 input only. An eval pass over many chunks folds once for all of them.
+Training runs the same ``dense`` primitive per layer without a graph
+(``harness._train_step``); train-mode ``forward`` and
+``uncertainty_forward`` stay the public API and the graph it is tested
+against.
 """
 
 from __future__ import annotations
@@ -80,6 +84,20 @@ class ModelParams:
                 b = Tensor((b.array - mean) * s + self.weights[f"{prefix}.bn.beta"].array)
             leaves[f"{prefix}.w"], leaves[f"{prefix}.b"] = leaf(w), leaf(b)
         return FoldedModel(self.config, leaves)
+
+    def running_stats(self, prefix: str, batch: dict) -> dict[str, Tensor]:
+        """Layer ``prefix``'s batchnorm running mean and variance, by name,
+        after a train batch with statistics ``batch["mean"]`` and
+        ``batch["var"]`` (the attrs of its ``dense`` call): one exponential
+        moving average each, checked for finiteness and adopted uncopied."""
+        momentum, stats = self.config.bn_momentum, {}
+        for stat in ("mean", "var"):
+            key = f"{prefix}.bn.{stat}"
+            new = (1.0 - momentum) * self.bn_state[key].array + momentum * batch[stat]
+            if not np.isfinite(new).all():
+                raise ValueError(f"non-finite values in tensor of shape {new.shape}")
+            stats[key] = Tensor._wrap(new)
+        return stats
 
 
 @dataclass(frozen=True)
@@ -193,9 +211,8 @@ def _dense(
     gamma, beta = (leaves[f"{prefix}.bn.{p}"] for p in ("gamma", "beta")) if bn else (None, None)
     w, b = leaves[f"{prefix}.w"], leaves[f"{prefix}.b"]
     node = dense(h, w, b, gamma, beta, act=act, mask=mask, epsilon=cfg.bn_epsilon, name=prefix)
-    for stat in ("mean", "var") if bn else ():
-        old = params.bn_state[f"{prefix}.bn.{stat}"].array
-        updates[f"{prefix}.bn.{stat}"] = Tensor((1.0 - cfg.bn_momentum) * old + cfg.bn_momentum * node.attrs[stat])
+    if bn:
+        updates.update(params.running_stats(prefix, node.attrs))
     return node
 
 

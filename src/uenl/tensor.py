@@ -35,6 +35,11 @@ the bits depend on the thread count. The weight gradient sums over the
 batch anyway, so it is one BLAS product. ``backward(loss, wrt=[...])``
 runs only the VJPs on a path to the requested nodes and returns their
 gradients alone.
+
+The graph is the public autodiff API and ODIN's input-gradient path.
+Training builds none: its step (``harness._train_step``) calls the
+primitives through ``checked_forward``, the finiteness scan that ``apply``
+runs, then their VJPs in reverse: the float operations of ``backward``.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ __all__ = [
     "Tensor",
     "GraphNode",
     "apply",
+    "checked_forward",
     "backward",
     "leaf",
     "as_node",
@@ -452,9 +458,12 @@ def _fw_dense(values, attrs):
         if eps is None or not 0.0 < float(eps) < np.inf:
             raise ValueError("dense batchnorm epsilon must be positive and finite")
         attrs["constant"] = float(eps)
-        mean = np.mean(z, axis=0)
+        # sum / n: the add.reduce and divide that np.mean runs, without its
+        # Python wrapper.
+        n = len(z)
+        mean = z.sum(axis=0) / n
         centered = z - mean
-        var = np.mean(centered * centered, axis=0)
+        var = (centered * centered).sum(axis=0) / n
         # Batch statistics for the caller's running averages; the biased
         # variance, as np.var gives it. The VJP reuses z_hat.
         attrs["mean"], attrs["var"] = mean, var
@@ -526,7 +535,8 @@ def _fw_tempered_ce(values, attrs):
     total = e.sum(axis=1, keepdims=True)
     attrs["softmax"] = e / total
     per_row = (m + np.log(total))[:, 0] - (z * labels).sum(axis=1)
-    attrs["ce"] = ce = float(per_row.sum() if attrs["reduction"] == "sum" else per_row.mean())
+    summed = per_row.sum()
+    attrs["ce"] = ce = float(summed if attrs["reduction"] == "sum" else summed / len(per_row))
     return ce
 
 
@@ -575,7 +585,7 @@ def _fw_kl(values, attrs):
     # Both forms of KL(N(0, u) || N(0, 1)) vanish exactly at u = 1.
     log_u = np.log(u)
     per_dim = 0.5 * (u - log_u - 1.0) if form == "variance" else 0.5 * (u * u - 2.0 * log_u - 1.0)
-    attrs["kl"] = kl_ = float(per_dim.sum(axis=1).mean())
+    attrs["kl"] = kl_ = float(per_dim.sum(axis=1).sum() / len(u))
     return weight * kl_
 
 
@@ -631,15 +641,22 @@ def apply(op: str, *inputs, axis=None, keepdims: bool = False, constant: float |
         raise ValueError(f"{op} takes {' or '.join(map(str, counts))} input(s), got {len(inputs)}")
     nodes = tuple(as_node(x) for x in inputs)
     attrs = {"axis": axis, "keepdims": keepdims, "constant": constant, **extra}
-    # Overflow and invalid operations are detected by the finiteness checks,
+    # Overflow and invalid operations are detected by the finiteness check,
     # so numpy's own warnings would be redundant noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = prim.forward(tuple(n.value.array for n in nodes), attrs)
-    out = np.asarray(out, dtype=np.float64)
-    if not np.isfinite(out).all():
-        name = f"{extra['name']}: " if extra.get("name") else ""
-        raise FloatingPointError(f"{name}{op} produced non-finite values")
+        out = checked_forward(op, tuple(n.value.array for n in nodes), attrs)
     return GraphNode(op, nodes, Tensor._wrap(out), attrs)
+
+
+def checked_forward(op: str, values: tuple, attrs: dict) -> np.ndarray:
+    """``PRIMITIVES[op].forward(values, attrs)`` as a float64 array. Raises
+    FloatingPointError if any value is non-finite, naming the ``name`` attr
+    when there is one; the caller decides numpy's error state."""
+    out = np.asarray(PRIMITIVES[op].forward(values, attrs), dtype=np.float64)
+    if not np.isfinite(out).all():
+        name = f"{attrs['name']}: " if attrs.get("name") else ""
+        raise FloatingPointError(f"{name}{op} produced non-finite values")
+    return out
 
 
 def backward(loss: GraphNode, wrt=None) -> dict[GraphNode, Tensor]:

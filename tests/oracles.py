@@ -3,7 +3,10 @@
 Everything here is written on a deliberately different route from the
 library code (pairwise enumeration instead of rank statistics, explicit
 threshold sweeps instead of cumulative sums, Monte-Carlo estimates instead
-of closed forms) so agreement is meaningful.
+of closed forms) so agreement is meaningful. ``batch_loss`` is the one
+exception: it builds a train step's loss as a graph from the public model
+and objective functions, the reference that the graph-free train step
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -214,3 +217,44 @@ def stable_ranking(id_scores, ood_scores):
     last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
     tp = np.cumsum(order < id_s.size)[last]
     return ranked[last], tp, last + 1 - tp
+
+
+def batch_loss(params, xb, yb, dropout_rng, resample_rng, leaves):
+    """Loss graph for one minibatch on the weight ``leaves`` of ``params``
+    (``model.param_leaves``), plus the batchnorm running statistics it
+    implies by name: what ``harness.train`` built every step before its
+    graph-free step."""
+    from uenl.losses import logitnorm_ce, plain_ce, uenl_total
+    from uenl.model import forward, uncertainty_forward
+    from uenl.tensor import add, kl
+
+    config = params.config
+    fo = forward(params, xb, dropout_rng, leaves=leaves)
+    updates = dict(fo.bn_updates)
+    if config.method == "ce":
+        return plain_ce(fo.logits, yb), updates
+    if config.method == "logitnorm":
+        return logitnorm_ce(fo.logits, yb, config.temperature), updates
+    if config.pinned_uhat is not None:
+        # Fixed temperature ablation: the resampler is bypassed entirely, and
+        # with kl weight 0 the head never runs, so the loss is the
+        # fixed-temperature baseline's own tempered_ce node.
+        total = logitnorm_ce(fo.logits, yb, config.pinned_uhat)
+        if config.kl_weight > 0.0:
+            head = uncertainty_forward(params, fo.embedding, leaves=fo.leaves)
+            updates.update(head.bn_updates)
+            total = add(total, kl(head.u, config.kl_form, config.kl_weight))
+        return total, updates
+    head = uncertainty_forward(params, fo.embedding, leaves=fo.leaves)
+    updates.update(head.bn_updates)
+    total = uenl_total(
+        fo.logits,
+        head.u,
+        yb,
+        config.kl_weight,
+        resample_rng,
+        n_dims=config.delta,
+        uhat_scale=config.uhat_scale,
+        kl_form=config.kl_form,
+    )
+    return total, updates

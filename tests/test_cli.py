@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import uenl.cli
 import uenl.harness
+import uenl.tensor
 from conftest import V1_CHECKPOINT, WRITE_FAULTS, fail_third_file, tiny_experiment_config
 from uenl.cli import main
 from uenl.config import (
@@ -27,7 +28,6 @@ from uenl.config import (
 from uenl.harness import Checkpoint
 from uenl.model import init_params
 from uenl.rng import RngStream, derive_seed
-from uenl.tensor import Tensor
 
 
 @pytest.fixture()
@@ -105,13 +105,14 @@ class TestTrain:
     def test_non_finite_gradient_is_one_error_line(self, config_path, tmp_path, capsys, monkeypatch):
         # A non-finite gradient is caught by sgd_step, on the same path and
         # with the same message format as a non-finite loss or backward.
-        def inf_first_gradient(loss, wrt):
-            grads = original(loss, wrt=wrt)
-            grads[wrt[0]] = Tensor._wrap(np.full(grads[wrt[0]].shape, np.inf))
-            return grads
+        # Every layer's weight gradient is infinite; the first in layout order is named.
+        def inf_weight_gradient(*args):
+            grads = list(dense.vjp(*args))
+            grads[1] = np.full(grads[1].shape, np.inf)
+            return tuple(grads)
 
-        original = uenl.harness.backward
-        monkeypatch.setattr(uenl.harness, "backward", inf_first_gradient)
+        dense = uenl.tensor.PRIMITIVES["dense"]
+        monkeypatch.setitem(uenl.tensor.PRIMITIVES, "dense", dense._replace(vjp=inf_weight_gradient))
         out = tmp_path / "m.ckpt"
         rc = main(["train", "--config", str(config_path), "--out", str(out), "--quiet"])
         assert rc == 1

@@ -13,12 +13,14 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from conftest import V1_CHECKPOINT, WRITE_FAULTS, fail_third_file, tiny_experiment_config
+from gradcheck import compare_gradient
+from oracles import batch_loss
 from uenl.config import load_config
 from uenl.data import Dataset, Normalization, batch_iter, standardize
 from uenl.harness import (
     Checkpoint,
-    _batch_loss,
     _standardize_in_place,
+    _train_step,
     build_datasets,
     build_raw_datasets,
     evaluate,
@@ -29,10 +31,18 @@ from uenl.harness import (
     write_sweep_csv,
 )
 from uenl.metrics import error_rate
-from uenl.model import eval_logits, forward, init_params, param_leaves, predict_classes, uncertainty_forward
+from uenl.model import (
+    ModelParams,
+    eval_logits,
+    forward,
+    init_params,
+    param_leaves,
+    predict_classes,
+    uncertainty_forward,
+)
 from uenl.rng import RngStream, derive_seed
 from uenl.scoring import energy_score, msp_score, odin_from_pass
-from uenl.tensor import Tensor, kl
+from uenl.tensor import Tensor, backward, kl
 
 
 class TestBuildDatasets:
@@ -338,27 +348,28 @@ def _graph_nodes(*outputs) -> set:
 
 
 class TestTrainStepGraph:
-    DESK = Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json"
+    """The loss graph of a train step, as ``oracles.batch_loss`` builds it
+    from the public model and objective functions."""
 
     def _step(self, config, monkeypatch=None):
         """One train step's loss graph, and the backbone and head outputs
         it was built on."""
         built = []
         if monkeypatch is not None:
-            import uenl.harness as harness
+            import uenl.model as model
 
             for name in ("forward", "uncertainty_forward"):
-                def recording(*args, _original=getattr(harness, name), **kwargs):
+                def recording(*args, _original=getattr(model, name), **kwargs):
                     built.append(_original(*args, **kwargs))
                     return built[-1]
 
-                monkeypatch.setattr(harness, name, recording)
+                monkeypatch.setattr(model, name, recording)
         bundle = build_datasets(config)
         root = RngStream(config.seed)
         params = init_params(config, root)
         batch = next(iter(batch_iter(bundle.id_train, config.batch_size, config.seed, 0)))
-        total, _ = _batch_loss(
-            params, config, batch.features, batch.labels,
+        total, _ = batch_loss(
+            params, batch.features, batch.labels,
             root.substream("dropout"), root.substream("resample"), param_leaves(params),
         )
         return total, built
@@ -368,7 +379,7 @@ class TestTrainStepGraph:
         layers (two hidden, the logits and the head) is a single dense node,
         and so are the resampling, the cross-entropy, the KL term and their
         sum."""
-        total, _ = self._step(load_config(self.DESK))
+        total, _ = self._step(load_config(SHIPPED_CONFIG))
         ops = Counter(node.op for node in _graph_nodes(total).values())
         assert ops == {"dense": 4, "resample": 1, "tempered_ce": 1, "kl": 1, "add": 1}, ops
         layers = sorted(node.attrs["name"] for node in _graph_nodes(total).values() if node.op == "dense")
@@ -387,11 +398,116 @@ class TestTrainStepGraph:
     def test_loss_adds_at_most_4_nodes(self, method, monkeypatch):
         """Whatever the method, the objective adds at most four nodes to
         the backbone and head graphs it reads."""
-        config = replace(load_config(self.DESK), **method)
+        config = replace(load_config(SHIPPED_CONFIG), **method)
         total, built = self._step(config, monkeypatch)
         model_outputs = [out.logits if hasattr(out, "logits") else out.u for out in built]
         loss_nodes = _graph_nodes(total).keys() - _graph_nodes(*model_outputs).keys()
         assert 1 <= len(loss_nodes) <= 4, sorted(_graph_nodes(total)[i].op for i in loss_nodes)
+
+
+def _moved_params(config, seed: int = 3) -> ModelParams:
+    """Fresh parameters for ``config`` with every weight and running
+    statistic moved off its initial value, so that no gradient is zero or
+    equal to another by the symmetry of the start (the head starts at 0)."""
+    params = init_params(config, RngStream(config.seed))
+    rng = np.random.default_rng(seed)
+    weights = {name: Tensor(t.array + 0.3 * rng.standard_normal(t.shape)) for name, t in params.weights.items()}
+    bn_state = {name: Tensor(np.abs(t.array + 0.3 * rng.standard_normal(t.shape))) for name, t in params.bn_state.items()}
+    return ModelParams(config, weights, bn_state)
+
+
+def _copy(params: ModelParams) -> ModelParams:
+    return ModelParams(params.config, dict(params.weights), dict(params.bn_state))
+
+
+class TestTrainStep:
+    """``harness._train_step`` runs the loss graph's primitives with no graph:
+    its loss, weight gradients and batchnorm updates are the graph's
+    (``oracles.batch_loss`` and ``backward``) bit for bit."""
+
+    DESK_VARIANTS = {
+        "uenl": [],
+        "lambda_0": ["lambda=0"],
+        "kl_std": ['kl_form="std"'],
+        "scalar_uncertainty": ["scalar_uncertainty=true"],
+        "pinned_uhat": ["pinned_uhat=0.04"],
+        "pinned_uhat_lambda_0": ["pinned_uhat=0.04", "lambda=0"],
+        "logitnorm": ['method="logitnorm"'],
+        "ce": ['method="ce"'],
+        "batchnorm_off": ["backbone.use_batchnorm=false"],
+        "dropout_0": ["dropout=0"],
+    }
+
+    @pytest.mark.parametrize("overrides", DESK_VARIANTS.values(), ids=DESK_VARIANTS.keys())
+    def test_equals_the_graph_bit_for_bit(self, overrides):
+        """On the desk config's first batch of 128 rows and its last of 92,
+        which leaves the second 64-row block short."""
+        config = load_config(SHIPPED_CONFIG, overrides)
+        bundle = build_datasets(config)
+        params = _moved_params(config)
+        batches = list(batch_iter(bundle.id_train, config.batch_size, config.seed, 0))
+        assert [len(batches[0].labels), len(batches[-1].labels)] == [128, 92]
+        for batch in (batches[0], batches[-1]):
+            graph, step = _copy(params), _copy(params)
+            leaves = param_leaves(graph)
+            total, updates = batch_loss(
+                graph, batch.features, batch.labels,
+                RngStream(5).substream("dropout"), RngStream(5).substream("resample"), leaves,
+            )
+            want = backward(total, wrt=list(leaves.values()))
+            loss, grads = _train_step(
+                step, batch.features, batch.labels, RngStream(5).substream("dropout"), RngStream(5).substream("resample")
+            )
+            assert loss.hex() == total.item().hex()
+            assert list(grads) == list(leaves)
+            for name, node in leaves.items():
+                if node not in want:
+                    assert grads[name] is None, name
+                else:
+                    assert grads[name].shape == want[node].shape, name
+                    assert grads[name].tobytes() == want[node].array.tobytes(), name
+            expected_bn = {**params.bn_state, **updates}
+            assert list(step.bn_state) == list(expected_bn)
+            for name, t in expected_bn.items():
+                assert step.bn_state[name].array.tobytes() == t.array.tobytes(), name
+                assert not step.bn_state[name].array.flags.writeable
+            assert graph.bn_state == params.bn_state
+
+    def test_weight_gradients_match_finite_differences(self):
+        """Criterion 1's 1e-5 on the path that trains: every weight gradient
+        of a step on the tiny config, dropout on, against central
+        differences of the step's own loss."""
+        config = tiny_experiment_config(dropout=0.2)
+        batch = next(iter(batch_iter(build_datasets(config).id_train, config.batch_size, config.seed, 0)))
+        params = _moved_params(config)
+
+        def loss_at(name):
+            def value(w):
+                moved = _copy(params)
+                moved.weights[name] = Tensor(w)
+                return _train_step(moved, batch.features, batch.labels, RngStream(5), RngStream(6))[0]
+
+            return value
+
+        _, grads = _train_step(_copy(params), batch.features, batch.labels, RngStream(5), RngStream(6))
+        for name, t in params.weights.items():
+            result = compare_gradient(loss_at(name), t.array, grads[name])
+            assert result.max_rel_err < 1e-5, (name, result.max_rel_err)
+            assert result.n_checked >= t.size // 2, name
+
+    def test_non_finite_running_variance_is_the_graph_error(self):
+        """A column whose values overflow when squared gives an infinite batch
+        variance but finite normalized values: the step stops at the running
+        statistic with the graph's error."""
+        config = replace(load_config(SHIPPED_CONFIG), dropout=0.0)
+        params = _moved_params(config)
+        xb = np.full((8, 16), 1e200) * np.array([1.0, -1.0] * 4)[:, None]
+        yb = np.arange(8) % 3 + 1
+        with pytest.raises(ValueError) as graph_error:
+            batch_loss(_copy(params), xb, yb, RngStream(5), RngStream(6), param_leaves(params))
+        with pytest.raises(ValueError) as step_error:
+            _train_step(_copy(params), xb, yb, RngStream(5), RngStream(6))
+        assert str(step_error.value) == str(graph_error.value) == "non-finite values in tensor of shape (64,)"
 
 
 class TestSelectBestValidation:

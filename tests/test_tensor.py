@@ -41,8 +41,10 @@ import uenl.scoring
 import uenl.tensor
 from conftest import tiny_experiment_config
 from gradcheck import finite_diff_check
-from oracles import numeric_gradient
-from uenl.model import forward
+from oracles import batch_loss, numeric_gradient
+from uenl.data import batch_iter
+from uenl.model import forward, init_params, param_leaves
+from uenl.rng import RngStream
 from uenl.scoring import odin_from_pass
 
 
@@ -225,12 +227,20 @@ def _checked_backward(calls: list):
 
 
 class TestBackwardWrt:
-    def test_train_loss_gradients_match_full_backward(self, monkeypatch):
+    def test_train_loss_gradients_match_full_backward(self):
+        """On every batch of one epoch's train loss graphs (the reference
+        the graph-free train step is pinned against)."""
         calls = []
-        monkeypatch.setattr(uenl.harness, "backward", _checked_backward(calls))
+        checked = _checked_backward(calls)
         config = tiny_experiment_config(epochs=1, dropout=0.1)
-        checkpoint = uenl.harness.train(config)
-        assert calls and all(n == len(checkpoint.weights) for n in calls)
+        root = RngStream(config.seed)
+        params = init_params(config, root)
+        dropout_rng, resample_rng = root.substream("dropout"), root.substream("resample")
+        for batch in batch_iter(uenl.harness.build_datasets(config).id_train, config.batch_size, config.seed, 0):
+            leaves = param_leaves(params)
+            total, _ = batch_loss(params, batch.features, batch.labels, dropout_rng, resample_rng, leaves)
+            checked(total, wrt=leaves.values())
+        assert len(calls) == 5 and all(n == len(params.weights) for n in calls)
 
     def test_odin_nll_gradient_matches_full_backward(self, monkeypatch, small_params):
         calls = []
