@@ -448,30 +448,29 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
 def _dataset_scores(params, features, methods, spec, clip_range) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Eval-mode logits and each method's scores on one dataset, all from
     one eval_pass on one fold of ``params``: every method scores each chunk
-    while its graph is alive, and ODIN's perturbed forward shares the fold."""
+    as it is made, and ODIN's perturbed forward shares the fold."""
     model = params.fold()
 
-    def score(out, u_total):
-        return out.logits.array, [_scores_for(model, out, m, spec, clip_range, u_total) for m in methods]
+    def score(chunk):
+        return chunk.logits, [_scores_for(model, chunk, m, spec, clip_range) for m in methods]
 
     chunks = eval_pass(model, features, score)
     logits = np.concatenate([logits for logits, _ in chunks])
     return logits, {m: np.concatenate([scores[j] for _, scores in chunks]) for j, m in enumerate(methods)}
 
 
-def _scores_for(model, out, method, spec, clip_range, u_total) -> np.ndarray:
-    """One method's scores on one eval_pass chunk: ``out`` is its eval-mode
-    ForwardOutput on the FoldedModel ``model`` and ``u_total`` its rows'
-    total uncertainty. Only ODIN runs more: an input gradient through
-    ``out``'s graph and one perturbed forward on ``model``."""
+def _scores_for(model, chunk, method, spec, clip_range) -> np.ndarray:
+    """One method's scores on one eval_pass chunk (an ``EvalChunk`` of the
+    FoldedModel ``model``). Only ODIN runs more: an input gradient along
+    the chunk's tape and one perturbed forward on ``model``."""
     if method == "msp":
-        return msp_score(out.logits.array)
+        return msp_score(chunk.logits)
     if method == "energy":
-        return energy_score(out.logits.array, spec.energy_temperature)
+        return energy_score(chunk.logits, spec.energy_temperature)
     if method == "uncertainty":
-        return -u_total
+        return -chunk.u_total
     if method == "odin":
-        return odin_from_pass(model, out, spec.odin_temperature, spec.odin_epsilon, clip_range)
+        return odin_from_pass(model, chunk, spec.odin_temperature, spec.odin_epsilon, clip_range)
     raise ValueError(f"unknown scoring method {method!r}")
 
 

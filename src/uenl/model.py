@@ -7,18 +7,17 @@ maps inputs to an embedding (the last hidden activation) and class logits.
 The head maps the same embedding to a strictly positive uncertainty vector
 u = exp(batchnorm(linear(e))), ``delta`` wide (1 with
 ``scalar_uncertainty``). Each layer, its batchnorm, activation and dropout
-included, is one ``dense`` graph node. The model argument's type picks
+included, is one ``dense`` primitive call. The model argument's type picks
 the mode. ``ModelParams`` run in train mode, where every output is
 differentiable with respect to parameters and inputs alike. A
 ``FoldedModel`` (``ModelParams.fold``) runs in eval mode: batchnorm's
 running statistics, a fixed per-column affine map, are folded into the
-linear layer before it (Ioffe & Szegedy 2015), each layer is one ``dense``
-node on constant leaves, and the pass is differentiable with respect to its
-input only. An eval pass over many chunks folds once for all of them.
-Training runs the same ``dense`` primitive per layer without a graph
-(``harness._train_step``); train-mode ``forward`` and
-``uncertainty_forward`` stay the public API and the graph it is tested
-against.
+linear layer before it (Ioffe & Szegedy 2015). Its ``run`` is the eval
+forward: one ``dense`` call per layer without a graph, with an optional
+tape for an input gradient (ODIN's); an eval pass folds once for all its
+chunks. Training runs ``dense`` without a graph too
+(``harness._train_step``). ``forward`` and ``uncertainty_forward`` build a
+graph in either mode: the public autodiff API and the tests' reference.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .rng import RngStream
-from .tensor import GraphNode, Tensor, as_node, dense, leaf
+from .tensor import GraphNode, Tensor, as_node, checked_forward, dense, leaf
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -68,11 +67,11 @@ class ModelParams:
         Each running-statistics batchnorm is a fixed per-column affine map,
         folded into the linear layer before it: with s = gamma / sqrt(var +
         eps), w' = w * s and b' = (b - mean) * s + beta. Every layer's ``w``
-        and ``b`` (w' and b' with batchnorm) become one constant leaf each;
-        a layer without batchnorm wraps its own weight tensors, uncopied.
+        and ``b`` (w' and b' with batchnorm) become one read-only array
+        each; a layer without batchnorm keeps its weights' arrays, uncopied.
         """
         shapes, eps = param_shapes(self.config)[0], self.config.bn_epsilon
-        leaves: dict[str, GraphNode] = {}
+        arrays: dict[str, np.ndarray] = {}
         for prefix in (name[:-2] for name in shapes if name.endswith(".w")):
             w, b = self.weights[f"{prefix}.w"], self.weights[f"{prefix}.b"]
             if f"{prefix}.bn.gamma" in shapes:
@@ -82,8 +81,8 @@ class ModelParams:
                 s = self.weights[f"{prefix}.bn.gamma"].array / np.sqrt(var + eps)
                 w = Tensor(w.array * s)
                 b = Tensor((b.array - mean) * s + self.weights[f"{prefix}.bn.beta"].array)
-            leaves[f"{prefix}.w"], leaves[f"{prefix}.b"] = leaf(w), leaf(b)
-        return FoldedModel(self.config, leaves)
+            arrays[f"{prefix}.w"], arrays[f"{prefix}.b"] = w.array, b.array
+        return FoldedModel(self.config, arrays)
 
     def running_stats(self, prefix: str, batch: dict) -> dict[str, Tensor]:
         """Layer ``prefix``'s batchnorm running mean and variance, by name,
@@ -103,17 +102,35 @@ class ModelParams:
 @dataclass(frozen=True)
 class FoldedModel:
     """An eval-mode model: each layer's ``{prefix}.w`` and ``{prefix}.b``,
-    batchnorm folded in, as constant graph leaves that every eval forward
-    and head pass given this value shares. Built by ``ModelParams.fold``
-    and never changed; it does not follow later edits to the parameters
-    it was folded from."""
+    batchnorm folded in, as read-only arrays that every eval pass given
+    this value shares. Built by ``ModelParams.fold`` and never changed; it
+    does not follow later edits to the parameters it was folded from."""
 
     config: ExperimentConfig
-    leaves: dict[str, GraphNode]
+    arrays: dict[str, np.ndarray]
 
     def fold(self) -> FoldedModel:
         """Already folded: the model itself."""
         return self
+
+    @np.errstate(over="ignore", invalid="ignore")  # the finiteness checks report overflow and invalid values
+    def run(self, x: np.ndarray, tape: list | None = None, head: bool = True):
+        """(embedding, logits, u) of the rows ``x`` without a graph, u None
+        unless ``head``: one ``checked_forward("dense", ...)`` per layer, the
+        values and errors of ``forward`` and ``uncertainty_forward`` on this
+        model. ``tape`` receives each backbone call's (inputs, output, attrs)."""
+        _check_rows("input", np.shape(x), self.config.backbone.input_dim)
+
+        def layer(prefix, h, act, calls):
+            values = (h, self.arrays[f"{prefix}.w"], self.arrays[f"{prefix}.b"])
+            attrs = {"act": act, "mask": None, "name": prefix}
+            calls.append((values, checked_forward("dense", values, attrs), attrs))
+            return calls[-1][1]
+
+        h, calls = x, [] if tape is None else tape
+        for i in range(len(self.config.backbone.hidden_dims)):
+            h = layer(f"backbone.h{i}", h, "relu", calls)
+        return h, layer("backbone.out", h, None, calls), (layer("head", h, "exp", []) if head else None)
 
 
 @dataclass
@@ -121,7 +138,7 @@ class ForwardOutput:
     """Backbone outputs as graph nodes, ready for losses or input gradients.
 
     ``leaves`` maps each weight name to its graph leaf in train mode; an
-    eval-mode pass builds no parameter leaves, so it is empty there."""
+    eval-mode pass reports no parameter leaves, so it is empty there."""
 
     logits: GraphNode
     embedding: GraphNode
@@ -218,13 +235,18 @@ def _dense(
 
 def _layer_leaves(params: ModelParams | FoldedModel, leaves: dict[str, GraphNode] | None) -> tuple[bool, dict]:
     """Whether a pass on ``params`` trains, and the leaves its layers read:
-    ``leaves`` (fresh ``param_leaves`` when None) for ``ModelParams``, the
-    folded constants for a ``FoldedModel``, which takes no ``leaves``."""
+    ``leaves`` (fresh ``param_leaves`` when None) for ``ModelParams``, fresh
+    leaves on the folded arrays for a ``FoldedModel``, which takes none."""
     if isinstance(params, FoldedModel):
         if leaves:
             raise ValueError("a folded model runs in eval mode and takes no parameter leaves")
-        return False, params.leaves
+        return False, {name: leaf(Tensor._wrap(array)) for name, array in params.arrays.items()}
     return True, param_leaves(params) if leaves is None else leaves
+
+
+def _check_rows(what: str, shape: tuple[int, ...], width: int) -> None:
+    if len(shape) != 2 or shape[1] != width:
+        raise ValueError(f"{what} must have shape (batch, {width}), got {shape}")
 
 
 def forward(
@@ -240,17 +262,14 @@ def forward(
     dropout needs ``rng``, and the layers read ``leaves``, fresh
     ``param_leaves`` when None. A ``FoldedModel`` (``ModelParams.fold``)
     runs in eval mode: the pass is deterministic and each row's outputs are
-    exactly the values it would get in any other batch. It builds no
+    exactly the values it would get in any other batch. It reports no
     parameter leaves (``leaves`` must be None or empty, and the output's is
     empty) and so is differentiable with respect to ``x`` only.
     """
     train, layers = _layer_leaves(params, leaves)
     backbone, rate = params.config.backbone, params.config.dropout
     x_node = as_node(x)
-    if x_node.value.ndim != 2 or x_node.value.shape[1] != backbone.input_dim:
-        raise ValueError(
-            f"input must have shape (batch, {backbone.input_dim}), got {x_node.value.shape}"
-        )
+    _check_rows("input", x_node.shape, backbone.input_dim)
     if train and rate > 0.0 and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng stream")
 
@@ -278,25 +297,21 @@ def uncertainty_forward(
     On ``ModelParams`` (train mode), pass the ``leaves`` of a backbone
     ForwardOutput to share one parameter leaf set across backbone and head
     (required for joint gradients). On a ``FoldedModel`` (eval mode), as in
-    ``forward``: u = exp(e @ w' + b'), with no parameter leaves.
+    ``forward``: u = exp(e @ w' + b'), with no parameter leaves reported.
     """
     train, layers = _layer_leaves(params, leaves)
     width = params.config.backbone.hidden_dims[-1]
     e = as_node(embedding)
-    if e.value.ndim != 2 or e.value.shape[1] != width:
-        raise ValueError(f"embedding must have shape (batch, {width}), got {e.value.shape}")
+    _check_rows("embedding", e.shape, width)
     updates: dict[str, Tensor] = {}
     return HeadOutput(_dense(params, layers, "head", e, train, "exp", updates), updates)
 
 
 def eval_logits(params: ModelParams | FoldedModel, x, batch_size: int = 512) -> np.ndarray:
-    """Deterministic eval-mode logits, computed in batches on one fold."""
+    """Deterministic eval-mode logits, in batches on one fold, without a graph."""
     x = np.asarray(x, dtype=np.float64)
     model = params.fold()
-    parts = [
-        forward(model, x[i : i + batch_size]).logits.array
-        for i in range(0, len(x), batch_size)
-    ]
+    parts = [model.run(x[i : i + batch_size], head=False)[1] for i in range(0, len(x), batch_size)]
     return np.concatenate(parts, axis=0) if parts else np.zeros((0, params.config.backbone.num_classes))
 
 

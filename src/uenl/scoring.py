@@ -3,9 +3,10 @@ higher means more in-distribution. A sample is declared ID when its score
 reaches the decision threshold.
 
 ``msp_score`` and ``energy_score`` score (n, k) logit rows. ``eval_pass``
-hands each chunk's eval-mode pass and total uncertainty sum_i u_i to a
-score: the uncertainty score is -sum_i u_i, and ``odin_from_pass`` perturbs
-the chunk's inputs along its graph. ``scores_csv`` only formats CSV text.
+hands each chunk's graph-free eval pass to a score: the uncertainty score
+is -sum_i u_i, and ``odin_from_pass`` perturbs the chunk's inputs along the
+gradient it walks back on the chunk's tape. ``scores_csv`` only formats CSV
+text.
 
 The softmax and logsumexp kernels repeat scipy.special's (1.17) operations
 in order, so scores.csv has the same bits without scipy.
@@ -14,18 +15,20 @@ in order, so scores.csv has the same bits without scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .model import FoldedModel, ForwardOutput, ModelParams, forward, uncertainty_forward
-from .tensor import backward, tempered_ce
+# forward, uncertainty_forward and backward are unused, but perfbench/tracing.py rebinds them here.
+from .model import FoldedModel, ModelParams, forward, uncertainty_forward
+from .tensor import PRIMITIVES, backward, checked_forward
 
 __all__ = [
     "msp_score",
     "energy_score",
     "odin_from_pass",
     "eval_pass",
+    "EvalChunk",
     "ScoreSet",
     "scores_csv",
     "SCORE_METHODS",
@@ -64,47 +67,59 @@ def energy_score(logits, temperature: float = 0.1) -> np.ndarray:
     return temperature * (np.log1p(s / m) + np.log(m) + z_max[:, 0])
 
 
-def odin_from_pass(
-    model: ModelParams | FoldedModel,
-    out: ForwardOutput,
-    temperature: float,
-    epsilon: float,
-    clip_range: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """ODIN: the temperature-scaled max softmax of the rows of ``out``, an
-    eval-mode pass on ``model.fold()``, after each input moves ``epsilon``
+class EvalChunk(NamedTuple):
+    """One ``eval_pass`` chunk: its rows, their eval-mode logits and sum_i
+    u_i, and the tape of its backbone calls (``FoldedModel.run``)."""
+
+    x: np.ndarray
+    logits: np.ndarray
+    u_total: np.ndarray
+    tape: list
+
+
+def odin_from_pass(model: ModelParams | FoldedModel, chunk: EvalChunk, temperature: float, epsilon: float,
+                   clip_range: tuple[float, float] | None = None) -> np.ndarray:
+    """ODIN: the temperature-scaled max softmax of the rows of ``chunk``, an
+    eval_pass chunk on ``model.fold()``, after each input moves ``epsilon``
     against the sign of the gradient of its predicted class's tempered NLL
-    (taken through ``out``'s graph). ``clip_range`` (lo, hi), normally the ID
-    training feature range, bounds the moved input. With epsilon = 0 nothing
-    runs again, and at temperature 1 the score is exactly msp_score.
+    (walked back along the chunk's tape). ``clip_range`` (lo, hi), normally
+    the ID training feature range, bounds the moved input. With epsilon = 0
+    nothing runs again, and at temperature 1 the score is exactly msp_score.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     if epsilon < 0.0:
         raise ValueError("epsilon must be non-negative")
+    logits = chunk.logits
     if epsilon > 0.0:
-        out = forward(model.fold(), _odin_perturbed(out, temperature, epsilon, clip_range))
-    return _max_softmax(out.logits.array / temperature)
+        logits = model.fold().run(_odin_perturbed(chunk, temperature, epsilon, clip_range), head=False)[1]
+    return _max_softmax(logits / temperature)
 
 
-def _odin_perturbed(
-    out: ForwardOutput,
-    temperature: float,
-    epsilon: float,
-    clip_range: tuple[float, float] | None,
-) -> np.ndarray:
-    logits = out.logits.array
+def _input_gradient(chunk: EvalChunk, temperature: float) -> np.ndarray:
+    """d/dx of the summed NLLs of each row's argmax class at ``temperature``
+    (rows are independent, so each row's gradient is its own NLL's):
+    ``tempered_ce``'s forward and VJP, then each taped call's input VJP in
+    reverse, the float operations of ``backward(nll, wrt=[x])``."""
+    logits = chunk.logits
     onehot = np.zeros_like(logits)
     onehot[np.arange(len(logits)), np.argmax(logits, axis=1)] = 1.0
-    # Sum of per-sample NLLs at the ODIN temperature: rows are independent,
-    # so each input row's gradient is exactly its own NLL gradient.
-    nll = tempered_ce(out.logits, np.full((len(logits), 1), temperature), onehot, reduction="sum")
-    grad = backward(nll, wrt=[out.x])[out.x].array
+    values = (logits, np.full((len(logits), 1), temperature))
+    attrs = {"labels": onehot, "norm_floor": None, "reduction": "sum"}
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports them
+        nll = checked_forward("tempered_ce", values, attrs)
+    grad = PRIMITIVES["tempered_ce"].vjp(np.ones(()), values, nll, attrs, (True, False))[0]
+    for values, out, attrs in reversed(chunk.tape):
+        grad = PRIMITIVES["dense"].vjp(grad, values, out, attrs, (True, False, False))[0]
+    return grad
+
+
+def _odin_perturbed(chunk: EvalChunk, temperature: float, epsilon: float, clip_range) -> np.ndarray:
     # x - epsilon * sign(grad), in one buffer: x + sign(grad) * -epsilon
     # rounds the same, signed zeros included.
-    x_perturbed = np.sign(grad)
+    x_perturbed = np.sign(_input_gradient(chunk, temperature))
     x_perturbed *= -epsilon
-    x_perturbed += out.x.array
+    x_perturbed += chunk.x
     if clip_range is not None:
         lo, hi = clip_range
         if not hi > lo:
@@ -115,25 +130,20 @@ def _odin_perturbed(
 
 def eval_pass(params: ModelParams | FoldedModel, x, score: Callable, chunk: int = 512) -> list:
     """Run backbone and head in eval mode on ``x``, ``chunk`` rows at a time,
-    and return ``[score(out, u_total)]``, one entry per chunk.
+    without a graph, and return ``[score(EvalChunk)]``, one entry per chunk.
 
-    ``out`` is the chunk's ForwardOutput, graph included, so a score may
-    differentiate it (ODIN does); ``u_total`` is each row's total
-    uncertainty sum_i u_i (the row sums only, which keeps memory flat).
-    Only one chunk's graph is alive at a time. Eval rows do not depend on
-    their batch, so the chunks together equal an unchunked pass bit for bit.
-    ``params`` is folded once (``ModelParams.fold``; a ``FoldedModel`` is
-    used as it is), and every chunk runs on the same constant leaves.
+    A chunk keeps its rows' total uncertainty only (which keeps memory
+    flat), and its tape lets a score take an input gradient (ODIN does).
+    Eval rows do not depend on their batch, so the chunks together equal an
+    unchunked pass bit for bit. ``params`` is folded once, and every chunk
+    runs on the same folded arrays.
     """
-    x = np.asarray(x, dtype=np.float64)
-    model = params.fold()
-    return [score(*_chunk_pass(model, x[i : i + chunk])) for i in range(0, len(x), chunk)]
-
-
-def _chunk_pass(model: FoldedModel, x: np.ndarray) -> tuple[ForwardOutput, np.ndarray]:
-    out = forward(model, x)
-    u = uncertainty_forward(model, out.embedding).u.array
-    return out, np.sum(u, axis=1)
+    x, model, results = np.asarray(x, dtype=np.float64), params.fold(), []
+    for rows in (x[i : i + chunk] for i in range(0, len(x), chunk)):
+        tape = []
+        _, logits, u = model.run(rows, tape)
+        results.append(score(EvalChunk(rows, logits, np.sum(u, axis=1), tape)))
+    return results
 
 
 @dataclass

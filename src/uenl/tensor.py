@@ -36,10 +36,11 @@ batch anyway, so it is one BLAS product. ``backward(loss, wrt=[...])``
 runs only the VJPs on a path to the requested nodes and returns their
 gradients alone.
 
-The graph is the public autodiff API and ODIN's input-gradient path.
-Training builds none: its step (``harness._train_step``) calls the
-primitives through ``checked_forward``, the finiteness scan that ``apply``
-runs, then their VJPs in reverse: the float operations of ``backward``.
+The graph is the public autodiff API. Training and evaluation build none:
+the train step (``harness._train_step``), the eval forward
+(``model.FoldedModel.run``) and ODIN's input gradient call the primitives
+through ``checked_forward``, the finiteness scan that ``apply`` runs, and
+walk their VJPs back: the float operations of ``backward``.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ import uenl.model
 import uenl.scoring
 from uenl.config import BackboneSpec, ExperimentConfig
 from uenl.harness import Checkpoint, build_datasets, train
-from uenl.model import init_params
+from uenl.model import ModelParams, init_params
 from uenl.rng import RngStream
+from uenl.tensor import Tensor
 
 # One profile for every property test: the same examples on every run, no
 # example database on disk, and no per-example deadline.
@@ -28,6 +30,34 @@ V1_CHECKPOINT = Path(__file__).parent / "fixtures" / "tiny_epochs2_v1.ckpt.json"
 def model_arch(input_dim, hidden_dims, num_classes, use_batchnorm=True, **fields) -> ExperimentConfig:
     """A config with no data section, for tests that only build the model."""
     return ExperimentConfig(BackboneSpec(input_dim, tuple(hidden_dims), num_classes, use_batchnorm), **fields)
+
+
+# The tiny test, desk and image architectures, plus the variants without
+# backbone batchnorm and with a scalar u.
+FOLD_SHAPES = {
+    "tiny": dict(input_dim=6, hidden_dims=(16, 8), num_classes=2, delta=8),
+    "tiny_no_bn": dict(input_dim=6, hidden_dims=(16, 8), num_classes=2, delta=8, use_batchnorm=False),
+    "tiny_scalar_u": dict(input_dim=6, hidden_dims=(16, 8), num_classes=2, delta=8, scalar_uncertainty=True),
+    "desk": dict(input_dim=16, hidden_dims=(64, 32), num_classes=3, delta=32),
+    "image": dict(input_dim=784, hidden_dims=(256, 128), num_classes=10, delta=32),
+}
+
+
+def trained_like(shape: str) -> ModelParams:
+    """Parameters of ``shape`` with every weight and running statistic moved
+    off its initial value, so that no batchnorm is the identity."""
+    params = init_params(model_arch(**FOLD_SHAPES[shape]), RngStream(0))
+    rng = np.random.default_rng(zlib.crc32(shape.encode()))
+    for name, t in params.weights.items():
+        noise = rng.standard_normal(t.shape)
+        if name.endswith(".w"):
+            params.weights[name] = Tensor(noise / np.sqrt(t.shape[0]))
+        else:  # biases and betas near 0, gammas near 1
+            params.weights[name] = Tensor(float(name.endswith(".gamma")) + 0.2 * noise)
+    for name, t in params.bn_state.items():
+        noise = rng.standard_normal(t.shape)
+        params.bn_state[name] = Tensor(np.exp(0.5 * noise) if name.endswith(".var") else 0.3 * noise)
+    return params
 
 
 def tiny_experiment_config(**overrides) -> ExperimentConfig:
@@ -75,17 +105,18 @@ def tiny_bundle():
 
 @pytest.fixture()
 def backbone_calls(monkeypatch):
-    """Every backbone run, through the scoring module or through
-    model.eval_logits / predict_classes."""
+    """The batch size of every backbone run: each graph-free eval forward
+    (``FoldedModel.run``: eval_pass chunks, ODIN's perturbed inputs,
+    eval_logits and predict_classes) and each graph ``model.forward``."""
     calls = []
-    for module in (uenl.scoring, uenl.model):
-        original = module.forward
+    for owner, name in ((uenl.model.FoldedModel, "run"), (uenl.model, "forward"), (uenl.scoring, "forward")):
+        original = getattr(owner, name)
 
         def counted(*args, original=original, **kwargs):
             calls.append(len(args[1]))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, "forward", counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 

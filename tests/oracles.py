@@ -3,10 +3,12 @@
 Everything here is written on a deliberately different route from the
 library code (pairwise enumeration instead of rank statistics, explicit
 threshold sweeps instead of cumulative sums, Monte-Carlo estimates instead
-of closed forms) so agreement is meaningful. ``batch_loss`` is the one
-exception: it builds a train step's loss as a graph from the public model
-and objective functions, the reference that the graph-free train step
-must match bit for bit.
+of closed forms) so agreement is meaningful. ``batch_loss`` and the
+graph eval pass (``graph_eval_pass``, ``odin_from_pass``, ``odin_perturbed``)
+are the exceptions: they build a train step's loss and each eval chunk's
+pass and ODIN gradient as graphs from the public model, objective and
+autodiff functions, the references that the graph-free train step and
+eval pass must match bit for bit.
 """
 
 from __future__ import annotations
@@ -258,3 +260,46 @@ def batch_loss(params, xb, yb, dropout_rng, resample_rng, leaves):
         kl_form=config.kl_form,
     )
     return total, updates
+
+
+def graph_eval_pass(params, x, score, chunk: int = 512) -> list:
+    """``[score(out, u_total)]`` per ``chunk`` rows of ``x``, ``out`` the
+    chunk's eval-mode ForwardOutput on one fold of ``params``, graph
+    included, and ``u_total`` its rows' sum_i u_i from the graph head: what
+    ``scoring.eval_pass`` ran before it went graph-free."""
+    from uenl.model import forward, uncertainty_forward
+
+    x = np.asarray(x, dtype=np.float64)
+    model = params.fold()
+    results = []
+    for i in range(0, len(x), chunk):
+        out = forward(model, x[i : i + chunk])
+        results.append(score(out, np.sum(uncertainty_forward(model, out.embedding).u.array, axis=1)))
+    return results
+
+
+def odin_from_pass(model, out, temperature: float, epsilon: float, clip_range=None) -> np.ndarray:
+    """ODIN on the graph: the temperature-scaled max softmax of the rows of
+    ``out`` (an eval-mode ForwardOutput on ``model.fold()``) after the
+    ``odin_perturbed`` step, with a graph forward of the moved rows."""
+    from uenl.model import forward
+    from uenl.scoring import _max_softmax
+
+    if epsilon > 0.0:
+        out = forward(model.fold(), odin_perturbed(out, temperature, epsilon, clip_range))
+    return _max_softmax(out.logits.array / temperature)
+
+
+def odin_perturbed(out, temperature: float, epsilon: float, clip_range) -> np.ndarray:
+    """Each row of ``out.x`` moved ``epsilon`` against the sign of the
+    gradient of its argmax class's tempered NLL, by ``backward`` through
+    ``out``'s graph, and clipped to ``clip_range``."""
+    from uenl.tensor import backward, tempered_ce
+
+    logits = out.logits.array
+    onehot = np.zeros_like(logits)
+    onehot[np.arange(len(logits)), np.argmax(logits, axis=1)] = 1.0
+    nll = tempered_ce(out.logits, np.full((len(logits), 1), temperature), onehot, reduction="sum")
+    grad = backward(nll, wrt=[out.x])[out.x].array
+    x_perturbed = out.x.array - epsilon * np.sign(grad)
+    return x_perturbed if clip_range is None else np.clip(x_perturbed, *clip_range)

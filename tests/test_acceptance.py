@@ -23,9 +23,9 @@ from uenl.config import BackboneSpec, ExperimentConfig, load_config
 from uenl.harness import Checkpoint, build_datasets, evaluate, sweep, train, write_sweep_csv
 from uenl.losses import NORM_EPSILON, UHAT_FLOOR, logitnorm_ce, uenl_total
 from uenl.metrics import auroc, aupr, fpr_at_tpr
-from uenl.model import eval_logits, forward, init_params
+from uenl.model import eval_logits, init_params
 from uenl.rng import RngStream
-from uenl.scoring import msp_score, odin_from_pass
+from uenl.scoring import eval_pass, msp_score, odin_from_pass
 from uenl.tensor import (
     add,
     dense,
@@ -278,7 +278,7 @@ def test_criterion_06_method_reductions():
     )
     x = np.random.default_rng(1006).standard_normal((100, 5))
     model = params.fold()
-    odin = odin_from_pass(model, forward(model, x), temperature=1.0, epsilon=0.0, clip_range=(-3.0, 3.0))
+    odin = np.concatenate(eval_pass(model, x, lambda chunk: odin_from_pass(model, chunk, 1.0, 0.0, (-3.0, 3.0))))
     msp = msp_score(eval_logits(params, x))
     assert_array_equal(odin, msp)
 

@@ -494,6 +494,11 @@ class TestSweep:
         assert int(lines[1].split(",")[seed_col]) == derive_seed(base_seed, "cell0")
         assert f"wrote {out} (2 rows)" in capsys.readouterr().out
 
+    def test_progress_lines_unless_quiet(self, config_path, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(config_path), "--grid", "delta=4,8", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["cell 0: delta=4", "cell 1: delta=8", f"wrote {out} (2 rows)"]
+
     def test_malformed_grid_entry(self, config_path, tmp_path, capsys):
         rc = main(
             ["sweep", "--config", str(config_path), "--grid", "delta", "--out", str(tmp_path / "s.csv")]
@@ -714,6 +719,10 @@ MALFORMED_CHECKPOINTS = {
         "bn_state.head.bn.var has non-finite",
     ),
     "negative_running_variance": (_negative_variance, "bn_state.backbone.h0.bn.var has negative running variance"),
+    "data_not_numbers_v1": (
+        _v1(_edit_data("weights", "head.b", lambda data: ["x"] * len(data))),
+        "weights.head.b.data must be a list of 8 numbers",
+    ),
     "data_v1_list": (
         _edit_data("weights", "backbone.out.b", lambda data: [0.0] * (len(base64.b64decode(data)) // 8)),
         "weights.backbone.out.b.data must be a base64 string",

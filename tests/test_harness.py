@@ -14,7 +14,7 @@ from numpy.testing import assert_array_equal
 
 from conftest import V1_CHECKPOINT, WRITE_FAULTS, fail_third_file, tiny_experiment_config
 from gradcheck import compare_gradient
-from oracles import batch_loss
+from oracles import batch_loss, graph_eval_pass, odin_from_pass
 from uenl.config import load_config
 from uenl.data import Dataset, Normalization, batch_iter, standardize
 from uenl.harness import (
@@ -41,7 +41,7 @@ from uenl.model import (
     uncertainty_forward,
 )
 from uenl.rng import RngStream, derive_seed
-from uenl.scoring import energy_score, msp_score, odin_from_pass
+from uenl.scoring import energy_score, msp_score
 from uenl.tensor import Tensor, backward, kl
 
 
@@ -663,10 +663,10 @@ def _sized_bundle(bundle, n_id, ood_sizes):
 
 
 class TestOnePassEvaluate:
-    """evaluate runs one chunked eval pass per dataset, and every method
-    scores each chunk from it; ODIN adds an input gradient through the
-    chunk's graph and one perturbed forward. Its outputs equal the public
-    per-method scores bit for bit."""
+    """evaluate runs one chunked graph-free eval pass per dataset, and every
+    method scores each chunk from it; ODIN adds an input gradient along the
+    chunk's tape and one perturbed forward. Its outputs equal the public
+    per-method scores, and ODIN's graph oracle, bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 511, 512, 513, 1100])
     def test_scores_equal_public_references(self, tiny_checkpoint, tiny_bundle, n):
@@ -681,12 +681,11 @@ class TestOnePassEvaluate:
                 return energy_score(eval_logits(params, x), spec.energy_temperature)
             model = params.fold()
             if method == "odin":
-                return np.concatenate([
-                    odin_from_pass(
-                        model, forward(model, x[i : i + 512]), spec.odin_temperature, spec.odin_epsilon, bundle.clip_range
-                    )
-                    for i in range(0, len(x), 512)
-                ])
+
+                def odin(out, u_total):
+                    return odin_from_pass(model, out, spec.odin_temperature, spec.odin_epsilon, bundle.clip_range)
+
+                return np.concatenate(graph_eval_pass(model, x, odin))
             out = forward(model, x)
             return -np.sum(uncertainty_forward(model, out.embedding).u.array, axis=1)
 
@@ -721,6 +720,22 @@ class TestOnePassEvaluate:
             want = odin_from_pass(model, forward(model, ds.features), spec.odin_temperature, 0.0, bundle.clip_range)
             assert_array_equal(got, want)
 
+    def test_evaluate_builds_no_graph_node(self, tiny_checkpoint, tiny_bundle, monkeypatch):
+        import uenl.tensor
+
+        built, init = [], uenl.tensor.GraphNode.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(uenl.tensor.GraphNode, "__init__", counted)
+        assert "odin" in tiny_checkpoint.config.scoring.methods
+        evaluate(tiny_checkpoint, tiny_bundle)
+        assert built == []
+        forward(tiny_checkpoint.params().fold(), tiny_bundle.id_test.features[:2])
+        assert built.count("dense") == 3  # the counter sees the graph pass
+
     def test_methods_checked_before_any_pass(self, tiny_checkpoint, tiny_bundle, backbone_calls):
         with pytest.raises(ValueError, match="bogus"):
             evaluate(tiny_checkpoint, tiny_bundle, methods=("msp", "bogus"))
@@ -734,47 +749,44 @@ class TestOneFoldPerDataset:
     head, and ODIN's perturbed forward, run on that one FoldedModel."""
 
     def test_desk_evaluate_folds_each_layer_once_per_dataset(self, monkeypatch):
-        import uenl.scoring
         from uenl.model import FoldedModel, ModelParams
 
         config = load_config(Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json")
         bundle = build_datasets(config)
         params = init_params(config, RngStream(0))
         checkpoint = Checkpoint(config, params.weights, params.bn_state, 0)
-        folds, forwards, heads = [], [], []
-        fold = ModelParams.fold
+        folds, runs = [], []
+        fold, run = ModelParams.fold, FoldedModel.run
 
         def counted_fold(self):
             folds.append(fold(self))
             return folds[-1]
 
-        def recorded(calls, original):
-            def call(model, *args, **kwargs):
-                out = original(model, *args, **kwargs)
-                calls.append((model, out))
-                return out
-
-            return call
+        def recorded(model, x, tape=None, head=True):
+            runs.append((model, tape, head))
+            return run(model, x, tape, head)
 
         monkeypatch.setattr(ModelParams, "fold", counted_fold)
-        monkeypatch.setattr(uenl.scoring, "forward", recorded(forwards, uenl.scoring.forward))
-        monkeypatch.setattr(uenl.scoring, "uncertainty_forward", recorded(heads, uenl.scoring.uncertainty_forward))
+        monkeypatch.setattr(FoldedModel, "run", recorded)
         evaluate(checkpoint, bundle)
 
         datasets = [bundle.id_test, *bundle.ood.values()]
         assert len(folds) == len(datasets) == 4
         # backbone.h0, backbone.h1, backbone.out and head: 16 layer folds in all.
-        assert sum(len(m.leaves) // 2 for m in folds) == 16
+        assert sum(len(m.arrays) // 2 for m in folds) == 16
         chunks = sum(-(-len(ds) // 512) for ds in datasets)
         assert config.scoring.odin_epsilon > 0.0  # so each chunk has a perturbed forward
-        assert (len(forwards), len(heads)) == (2 * chunks, chunks)
-        for model, out in forwards + heads:
+        # Per chunk: one taped pass with the head, one perturbed pass without.
+        assert sorted((tape is not None, head) for _, tape, head in runs) == [(False, False)] * chunks + [(True, True)] * chunks
+        for model, tape, _ in runs:
             assert type(model) is FoldedModel and any(model is m for m in folds)
-            node = out.logits if hasattr(out, "logits") else out.u
-            assert node.parents[1] is model.leaves[f"{node.attrs['name']}.w"]
+            # The tape holds the backbone's three calls, on the fold's own arrays.
+            for values, _, attrs in tape or []:
+                assert values[1] is model.arrays[f"{attrs['name']}.w"]
+            assert tape is None or [attrs["name"] for _, _, attrs in tape] == ["backbone.h0", "backbone.h1", "backbone.out"]
         # Each fold serves its own dataset's chunks: one forward and one
         # perturbed forward per chunk.
-        used = [model for model, _ in forwards]
+        used = [model for model, _, _ in runs]
         assert [sum(model is m for model in used) for m in folds] == [2 * -(-len(ds) // 512) for ds in datasets]
 
 

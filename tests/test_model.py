@@ -6,7 +6,7 @@ import zlib
 
 import numpy as np
 import pytest
-from conftest import model_arch
+from conftest import FOLD_SHAPES, model_arch, trained_like
 from gradcheck import finite_diff_check
 from oracles import expected_param_count, unfolded_eval
 
@@ -23,7 +23,8 @@ from uenl.model import (
     uncertainty_forward,
 )
 from uenl.rng import RngStream
-from uenl.tensor import Tensor, backward, reduce_mean, tempered_ce
+from uenl.scoring import EvalChunk, _input_gradient
+from uenl.tensor import Tensor, backward, leaf, reduce_mean, tempered_ce
 
 
 def make_params(seed=0, input_dim=5, hidden=(12, 6), k=3, delta=8, **config_kw):
@@ -198,6 +199,9 @@ class TestForwardBackbone:
                 forward(model, np.zeros((2, 4)))
             with pytest.raises(ValueError, match=r"input must have shape \(batch, 5\)"):
                 forward(model, np.zeros(5))
+        for x in (np.zeros((2, 4)), np.zeros(5)):  # the graph-free eval forward too
+            with pytest.raises(ValueError, match=r"input must have shape \(batch, 5\)"):
+                params.fold().run(x)
 
     def test_train_bn_normalizes_batch(self):
         # With identity gamma/beta the train-mode BN output is the normalized
@@ -308,37 +312,17 @@ class TestEvalHelpers:
         assert labels.min() >= 1 and labels.max() <= 3
 
 
-# The tiny test, desk and image architectures, plus the variants without
-# backbone batchnorm and with a scalar u.
-FOLD_SHAPES = {
-    "tiny": dict(input_dim=6, hidden_dims=(16, 8), num_classes=2, delta=8),
-    "tiny_no_bn": dict(input_dim=6, hidden_dims=(16, 8), num_classes=2, delta=8, use_batchnorm=False),
-    "tiny_scalar_u": dict(input_dim=6, hidden_dims=(16, 8), num_classes=2, delta=8, scalar_uncertainty=True),
-    "desk": dict(input_dim=16, hidden_dims=(64, 32), num_classes=3, delta=32),
-    "image": dict(input_dim=784, hidden_dims=(256, 128), num_classes=10, delta=32),
-}
-
-
-def _trained_like(shape: str) -> ModelParams:
-    """Parameters of ``shape`` with every weight and running statistic moved
-    off its initial value, so that no batchnorm is the identity."""
-    params = init_params(model_arch(**FOLD_SHAPES[shape]), RngStream(0))
-    rng = np.random.default_rng(zlib.crc32(shape.encode()))
-    for name, t in params.weights.items():
-        noise = rng.standard_normal(t.shape)
-        if name.endswith(".w"):
-            params.weights[name] = Tensor(noise / np.sqrt(t.shape[0]))
-        else:  # biases and betas near 0, gammas near 1
-            params.weights[name] = Tensor(float(name.endswith(".gamma")) + 0.2 * noise)
-    for name, t in params.bn_state.items():
-        noise = rng.standard_normal(t.shape)
-        params.bn_state[name] = Tensor(np.exp(0.5 * noise) if name.endswith(".var") else 0.3 * noise)
-    return params
-
-
 def _eval_outputs(params: ModelParams | FoldedModel, x: np.ndarray, temperature: float = 1000.0):
-    """Eval logits, u and the ODIN input gradient, as scoring computes them,
-    on ``params.fold()``."""
+    """Eval logits, u and the ODIN input gradient, as scoring computes them
+    (graph-free, along the pass's tape), on ``params.fold()``."""
+    tape = []
+    _, logits, u = params.fold().run(x, tape)
+    return logits, u, _input_gradient(EvalChunk(x, logits, u.sum(axis=1), tape), temperature)
+
+
+def _graph_eval_outputs(params: ModelParams | FoldedModel, x: np.ndarray, temperature: float = 1000.0):
+    """The same three on the graph: ``forward``, ``uncertainty_forward`` and
+    ``backward`` on ``params.fold()``."""
     model = params.fold()
     out = forward(model, x)
     u = uncertainty_forward(model, out.embedding).u.array
@@ -353,7 +337,7 @@ class TestEvalFold:
 
     @pytest.mark.parametrize("shape", FOLD_SHAPES)
     def test_matches_unfolded_reference(self, shape):
-        params = _trained_like(shape)
+        params = trained_like(shape)
         dim = params.config.backbone.input_dim
         x = np.random.default_rng(zlib.crc32(f"x{shape}".encode())).standard_normal((70, dim))
         for got, want, what in zip(_eval_outputs(params, x), unfolded_eval(params, x), ("logits", "u", "odin grad")):
@@ -362,7 +346,7 @@ class TestEvalFold:
 
     @pytest.mark.parametrize("shape", ["tiny", "desk", "image"])
     def test_rows_do_not_depend_on_the_batch(self, shape):
-        params = _trained_like(shape)
+        params = trained_like(shape)
         dim = params.config.backbone.input_dim
         x = np.random.default_rng(zlib.crc32(f"rows{shape}".encode())).standard_normal((130, dim))
         alone = [_eval_outputs(params, x[i : i + 1]) for i in range(len(x))]
@@ -373,7 +357,7 @@ class TestEvalFold:
                     np.testing.assert_array_equal(got[i], want[0], err_msg=f"row {i} of {n}")
 
     def test_builds_no_batchnorm_and_no_parameter_leaves(self):
-        model = _trained_like("desk").fold()
+        model = trained_like("desk").fold()
         out = forward(model, np.ones((3, 16)))
         head = uncertainty_forward(model, out.embedding)
         assert out.leaves == {}
@@ -388,12 +372,12 @@ class TestEvalFold:
         assert set(ops) == {"leaf", "dense"}
         assert ops.count("dense") == 4
         with pytest.raises(ValueError, match="no parameter leaves"):
-            forward(model, np.ones((3, 16)), leaves=param_leaves(_trained_like("desk")))
+            forward(model, np.ones((3, 16)), leaves=param_leaves(trained_like("desk")))
 
     def test_fold_reads_the_current_weights(self):
         # Nothing is cached: an edit to the weights or the running
         # statistics shows in the next eval pass.
-        params = _trained_like("tiny")
+        params = trained_like("tiny")
         x = RngStream(60).normal((5, 6))
         forward(params.fold(), x)
         params.weights["backbone.h1.bn.gamma"] = Tensor(np.full(8, 0.5))
@@ -418,54 +402,60 @@ def _graph_leaves(*outputs) -> list:
 
 class TestFoldedModel:
     """ModelParams.fold builds the eval model once; passes on it share its
-    constant leaves and equal passes on the parameters bit for bit."""
+    read-only arrays, and its graph-free pass equals the graph passes on
+    the parameters bit for bit."""
 
     @pytest.mark.parametrize("shape", FOLD_SHAPES)
     def test_folded_pass_equals_the_params_pass(self, shape):
-        params = _trained_like(shape)
+        params = trained_like(shape)
         x = np.random.default_rng(zlib.crc32(f"fold{shape}".encode())).standard_normal((70, params.config.backbone.input_dim))
         model = params.fold()
-        for got, want in zip(_eval_outputs(model, x), _eval_outputs(params, x)):
+        for got, want in zip(_eval_outputs(model, x), _graph_eval_outputs(params, x)):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(eval_logits(model, x, batch_size=16), eval_logits(params, x))
 
     def test_a_pass_builds_only_its_input_leaf(self):
-        params = _trained_like("desk")
+        # The graph-free pass builds no node at all. A graph pass wraps the
+        # fold's arrays, uncopied, as its weight leaves: its input leaf is
+        # the only one with data of its own.
+        params = trained_like("desk")
         model = params.fold()
-        assert list(model.leaves) == [n for n in param_shapes(params.config)[0] if n[-2:] in (".w", ".b")]
+        assert list(model.arrays) == [n for n in param_shapes(params.config)[0] if n[-2:] in (".w", ".b")]
+        constants = {id(a) for a in model.arrays.values()}
         for _ in range(2):
             out = forward(model, np.ones((3, 16)))
             head = uncertainty_forward(model, out.embedding)
-            constants = {id(n) for n in model.leaves.values()}
-            assert [n for n in _graph_leaves(out.logits, head.u) if id(n) not in constants] == [out.x]
-            assert len({id(n) for n in _graph_leaves(out.logits, head.u)} & constants) == 8
+            leaves = _graph_leaves(out.logits, head.u)
+            assert [n for n in leaves if id(n.array) not in constants] == [out.x]
+            assert len({id(n.array) for n in leaves} & constants) == 8
 
     def test_layers_without_batchnorm_keep_their_tensors(self):
-        params = _trained_like("tiny_no_bn")
+        params = trained_like("tiny_no_bn")
         model = params.fold()
         for name in ("backbone.h0.w", "backbone.h1.b", "backbone.out.w", "backbone.out.b"):
-            assert model.leaves[name].value is params.weights[name]
-        assert model.leaves["head.w"].value is not params.weights["head.w"]
+            assert model.arrays[name] is params.weights[name].array
+        assert model.arrays["head.w"] is not params.weights["head.w"].array
 
     def test_is_an_immutable_snapshot(self):
-        params = _trained_like("tiny")
+        params = trained_like("tiny")
         x = RngStream(61).normal((5, 6))
         model = params.fold()
-        before = forward(model, x).logits.array
+        before = model.run(x)[1]
+        np.testing.assert_array_equal(forward(model, x).logits.array, before)
         assert model.fold() is model
         with pytest.raises(AttributeError):
-            model.leaves = {}
-        assert not any(n.array.flags.writeable for n in model.leaves.values())
+            model.arrays = {}
+        assert not any(a.flags.writeable for a in model.arrays.values())
         params.weights["backbone.h1.bn.gamma"] = Tensor(np.full(8, 0.5))
-        np.testing.assert_array_equal(forward(model, x).logits.array, before)
-        assert not np.array_equal(forward(params.fold(), x).logits.array, before)
+        np.testing.assert_array_equal(model.run(x)[1], before)
+        assert not np.array_equal(params.fold().run(x)[1], before)
 
     def test_runs_in_eval_mode_only(self):
         # A FoldedModel rejects parameter leaves, and its passes report no
         # batchnorm updates and no leaves.
-        params = _trained_like("tiny")
+        params = trained_like("tiny")
         model = params.fold()
-        for leaves in (model.leaves, param_leaves(params)):
+        for leaves in ({"head.w": leaf(model.arrays["head.w"])}, param_leaves(params)):
             with pytest.raises(ValueError, match="a folded model runs in eval mode and takes no parameter leaves"):
                 forward(model, np.ones((2, 6)), leaves=leaves)
             with pytest.raises(ValueError, match="a folded model runs in eval mode and takes no parameter leaves"):
@@ -475,7 +465,7 @@ class TestFoldedModel:
         assert out.leaves == {} and out.bn_updates == {} and head.bn_updates == {}
 
     def test_negative_running_variance_fails_the_fold(self):
-        params = _trained_like("tiny")
+        params = trained_like("tiny")
         params.bn_state["backbone.h0.bn.var"] = Tensor(-np.ones(16))
         with pytest.raises(ValueError, match="backbone.h0.bn: running variance has negative entries"):
             params.fold()

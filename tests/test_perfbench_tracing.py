@@ -22,6 +22,7 @@ def tracing():
 
 
 def test_install_rebinds_and_uninstall_restores(tracing, tiny_checkpoint, tiny_bundle, monkeypatch):
+    import uenl.model as model
     import uenl.tensor as tensor
     from uenl.harness import evaluate
 
@@ -34,7 +35,16 @@ def test_install_rebinds_and_uninstall_restores(tracing, tiny_checkpoint, tiny_b
         dense_vjps.append(args[-1])
         return dense.vjp(*args, **kwargs)
 
+    # Eval runs without a graph: each layer is one checked_forward("dense")
+    # call in FoldedModel.run, which the tracer does not wrap.
+    dense_forwards = []
+
+    def counted_forward(op, values, attrs, original=model.checked_forward):
+        dense_forwards.append(op)
+        return original(op, values, attrs)
+
     monkeypatch.setitem(tensor.PRIMITIVES, "dense", dense._replace(vjp=counted_vjp))
+    monkeypatch.setattr(model, "checked_forward", counted_forward)
     tr = tracing.Tracer()
     installation = tracing.install(tr)
     try:
@@ -45,10 +55,14 @@ def test_install_rebinds_and_uninstall_restores(tracing, tiny_checkpoint, tiny_b
     assert installation.unrestored() == []
 
     traced = {name for _, _, name in tr.agg}
-    for name in ("model.forward", "tensor.apply.dense", "metrics.from_scores", "metrics.histogram"):
+    for name in ("metrics.from_scores", "metrics.histogram"):
         assert name in traced
+    # No graph: the model.forward, tensor.apply and tensor.backward spans
+    # read 0 under evaluate, and the layers ran as graph-free dense calls.
+    for name in ("model.forward", "model.uncertainty_forward", "tensor.apply.dense", "tensor.backward"):
+        assert name not in traced
+    assert dense_forwards and set(dense_forwards) == {"dense"}
     assert "odin" in tiny_checkpoint.config.scoring.methods
-    assert "tensor.backward" in traced
     # ODIN asks for the input gradient alone, so each dense VJP skips the weights.
     assert dense_vjps and set(dense_vjps) == {(True, False, False)}
     for method in tiny_checkpoint.config.scoring.methods:
@@ -61,12 +75,13 @@ def test_install_rebinds_and_uninstall_restores(tracing, tiny_checkpoint, tiny_b
 
 def test_odin_gradient_and_second_forward_inside_odin_span(monkeypatch, tiny_checkpoint, tiny_bundle):
     """The tracer's scoring.odin span is harness._scores_for(..., "odin", ...).
-    ODIN's input gradient and its perturbed forward must run inside it, and
-    no other backward may run during evaluate, or scoring.odin_ms would
-    miss or misattribute them."""
+    ODIN's input gradient (its VJPs, looked up in PRIMITIVES) and its
+    perturbed forward must run inside it, and no other VJP may run during
+    evaluate, or scoring.odin_ms would miss or misattribute them."""
     import uenl.harness as harness
-    import uenl.scoring as scoring
+    import uenl.tensor as tensor
     from uenl.harness import evaluate
+    from uenl.model import FoldedModel
 
     active, calls = [], []
 
@@ -85,12 +100,17 @@ def test_odin_gradient_and_second_forward_inside_odin_span(monkeypatch, tiny_che
             active.pop()
 
     monkeypatch.setattr(harness, "_scores_for", scores_for)
-    monkeypatch.setattr(scoring, "backward", track("backward", scoring.backward))
-    monkeypatch.setattr(scoring, "forward", track("forward", scoring.forward))
+    for op in tensor.PRIMITIVES:
+        prim = tensor.PRIMITIVES[op]
+        monkeypatch.setitem(tensor.PRIMITIVES, op, prim._replace(vjp=track(f"vjp.{op}", prim.vjp)))
+    monkeypatch.setattr(FoldedModel, "run", track("forward", FoldedModel.run))
     evaluate(tiny_checkpoint, tiny_bundle)
 
-    backwards = [where for name, where in calls if name == "backward"]
-    assert backwards and set(backwards) == {("odin",)}
+    chunks = sum(-(-len(ds) // 512) for ds in [tiny_bundle.id_test, *tiny_bundle.ood.values()])
+    vjps = Counter((name, where) for name, where in calls if name.startswith("vjp."))
+    # Per chunk: tempered_ce's VJP, then one dense VJP per backbone layer.
+    layers = len(tiny_checkpoint.config.backbone.hidden_dims) + 1
+    assert vjps == {("vjp.tempered_ce", ("odin",)): chunks, ("vjp.dense", ("odin",)): layers * chunks}
     # Per chunk: the eval pass's forward outside any method, ODIN's inside.
     forwards = Counter(where for name, where in calls if name == "forward")
-    assert forwards == {(): len(backwards), ("odin",): len(backwards)}
+    assert forwards == {(): chunks, ("odin",): chunks}

@@ -28,6 +28,7 @@ class TestSubstreams:
         child = root.substream("dropout")
         assert child.seed == 3
         assert child.path == "run/dropout"
+        assert repr(child) == "RngStream(seed=3, path='run/dropout')"
 
     def test_substream_independent_of_parent_draw_order(self):
         # Drawing from the parent must not shift what a substream produces.

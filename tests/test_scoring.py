@@ -1,6 +1,7 @@
 """Detection scores: frozen values, orientation, ODIN mechanics, CSV export."""
 
 import csv
+import zlib
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+import uenl.model
 import uenl.scoring
-from conftest import model_arch
+import uenl.tensor
+from conftest import model_arch, trained_like
 from uenl.harness import write_files
 from uenl.model import forward, init_params
 from uenl.rng import RngStream
@@ -23,19 +27,25 @@ from uenl.scoring import (
     odin_from_pass,
     scores_csv,
 )
-from uenl.tensor import Tensor, backward, tempered_ce
+from uenl.tensor import backward, tempered_ce
 
 
 def odin(params, x, temperature=1000.0, epsilon=0.0014, clip_range=None):
     """ODIN scores of the rows of ``x``, on one fold of ``params``, as the
     harness computes them."""
     model = params.fold()
-    return odin_from_pass(model, forward(model, x), temperature, epsilon, clip_range)
+    return np.concatenate(eval_pass(model, x, lambda chunk: odin_from_pass(model, chunk, temperature, epsilon, clip_range)))
+
+
+def one_chunk(params, x):
+    """The EvalChunk of all rows of ``x`` on one fold of ``params``."""
+    (chunk,) = eval_pass(params, x, lambda chunk: chunk, chunk=len(x))
+    return chunk
 
 
 def uncertainty(params, x):
     """The uncertainty score -sum_i u_i of each row of ``x``, from eval_pass."""
-    return -np.concatenate(eval_pass(params, x, lambda out, u_total: u_total))
+    return -np.concatenate(eval_pass(params, x, lambda chunk: chunk.u_total))
 
 
 class TestMsp:
@@ -143,17 +153,17 @@ class TestOdin:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(100, 5))
         model = small_params.fold()
-        out = forward(model, x)
-        odin_scores = odin_from_pass(model, out, temperature=1.0, epsilon=0.0)
-        np.testing.assert_array_equal(odin_scores, msp_score(out.logits.array))
+        chunk = one_chunk(model, x)
+        odin_scores = odin_from_pass(model, chunk, temperature=1.0, epsilon=0.0)
+        np.testing.assert_array_equal(odin_scores, msp_score(chunk.logits))
 
     def test_no_perturbation_scaled_temperature(self, small_params):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(20, 5))
         model = small_params.fold()
-        out = forward(model, x)
-        logits = out.logits.array
-        odin_scores = odin_from_pass(model, out, temperature=1000.0, epsilon=0.0)
+        chunk = one_chunk(model, x)
+        logits = chunk.logits
+        odin_scores = odin_from_pass(model, chunk, temperature=1000.0, epsilon=0.0)
         np.testing.assert_array_equal(odin_scores, msp_score(logits / 1000.0))
         # Temperature scaling preserves each sample's argmax class.
         np.testing.assert_array_equal(
@@ -164,7 +174,7 @@ class TestOdin:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(30, 5))
         eps = 0.0014
-        x_tilde = _odin_perturbed(forward(small_params.fold(), x), 1000.0, eps, None)
+        x_tilde = _odin_perturbed(one_chunk(small_params, x), 1000.0, eps, None)
         moves = np.abs(x_tilde - x)
         # Where the input gradient is nonzero the step is exactly epsilon.
         assert (np.max(moves, axis=1) <= eps + 1e-15).all()
@@ -174,7 +184,7 @@ class TestOdin:
     def test_clip_range_bounds_perturbed_input(self, small_params):
         rng = np.random.default_rng(6)
         x = rng.uniform(-1.0, 1.0, size=(15, 5))
-        x_tilde = _odin_perturbed(forward(small_params.fold(), x), 1000.0, 0.5, (-1.0, 1.0))
+        x_tilde = _odin_perturbed(one_chunk(small_params, x), 1000.0, 0.5, (-1.0, 1.0))
         assert x_tilde.min() >= -1.0 and x_tilde.max() <= 1.0
 
     def test_bad_clip_range(self, small_params):
@@ -194,8 +204,8 @@ class TestOdin:
         # Given ModelParams, the perturbed forward still runs in eval mode.
         x = np.random.default_rng(15).normal(size=(9, 5))
         model = small_params.fold()
-        want = odin_from_pass(model, forward(model, x), 1000.0, 0.0014)
-        np.testing.assert_array_equal(odin_from_pass(small_params, forward(model, x), 1000.0, 0.0014), want)
+        want = odin_from_pass(model, one_chunk(model, x), 1000.0, 0.0014)
+        np.testing.assert_array_equal(odin_from_pass(small_params, one_chunk(model, x), 1000.0, 0.0014), want)
 
     def test_parameter_validation(self, small_params):
         with pytest.raises(ValueError, match="temperature must be positive"):
@@ -227,9 +237,9 @@ class TestOdinPerturbationBits:
         gs = np.array([0.0, -0.0, 1e-300, -1e-300, 2.0, -2.0])
         x = np.repeat(xs, gs.size)[:40].reshape(8, 5)
         g = np.tile(gs, xs.size)[:40].reshape(8, 5)
-        out = forward(small_params.fold(), x)
-        monkeypatch.setattr(uenl.scoring, "backward", lambda loss, wrt: {wrt[0]: Tensor(g)})
-        got = _odin_perturbed(out, 1000.0, eps, clip_range)
+        chunk = one_chunk(small_params, x)
+        monkeypatch.setattr(uenl.scoring, "_input_gradient", lambda chunk, temperature: g.copy())
+        got = _odin_perturbed(chunk, 1000.0, eps, clip_range)
         np.testing.assert_array_equal(_bits(got), _bits(self.reference(x, g, eps, clip_range)))
 
     @pytest.mark.parametrize("clip_range", [None, (-1.0, 1.0)])
@@ -241,8 +251,80 @@ class TestOdinPerturbationBits:
             tempered_ce(out.logits, np.full((70, 1), 1000.0), np.eye(3)[out.logits.array.argmax(axis=1)], reduction="sum"),
             wrt=[out.x],
         )[out.x].array
-        got = _odin_perturbed(out, 1000.0, 0.0014, clip_range)
+        got = _odin_perturbed(one_chunk(small_params, x), 1000.0, 0.0014, clip_range)
         np.testing.assert_array_equal(_bits(got), _bits(self.reference(x, g, 0.0014, clip_range)))
+
+
+class TestEvalPassMatchesTheGraph:
+    """eval_pass runs each chunk without a graph, and ODIN walks its input
+    gradient back along the chunk's tape. The logits, u_total, ODIN's
+    input gradient and every method's scores equal the graph oracle
+    (tests/oracles.py) bit for bit. 600 rows are chunks of 512 and 88
+    (64 + a short block of 24); 1100 are 512, 512 and 76 (64 + 12)."""
+
+    @staticmethod
+    def rows(shape, n):
+        params = trained_like(shape)
+        rng = np.random.default_rng(zlib.crc32(f"eval{shape}{n}".encode()))
+        return params, rng.standard_normal((n, params.config.backbone.input_dim))
+
+    @pytest.mark.parametrize("n", [600, 1100])
+    @pytest.mark.parametrize("shape", ["tiny", "desk", "image"])
+    def test_logits_u_total_and_input_gradient(self, shape, n):
+        params, x = self.rows(shape, n)
+        got = eval_pass(params, x, lambda c: (c.logits, c.u_total, uenl.scoring._input_gradient(c, 1000.0)))
+
+        def graph(out, u_total):
+            logits = out.logits.array
+            nll = tempered_ce(out.logits, np.full((len(logits), 1), 1000.0), np.eye(logits.shape[1])[logits.argmax(1)], reduction="sum")
+            return logits, u_total, backward(nll, wrt=[out.x])[out.x].array
+
+        want = oracles.graph_eval_pass(params, x, graph)
+        assert len(got) == len(want) == -(-n // 512)
+        for got_chunk, want_chunk in zip(got, want):
+            for a, b in zip(got_chunk, want_chunk):
+                np.testing.assert_array_equal(_bits(a), _bits(b))
+
+    @pytest.mark.parametrize(
+        "temperature, epsilon, clip_range",
+        [(1000.0, 0.0014, (-2.0, 2.0)), (1000.0, 0.0014, None), (1000.0, 0.0, (-2.0, 2.0)), (1.0, 0.3, None)],
+        ids=["clipped", "clip_none", "epsilon_0", "large_step"],
+    )
+    @pytest.mark.parametrize("shape", ["tiny", "desk", "image"])
+    def test_every_score(self, shape, temperature, epsilon, clip_range):
+        from uenl.config import ScoringSpec
+        from uenl.harness import _dataset_scores
+
+        params, x = self.rows(shape, 600)
+        spec = ScoringSpec(odin_temperature=temperature, odin_epsilon=epsilon)
+        logits, scores = _dataset_scores(params, x, SCORE_METHODS, spec, clip_range)
+        model = params.fold()
+
+        def graph(out, u_total):
+            return {
+                "logits": out.logits.array,
+                "msp": msp_score(out.logits.array),
+                "energy": energy_score(out.logits.array, spec.energy_temperature),
+                "odin": oracles.odin_from_pass(model, out, temperature, epsilon, clip_range),
+                "uncertainty": -u_total,
+            }
+
+        want = oracles.graph_eval_pass(params, x, graph)
+        for name, got in [("logits", logits), *scores.items()]:
+            np.testing.assert_array_equal(_bits(got), _bits(np.concatenate([w[name] for w in want])), err_msg=name)
+
+    @pytest.mark.parametrize("layer", ["backbone.h0", "backbone.out", "head"])
+    def test_an_overflowing_layer_names_itself(self, layer):
+        # Huge finite weights on one layer overflow its product; the graph
+        # pass raises the same error.
+        params = trained_like("tiny")
+        params.weights[f"{layer}.w"] = uenl.tensor.Tensor(np.full(params.weights[f"{layer}.w"].shape, 1e300))
+        x = np.full((3, 6), 1e10)
+        message = f"^{layer}: dense produced non-finite values$"
+        with pytest.raises(FloatingPointError, match=message):
+            eval_pass(params, x, lambda chunk: chunk)
+        with pytest.raises(FloatingPointError, match=message):
+            oracles.graph_eval_pass(params, x, lambda out, u_total: out)
 
 
 class TestUncertaintyScore:

@@ -37,15 +37,13 @@ from uenl.tensor import (
 )
 
 import uenl.harness
-import uenl.scoring
 import uenl.tensor
 from conftest import tiny_experiment_config
 from gradcheck import finite_diff_check
-from oracles import batch_loss, numeric_gradient
+from oracles import batch_loss, numeric_gradient, odin_from_pass
 from uenl.data import batch_iter
 from uenl.model import forward, init_params, param_leaves
 from uenl.rng import RngStream
-from uenl.scoring import odin_from_pass
 
 
 class TestTensorContainer:
@@ -156,6 +154,26 @@ class TestErrors:
         with pytest.raises(ValueError):
             backward(leaf([1.0, 2.0]))
 
+    def test_reprs_name_op_and_shape(self):
+        assert repr(Tensor(np.zeros((2, 3)))) == "Tensor(shape=(2, 3))"
+        assert repr(leaf([1.0, 2.0])) == "GraphNode(op='leaf', shape=(2,))"
+
+    def test_item_needs_a_single_element(self):
+        assert Tensor([[2.5]]).item() == 2.5
+        with pytest.raises(ValueError, match=r"^item\(\) needs a single-element tensor, got shape \(2,\)$"):
+            Tensor([1.0, 2.0]).item()
+
+    def test_operand_checks_name_the_primitive(self):
+        for call, message in (
+            (lambda: add(leaf(np.ones((2, 3))), leaf(np.ones((2, 2)))), r"^add: shapes \(2, 3\) and \(2, 2\) do not broadcast$"),
+            (lambda: matmul(leaf(np.ones(3)), leaf(np.ones((3, 2)))), r"^matmul needs 2-d operands, got \(3,\) and \(3, 2\)$"),
+            (lambda: apply("scale", leaf([1.0])), "^scale requires a constant$"),
+            (lambda: scale(leaf([1.0]), np.inf), "^scale constant must be finite$"),
+            (lambda: reduce_sum(leaf(np.ones((2, 3))), axis=2), r"^axis 2 out of range for shape \(2, 3\)$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+
 
 class TestBackward:
     def test_relu_subgradient(self):
@@ -243,8 +261,10 @@ class TestBackwardWrt:
         assert len(calls) == 5 and all(n == len(params.weights) for n in calls)
 
     def test_odin_nll_gradient_matches_full_backward(self, monkeypatch, small_params):
+        """On ODIN's graph oracle (the reference the graph-free ODIN
+        gradient is pinned against)."""
         calls = []
-        monkeypatch.setattr(uenl.scoring, "backward", _checked_backward(calls))
+        monkeypatch.setattr(uenl.tensor, "backward", _checked_backward(calls))
         x = np.random.default_rng(5).standard_normal((9, 5))
         model = small_params.fold()
         odin_from_pass(model, forward(model, x), temperature=1000.0, epsilon=0.002)
