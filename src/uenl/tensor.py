@@ -39,12 +39,15 @@ gradients alone.
 The graph is the public autodiff API. Training and evaluation build none:
 the train step (``harness._train_step``), the eval forward
 (``model.FoldedModel.run``) and ODIN's input gradient call the primitives
-through ``checked_forward``, the finiteness scan that ``apply`` runs, and
-walk their VJPs back: the float operations of ``backward``.
+through ``checked_forward``, the finiteness scan that ``apply`` runs
+(``dense`` scans itself, once or twice by layer kind), and walk their VJPs
+back: the float operations of ``backward``. ``tempered_ce`` reduces rows
+of under 8 columns column by column, sums from +0.0: numpy's bits, cheaper.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -201,6 +204,19 @@ def _expand_reduced(grad: np.ndarray, in_shape: tuple[int, ...], axis, keepdims:
     elif axis is None and not keepdims:
         grad = grad.reshape((1,) * len(in_shape))
     return np.broadcast_to(grad, in_shape)
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=1)`` bit for bit: below 8 columns, a running maximum over
+    the columns, a fraction of the cost of numpy's reduction set-up."""
+    return functools.reduce(np.maximum, a.T) if 1 < a.shape[1] < 8 else a.max(axis=1)
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` bit for bit. Below 8 columns, a column chain from
+    +0.0, where numpy's sum starts, so zero signs agree (float64, for a bool
+    ``a`` too); numpy adds 8 or more values pairwise, so it sums wider rows."""
+    return sum(a.T, 0.0) if 0 < a.shape[1] < 8 else a.sum(axis=1)
 
 
 _ROW_BLOCK = 64
@@ -471,17 +487,21 @@ def _fw_dense(values, attrs):
         attrs["z_hat"] = z_hat = centered / np.sqrt(var + attrs["constant"])
         z = z_hat * gamma
         z += beta
-    # A relu could hide an overflow below it: a non-finite pre-activation is
-    # returned as it is, for apply's finiteness check to report.
-    if not np.isfinite(z).all():
-        return z
+    # dense's own finiteness scans, once where once catches all: the
+    # pre-activation (relu could hide it) unless it is the output, and the
+    # output unless relu made it unmasked (exp and a mask can overflow).
+    if (act is not None or mask is not None) and not np.isfinite(z).all():
+        raise _non_finite("dense", attrs)
     # z is this node's own array, so the activation overwrites it.
     if act == "relu":
         np.maximum(z, 0.0, out=z)
     elif act == "exp":
         np.exp(z, out=z)
     attrs["act_out"] = z
-    return z if mask is None else z * mask
+    out = z if mask is None else z * mask
+    if (act != "relu" or mask is not None) and not np.isfinite(out).all():
+        raise _non_finite("dense", attrs)
+    return out
 
 
 def _vjp_dense(g, values, out, attrs, needs):
@@ -525,17 +545,17 @@ def _fw_tempered_ce(values, attrs):
         raise ValueError("tempered_ce needs positive temperatures and norm floor, and reduction 'mean' or 'sum'")
     p_bar = p
     if floor is not None:
-        attrs["norms"] = norms = np.sqrt((p * p).sum(axis=1, keepdims=True))
+        attrs["norms"] = norms = np.sqrt(_row_sum(p * p))[:, None]
         p_bar = p / np.maximum(norms, floor)
     attrs["p_bar"] = p_bar
     z = p_bar / t
     if labels is None:
         return z
-    m = z.max(axis=1, keepdims=True)
+    m = _row_max(z)[:, None]
     e = np.exp(z - m)
-    total = e.sum(axis=1, keepdims=True)
+    total = _row_sum(e)[:, None]
     attrs["softmax"] = e / total
-    per_row = (m + np.log(total))[:, 0] - (z * labels).sum(axis=1)
+    per_row = (m + np.log(total))[:, 0] - _row_sum(z * labels)
     summed = per_row.sum()
     attrs["ce"] = ce = float(summed if attrs["reduction"] == "sum" else summed / len(per_row))
     return ce
@@ -554,9 +574,9 @@ def _vjp_tempered_ce(g, values, out, attrs, needs):
     d_pbar = dz / t
     g_p = d_pbar
     if floor is not None and needs[0]:
-        radial = (attrs["norms"] > floor) * (d_pbar * p_bar).sum(axis=1, keepdims=True)
+        radial = (attrs["norms"] > floor) * _row_sum(d_pbar * p_bar)[:, None]
         g_p = (d_pbar - p_bar * radial) / np.maximum(attrs["norms"], floor)
-    return g_p, -(d_pbar * p_bar).sum(axis=1, keepdims=True) / t if needs[1] else None
+    return g_p, -_row_sum(d_pbar * p_bar)[:, None] / t if needs[1] else None
 
 
 def _fw_resample(values, attrs):
@@ -651,13 +671,16 @@ def apply(op: str, *inputs, axis=None, keepdims: bool = False, constant: float |
 
 def checked_forward(op: str, values: tuple, attrs: dict) -> np.ndarray:
     """``PRIMITIVES[op].forward(values, attrs)`` as a float64 array. Raises
-    FloatingPointError if any value is non-finite, naming the ``name`` attr
-    when there is one; the caller decides numpy's error state."""
+    FloatingPointError if any value is non-finite (``dense`` scans its own),
+    naming the ``name`` attr if any; the caller decides numpy's error state."""
     out = np.asarray(PRIMITIVES[op].forward(values, attrs), dtype=np.float64)
-    if not np.isfinite(out).all():
-        name = f"{attrs['name']}: " if attrs.get("name") else ""
-        raise FloatingPointError(f"{name}{op} produced non-finite values")
+    if op != "dense" and not np.isfinite(out).all():
+        raise _non_finite(op, attrs)
     return out
+
+
+def _non_finite(op: str, attrs: dict) -> FloatingPointError:
+    return FloatingPointError(f"{attrs['name'] + ': ' if attrs.get('name') else ''}{op} produced non-finite values")
 
 
 def backward(loss: GraphNode, wrt=None) -> dict[GraphNode, Tensor]:

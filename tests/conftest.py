@@ -135,6 +135,19 @@ def uenl_terms(total):
     return ce_node.attrs["ce"], kl_term, ce_node.parents[1].attrs["uhat"].ravel()
 
 
+def awkward_rows(seed: int, n: int, k: int) -> np.ndarray:
+    """(n, k) rows that row reductions can get wrong: magnitudes from 1e-30
+    to 1e30 of either sign, about a fifth +0.0 or -0.0, a column repeated in
+    every third row (ties), and every seventh row all equal."""
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-1.0, 1.0], (n, k)) * 10.0 ** rng.uniform(-30.0, 30.0, (n, k))
+    u = rng.random((n, k))
+    a[u < 0.1], a[(u >= 0.1) & (u < 0.2)] = 0.0, -0.0
+    a[::3, -1] = a[::3, 0]
+    a[::7] = a[::7, :1]
+    return a
+
+
 def random_scores(rng: np.random.Generator, n: int, m: int, ties: bool | str):
     """A random (id, ood) score pair; integer grids force heavy ties. With
     ``ties="few"`` the grids are {0, 1, 2} and {-1, 0, 1}, so most scores tie

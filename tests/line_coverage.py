@@ -4,7 +4,8 @@
 
 Installs a ``sys.settrace`` hook, runs pytest in this process (by default
 the whole suite, quietly), and prints every executable line of
-``src/uenl/*.py`` that no test ran, with its text, then the total
+``src/uenl/*.py`` that no test ran, with its text and the reason it stays
+unrun (``UNRUN``; a line with none says so), then the total
 ``ran/executable``. Executable lines are the line numbers of the compiled
 code objects. Python subprocesses that tests start (``python -m uenl``)
 are followed too: a ``sitecustomize`` on ``PYTHONPATH`` installs the same
@@ -34,6 +35,19 @@ import line_coverage
 sys.path.remove({tests!r})
 line_coverage.follow({out!r})
 """
+# Why each line that no test runs stays unrun, keyed by file name and the
+# line's stripped text, which do not move when lines above it do.
+UNRUN = {
+    ("cli.py", "sys.exit(main())"): "the `python -m uenl.cli` guard; the CLI runs as `python -m uenl`",
+    ("harness.py", 'raise AssertionError(f"batchnorm state leaked into trainable weights: {sorted(overlap)}")'):
+        "invariant: `param_shapes` keeps batchnorm state out of the weights",
+    ("harness.py", 'raise ValueError(f"unknown scoring method {method!r}")'):
+        "invariant: `ScoringSpec` accepts only `SCORE_METHODS`",
+    ("model.py", "from .config import ExperimentConfig"): "for type checkers only, under `TYPE_CHECKING`",
+    ("tensor.py", "raise AssertionError("): "invariant: every VJP returns its parents' shapes (criterion 1 checks each)",
+    ("tensor.py", 'f"{node.op} vjp produced shape {contribution.shape} for parent of shape {parent.value.shape}"'):
+        "invariant: every VJP returns its parents' shapes (criterion 1 checks each)",
+}
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -117,7 +131,9 @@ def main(argv: list[str]) -> int:
         total, hit = total + len(lines), hit + len(done)
         text = path.read_text(encoding="utf-8").splitlines()
         for line in sorted(lines - done):
-            print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
+            source = text[line - 1].strip()
+            reason = UNRUN.get((path.name, source), "NO REASON: run it in a test, delete it or add it to UNRUN")
+            print(f"{path.relative_to(ROOT)}:{line}: {source}  # {reason}")
     print(f"ran {hit}/{total} executable lines of src/uenl (pytest exit {code})")
     return 0
 

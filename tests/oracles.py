@@ -8,7 +8,10 @@ graph eval pass (``graph_eval_pass``, ``odin_from_pass``, ``odin_perturbed``)
 are the exceptions: they build a train step's loss and each eval chunk's
 pass and ODIN gradient as graphs from the public model, objective and
 autodiff functions, the references that the graph-free train step and
-eval pass must match bit for bit.
+eval pass must match bit for bit. So are the numpy-reduction kernels
+(``msp_numpy``, ``energy_numpy``, ``tempered_ce_numpy`` and
+``tempered_ce_vjp_numpy``): the same expressions with numpy's row
+reductions, which the column passes of the library must match bit for bit.
 """
 
 from __future__ import annotations
@@ -303,3 +306,50 @@ def odin_perturbed(out, temperature: float, epsilon: float, clip_range) -> np.nd
     grad = backward(nll, wrt=[out.x])[out.x].array
     x_perturbed = out.x.array - epsilon * np.sign(grad)
     return x_perturbed if clip_range is None else np.clip(x_perturbed, *clip_range)
+
+
+def msp_numpy(logits: np.ndarray) -> np.ndarray:
+    """msp_score with numpy's row reductions."""
+    return 1.0 / np.exp(logits - logits.max(axis=-1, keepdims=True)).sum(axis=-1)
+
+
+def energy_numpy(logits: np.ndarray, temperature: float) -> np.ndarray:
+    """energy_score with numpy's row reductions and an int64 count of maxima."""
+    z = logits / temperature
+    z_max = z.max(axis=-1, keepdims=True)
+    at_max = z == z_max
+    s = np.exp(z - z_max, out=np.zeros_like(z), where=~at_max).sum(axis=-1)
+    m = at_max.sum(axis=-1)
+    return temperature * (np.log1p(s / m) + np.log(m) + z_max[:, 0])
+
+
+def tempered_ce_numpy(p, t, labels, floor, reduction) -> dict:
+    """tempered_ce's forward with numpy's row reductions: the loss ("ce")
+    and the arrays its VJP reads ("p_bar", "softmax", and "norms" with a
+    floor)."""
+    out = {}
+    p_bar = p
+    if floor is not None:
+        out["norms"] = norms = np.sqrt((p * p).sum(axis=1, keepdims=True))
+        p_bar = p / np.maximum(norms, floor)
+    out["p_bar"] = p_bar
+    z = p_bar / t
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    total = e.sum(axis=1, keepdims=True)
+    out["softmax"] = e / total
+    summed = ((m + np.log(total))[:, 0] - (z * labels).sum(axis=1)).sum()
+    out["ce"] = float(summed if reduction == "sum" else summed / len(p))
+    return out
+
+
+def tempered_ce_vjp_numpy(g, p, t, labels, floor, reduction) -> tuple[np.ndarray, np.ndarray]:
+    """tempered_ce's (d/dp, d/dt) with numpy's row reductions."""
+    fw = tempered_ce_numpy(p, t, labels, floor, reduction)
+    p_bar = fw["p_bar"]
+    d_pbar = (g if reduction == "sum" else g / p.shape[0]) * (fw["softmax"] - labels) / t
+    g_p = d_pbar
+    if floor is not None:
+        radial = (fw["norms"] > floor) * (d_pbar * p_bar).sum(axis=1, keepdims=True)
+        g_p = (d_pbar - p_bar * radial) / np.maximum(fw["norms"], floor)
+    return g_p, -(d_pbar * p_bar).sum(axis=1, keepdims=True) / t

@@ -509,6 +509,21 @@ class TestTrainStep:
             _train_step(_copy(params), xb, yb, RngStream(5), RngStream(6))
         assert str(step_error.value) == str(graph_error.value) == "non-finite values in tensor of shape (64,)"
 
+    def test_an_overflowing_dropout_product_names_its_layer(self):
+        """A finite relu output times the dropout mask's 2.0 overflows: the
+        step and the graph stop at that layer with the same error."""
+        config = load_config(SHIPPED_CONFIG, ["backbone.use_batchnorm=false", "dropout=0.5"])
+        params = _moved_params(config)
+        w = params.weights["backbone.h0.w"]
+        params.weights["backbone.h0.w"] = Tensor(np.full(w.shape, 1e308 / w.shape[0]))
+        params.weights["backbone.h0.b"] = Tensor(np.zeros(w.shape[1]))
+        xb, yb = np.ones((8, w.shape[0])), np.arange(8) % 3 + 1
+        message = "^backbone.h0: dense produced non-finite values$"
+        with pytest.raises(FloatingPointError, match=message):
+            _train_step(_copy(params), xb, yb, RngStream(5), RngStream(6))
+        with pytest.raises(FloatingPointError, match=message):
+            batch_loss(_copy(params), xb, yb, RngStream(5), RngStream(6), param_leaves(params))
+
 
 class TestSelectBestValidation:
     def test_deterministic(self):

@@ -4,13 +4,13 @@ the composed reference in oracles.py on desk shapes."""
 
 import numpy as np
 import pytest
-from conftest import uenl_terms
+from conftest import awkward_rows, uenl_terms
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import composed_ce, composed_uenl
+from oracles import composed_ce, composed_uenl, tempered_ce_numpy, tempered_ce_vjp_numpy
 
 from uenl.losses import NORM_EPSILON, UHAT_FLOOR, logitnorm_ce, plain_ce, uenl_total
-from uenl.tensor import backward, kl, leaf, mul, reduce_sum, resample, tempered_ce
+from uenl.tensor import PRIMITIVES, backward, kl, leaf, mul, reduce_sum, resample, tempered_ce
 
 PROPERTY = settings(max_examples=40)  # on top of conftest's shared profile
 SEEDS = st.integers(0, 2**32 - 1)
@@ -123,6 +123,31 @@ def test_kl_vjp(n, d, seed, form, weight):
     assert node.item() == weight * node.attrs["kl"]
     analytic = backward(node, wrt=[u_leaf])[u_leaf].array
     _assert_close(analytic, _central(lambda q: kl(q, form, weight).item(), u, np.full_like(u, 1e-6)))
+
+
+@pytest.mark.parametrize("reduction", ["mean", "sum"])
+@pytest.mark.parametrize("floor", [None, NORM_EPSILON, 1e3], ids=["no_floor", "norm_epsilon", "floor_1e3"])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 10])
+def test_tempered_ce_equals_numpy_reductions(k, floor, reduction):
+    """The forward and VJP give the bits of their expressions with numpy's
+    row reductions (oracles), on both sides of the 8-column switch."""
+    n = 513
+    rng = np.random.default_rng(k)
+    # Unnormalized logits scaled down, so that not every softmax row is
+    # one-hot; a floor of 1e3 lies above some rows' norms and below others'.
+    p = awkward_rows(k, n, k) * 1e-25 if floor is None else awkward_rows(k, n, k)
+    t = rng.uniform(0.05, 2.0, (n, 1))
+    labels = np.eye(k)[rng.integers(0, k, n)]
+    attrs = {"labels": labels, "norm_floor": floor, "reduction": reduction}
+    ce = PRIMITIVES["tempered_ce"].forward((p, t), attrs)
+    want = tempered_ce_numpy(p, t, labels, floor, reduction)
+    assert np.float64(ce).tobytes() == np.float64(want["ce"]).tobytes()
+    for name in ("p_bar", "softmax", *(("norms",) if floor is not None else ())):
+        assert attrs[name].tobytes() == want[name].tobytes(), name
+    g = np.float64(0.75)
+    got = PRIMITIVES["tempered_ce"].vjp(g, (p, t), ce, attrs, (True, True))
+    for part, a, b in zip(("p", "t"), got, tempered_ce_vjp_numpy(g, p, t, labels, floor, reduction)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), part
 
 
 class TestChecks:

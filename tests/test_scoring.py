@@ -13,7 +13,7 @@ import oracles
 import uenl.model
 import uenl.scoring
 import uenl.tensor
-from conftest import model_arch, trained_like
+from conftest import awkward_rows, model_arch, trained_like
 from uenl.harness import write_files
 from uenl.model import forward, init_params
 from uenl.rng import RngStream
@@ -130,6 +130,31 @@ def logit_matrices(draw):
     elif shape == "dominant":
         z[:, draw(st.integers(0, k - 1))] = np.minimum(z.max(axis=1) + draw(st.floats(1.0, 1e3)), 1e3)
     return z
+
+
+class TestColumnPasses:
+    """msp_score and energy_score give the bits of their expressions with
+    numpy's row reductions (oracles), on both sides of the 8-column switch."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 8, 10, 32])
+    @pytest.mark.parametrize("n", [1, 92, 513])
+    def test_msp_and_energy(self, n, k):
+        logits = awkward_rows(zlib.crc32(f"scores{n}x{k}".encode()), n, k)
+        if n > 1 and k > 1:
+            assert ((logits == logits.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()  # tied maxima
+        assert msp_score(logits).tobytes() == oracles.msp_numpy(logits).tobytes()
+        # At 1e-300, logits / T overflows on most rows: their inf and NaN
+        # scores keep numpy's bits too.
+        for temperature in (0.1, 1.0, 1000.0, 1e-300):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = energy_score(logits, temperature), oracles.energy_numpy(logits, temperature)
+            assert got.tobytes() == want.tobytes(), temperature
+
+    def test_tied_maxima_and_signed_zeros(self):
+        logits = np.array([[2.0, 2.0, -1.0], [0.0, -0.0, -0.0], [-0.0, -0.0, -0.0], [5.0, 5.0, 5.0], [-3.0, 1.0, 1.0]])
+        assert msp_score(logits).tobytes() == oracles.msp_numpy(logits).tobytes()
+        assert energy_score(logits, 1.0).tobytes() == oracles.energy_numpy(logits, 1.0).tobytes()
+        assert energy_score(logits, 1.0)[3] == 5.0 + np.log(3.0)
 
 
 class TestScipyReference:

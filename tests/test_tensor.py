@@ -1,5 +1,6 @@
 """Tensor container, primitive forward semantics, and reverse-mode gradients."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import awkward_rows
 
 from uenl.tensor import (
     GraphNode,
@@ -18,6 +20,7 @@ from uenl.tensor import (
     apply,
     as_node,
     backward,
+    checked_forward,
     dense,
     div,
     exp,
@@ -33,6 +36,8 @@ from uenl.tensor import (
     scale,
     square,
     sub,
+    _row_max,
+    _row_sum,
     _rowwise_matmul,
 )
 
@@ -657,6 +662,51 @@ class TestDense:
     def test_non_finite_mask_raises(self, value):
         with pytest.raises(FloatingPointError, match="^head.h0: dense produced non-finite values$"):
             dense(leaf([[1.0]]), leaf([[1.0]]), leaf([0.0]), act="relu", mask=np.array([[value]]), name="head.h0")
+
+    def test_a_masked_relu_layer_scans_its_output(self):
+        # relu of the finite 1e308 is finite, but the dropout mask's 2.0
+        # overflows it: with a mask, relu keeps its output scan.
+        with pytest.raises(FloatingPointError, match="^backbone.h0: dense produced non-finite values$"):
+            dense(leaf([[1e308]]), leaf([[1.0]]), leaf([0.0]), act="relu", mask=np.array([[2.0]]), name="backbone.h0")
+
+    @pytest.mark.parametrize(
+        "act, masked, scans",
+        [(None, False, 1), (None, True, 2), ("relu", False, 1), ("relu", True, 2), ("exp", False, 2), ("exp", True, 2)],
+    )
+    def test_scans_once_where_one_scan_catches_everything(self, monkeypatch, act, masked, scans):
+        # The pre-activation is the output without act and mask, and relu
+        # keeps a finite pre-activation finite; exp and a mask need both.
+        seen, isfinite = [], np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: seen.append(a.shape) or isfinite(a))
+        mask = np.full((4, 2), 2.0) if masked else None
+        out = checked_forward("dense", (np.ones((4, 3)), np.ones((3, 2)), np.zeros(2)), {"act": act, "mask": mask})
+        assert out.shape == (4, 2)
+        assert seen == [(4, 2)] * scans
+
+
+class TestRowReductions:
+    """``_row_max`` and ``_row_sum`` are numpy's row reductions bit for bit:
+    column passes below 8 columns, numpy's own reduction from 8."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 10, 32])
+    @pytest.mark.parametrize("n", [1, 5, 92, 128, 512, 513])
+    def test_equal_numpy(self, n, k):
+        a = awkward_rows(zlib.crc32(f"rows{n}x{k}".encode()), n, k)
+        for got, want in [(_row_max(a), a.max(axis=1)), (_row_sum(a), a.sum(axis=1))]:
+            assert got.dtype == want.dtype and got.shape == want.shape == (n,)
+            assert got.tobytes() == want.tobytes()
+        counts = _row_sum(a > 0.0)
+        assert counts.dtype == (np.float64 if k < 8 else np.int64)
+        np.testing.assert_array_equal(counts, (a > 0.0).sum(axis=1))
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_signed_zeros(self, k):
+        # Every sign pattern of a row of zeros: numpy's sum starts from +0.0,
+        # so all -0.0 sums to +0.0, and its max keeps numpy's pick of tied zeros.
+        a = np.array(list(itertools.product([0.0, -0.0], repeat=k)))
+        assert _row_sum(a).tobytes() == a.sum(axis=1).tobytes()
+        assert _row_max(a).tobytes() == a.max(axis=1).tobytes()
+        assert _row_sum(a[:, ::-1]).tobytes() == a[:, ::-1].sum(axis=1).tobytes()
 
 
 class TestGraphMechanics:
