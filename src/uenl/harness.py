@@ -25,7 +25,7 @@ from .model import ModelParams, eval_logits, forward, init_params, param_shapes,
 from .optim import OptState, lr_at_epoch, sgd_step
 from .rng import RngStream, derive_seed
 from .scoring import ScoreSet, energy_score, eval_pass, msp_score, odin_from_pass, scores_csv
-from .tensor import PRIMITIVES, Tensor, backward, checked_forward
+from .tensor import Tape, Tensor, backward
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -290,93 +290,44 @@ def _train_step(params: ModelParams, xb: np.ndarray, yb: np.ndarray, dropout_rng
     """One minibatch on ``params`` without a graph: returns the loss and each
     weight's gradient by name (None for a weight the objective does not
     reach), and updates the batchnorm running statistics in
-    ``params.bn_state``.
-
-    The step calls the primitives of the train loss graph (``batch_loss`` in
-    tests/oracles.py builds it) in the graph's order: each ``dense`` layer in
-    model order, then ``resample``, ``tempered_ce`` and ``kl`` as the
-    objective needs. A tape keeps each call's inputs, output and attrs, and
-    where each input came from: an earlier call, a weight, or neither (the
-    batch, a fixed temperature). Walking it back through the VJPs from
-    np.ones(()) at each loss term, with ``needs`` set for the inputs that
-    came from somewhere, gives ``backward``'s weight gradients bit for bit:
-    an output feeds at most two later calls, and a sum of two does not
-    depend on its order.
-    """
-    config, weights = params.config, params.weights
-    tape = []  # (op, sources, values, out, attrs) per call
-
-    def run(op, sources, values, attrs):
-        out = checked_forward(op, values, attrs)
-        tape.append((op, sources, values, out, attrs))
-        return len(tape) - 1, out
-
-    def layer(prefix, source, x, bn, act, mask=None):
-        names = (f"{prefix}.w", f"{prefix}.b", *((f"{prefix}.bn.gamma", f"{prefix}.bn.beta") if bn else ()))
-        attrs = {"act": act, "mask": mask, "constant": config.bn_epsilon, "name": prefix}
-        called = run("dense", (source, *names), (x, *(weights[name].array for name in names)), attrs)
-        if bn:
-            params.bn_state.update(params.running_stats(prefix, attrs))
-        return called
-
-    at_h, h = None, xb
-    for i, width in enumerate(config.backbone.hidden_dims):
-        mask = None
-        if config.dropout > 0.0:
-            # Inverted dropout: surviving units scaled so the expectation is unchanged.
-            mask = (dropout_rng.uniform(0.0, 1.0, (len(xb), width)) >= config.dropout) / (1.0 - config.dropout)
-        at_h, h = layer(f"backbone.h{i}", at_h, h, config.backbone.use_batchnorm, "relu", mask)
-    at_logits, logits = layer("backbone.out", at_h, h, False, None)
+    ``params.bn_state``. ``ModelParams.run`` (the head only if the objective
+    reads u), then ``resample``, ``tempered_ce`` and ``kl`` as it needs, run
+    on one ``Tape`` in the order of the loss graph (tests/oracles.py's
+    ``batch_loss``), walked back from each loss term."""
+    config, tape = params.config, Tape()
+    head = config.method == "uenl" and (config.pinned_uhat is None or config.kl_weight > 0.0)
+    _, (at_logits, logits), (at_u, u) = params.run(xb, tape, dropout_rng, head)
     n = len(logits)
     onehot = np.zeros(logits.shape)
     onehot[np.arange(n), yb - 1] = 1.0
 
     def ce(at_t, t, norm_floor):
         attrs = {"labels": onehot, "norm_floor": norm_floor, "reduction": "mean"}
-        return run("tempered_ce", (at_logits, at_t), (logits, t), attrs)
+        return tape.run("tempered_ce", (at_logits, at_t), (logits, t), attrs)
 
     if config.method == "ce":
         terms = [ce(None, np.full((n, 1), 1.0), None)]
     elif config.method == "logitnorm":
         terms = [ce(None, np.full((n, 1), config.temperature), NORM_EPSILON)]
-    elif config.pinned_uhat is not None:
-        # Fixed temperature ablation: no resampling, and with kl weight 0 the
-        # head never runs.
+    elif config.pinned_uhat is not None:  # the fixed temperature ablation
         terms = [ce(None, np.full((n, 1), config.pinned_uhat), NORM_EPSILON)]
-        if config.kl_weight > 0.0:
-            at_u, u = layer("head", at_h, h, True, "exp")
     else:
-        at_u, u = layer("head", at_h, h, True, "exp")
         epsilon = resample_rng.normal((n, config.delta))
         attrs = {"constant": float(config.uhat_scale), "weights": epsilon * epsilon, "floor": UHAT_FLOOR}
-        terms = [ce(*run("resample", (at_u,), (u,), attrs), NORM_EPSILON)]
+        terms = [ce(*tape.run("resample", (at_u,), (u,), attrs), NORM_EPSILON)]
     if config.method == "uenl" and config.kl_weight > 0.0:
-        terms.append(run("kl", (at_u,), (u,), {"constant": float(config.kl_weight), "form": config.kl_form}))
+        terms.append(tape.run("kl", (at_u,), (u,), {"constant": float(config.kl_weight), "form": config.kl_form}))
     loss = float(terms[0][1] if len(terms) == 1 else terms[0][1] + terms[1][1])
-
-    grads = dict.fromkeys(weights)
-    out_grads = [None] * len(tape)
-    for at, _ in terms:
-        out_grads[at] = np.ones(())
-    for at in reversed(range(len(tape))):
-        op, sources, values, out, attrs = tape[at]
-        needs = tuple(source is not None for source in sources)
-        for source, grad in zip(sources, PRIMITIVES[op].vjp(out_grads[at], values, out, attrs, needs)):
-            if type(source) is int:
-                held = out_grads[source]
-                out_grads[source] = grad if held is None else held + grad
-            elif source is not None:
-                grads[source] = grad
-    return loss, grads
+    grads = tape.walk(at for at, _ in terms)
+    return loss, {name: grads.get(name) for name in params.weights}
 
 
 def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=None) -> Checkpoint:
     """Train a model per the config; returns the final checkpoint.
 
-    Each minibatch is one ``_train_step``, which runs the layer and objective
-    primitives without a graph and walks them back for the weight gradients,
-    then one ``sgd_step``. A non-finite value in a step or in its gradients
-    ends training with a RuntimeError that names the epoch and the batch.
+    Each minibatch is one ``_train_step`` and one ``sgd_step``. A non-finite
+    value in a step, its running statistics or its gradients ends training
+    with a RuntimeError that names the epoch and the batch.
     ``progress``, if given, is called as progress(epoch, mean_loss,
     test_error) after each epoch.
     """
@@ -387,10 +338,6 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
     dropout_rng = root.substream("dropout")
     resample_rng = root.substream("resample")
     opt_state = OptState(param_shapes(config)[0], params.weights)
-
-    overlap = set(params.weights) & set(params.bn_state)
-    if overlap:
-        raise AssertionError(f"batchnorm state leaked into trainable weights: {sorted(overlap)}")
 
     # Optional per-epoch model selection on a held-out Gaussian-noise
     # validation set; the eval OOD sets are never consulted.

@@ -1,35 +1,28 @@
 """MLP backbone with a batch-normalized exponential uncertainty head.
 
-The architecture is read from an ``ExperimentConfig``: ``backbone`` (input,
-hidden and class widths, batchnorm on or off), ``dropout``, ``delta``,
-``scalar_uncertainty``, ``bn_momentum`` and ``bn_epsilon``. The backbone
-maps inputs to an embedding (the last hidden activation) and class logits.
-The head maps the same embedding to a strictly positive uncertainty vector
-u = exp(batchnorm(linear(e))), ``delta`` wide (1 with
-``scalar_uncertainty``). Each layer, its batchnorm, activation and dropout
-included, is one ``dense`` primitive call. The model argument's type picks
-the mode. ``ModelParams`` run in train mode, where every output is
-differentiable with respect to parameters and inputs alike. A
-``FoldedModel`` (``ModelParams.fold``) runs in eval mode: batchnorm's
-running statistics, a fixed per-column affine map, are folded into the
-linear layer before it (Ioffe & Szegedy 2015). Its ``run`` is the eval
-forward: one ``dense`` call per layer without a graph, with an optional
-tape for an input gradient (ODIN's); an eval pass folds once for all its
-chunks. Training runs ``dense`` without a graph too
-(``harness._train_step``). ``forward`` and ``uncertainty_forward`` build a
-graph in either mode: the public autodiff API and the tests' reference.
+``layers(config)`` is the one table of the layers an ``ExperimentConfig``
+describes: each hidden layer, the logits layer, and the head u =
+exp(batchnorm(linear(e))), ``delta`` wide (1 with ``scalar_uncertainty``);
+the last two read the embedding e. Each layer, its batchnorm, activation
+and dropout included, is one ``dense`` primitive call. The model argument's
+type picks the mode, and each mode has one forward, on a ``Tape``:
+``ModelParams.run`` trains, and the ``FoldedModel`` of ``ModelParams.fold``
+runs in eval mode, batchnorm's running statistics folded into the linear
+layer before it (Ioffe & Szegedy 2015). ``forward`` and
+``uncertainty_forward`` build a graph in either mode: the public autodiff
+API and the tests' reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .rng import RngStream
-from .tensor import GraphNode, Tensor, as_node, checked_forward, dense, leaf
+from .tensor import GraphNode, Tape, Tensor, as_node, dense, leaf
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -39,6 +32,7 @@ __all__ = [
     "FoldedModel",
     "ForwardOutput",
     "HeadOutput",
+    "layers",
     "param_shapes",
     "init_params",
     "param_leaves",
@@ -47,6 +41,27 @@ __all__ = [
     "eval_logits",
     "predict_classes",
 ]
+
+
+class Layer(NamedTuple):
+    prefix: str
+    fan_in: int
+    width: int
+    bn: bool
+    act: str | None
+
+
+def layers(config: ExperimentConfig) -> tuple[Layer, ...]:
+    """The model's layers in order: ``backbone.h{i}`` per hidden width
+    (relu), ``backbone.out`` (the logits) and ``head`` (exp, batchnorm)."""
+    backbone, table, fan_in = config.backbone, [], config.backbone.input_dim
+    for i, width in enumerate(backbone.hidden_dims):
+        table.append(Layer(f"backbone.h{i}", fan_in, width, backbone.use_batchnorm, "relu"))
+        fan_in = width
+    table.append(Layer("backbone.out", fan_in, backbone.num_classes, False, None))
+    table.append(Layer("head", fan_in, 1 if config.scalar_uncertainty else config.delta, True, "exp"))
+    return tuple(table)
+
 
 @dataclass
 class ModelParams:
@@ -70,11 +85,10 @@ class ModelParams:
         and ``b`` (w' and b' with batchnorm) become one read-only array
         each; a layer without batchnorm keeps its weights' arrays, uncopied.
         """
-        shapes, eps = param_shapes(self.config)[0], self.config.bn_epsilon
-        arrays: dict[str, np.ndarray] = {}
-        for prefix in (name[:-2] for name in shapes if name.endswith(".w")):
+        table, eps, arrays = layers(self.config), self.config.bn_epsilon, {}
+        for prefix, _, _, bn, _ in table:
             w, b = self.weights[f"{prefix}.w"], self.weights[f"{prefix}.b"]
-            if f"{prefix}.bn.gamma" in shapes:
+            if bn:
                 mean, var = (self.bn_state[f"{prefix}.bn.{stat}"].array for stat in ("mean", "var"))
                 if np.any(var < 0.0):
                     raise ValueError(f"{prefix}.bn: running variance has negative entries")
@@ -82,7 +96,7 @@ class ModelParams:
                 w = Tensor(w.array * s)
                 b = Tensor((b.array - mean) * s + self.weights[f"{prefix}.bn.beta"].array)
             arrays[f"{prefix}.w"], arrays[f"{prefix}.b"] = w.array, b.array
-        return FoldedModel(self.config, arrays)
+        return FoldedModel(self.config, arrays, table)
 
     def running_stats(self, prefix: str, batch: dict) -> dict[str, Tensor]:
         """Layer ``prefix``'s batchnorm running mean and variance, by name,
@@ -94,43 +108,71 @@ class ModelParams:
             key = f"{prefix}.bn.{stat}"
             new = (1.0 - momentum) * self.bn_state[key].array + momentum * batch[stat]
             if not np.isfinite(new).all():
-                raise ValueError(f"non-finite values in tensor of shape {new.shape}")
+                raise FloatingPointError(f"{prefix}.bn: non-finite running {stat}")
             stats[key] = Tensor._wrap(new)
         return stats
+
+    def run(self, x: np.ndarray, tape: Tape, dropout_rng, head: bool = True):
+        """The train forward of the rows ``x``: one ``dense`` call per layer
+        on ``tape``, each weight a key, dropout masks drawn from
+        ``dropout_rng`` and running statistics updated in ``bn_state``. The
+        (tape index, output) of the embedding, the logits and u, or (None,
+        None) for u unless ``head``."""
+        config = self.config
+        *hidden, out, unc = layers(config)
+
+        def layer(spec, at, h, mask=None):
+            prefix = spec.prefix
+            names = (f"{prefix}.w", f"{prefix}.b", *((f"{prefix}.bn.gamma", f"{prefix}.bn.beta") if spec.bn else ()))
+            attrs = {"act": spec.act, "mask": mask, "constant": config.bn_epsilon, "name": prefix}
+            called = tape.run("dense", (at, *names), (h, *(self.weights[name].array for name in names)), attrs)
+            if spec.bn:
+                self.bn_state.update(self.running_stats(prefix, attrs))
+            return called
+
+        called = None, x  # the batch is no key: training asks no input gradient
+        for spec in hidden:
+            mask = None
+            if config.dropout > 0.0:
+                # Inverted dropout: surviving units scaled so the expectation is unchanged.
+                mask = (dropout_rng.uniform(0.0, 1.0, (len(x), spec.width)) >= config.dropout) / (1.0 - config.dropout)
+            called = layer(spec, *called, mask)
+        return called, layer(out, *called), layer(unc, *called) if head else (None, None)
 
 
 @dataclass(frozen=True)
 class FoldedModel:
-    """An eval-mode model: each layer's ``{prefix}.w`` and ``{prefix}.b``,
-    batchnorm folded in, as read-only arrays that every eval pass given
-    this value shares. Built by ``ModelParams.fold`` and never changed; it
-    does not follow later edits to the parameters it was folded from."""
+    """An eval-mode model: the ``layers`` table, and each layer's
+    ``{prefix}.w`` and ``{prefix}.b``, batchnorm folded in, as read-only
+    arrays that every eval pass shares. Built by ``ModelParams.fold`` and
+    never changed: it does not follow later edits to its parameters."""
 
     config: ExperimentConfig
     arrays: dict[str, np.ndarray]
+    layers: tuple[Layer, ...]
 
     def fold(self) -> FoldedModel:
         """Already folded: the model itself."""
         return self
 
     @np.errstate(over="ignore", invalid="ignore")  # the finiteness checks report overflow and invalid values
-    def run(self, x: np.ndarray, tape: list | None = None, head: bool = True):
-        """(embedding, logits, u) of the rows ``x`` without a graph, u None
-        unless ``head``: one ``checked_forward("dense", ...)`` per layer, the
-        values and errors of ``forward`` and ``uncertainty_forward`` on this
-        model. ``tape`` receives each backbone call's (inputs, output, attrs)."""
+    def run(self, x: np.ndarray, tape: Tape | None = None, head: bool = True):
+        """(embedding, logits, u) of the rows ``x``, u None unless ``head``:
+        one ``dense`` call per layer on ``tape`` (a fresh one when None), the
+        input keyed ``"x"``; the values and errors of ``forward`` and
+        ``uncertainty_forward`` on this model."""
         _check_rows("input", np.shape(x), self.config.backbone.input_dim)
+        tape = Tape() if tape is None else tape
+        *hidden, out, unc = self.layers
 
-        def layer(prefix, h, act, calls):
-            values = (h, self.arrays[f"{prefix}.w"], self.arrays[f"{prefix}.b"])
-            attrs = {"act": act, "mask": None, "name": prefix}
-            calls.append((values, checked_forward("dense", values, attrs), attrs))
-            return calls[-1][1]
+        def layer(spec, at, h):
+            values = (h, self.arrays[f"{spec.prefix}.w"], self.arrays[f"{spec.prefix}.b"])
+            return tape.run("dense", (at, None, None), values, {"act": spec.act, "mask": None, "name": spec.prefix})
 
-        h, calls = x, [] if tape is None else tape
-        for i in range(len(self.config.backbone.hidden_dims)):
-            h = layer(f"backbone.h{i}", h, "relu", calls)
-        return h, layer("backbone.out", h, None, calls), (layer("head", h, "exp", []) if head else None)
+        called = "x", x
+        for spec in hidden:
+            called = layer(spec, *called)
+        return called[1], layer(out, *called)[1], layer(unc, *called)[1] if head else None
 
 
 @dataclass
@@ -155,21 +197,12 @@ class HeadOutput:
 
 def param_shapes(config: ExperimentConfig) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]]:
     """Names and shapes of the trainable weights and of the batchnorm
-    running statistics, in layout order: each layer's ``w``, ``b`` and, with
-    batchnorm, ``bn.gamma`` and ``bn.beta`` (its ``bn.mean`` and ``bn.var``
-    in the second dict), for every hidden layer, the logits layer and the
-    head. The head reads the embedding, the last hidden activation, and is
-    ``delta`` wide (1 with ``scalar_uncertainty``)."""
-    backbone = config.backbone
-    layers, fan_in = [], backbone.input_dim
-    for i, width in enumerate(backbone.hidden_dims):
-        layers.append((f"backbone.h{i}", fan_in, width, backbone.use_batchnorm))
-        fan_in = width
-    layers.append(("backbone.out", fan_in, backbone.num_classes, False))
-    layers.append(("head", fan_in, 1 if config.scalar_uncertainty else config.delta, True))
+    running statistics, in ``layers`` order: each layer's ``w``, ``b`` and,
+    with batchnorm, ``bn.gamma`` and ``bn.beta`` (its ``bn.mean`` and
+    ``bn.var`` in the second dict)."""
     weights: dict[str, tuple[int, ...]] = {}
     bn_state: dict[str, tuple[int, ...]] = {}
-    for prefix, fan_in, width, bn in layers:
+    for prefix, fan_in, width, bn, _ in layers(config):
         weights[f"{prefix}.w"] = (fan_in, width)
         weights[f"{prefix}.b"] = (width,)
         if bn:
@@ -212,22 +245,19 @@ def param_leaves(params: ModelParams) -> dict[str, GraphNode]:
 def _dense(
     params: ModelParams | FoldedModel,
     leaves: dict[str, GraphNode],
-    prefix: str,
+    spec: Layer,
     h: GraphNode,
-    bn: bool,
-    act: str | None,
+    train: bool,
     updates: dict[str, Tensor],
     mask: np.ndarray | None = None,
 ) -> GraphNode:
-    """``act(h @ w + b) * mask`` on the ``leaves`` of layer ``prefix``,
-    batch-normalized by ``{prefix}.bn`` before ``act`` when ``bn`` (train
-    mode only: eval-mode leaves have batchnorm folded in), as one ``dense``
-    node named ``prefix``. Train-mode batchnorm reports its running-stat
-    updates in ``updates``."""
-    cfg = params.config
+    """Layer ``spec`` on its ``leaves`` as one ``dense`` node named after it,
+    batch-normalized in ``train`` mode if the layer has batchnorm, which
+    then reports its running-stat updates in ``updates``."""
+    prefix, bn = spec.prefix, spec.bn and train
     gamma, beta = (leaves[f"{prefix}.bn.{p}"] for p in ("gamma", "beta")) if bn else (None, None)
     w, b = leaves[f"{prefix}.w"], leaves[f"{prefix}.b"]
-    node = dense(h, w, b, gamma, beta, act=act, mask=mask, epsilon=cfg.bn_epsilon, name=prefix)
+    node = dense(h, w, b, gamma, beta, act=spec.act, mask=mask, epsilon=params.config.bn_epsilon, name=prefix)
     if bn:
         updates.update(params.running_stats(prefix, node.attrs))
     return node
@@ -255,36 +285,30 @@ def forward(
     rng: RngStream | None = None,
     leaves: dict[str, GraphNode] | None = None,
 ) -> ForwardOutput:
-    """Run the backbone on a batch.
-
-    ``x`` is a (batch, input_dim) array or node. ``ModelParams`` run in train
-    mode: batchnorm uses batch statistics (and reports running-stat updates),
-    dropout needs ``rng``, and the layers read ``leaves``, fresh
-    ``param_leaves`` when None. A ``FoldedModel`` (``ModelParams.fold``)
-    runs in eval mode: the pass is deterministic and each row's outputs are
-    exactly the values it would get in any other batch. It reports no
+    """Run the backbone on a batch, a (batch, input_dim) array or node, as a
+    graph. On ``ModelParams`` (train mode) batchnorm reports its running-stat
+    updates, dropout needs ``rng``, and the layers read ``leaves``, fresh
+    ``param_leaves`` when None. A ``FoldedModel`` (eval mode) reports no
     parameter leaves (``leaves`` must be None or empty, and the output's is
-    empty) and so is differentiable with respect to ``x`` only.
+    empty), so its pass is differentiable with respect to ``x`` only.
     """
-    train, layers = _layer_leaves(params, leaves)
-    backbone, rate = params.config.backbone, params.config.dropout
+    train, leaves = _layer_leaves(params, leaves)
+    rate = params.config.dropout
     x_node = as_node(x)
-    _check_rows("input", x_node.shape, backbone.input_dim)
+    _check_rows("input", x_node.shape, params.config.backbone.input_dim)
     if train and rate > 0.0 and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng stream")
 
-    bn = backbone.use_batchnorm and train
+    *hidden, out, _ = layers(params.config)
     updates: dict[str, Tensor] = {}
     h = x_node
-    for i, width in enumerate(backbone.hidden_dims):
+    for spec in hidden:
         mask = None
         if train and rate > 0.0:
-            # Inverted dropout: surviving units scaled so the expectation is unchanged.
-            mask = (rng.uniform(0.0, 1.0, (h.shape[0], width)) >= rate) / (1.0 - rate)
-        h = _dense(params, layers, f"backbone.h{i}", h, bn, "relu", updates, mask)
-    embedding = h
-    logits = _dense(params, layers, "backbone.out", embedding, False, None, updates)
-    return ForwardOutput(logits, embedding, x_node, layers if train else {}, updates)
+            mask = (rng.uniform(0.0, 1.0, (h.shape[0], spec.width)) >= rate) / (1.0 - rate)
+        h = _dense(params, leaves, spec, h, train, updates, mask)
+    logits = _dense(params, leaves, out, h, train, updates)
+    return ForwardOutput(logits, h, x_node, leaves if train else {}, updates)
 
 
 def uncertainty_forward(
@@ -299,12 +323,12 @@ def uncertainty_forward(
     (required for joint gradients). On a ``FoldedModel`` (eval mode), as in
     ``forward``: u = exp(e @ w' + b'), with no parameter leaves reported.
     """
-    train, layers = _layer_leaves(params, leaves)
-    width = params.config.backbone.hidden_dims[-1]
+    train, leaves = _layer_leaves(params, leaves)
+    spec = layers(params.config)[-1]
     e = as_node(embedding)
-    _check_rows("embedding", e.shape, width)
+    _check_rows("embedding", e.shape, spec.fan_in)
     updates: dict[str, Tensor] = {}
-    return HeadOutput(_dense(params, layers, "head", e, train, "exp", updates), updates)
+    return HeadOutput(_dense(params, leaves, spec, e, train, updates), updates)
 
 
 def eval_logits(params: ModelParams | FoldedModel, x, batch_size: int = 512) -> np.ndarray:

@@ -5,8 +5,8 @@ reaches the decision threshold.
 ``msp_score`` and ``energy_score`` score (n, k) logit rows. ``eval_pass``
 hands each chunk's graph-free eval pass to a score: the uncertainty score
 is -sum_i u_i, and ``odin_from_pass`` perturbs the chunk's inputs along the
-gradient it walks back on the chunk's tape. ``scores_csv`` only formats CSV
-text.
+gradient it walks back to ``"x"`` on the chunk's ``Tape``. ``scores_csv``
+only formats CSV text.
 
 The softmax and logsumexp kernels repeat scipy.special's (1.17) operations
 in order, so scores.csv has the same bits without scipy. Below 8 classes
@@ -23,7 +23,7 @@ import numpy as np
 
 # forward, uncertainty_forward and backward are unused, but perfbench/tracing.py rebinds them here.
 from .model import FoldedModel, ModelParams, forward, uncertainty_forward
-from .tensor import PRIMITIVES, _row_max, _row_sum, backward, checked_forward
+from .tensor import Tape, _row_max, _row_sum, backward
 
 __all__ = [
     "msp_score",
@@ -71,12 +71,12 @@ def energy_score(logits, temperature: float = 0.1) -> np.ndarray:
 
 class EvalChunk(NamedTuple):
     """One ``eval_pass`` chunk: its rows, their eval-mode logits and sum_i
-    u_i, and the tape of its backbone calls (``FoldedModel.run``)."""
+    u_i, and the tape of its layer calls (``FoldedModel.run``)."""
 
     x: np.ndarray
     logits: np.ndarray
     u_total: np.ndarray
-    tape: list
+    tape: Tape
 
 
 def odin_from_pass(model: ModelParams | FoldedModel, chunk: EvalChunk, temperature: float, epsilon: float,
@@ -100,20 +100,16 @@ def odin_from_pass(model: ModelParams | FoldedModel, chunk: EvalChunk, temperatu
 
 def _input_gradient(chunk: EvalChunk, temperature: float) -> np.ndarray:
     """d/dx of the summed NLLs of each row's argmax class at ``temperature``
-    (rows are independent, so each row's gradient is its own NLL's):
-    ``tempered_ce``'s forward and VJP, then each taped call's input VJP in
-    reverse, the float operations of ``backward(nll, wrt=[x])``."""
-    logits = chunk.logits
+    (rows are independent, so each row's gradient is its own NLL's): one
+    ``tempered_ce`` call on the chunk's tape, walked back to ``"x"``."""
+    logits, tape = chunk.logits, chunk.tape
     onehot = np.zeros_like(logits)
     onehot[np.arange(len(logits)), np.argmax(logits, axis=1)] = 1.0
-    values = (logits, np.full((len(logits), 1), temperature))
+    at_logits = next(at for at, call in enumerate(tape.calls) if call[3] is logits)
     attrs = {"labels": onehot, "norm_floor": None, "reduction": "sum"}
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports them
-        nll = checked_forward("tempered_ce", values, attrs)
-    grad = PRIMITIVES["tempered_ce"].vjp(np.ones(()), values, nll, attrs, (True, False))[0]
-    for values, out, attrs in reversed(chunk.tape):
-        grad = PRIMITIVES["dense"].vjp(grad, values, out, attrs, (True, False, False))[0]
-    return grad
+        at, _ = tape.run("tempered_ce", (at_logits, None), (logits, np.full((len(logits), 1), temperature)), attrs)
+    return tape.walk((at,))["x"]
 
 
 def _odin_perturbed(chunk: EvalChunk, temperature: float, epsilon: float, clip_range) -> np.ndarray:
@@ -137,12 +133,11 @@ def eval_pass(params: ModelParams | FoldedModel, x, score: Callable, chunk: int 
     A chunk keeps its rows' total uncertainty only (which keeps memory
     flat), and its tape lets a score take an input gradient (ODIN does).
     Eval rows do not depend on their batch, so the chunks together equal an
-    unchunked pass bit for bit. ``params`` is folded once, and every chunk
-    runs on the same folded arrays.
+    unchunked pass bit for bit. ``params`` is folded once for every chunk.
     """
     x, model, results = np.asarray(x, dtype=np.float64), params.fold(), []
     for rows in (x[i : i + chunk] for i in range(0, len(x), chunk)):
-        tape = []
+        tape = Tape()
         _, logits, u = model.run(rows, tape)
         results.append(score(EvalChunk(rows, logits, np.sum(u, axis=1), tape)))
     return results

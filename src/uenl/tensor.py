@@ -37,12 +37,10 @@ runs only the VJPs on a path to the requested nodes and returns their
 gradients alone.
 
 The graph is the public autodiff API. Training and evaluation build none:
-the train step (``harness._train_step``), the eval forward
-(``model.FoldedModel.run``) and ODIN's input gradient call the primitives
-through ``checked_forward``, the finiteness scan that ``apply`` runs
-(``dense`` scans itself, once or twice by layer kind), and walk their VJPs
-back: the float operations of ``backward``. ``tempered_ce`` reduces rows
-of under 8 columns column by column, sums from +0.0: numpy's bits, cheaper.
+they record ``checked_forward`` calls, the finiteness scan that ``apply``
+runs (``dense`` scans itself), on a ``Tape`` and walk it back: the float
+operations of ``backward``. ``tempered_ce`` reduces rows of under 8
+columns column by column, sums from +0.0: numpy's bits, cheaper.
 """
 
 from __future__ import annotations
@@ -57,6 +55,7 @@ __all__ = [
     "GraphNode",
     "apply",
     "checked_forward",
+    "Tape",
     "backward",
     "leaf",
     "as_node",
@@ -681,6 +680,41 @@ def checked_forward(op: str, values: tuple, attrs: dict) -> np.ndarray:
 
 def _non_finite(op: str, attrs: dict) -> FloatingPointError:
     return FloatingPointError(f"{attrs['name'] + ': ' if attrs.get('name') else ''}{op} produced non-finite values")
+
+
+class Tape:
+    """Reverse mode without a graph: ``calls`` holds each ``run``'s (op,
+    sources, values, out, attrs), and ``walk`` goes back through their VJPs."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple] = []
+
+    def run(self, op: str, sources: tuple, values: tuple, attrs: dict) -> tuple[int, np.ndarray]:
+        """One ``checked_forward`` call, recorded; returns (its index, its
+        output). Each input's source is an earlier call's index, a key whose
+        gradient ``walk`` returns (a weight name, ``"x"``), or None."""
+        out = checked_forward(op, values, attrs)
+        self.calls.append((op, sources, values, out, attrs))
+        return len(self.calls) - 1, out
+
+    def walk(self, seeds) -> dict[str, np.ndarray]:
+        """The gradients, by key, of the sum of the outputs of the calls at
+        ``seeds``, each seeded with np.ones(()). A call that no seed reaches
+        runs no VJP, and a VJP computes only the inputs with a source. An
+        output feeds at most two later calls, and a sum of two does not
+        depend on its order: ``backward``'s gradients bit for bit."""
+        held: dict = {at: np.ones(()) for at in seeds}
+        for at in reversed(range(len(self.calls))):
+            g = held.pop(at, None)
+            if g is None:
+                continue
+            op, sources, values, out, attrs = self.calls[at]
+            needs = tuple(source is not None for source in sources)
+            for source, grad in zip(sources, PRIMITIVES[op].vjp(g, values, out, attrs, needs)):
+                if source is not None:
+                    prior = held.get(source)
+                    held[source] = grad if prior is None else prior + grad
+        return held  # every call index has been popped: the keys are left
 
 
 def backward(loss: GraphNode, wrt=None) -> dict[GraphNode, Tensor]:

@@ -39,8 +39,6 @@ line_coverage.follow({out!r})
 # line's stripped text, which do not move when lines above it do.
 UNRUN = {
     ("cli.py", "sys.exit(main())"): "the `python -m uenl.cli` guard; the CLI runs as `python -m uenl`",
-    ("harness.py", 'raise AssertionError(f"batchnorm state leaked into trainable weights: {sorted(overlap)}")'):
-        "invariant: `param_shapes` keeps batchnorm state out of the weights",
     ("harness.py", 'raise ValueError(f"unknown scoring method {method!r}")'):
         "invariant: `ScoringSpec` accepts only `SCORE_METHODS`",
     ("model.py", "from .config import ExperimentConfig"): "for type checkers only, under `TYPE_CHECKING`",

@@ -102,6 +102,16 @@ class TestTrain:
         assert err == "error: non-finite value at epoch 0, batch 3: head: dense produced non-finite values\n"
         assert not out.exists()
 
+    def test_non_finite_running_statistic_is_one_error_line(self, config_path, tmp_path, capsys):
+        # At lr 1e150 the first step's weights make the next batch's variance
+        # overflow: the error names the layer and the statistic.
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--config", str(config_path), "--set", "lr=1e150", "--out", str(out), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: non-finite value at epoch 0, batch 1: backbone.h1.bn: non-finite running var\n"
+        assert not out.exists()
+
     def test_non_finite_gradient_is_one_error_line(self, config_path, tmp_path, capsys, monkeypatch):
         # A non-finite gradient is caught by sgd_step, on the same path and
         # with the same message format as a non-finite loss or backward.

@@ -498,16 +498,16 @@ class TestTrainStep:
     def test_non_finite_running_variance_is_the_graph_error(self):
         """A column whose values overflow when squared gives an infinite batch
         variance but finite normalized values: the step stops at the running
-        statistic with the graph's error."""
+        statistic with the graph's error, which names the layer."""
         config = replace(load_config(SHIPPED_CONFIG), dropout=0.0)
         params = _moved_params(config)
         xb = np.full((8, 16), 1e200) * np.array([1.0, -1.0] * 4)[:, None]
         yb = np.arange(8) % 3 + 1
-        with pytest.raises(ValueError) as graph_error:
+        with pytest.raises(FloatingPointError) as graph_error:
             batch_loss(_copy(params), xb, yb, RngStream(5), RngStream(6), param_leaves(params))
-        with pytest.raises(ValueError) as step_error:
+        with pytest.raises(FloatingPointError) as step_error:
             _train_step(_copy(params), xb, yb, RngStream(5), RngStream(6))
-        assert str(step_error.value) == str(graph_error.value) == "non-finite values in tensor of shape (64,)"
+        assert str(step_error.value) == str(graph_error.value) == "backbone.h0.bn: non-finite running var"
 
     def test_an_overflowing_dropout_product_names_its_layer(self):
         """A finite relu output times the dropout mask's 2.0 overflows: the
@@ -795,10 +795,15 @@ class TestOneFoldPerDataset:
         assert sorted((tape is not None, head) for _, tape, head in runs) == [(False, False)] * chunks + [(True, True)] * chunks
         for model, tape, _ in runs:
             assert type(model) is FoldedModel and any(model is m for m in folds)
-            # The tape holds the backbone's three calls, on the fold's own arrays.
-            for values, _, attrs in tape or []:
+            # The tape holds the four layer calls, on the fold's own arrays,
+            # and then ODIN's tempered_ce call.
+            calls = [] if tape is None else tape.calls
+            for _, _, values, _, attrs in calls[:4]:
                 assert values[1] is model.arrays[f"{attrs['name']}.w"]
-            assert tape is None or [attrs["name"] for _, _, attrs in tape] == ["backbone.h0", "backbone.h1", "backbone.out"]
+            names = ["backbone.h0", "backbone.h1", "backbone.out", "head"]
+            assert tape is None or [(op, attrs.get("name")) for op, _, _, _, attrs in calls] == [
+                *(("dense", name) for name in names), ("tempered_ce", None)
+            ]
         # Each fold serves its own dataset's chunks: one forward and one
         # perturbed forward per chunk.
         used = [model for model, _, _ in runs]

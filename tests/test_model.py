@@ -17,6 +17,7 @@ from uenl.model import (
     eval_logits,
     forward,
     init_params,
+    layers,
     param_leaves,
     param_shapes,
     predict_classes,
@@ -24,7 +25,7 @@ from uenl.model import (
 )
 from uenl.rng import RngStream
 from uenl.scoring import EvalChunk, _input_gradient
-from uenl.tensor import Tensor, backward, leaf, reduce_mean, tempered_ce
+from uenl.tensor import Tape, Tensor, backward, leaf, reduce_mean, tempered_ce
 
 
 def make_params(seed=0, input_dim=5, hidden=(12, 6), k=3, delta=8, **config_kw):
@@ -126,6 +127,11 @@ class TestParamShapes:
         weight_shapes, bn_shapes = param_shapes(params.config)
         assert [(n, t.shape) for n, t in params.weights.items()] == list(weight_shapes.items())
         assert [(n, t.shape) for n, t in params.bn_state.items()] == list(bn_shapes.items())
+        assert set(params.weights).isdisjoint(params.bn_state)
+        # The layer table lists the same layers, in the same order and shapes.
+        assert [(f"{layer.prefix}.w", (layer.fan_in, layer.width), layer.bn) for layer in layers(params.config)] == [
+            (n, shape, f"{n[:-2]}.bn.gamma" in weight_shapes) for n, shape in weight_shapes.items() if n.endswith(".w")
+        ]
 
     def test_desk_layout(self):
         weights, bn_state = param_shapes(model_arch(16, (64, 32), 3, delta=32))
@@ -315,7 +321,7 @@ class TestEvalHelpers:
 def _eval_outputs(params: ModelParams | FoldedModel, x: np.ndarray, temperature: float = 1000.0):
     """Eval logits, u and the ODIN input gradient, as scoring computes them
     (graph-free, along the pass's tape), on ``params.fold()``."""
-    tape = []
+    tape = Tape()
     _, logits, u = params.fold().run(x, tape)
     return logits, u, _input_gradient(EvalChunk(x, logits, u.sum(axis=1), tape), temperature)
 

@@ -22,7 +22,6 @@ def tracing():
 
 
 def test_install_rebinds_and_uninstall_restores(tracing, tiny_checkpoint, tiny_bundle, monkeypatch):
-    import uenl.model as model
     import uenl.tensor as tensor
     from uenl.harness import evaluate
 
@@ -36,15 +35,16 @@ def test_install_rebinds_and_uninstall_restores(tracing, tiny_checkpoint, tiny_b
         return dense.vjp(*args, **kwargs)
 
     # Eval runs without a graph: each layer is one checked_forward("dense")
-    # call in FoldedModel.run, which the tracer does not wrap.
-    dense_forwards = []
+    # call on the chunk's Tape, and ODIN adds one checked_forward("tempered_ce"),
+    # neither of which the tracer wraps.
+    forwards = []
 
-    def counted_forward(op, values, attrs, original=model.checked_forward):
-        dense_forwards.append(op)
+    def counted_forward(op, values, attrs, original=tensor.checked_forward):
+        forwards.append(op)
         return original(op, values, attrs)
 
     monkeypatch.setitem(tensor.PRIMITIVES, "dense", dense._replace(vjp=counted_vjp))
-    monkeypatch.setattr(model, "checked_forward", counted_forward)
+    monkeypatch.setattr(tensor, "checked_forward", counted_forward)
     tr = tracing.Tracer()
     installation = tracing.install(tr)
     try:
@@ -61,7 +61,7 @@ def test_install_rebinds_and_uninstall_restores(tracing, tiny_checkpoint, tiny_b
     # read 0 under evaluate, and the layers ran as graph-free dense calls.
     for name in ("model.forward", "model.uncertainty_forward", "tensor.apply.dense", "tensor.backward"):
         assert name not in traced
-    assert dense_forwards and set(dense_forwards) == {"dense"}
+    assert set(forwards) == {"dense", "tempered_ce"}
     assert "odin" in tiny_checkpoint.config.scoring.methods
     # ODIN asks for the input gradient alone, so each dense VJP skips the weights.
     assert dense_vjps and set(dense_vjps) == {(True, False, False)}

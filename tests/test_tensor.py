@@ -15,6 +15,7 @@ from conftest import awkward_rows
 from uenl.tensor import (
     GraphNode,
     PRIMITIVES,
+    Tape,
     Tensor,
     add,
     apply,
@@ -44,10 +45,11 @@ from uenl.tensor import (
 import uenl.harness
 import uenl.tensor
 from conftest import tiny_experiment_config
-from gradcheck import finite_diff_check
+from gradcheck import compare_gradient, finite_diff_check
 from oracles import batch_loss, numeric_gradient, odin_from_pass
 from uenl.data import batch_iter
 from uenl.model import forward, init_params, param_leaves
+from uenl.scoring import EvalChunk, _input_gradient
 from uenl.rng import RngStream
 
 
@@ -682,6 +684,54 @@ class TestDense:
         out = checked_forward("dense", (np.ones((4, 3)), np.ones((3, 2)), np.zeros(2)), {"act": act, "mask": mask})
         assert out.shape == (4, 2)
         assert seen == [(4, 2)] * scans
+
+
+class TestTape:
+    """``Tape.run`` records ``checked_forward`` calls; ``Tape.walk`` returns
+    the keyed gradients of the seeded outputs."""
+
+    def test_walk_matches_finite_differences(self):
+        # A batch-normalized, masked exp layer into a norm-floored
+        # tempered_ce: every input of the layer is a key.
+        rng = np.random.default_rng(11)
+        values = {
+            "x": rng.standard_normal((6, 4)), "w": rng.standard_normal((4, 3)), "b": rng.standard_normal(3),
+            "gamma": rng.uniform(0.5, 1.5, 3), "beta": rng.standard_normal(3),
+        }
+        mask, labels = (rng.random((6, 3)) >= 0.3) / 0.7, np.eye(3)[rng.integers(0, 3, 6)]
+
+        def record(inputs):
+            tape = Tape()
+            attrs = {"act": "exp", "mask": mask, "constant": 1e-5, "name": "layer"}
+            at, h = tape.run("dense", tuple(inputs), tuple(inputs.values()), attrs)
+            ce_attrs = {"labels": labels, "norm_floor": 1e-3, "reduction": "mean"}
+            return tape, tape.run("tempered_ce", (at, None), (h, np.full((6, 1), 0.5)), ce_attrs)
+
+        tape, (at, _) = record(values)
+        grads = tape.walk([at])
+        assert list(grads) == list(values)
+        for name, point in values.items():
+            result = compare_gradient(lambda v: float(record({**values, name: v})[1][1]), point, grads[name])
+            assert result.max_rel_err < 1e-5, (name, result.max_rel_err)
+
+    def test_an_unreached_call_runs_no_vjp(self, monkeypatch):
+        # An eval chunk's tape holds the head, which ODIN's walk from the
+        # logits never reaches.
+        params = init_params(tiny_experiment_config(), RngStream(3))
+        x = RngStream(4).normal((5, params.config.backbone.input_dim))
+        tape = Tape()
+        _, logits, u = params.fold().run(x, tape)
+        dense, walked = PRIMITIVES["dense"], []
+
+        def counted_vjp(g, values, out, attrs, needs):
+            walked.append(attrs["name"])
+            return dense.vjp(g, values, out, attrs, needs)
+
+        monkeypatch.setitem(PRIMITIVES, "dense", dense._replace(vjp=counted_vjp))
+        assert tape.calls[-1][4]["name"] == "head"
+        assert _input_gradient(EvalChunk(x, logits, u.sum(axis=1), tape), 1000.0).shape == x.shape
+        assert walked == [attrs["name"] for _, _, _, _, attrs in reversed(tape.calls[:-2])]
+        assert "head" not in walked
 
 
 class TestRowReductions:
