@@ -19,7 +19,7 @@ def max_rel_err(f, point, step=1e-6):
     ``f(leaf)`` at ``point`` and the central difference
     (f(x + h e_i) - f(x - h e_i)) / 2h, relative to max(1, |analytic|)."""
     x = leaf(point)
-    analytic = backward(f(x), wrt=[x])[x].array
+    analytic = backward(f(x), wrt=[x])[x]
     numeric = np.zeros_like(analytic)
     for i in np.ndindex(point.shape):
         plus, minus = point.copy(), point.copy()
@@ -39,12 +39,12 @@ def main():
     grads = backward(f)
     print("f(x, w) = mean(relu(x @ w)^2)")
     print(f"  value          : {f.value.item():.6f}")
-    print(f"  df/dw (3 x 2)  :\n{np.array2string(grads[w].array, precision=4)}")
+    print(f"  df/dw (3 x 2)  :\n{np.array2string(grads[w], precision=4)}")
 
     # --- 2. The same gradients, verified by finite differences ------------
-    err = max_rel_err(lambda n: reduce_mean(square(relu(matmul(n, w)))), x.value.array)
+    err = max_rel_err(lambda n: reduce_mean(square(relu(matmul(n, w)))), x.value)
     print("\nfinite-difference check on df/dx:")
-    print(f"  coordinates checked : {x.value.array.size}")
+    print(f"  coordinates checked : {x.value.size}")
     print(f"  max relative error  : {err:.2e}")
 
     # --- 3. Scale invariance of normalized logits --------------------------

@@ -67,7 +67,7 @@ def main():
     print(f"trained {CONFIG.name}: final loss {checkpoint.train_loss[-1]:.4f}, "
           f"test error {checkpoint.test_error[-1]:.4f}")
 
-    w = params.weights["head.w"].array
+    w = params.weights["head.w"]
     s = np.linalg.svd(w, compute_uv=False)
     print(f"\nhead.w {w.shape[0]}x{w.shape[1]}: singular values / largest, top 5: "
           + ", ".join(f"{v:.2f}" for v in s[:5] / s[0]))

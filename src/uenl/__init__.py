@@ -17,7 +17,7 @@ from .metrics import MetricReport, aupr, auroc
 from .model import ModelParams, forward, init_params, uncertainty_forward
 from .rng import RngStream
 from .scoring import energy_score, msp_score
-from .tensor import GraphNode, Tensor, apply, backward, leaf
+from .tensor import GraphNode, apply, backward, leaf
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,6 @@ __all__ = [
     "energy_score",
     "msp_score",
     "GraphNode",
-    "Tensor",
     "apply",
     "backward",
     "leaf",

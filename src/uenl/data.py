@@ -3,15 +3,14 @@ text that ``harness.write_files`` writes, standardization and batching.
 
 Features are float64 matrices of shape (n, dim); labels, when present, are
 1-based class ids. Data is raw until standardize(dataset, stats) applies the
-statistics that Normalization.fit fitted on the ID training split. The
-synthetic sets are drawn by the data specs in config.py.
+statistics that Normalization.fit fitted on the ID training split, in place.
+The synthetic sets are drawn by the data specs in config.py.
 
 Set-up holds one copy of the data: each set is made once, in its final
 float64 array. The loaders scale their arrays in place, and
 harness.build_datasets standardizes each set's own array as soon as it is
 built, so the only second array the size of a dataset is the temporary
 that Normalization.fit's std makes of the ID training split.
-standardize() returns a new Dataset and leaves its input alone.
 """
 
 from __future__ import annotations
@@ -234,12 +233,20 @@ def dataset_csv(dataset: Dataset) -> str:
 
 def standardize(dataset: Dataset, stats: Normalization) -> Dataset:
     """Shift and scale features by ``stats``, the statistics that
-    ``Normalization.fit`` fitted on the ID training split, into a new
-    Dataset; ``dataset`` is left alone."""
+    ``Normalization.fit`` fitted on the ID training split, in place: for a
+    set that nothing else holds, as a builder has just made it.
+    ``dataset``'s own array is handed to the returned Dataset, so
+    ``dataset`` is spent. The array is read-only again on return, and also
+    when the result fails Dataset's checks."""
     if stats.mean.size != dataset.dim:
         raise ValueError(f"statistics are {stats.mean.size}-dimensional, data is {dataset.dim}-dimensional")
-    features = dataset.features - stats.mean
-    return Dataset(dataset.name, np.divide(features, stats.std, out=features), dataset.labels)
+    features = dataset.features
+    features.setflags(write=True)  # a Dataset owns its features, so they can be made writeable again
+    try:
+        np.subtract(features, stats.mean, out=features)
+        return Dataset(dataset.name, np.divide(features, stats.std, out=features), dataset.labels)
+    finally:
+        features.setflags(write=False)
 
 
 class Batch(NamedTuple):

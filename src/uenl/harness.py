@@ -18,14 +18,14 @@ import numpy as np
 # forward, uncertainty_forward, uenl_total, backward and eval_logits are unused
 # here, but perfbench/tracing.py rebinds them by name in this module.
 from .config import ExperimentConfig, GaussianNoiseOodSpec, apply_overrides, json_parser
-from .data import Dataset, Normalization, batch_iter, parse_number, read_lines
+from .data import Dataset, Normalization, batch_iter, parse_number, read_lines, standardize
 from .losses import NORM_EPSILON, UHAT_FLOOR, uenl_total
 from .metrics import MetricReport, auroc, error_rate, histogram, histogram_csv, histogram_range, metrics_csv
 from .model import ModelParams, eval_logits, forward, init_params, param_shapes, predict_classes, uncertainty_forward
 from .optim import OptState, lr_at_epoch, sgd_step
 from .rng import RngStream, derive_seed
 from .scoring import ScoreSet, energy_score, eval_pass, msp_score, odin_from_pass, scores_csv
-from .tensor import Tape, Tensor, backward
+from .tensor import Tape, backward
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -58,21 +58,6 @@ class DataBundle:
     ood: dict[str, Dataset]
     stats: Normalization
     clip_range: tuple[float, float]
-
-
-def _standardize_in_place(dataset: Dataset, stats: Normalization) -> Dataset:
-    """``data.standardize`` without a copy, for a set that nothing else holds,
-    as a builder has just made it: ``dataset``'s own array is shifted and
-    scaled and handed to the returned Dataset, so ``dataset`` is spent. The
-    array is read-only again on return, and also when the result fails
-    Dataset's checks."""
-    features = dataset.features
-    features.setflags(write=True)  # a Dataset owns its features, so they can be made writeable again
-    try:
-        np.subtract(features, stats.mean, out=features)
-        return Dataset(dataset.name, np.divide(features, stats.std, out=features), dataset.labels)
-    finally:
-        features.setflags(write=False)
 
 
 def _build(config: ExperimentConfig, finish) -> tuple[Dataset, Dataset, dict[str, Dataset], Normalization]:
@@ -117,7 +102,7 @@ def build_datasets(config: ExperimentConfig) -> DataBundle:
     at most one raw set (the ID pair while the statistics are fitted) beside
     the finished ones, and no second copy of any but the temporary that
     ``Normalization.fit``'s std makes of the ID train split."""
-    train, test, ood, stats = _build(config, _standardize_in_place)
+    train, test, ood, stats = _build(config, standardize)
     return DataBundle(train, test, ood, stats, train.feature_range())
 
 
@@ -182,14 +167,14 @@ def write_files(files) -> None:
 class Checkpoint:
     """A trained model: config, weights, batchnorm state, and training traces.
 
-    ``to_json`` writes version 2: sorted-key JSON in which each tensor's
+    ``to_json`` writes version 2: sorted-key JSON in which each array's
     ``data`` is the base64 of its C-order little-endian float64 bytes.
     ``from_json`` also reads version 1, whose ``data`` is a list of floats.
     """
 
     config: ExperimentConfig
-    weights: dict[str, Tensor]
-    bn_state: dict[str, Tensor]
+    weights: dict[str, np.ndarray]
+    bn_state: dict[str, np.ndarray]
     final_epoch: int
     train_loss: list[float] = field(default_factory=list)
     test_error: list[float] = field(default_factory=list)
@@ -198,10 +183,10 @@ class Checkpoint:
         return ModelParams(self.config, dict(self.weights), dict(self.bn_state))
 
     def to_json(self) -> str:
-        def pack(tensors: dict[str, Tensor]) -> dict:
+        def pack(arrays: dict[str, np.ndarray]) -> dict:
             return {
-                name: {"shape": list(t.shape), "data": base64.b64encode(t.array.astype("<f8").tobytes()).decode()}
-                for name, t in tensors.items()
+                name: {"shape": list(a.shape), "data": base64.b64encode(a.astype("<f8").tobytes()).decode()}
+                for name, a in arrays.items()
             }
 
         doc = {
@@ -234,10 +219,10 @@ class Checkpoint:
             raise ValueError(f"config: {exc}") from None
         weight_shapes, bn_shapes = param_shapes(config)
 
-        def unpack(section: str, expected: dict[str, tuple[int, ...]]) -> dict[str, Tensor]:
+        def unpack(section: str, expected: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
             packed = doc[section]
             _check_names(f"checkpoint {section}", set(expected), packed)
-            tensors = {}
+            arrays = {}
             for name, entry in packed.items():
                 _check_names(f"{section}.{name}", {"data", "shape"}, entry)
                 shape = list(expected[name])
@@ -263,9 +248,10 @@ class Checkpoint:
                     raise ValueError(f"{section}.{name} has non-finite values")
                 if section == "bn_state" and name.endswith(".var") and (array < 0.0).any():
                     raise ValueError(f"{section}.{name} has negative running variance entries")
-                # Tensor copies, so it owns its memory, not a view of ``raw``.
-                tensors[name] = Tensor(array.reshape(shape))
-            return tensors
+                # A read-only float64 copy, which owns its memory, not a view of ``raw``.
+                arrays[name] = array = np.array(array.reshape(shape), dtype=np.float64)
+                array.setflags(write=False)
+            return arrays
 
         return cls(
             config=config,
@@ -345,7 +331,7 @@ def train(config: ExperimentConfig, bundle: DataBundle | None = None, progress=N
     if config.select_best_validation:
         val_seed = derive_seed(config.seed, "validation-noise")
         raw = GaussianNoiseOodSpec("validation_noise", 500, val_seed).build(config.backbone.input_dim, bundle.stats)
-        val_features = _standardize_in_place(raw, bundle.stats).features
+        val_features = standardize(raw, bundle.stats).features
         val_id = bundle.id_train.features[: min(1000, len(bundle.id_train))]
         val_method = "uncertainty" if config.method == "uenl" else "msp"
         best_auroc = -1.0
@@ -465,7 +451,8 @@ def evaluate(
     histogram_bins: int | None = None,
 ) -> EvaluationReport:
     """Score the ID test set and every OOD set with each method and compute
-    detection metrics per (method, OOD set) pair."""
+    detection metrics per (method, OOD set) pair. ``methods`` and
+    ``histogram_bins`` (an integer, as in the config) override the config's."""
     config = checkpoint.config
     if bundle is None:
         bundle = build_datasets(config)
@@ -473,10 +460,11 @@ def evaluate(
         raise ValueError("no OOD sets to evaluate against")
     # The spec checks the method names and the bin count before any
     # forward pass.
+    bins = config.scoring.histogram_bins if histogram_bins is None else json_parser(int)(histogram_bins, "histogram_bins")
     spec = replace(
         config.scoring,
         methods=config.scoring.methods if methods is None else tuple(methods),
-        histogram_bins=config.scoring.histogram_bins if histogram_bins is None else int(histogram_bins),
+        histogram_bins=bins,
     )
     params = checkpoint.params()
 

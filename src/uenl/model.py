@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .rng import RngStream
-from .tensor import GraphNode, Tape, Tensor, as_node, dense, leaf
+from .tensor import GraphNode, Tape, as_node, dense, leaf
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -65,7 +65,8 @@ def layers(config: ExperimentConfig) -> tuple[Layer, ...]:
 
 @dataclass
 class ModelParams:
-    """Trainable weights plus batchnorm running statistics.
+    """Trainable weights plus batchnorm running statistics, by name, as
+    float64 arrays; those the package makes are read-only.
 
     ``weights`` take gradient steps; ``bn_state`` holds running means and
     variances, which are updated by exponential moving average and must never
@@ -73,8 +74,8 @@ class ModelParams:
     """
 
     config: ExperimentConfig
-    weights: dict[str, Tensor] = field(default_factory=dict)
-    bn_state: dict[str, Tensor] = field(default_factory=dict)
+    weights: dict[str, np.ndarray] = field(default_factory=dict)
+    bn_state: dict[str, np.ndarray] = field(default_factory=dict)
 
     def fold(self) -> FoldedModel:
         """The eval-mode model of the current weights and running statistics.
@@ -82,34 +83,42 @@ class ModelParams:
         Each running-statistics batchnorm is a fixed per-column affine map,
         folded into the linear layer before it: with s = gamma / sqrt(var +
         eps), w' = w * s and b' = (b - mean) * s + beta. Every layer's ``w``
-        and ``b`` (w' and b' with batchnorm) become one read-only array
-        each; a layer without batchnorm keeps its weights' arrays, uncopied.
+        and ``b`` (w' and b' with batchnorm) become one read-only float64
+        array each: a layer without batchnorm keeps its weights' arrays if
+        they are read-only, and copies writeable ones. A non-finite w' or b'
+        raises a ValueError that names the layer.
         """
         table, eps, arrays = layers(self.config), self.config.bn_epsilon, {}
         for prefix, _, _, bn, _ in table:
             w, b = self.weights[f"{prefix}.w"], self.weights[f"{prefix}.b"]
             if bn:
-                mean, var = (self.bn_state[f"{prefix}.bn.{stat}"].array for stat in ("mean", "var"))
+                mean, var = (self.bn_state[f"{prefix}.bn.{stat}"] for stat in ("mean", "var"))
                 if np.any(var < 0.0):
                     raise ValueError(f"{prefix}.bn: running variance has negative entries")
-                s = self.weights[f"{prefix}.bn.gamma"].array / np.sqrt(var + eps)
-                w = Tensor(w.array * s)
-                b = Tensor((b.array - mean) * s + self.weights[f"{prefix}.bn.beta"].array)
-            arrays[f"{prefix}.w"], arrays[f"{prefix}.b"] = w.array, b.array
+                with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
+                    s = self.weights[f"{prefix}.bn.gamma"] / np.sqrt(var + eps)
+                    w, b = w * s, (b - mean) * s + self.weights[f"{prefix}.bn.beta"]
+                if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                    raise ValueError(f"{prefix}: folded weights are non-finite")
+            else:  # a caller's writeable array is copied, never frozen
+                w, b = (a if not a.flags.writeable else np.array(a, np.float64, order="C") for a in (w, b))
+            arrays[f"{prefix}.w"], arrays[f"{prefix}.b"] = w, b
+        for arr in arrays.values():
+            arr.setflags(write=False)
         return FoldedModel(self.config, arrays, table)
 
-    def running_stats(self, prefix: str, batch: dict) -> dict[str, Tensor]:
+    def running_stats(self, prefix: str, batch: dict) -> dict[str, np.ndarray]:
         """Layer ``prefix``'s batchnorm running mean and variance, by name,
         after a train batch with statistics ``batch["mean"]`` and
         ``batch["var"]`` (the attrs of its ``dense`` call): one exponential
-        moving average each, checked for finiteness and adopted uncopied."""
+        moving average each, checked for finiteness, as a read-only array."""
         momentum, stats = self.config.bn_momentum, {}
         for stat in ("mean", "var"):
             key = f"{prefix}.bn.{stat}"
-            new = (1.0 - momentum) * self.bn_state[key].array + momentum * batch[stat]
+            stats[key] = new = (1.0 - momentum) * self.bn_state[key] + momentum * batch[stat]
             if not np.isfinite(new).all():
                 raise FloatingPointError(f"{prefix}.bn: non-finite running {stat}")
-            stats[key] = Tensor._wrap(new)
+            new.setflags(write=False)
         return stats
 
     def run(self, x: np.ndarray, tape: Tape, dropout_rng, head: bool = True):
@@ -125,7 +134,7 @@ class ModelParams:
             prefix = spec.prefix
             names = (f"{prefix}.w", f"{prefix}.b", *((f"{prefix}.bn.gamma", f"{prefix}.bn.beta") if spec.bn else ()))
             attrs = {"act": spec.act, "mask": mask, "constant": config.bn_epsilon, "name": prefix}
-            called = tape.run("dense", (at, *names), (h, *(self.weights[name].array for name in names)), attrs)
+            called = tape.run("dense", (at, *names), (h, *(self.weights[name] for name in names)), attrs)
             if spec.bn:
                 self.bn_state.update(self.running_stats(prefix, attrs))
             return called
@@ -186,13 +195,13 @@ class ForwardOutput:
     embedding: GraphNode
     x: GraphNode
     leaves: dict[str, GraphNode]
-    bn_updates: dict[str, Tensor]
+    bn_updates: dict[str, np.ndarray]
 
 
 @dataclass
 class HeadOutput:
     u: GraphNode
-    bn_updates: dict[str, Tensor]
+    bn_updates: dict[str, np.ndarray]
 
 
 def param_shapes(config: ExperimentConfig) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]]:
@@ -219,27 +228,27 @@ def init_params(config: ExperimentConfig, rng: RngStream) -> ModelParams:
     per-layer sub-streams. The head's linear layer starts at zero, so with
     zero-mean batchnorm output the initial uncertainty is exp(0) = 1
     everywhere. Batchnorm starts at identity (gamma 1, beta 0) with running
-    mean 0 and running variance 1.
+    mean 0 and running variance 1. Every array is read-only.
     """
     weight_shapes, bn_shapes = param_shapes(config)
-    weights: dict[str, Tensor] = {}
+    weights = {}
     for name, shape in weight_shapes.items():
         prefix, kind = name.rsplit(".", 1)
         if kind == "w" and prefix != "head":
             limit = math.sqrt(3.0 / shape[0])
-            weights[name] = Tensor(rng.substream(f"init.{prefix}").uniform(-limit, limit, shape))
+            weights[name] = rng.substream(f"init.{prefix}").uniform(-limit, limit, shape)
         else:
-            weights[name] = Tensor(np.ones(shape)) if kind == "gamma" else Tensor.zeros(shape)
-    bn_state = {
-        name: Tensor(np.ones(shape)) if name.endswith(".var") else Tensor.zeros(shape)
-        for name, shape in bn_shapes.items()
-    }
+            weights[name] = np.ones(shape) if kind == "gamma" else np.zeros(shape)
+    bn_state = {name: np.ones(shape) if name.endswith(".var") else np.zeros(shape) for name, shape in bn_shapes.items()}
+    for arr in (*weights.values(), *bn_state.values()):
+        assert np.isfinite(arr).all(), "draws between finite limits are finite"
+        arr.setflags(write=False)
     return ModelParams(config, weights, bn_state)
 
 
 def param_leaves(params: ModelParams) -> dict[str, GraphNode]:
     """One fresh graph leaf per trainable weight, keyed by weight name."""
-    return {name: leaf(tensor) for name, tensor in params.weights.items()}
+    return {name: leaf(array) for name, array in params.weights.items()}
 
 
 def _dense(
@@ -248,7 +257,7 @@ def _dense(
     spec: Layer,
     h: GraphNode,
     train: bool,
-    updates: dict[str, Tensor],
+    updates: dict[str, np.ndarray],
     mask: np.ndarray | None = None,
 ) -> GraphNode:
     """Layer ``spec`` on its ``leaves`` as one ``dense`` node named after it,
@@ -270,7 +279,7 @@ def _layer_leaves(params: ModelParams | FoldedModel, leaves: dict[str, GraphNode
     if isinstance(params, FoldedModel):
         if leaves:
             raise ValueError("a folded model runs in eval mode and takes no parameter leaves")
-        return False, {name: leaf(Tensor._wrap(array)) for name, array in params.arrays.items()}
+        return False, {name: GraphNode("leaf", (), array) for name, array in params.arrays.items()}
     return True, param_leaves(params) if leaves is None else leaves
 
 
@@ -300,7 +309,7 @@ def forward(
         raise ValueError("train-mode forward with dropout needs an rng stream")
 
     *hidden, out, _ = layers(params.config)
-    updates: dict[str, Tensor] = {}
+    updates: dict[str, np.ndarray] = {}
     h = x_node
     for spec in hidden:
         mask = None
@@ -327,7 +336,7 @@ def uncertainty_forward(
     spec = layers(params.config)[-1]
     e = as_node(embedding)
     _check_rows("embedding", e.shape, spec.fan_in)
-    updates: dict[str, Tensor] = {}
+    updates: dict[str, np.ndarray] = {}
     return HeadOutput(_dense(params, leaves, spec, e, train, updates), updates)
 
 

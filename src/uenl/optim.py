@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
-
 __all__ = ["OptState", "sgd_step", "lr_at_epoch"]
 
 # The fused update runs block by block, so that the weight, velocity,
@@ -51,7 +49,7 @@ class OptState:
     overwritten in place.
     """
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]], weights: dict[str, Tensor]) -> None:
+    def __init__(self, shapes: dict[str, tuple[int, ...]], weights: dict[str, np.ndarray]) -> None:
         if set(weights) != set(shapes):
             raise ValueError(f"weights {sorted(weights)} do not match the layout {sorted(shapes)}")
         layout, offset = [], 0
@@ -65,7 +63,7 @@ class OptState:
         self.layout = tuple(layout)
         self.weights = np.empty(offset)
         for name, part, _ in self.layout:
-            self.weights[part] = weights[name].array.reshape(-1)
+            self.weights[part] = weights[name].reshape(-1)
         self.weights.setflags(write=False)
         self.velocity = np.zeros(offset)
         self.grad = np.empty(offset)
@@ -73,19 +71,19 @@ class OptState:
         # Each weight's slice of ``grad`` in its own shape, for the copy-in.
         self._grad_views = tuple((name, self.grad[part].reshape(shape)) for name, part, shape in self.layout)
 
-    def named(self) -> dict[str, Tensor]:
+    def named(self) -> dict[str, np.ndarray]:
         """The current weights by name: read-only views of the weight vector."""
         w = self.weights
-        return {name: Tensor._wrap(w[part].reshape(shape)) for name, part, shape in self.layout}
+        return {name: w[part].reshape(shape) for name, part, shape in self.layout}
 
 
 def sgd_step(
     state: OptState,
-    grads: dict[str, Tensor | np.ndarray | None],
+    grads: dict[str, np.ndarray | None],
     lr: float,
     momentum: float = 0.9,
     weight_decay: float = 0.0005,
-) -> dict[str, Tensor]:
+) -> dict[str, np.ndarray]:
     """One optimizer step on ``state``; returns the new weights by name.
 
     ``grads`` needs an entry for every weight. None stands for a weight
@@ -109,7 +107,7 @@ def sgd_step(
         if grad is None:
             view[...] = 0.0
             continue
-        grad = grad.array if isinstance(grad, Tensor) else np.asarray(grad, dtype=np.float64)
+        grad = np.asarray(grad, dtype=np.float64)
         if grad.shape != view.shape:
             raise ValueError(f"gradient for {name} has shape {grad.shape}, expected {view.shape}")
         view[...] = grad

@@ -48,12 +48,6 @@ class RngStream:
             raise ValueError(f"uniform needs high > low, got [{low}, {high})")
         return self._gen.uniform(low, high, shape)
 
-    def integers(self, low: int, high: int, shape=()) -> np.ndarray:
-        """Integers drawn uniformly from [low, high)."""
-        if not high > low:
-            raise ValueError(f"integers needs high > low, got [{low}, {high})")
-        return self._gen.integers(low, high, size=shape)
-
     def permutation(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("permutation length must be non-negative")

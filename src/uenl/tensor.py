@@ -1,4 +1,4 @@
-"""Dense float64 tensors and a small reverse-mode autodiff graph.
+"""Float64 array primitives and a small reverse-mode autodiff graph.
 
 The primitives cover an MLP with batch normalization, the normalized-logit
 objective and gradient-based input perturbation, plus elementwise and
@@ -20,9 +20,9 @@ column, or those tempered logits alone), ``resample`` (the floored
 temperature draw) and ``kl``; their nodes keep ``ce``, ``uhat`` and the
 unweighted ``kl`` in ``attrs``.
 
-Graphs are immutable: a node's parents and value are fixed at
-construction, which makes the graph acyclic by construction and every
-evaluation repeatable.
+Graphs are immutable: a node's parents and value (a read-only float64
+array, which ``leaf`` copies and checks) are fixed at construction, which
+makes the graph acyclic by construction and every evaluation repeatable.
 
 Row contract: a row's matmul value and its input gradient (and a ``dense``
 layer's without batchnorm) do not depend on the other rows in the batch.
@@ -51,7 +51,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 __all__ = [
-    "Tensor",
     "GraphNode",
     "apply",
     "checked_forward",
@@ -80,79 +79,18 @@ __all__ = [
 ]
 
 
-class Tensor:
-    """Immutable float64 array. Construction rejects NaN and infinity."""
-
-    __slots__ = ("_array",)
-
-    def __init__(self, values) -> None:
-        arr = np.array(values, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite values in tensor of shape {arr.shape}")
-        arr.setflags(write=False)
-        self._array = arr
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        # Internal fast path: trusts finiteness was already checked. A
-        # C-contiguous float64 array is adopted if it owns its data or is a
-        # view of a read-only array (a slice of the optimizer's weight
-        # vector); anything else is copied.
-        flags = arr.flags if type(arr) is np.ndarray and arr.dtype == np.float64 else None
-        if flags is None or not flags.c_contiguous or not (
-            flags.owndata or (type(arr.base) is np.ndarray and not arr.base.flags.writeable)
-        ):
-            # np.array (not ascontiguousarray) so 0-d scalars keep their shape.
-            arr = np.array(arr, dtype=np.float64, order="C")
-            flags = arr.flags
-        if flags.writeable:
-            arr.setflags(write=False)
-        obj = object.__new__(cls)
-        obj._array = arr
-        return obj
-
-    @classmethod
-    def zeros(cls, shape) -> "Tensor":
-        return cls._wrap(np.zeros(shape, dtype=np.float64))
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only view of the underlying float64 data."""
-        return self._array
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self._array.shape
-
-    @property
-    def ndim(self) -> int:
-        return self._array.ndim
-
-    @property
-    def size(self) -> int:
-        return self._array.size
-
-    def item(self) -> float:
-        if self._array.size != 1:
-            raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self._array.reshape(()))
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
-
-
 class GraphNode:
     """One value in an acyclic computation graph.
 
     ``op`` is the primitive name ("leaf" for inputs), ``parents`` the input
-    nodes, ``value`` the forward result. Nodes hash by identity, so the same
-    tensor used twice creates two distinct leaves unless the node object
-    itself is reused.
+    nodes, ``value`` the forward result, a read-only C-contiguous float64
+    array. Nodes hash by identity, so the same array used twice creates two
+    distinct leaves unless the node object itself is reused.
     """
 
     __slots__ = ("op", "parents", "value", "attrs")
 
-    def __init__(self, op: str, parents: tuple["GraphNode", ...], value: Tensor, attrs: dict | None = None) -> None:
+    def __init__(self, op: str, parents: tuple["GraphNode", ...], value: np.ndarray, attrs: dict | None = None) -> None:
         self.op = op
         self.parents = parents
         self.value = value
@@ -162,10 +100,6 @@ class GraphNode:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    @property
-    def array(self) -> np.ndarray:
-        return self.value.array
-
     def item(self) -> float:
         return self.value.item()
 
@@ -174,9 +108,19 @@ class GraphNode:
 
 
 def leaf(values) -> GraphNode:
-    """Wrap values in a graph leaf (an input with no parents)."""
-    tensor = values if isinstance(values, Tensor) else Tensor(values)
-    return GraphNode("leaf", (), tensor)
+    """A graph leaf (an input with no parents) on a read-only float64 copy of
+    ``values``. Raises ValueError if any value is NaN or infinite."""
+    value = np.array(values, dtype=np.float64, order="C")
+    if not np.isfinite(value).all():
+        raise ValueError(f"leaf: non-finite values in an array of shape {value.shape}")
+    return GraphNode("leaf", (), _read_only(value))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, which no caller holds, read-only (and C-contiguous float64)."""
+    arr = np.require(arr, np.float64, "C")
+    arr.setflags(write=False)
+    return arr
 
 
 def as_node(x) -> GraphNode:
@@ -664,8 +608,8 @@ def apply(op: str, *inputs, axis=None, keepdims: bool = False, constant: float |
     # Overflow and invalid operations are detected by the finiteness check,
     # so numpy's own warnings would be redundant noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = checked_forward(op, tuple(n.value.array for n in nodes), attrs)
-    return GraphNode(op, nodes, Tensor._wrap(out), attrs)
+        out = checked_forward(op, tuple(n.value for n in nodes), attrs)
+    return GraphNode(op, nodes, _read_only(out), attrs)
 
 
 def checked_forward(op: str, values: tuple, attrs: dict) -> np.ndarray:
@@ -717,7 +661,7 @@ class Tape:
         return held  # every call index has been popped: the keys are left
 
 
-def backward(loss: GraphNode, wrt=None) -> dict[GraphNode, Tensor]:
+def backward(loss: GraphNode, wrt=None) -> dict[GraphNode, np.ndarray]:
     """Reverse-mode gradients of a scalar node with respect to every node
     in its graph, or only to the nodes in ``wrt``.
 
@@ -771,8 +715,8 @@ def backward(loss: GraphNode, wrt=None) -> dict[GraphNode, Tensor]:
             needs = tuple(id(p) in needed for p in node.parents)
             if not any(needs):
                 continue
-        parent_values = tuple(p.value.array for p in node.parents)
-        contributions = PRIMITIVES[node.op].vjp(g, parent_values, node.value.array, node.attrs, needs)
+        parent_values = tuple(p.value for p in node.parents)
+        contributions = PRIMITIVES[node.op].vjp(g, parent_values, node.value, node.attrs, needs)
         for parent, need, contribution in zip(node.parents, needs, contributions):
             if not need:
                 continue
@@ -783,7 +727,7 @@ def backward(loss: GraphNode, wrt=None) -> dict[GraphNode, Tensor]:
             held = grads.get(parent)
             grads[parent] = contribution if held is None else held + contribution
     keep = grads if wrt is None else [n for n in wrt if n in grads]
-    return {node: Tensor._wrap(grads[node]) for node in keep}
+    return {node: _read_only(grads[node]) for node in keep}
 
 
 def matmul(a, b) -> GraphNode:

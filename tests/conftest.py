@@ -15,7 +15,6 @@ from uenl.config import BackboneSpec, ExperimentConfig
 from uenl.harness import Checkpoint, build_datasets, train
 from uenl.model import ModelParams, init_params
 from uenl.rng import RngStream
-from uenl.tensor import Tensor
 
 # One profile for every property test: the same examples on every run, no
 # example database on disk, and no per-example deadline.
@@ -43,6 +42,13 @@ FOLD_SHAPES = {
 }
 
 
+def frozen(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``, as the package keeps its weights."""
+    array = np.array(values, dtype=np.float64)
+    array.setflags(write=False)
+    return array
+
+
 def trained_like(shape: str) -> ModelParams:
     """Parameters of ``shape`` with every weight and running statistic moved
     off its initial value, so that no batchnorm is the identity."""
@@ -51,12 +57,12 @@ def trained_like(shape: str) -> ModelParams:
     for name, t in params.weights.items():
         noise = rng.standard_normal(t.shape)
         if name.endswith(".w"):
-            params.weights[name] = Tensor(noise / np.sqrt(t.shape[0]))
+            params.weights[name] = frozen(noise / np.sqrt(t.shape[0]))
         else:  # biases and betas near 0, gammas near 1
-            params.weights[name] = Tensor(float(name.endswith(".gamma")) + 0.2 * noise)
+            params.weights[name] = frozen(float(name.endswith(".gamma")) + 0.2 * noise)
     for name, t in params.bn_state.items():
         noise = rng.standard_normal(t.shape)
-        params.bn_state[name] = Tensor(np.exp(0.5 * noise) if name.endswith(".var") else 0.3 * noise)
+        params.bn_state[name] = frozen(np.exp(0.5 * noise) if name.endswith(".var") else 0.3 * noise)
     return params
 
 

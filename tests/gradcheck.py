@@ -64,7 +64,7 @@ def finite_diff_check(
     f0, x_node, out = _eval_scalar(f, point)
     grads = backward(out, wrt=[x_node])
     analytic_t = grads.get(x_node)
-    analytic = np.zeros_like(point) if analytic_t is None else analytic_t.array.copy()
+    analytic = np.zeros_like(point) if analytic_t is None else analytic_t.copy()
     return compare_gradient(lambda x: _eval_scalar(f, x)[0], point, analytic, step, kink_tol)
 
 

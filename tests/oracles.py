@@ -164,8 +164,7 @@ def unfolded_eval(params, x, temperature: float = 1000.0):
     (z - mean) / sqrt(var + eps) * gamma + beta. The gradient is ODIN's: that
     of the summed NLL of each row's argmax class at ``temperature``."""
     cfg, backbone = params.config, params.config.backbone
-    w = {k: t.array for k, t in params.weights.items()}
-    st = {k: t.array for k, t in params.bn_state.items()}
+    w, st = params.weights, params.bn_state
 
     def inv_std(prefix):
         return 1.0 / np.sqrt(st[f"{prefix}.var"] + cfg.bn_epsilon)
@@ -277,7 +276,7 @@ def graph_eval_pass(params, x, score, chunk: int = 512) -> list:
     results = []
     for i in range(0, len(x), chunk):
         out = forward(model, x[i : i + chunk])
-        results.append(score(out, np.sum(uncertainty_forward(model, out.embedding).u.array, axis=1)))
+        results.append(score(out, np.sum(uncertainty_forward(model, out.embedding).u.value, axis=1)))
     return results
 
 
@@ -290,7 +289,7 @@ def odin_from_pass(model, out, temperature: float, epsilon: float, clip_range=No
 
     if epsilon > 0.0:
         out = forward(model.fold(), odin_perturbed(out, temperature, epsilon, clip_range))
-    return _max_softmax(out.logits.array / temperature)
+    return _max_softmax(out.logits.value / temperature)
 
 
 def odin_perturbed(out, temperature: float, epsilon: float, clip_range) -> np.ndarray:
@@ -299,12 +298,12 @@ def odin_perturbed(out, temperature: float, epsilon: float, clip_range) -> np.nd
     ``out``'s graph, and clipped to ``clip_range``."""
     from uenl.tensor import backward, tempered_ce
 
-    logits = out.logits.array
+    logits = out.logits.value
     onehot = np.zeros_like(logits)
     onehot[np.arange(len(logits)), np.argmax(logits, axis=1)] = 1.0
     nll = tempered_ce(out.logits, np.full((len(logits), 1), temperature), onehot, reduction="sum")
-    grad = backward(nll, wrt=[out.x])[out.x].array
-    x_perturbed = out.x.array - epsilon * np.sign(grad)
+    grad = backward(nll, wrt=[out.x])[out.x]
+    x_perturbed = out.x.value - epsilon * np.sign(grad)
     return x_perturbed if clip_range is None else np.clip(x_perturbed, *clip_range)
 
 

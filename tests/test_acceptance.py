@@ -231,13 +231,13 @@ def test_criterion_04_resampling_oracle():
     rng = RngStream(1004)
     u_row = np.array([0.3, 1.7, 0.9, 2.4, 0.05, 1.0])
     eps = rng.normal((n, u_row.size))
-    draws = resample(np.tile(u_row, (n, 1)), eps * eps, UHAT_FLOOR).value.array.ravel()
+    draws = resample(np.tile(u_row, (n, 1)), eps * eps, UHAT_FLOOR).value.ravel()
     target = u_row.sum()
     assert abs(draws.mean() - target) / target < 0.02, f"mean {draws.mean()} vs sum(u) {target}"
 
     delta = 8
     eps = rng.substream("chi2").normal((n, delta))
-    chi = resample(np.ones((n, delta)), eps * eps, UHAT_FLOOR).value.array.ravel()
+    chi = resample(np.ones((n, delta)), eps * eps, UHAT_FLOOR).value.ravel()
     assert abs(chi.mean() - delta) / delta < 0.05, f"chi2 mean {chi.mean()} vs {delta}"
     assert abs(chi.var() - 2 * delta) / (2 * delta) < 0.05, f"chi2 var {chi.var()} vs {2 * delta}"
 

@@ -616,6 +616,14 @@ def _negative_variance(doc):
     return doc
 
 
+def _fold_overflow(doc):
+    # Finite weights whose eval fold overflows: w' = w * gamma / std.
+    for name, value in (("head.w", 1e10), ("head.bn.gamma", 1e300)):
+        entry = doc["weights"][name]
+        _write(entry, np.full_like(_read(entry), value), v1=doc["version"] == 1)
+    return doc
+
+
 def _edit_data(section, name, change):
     """A checkpoint edit: replace a tensor's ``data`` with ``change(data)``."""
 
@@ -729,6 +737,7 @@ MALFORMED_CHECKPOINTS = {
         "bn_state.head.bn.var has non-finite",
     ),
     "negative_running_variance": (_negative_variance, "bn_state.backbone.h0.bn.var has negative running variance"),
+    "folded_weights_overflow": (_fold_overflow, "error: head: folded weights are non-finite"),
     "data_not_numbers_v1": (
         _v1(_edit_data("weights", "head.b", lambda data: ["x"] * len(data))),
         "weights.head.b.data must be a list of 8 numbers",

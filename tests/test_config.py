@@ -32,8 +32,8 @@ from uenl.config import (
 from uenl.harness import build_raw_datasets
 from uenl.model import forward, init_params, uncertainty_forward
 from uenl.rng import RngStream
-from uenl.tensor import Tensor
 
+from conftest import frozen
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "desk_synthetic.json"
 
@@ -348,15 +348,15 @@ class TestModelConfigPlumbing:
         params = init_params(ExperimentConfig.from_dict(full_config_dict()), RngStream(0))
         # The head reads the last hidden width and, with scalar_uncertainty, emits one value.
         assert params.weights["head.w"].shape == (8, 1)
-        params.weights["head.w"] = Tensor(RngStream(1).normal((8, 1)))
+        params.weights["head.w"] = frozen(RngStream(1).normal((8, 1)))
         e = RngStream(2).normal((10, 8))
-        z = e @ params.weights["head.w"].array
+        z = e @ params.weights["head.w"]
         # bn_momentum 0.2 and bn_epsilon 1e-4 reach the head's batchnorm in both modes.
         head = uncertainty_forward(params, e)
-        np.testing.assert_allclose(head.bn_updates["head.bn.mean"].array, 0.2 * z.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(head.bn_updates["head.bn.mean"], 0.2 * z.mean(axis=0), rtol=1e-12)
         z_hat = (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + 1e-4)
-        np.testing.assert_allclose(head.u.array, np.exp(z_hat), rtol=1e-12)
-        u_eval = uncertainty_forward(params.fold(), e).u.array
+        np.testing.assert_allclose(head.u.value, np.exp(z_hat), rtol=1e-12)
+        u_eval = uncertainty_forward(params.fold(), e).u.value
         np.testing.assert_allclose(u_eval, np.exp(z / np.sqrt(1.0 + 1e-4)), rtol=1e-12)
 
     def test_config_is_frozen(self):

@@ -64,6 +64,14 @@ def test_runtime_ships_no_test_only_helpers():
         assert not hasattr(module, old)
 
 
+def test_no_array_wrapper_class():
+    # Weights, running statistics and graph values are read-only float64
+    # ndarrays; no class wraps them.
+    for module in (uenl, uenl.tensor):
+        assert "Tensor" not in module.__all__
+        assert not hasattr(module, "Tensor")
+
+
 def test_data_has_no_generators():
     # The synthetic data specs in uenl.config draw their own rows.
     leftovers = [name for name in dir(uenl.data) if name.startswith("gen_") or name == "basis_means"]

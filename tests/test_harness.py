@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from conftest import V1_CHECKPOINT, WRITE_FAULTS, fail_third_file, tiny_experiment_config
+from conftest import V1_CHECKPOINT, WRITE_FAULTS, fail_third_file, frozen, tiny_experiment_config
 from gradcheck import compare_gradient
 from oracles import batch_loss, graph_eval_pass, odin_from_pass
 from uenl.config import load_config
 from uenl.data import Dataset, Normalization, batch_iter, standardize
 from uenl.harness import (
     Checkpoint,
-    _standardize_in_place,
     _train_step,
     build_datasets,
     build_raw_datasets,
@@ -37,12 +36,14 @@ from uenl.model import (
     forward,
     init_params,
     param_leaves,
+    param_shapes,
     predict_classes,
     uncertainty_forward,
 )
+from uenl.optim import OptState, sgd_step
 from uenl.rng import RngStream, derive_seed
 from uenl.scoring import energy_score, msp_score
-from uenl.tensor import Tensor, backward, kl
+from uenl.tensor import apply, backward, kl, leaf, matmul, reduce_sum
 
 
 class TestBuildDatasets:
@@ -157,7 +158,7 @@ class TestOneCopy:
         pairs = [(bundle.id_train, train), (bundle.id_test, test), *((bundle.ood[name], ds) for name, ds in ood.items())]
         assert list(bundle.ood) == list(ood) == [spec.name for spec in config.data.ood]
         for built, raw in pairs:
-            assert built.features.tobytes() == standardize(raw, stats).features.tobytes()
+            assert built.features.tobytes() == ((raw.features - stats.mean) / stats.std).tobytes()
             assert not built.features.flags.writeable
 
     @staticmethod
@@ -204,17 +205,17 @@ class TestOneCopy:
         rng = np.random.default_rng(14)
         ds = Dataset("d", rng.normal(3.0, 2.0, size=(20, 3)), np.arange(1, 21))
         stats = Normalization.fit(ds.features)
-        expected = standardize(ds, stats)
+        expected = (ds.features - stats.mean) / stats.std
         array = ds.features
-        out = _standardize_in_place(ds, stats)
+        out = standardize(ds, stats)
         assert out.features is array and not array.flags.writeable
-        assert out.features.tobytes() == expected.features.tobytes()
+        assert out.features.tobytes() == expected.tobytes()
         assert out.name == "d" and out.labels.tolist() == list(range(1, 21))
 
     def test_in_place_overflow_is_an_error_and_leaves_the_array_read_only(self):
         ds = Dataset("d", np.array([[1e308], [-1e308]]))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            _standardize_in_place(ds, Normalization(np.array([-1e308]), np.array([1.0])))
+            standardize(ds, Normalization(np.array([-1e308]), np.array([1.0])))
         assert not ds.features.flags.writeable
 
 
@@ -295,7 +296,7 @@ class TestTrain:
         model = tiny_checkpoint.params().fold()
         fo = forward(model, tiny_bundle.id_test.features)
         head = uncertainty_forward(model, fo.embedding)
-        u = head.u.array
+        u = head.u.value
         assert u.min() > 0.01 and u.max() < 100.0
         kl_term = kl(head.u, "variance").item()
         assert np.isfinite(kl_term)
@@ -411,8 +412,8 @@ def _moved_params(config, seed: int = 3) -> ModelParams:
     equal to another by the symmetry of the start (the head starts at 0)."""
     params = init_params(config, RngStream(config.seed))
     rng = np.random.default_rng(seed)
-    weights = {name: Tensor(t.array + 0.3 * rng.standard_normal(t.shape)) for name, t in params.weights.items()}
-    bn_state = {name: Tensor(np.abs(t.array + 0.3 * rng.standard_normal(t.shape))) for name, t in params.bn_state.items()}
+    weights = {name: frozen(t + 0.3 * rng.standard_normal(t.shape)) for name, t in params.weights.items()}
+    bn_state = {name: frozen(np.abs(t + 0.3 * rng.standard_normal(t.shape))) for name, t in params.bn_state.items()}
     return ModelParams(config, weights, bn_state)
 
 
@@ -465,12 +466,12 @@ class TestTrainStep:
                     assert grads[name] is None, name
                 else:
                     assert grads[name].shape == want[node].shape, name
-                    assert grads[name].tobytes() == want[node].array.tobytes(), name
+                    assert grads[name].tobytes() == want[node].tobytes(), name
             expected_bn = {**params.bn_state, **updates}
             assert list(step.bn_state) == list(expected_bn)
             for name, t in expected_bn.items():
-                assert step.bn_state[name].array.tobytes() == t.array.tobytes(), name
-                assert not step.bn_state[name].array.flags.writeable
+                assert step.bn_state[name].tobytes() == t.tobytes(), name
+                assert not step.bn_state[name].flags.writeable
             assert graph.bn_state == params.bn_state
 
     def test_weight_gradients_match_finite_differences(self):
@@ -484,14 +485,14 @@ class TestTrainStep:
         def loss_at(name):
             def value(w):
                 moved = _copy(params)
-                moved.weights[name] = Tensor(w)
+                moved.weights[name] = frozen(w)
                 return _train_step(moved, batch.features, batch.labels, RngStream(5), RngStream(6))[0]
 
             return value
 
         _, grads = _train_step(_copy(params), batch.features, batch.labels, RngStream(5), RngStream(6))
         for name, t in params.weights.items():
-            result = compare_gradient(loss_at(name), t.array, grads[name])
+            result = compare_gradient(loss_at(name), t, grads[name])
             assert result.max_rel_err < 1e-5, (name, result.max_rel_err)
             assert result.n_checked >= t.size // 2, name
 
@@ -515,8 +516,8 @@ class TestTrainStep:
         config = load_config(SHIPPED_CONFIG, ["backbone.use_batchnorm=false", "dropout=0.5"])
         params = _moved_params(config)
         w = params.weights["backbone.h0.w"]
-        params.weights["backbone.h0.w"] = Tensor(np.full(w.shape, 1e308 / w.shape[0]))
-        params.weights["backbone.h0.b"] = Tensor(np.zeros(w.shape[1]))
+        params.weights["backbone.h0.w"] = frozen(np.full(w.shape, 1e308 / w.shape[0]))
+        params.weights["backbone.h0.b"] = frozen(np.zeros(w.shape[1]))
         xb, yb = np.ones((8, w.shape[0])), np.arange(8) % 3 + 1
         message = "^backbone.h0: dense produced non-finite values$"
         with pytest.raises(FloatingPointError, match=message):
@@ -539,9 +540,9 @@ class TestSelectBestValidation:
         b = train(tiny_experiment_config(epochs=1))
         assert set(a.weights) == set(b.weights)
         for name in a.weights:
-            assert_array_equal(a.weights[name].array, b.weights[name].array)
+            assert_array_equal(a.weights[name], b.weights[name])
         for name in a.bn_state:
-            assert_array_equal(a.bn_state[name].array, b.bn_state[name].array)
+            assert_array_equal(a.bn_state[name], b.bn_state[name])
         assert a.final_epoch == 0
 
     def test_final_epoch_recorded_in_range(self):
@@ -568,18 +569,23 @@ class TestSelectBestValidation:
         at_epoch = {}
 
         def progress(epoch, loss, err):
-            at_epoch[epoch] = {name: t.array.copy() for name, t in latest["weights"].items()}
+            at_epoch[epoch] = {name: t.copy() for name, t in latest["weights"].items()}
 
         ck = train(tiny_experiment_config(epochs=4, select_best_validation=True), progress=progress)
         assert ck.final_epoch == 1
         assert list(ck.weights) == list(at_epoch[1])
         for name, t in ck.weights.items():
-            assert t.array.tobytes() == at_epoch[1][name].tobytes()
-            assert not t.array.flags.writeable
+            assert t.tobytes() == at_epoch[1][name].tobytes()
+            assert not t.flags.writeable
         assert any(not np.array_equal(at_epoch[1][name], at_epoch[3][name]) for name in at_epoch[1])
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("bins, got", [(2.7, "number 2.7"), (True, "boolean true")], ids=["float", "bool"])
+    def test_histogram_bins_must_be_an_integer(self, tiny_checkpoint, tiny_bundle, bins, got):
+        with pytest.raises(ValueError, match=f"^histogram_bins: expected integer, got {got}$"):
+            evaluate(tiny_checkpoint, tiny_bundle, histogram_bins=bins)
+
     def test_identical_sets_score_near_half(self, tiny_checkpoint, tiny_bundle):
         """The same distribution on both sides is undetectable: subsampled
         halves of one large ID draw give AUROC about 0.5."""
@@ -702,7 +708,7 @@ class TestOnePassEvaluate:
 
                 return np.concatenate(graph_eval_pass(model, x, odin))
             out = forward(model, x)
-            return -np.sum(uncertainty_forward(model, out.embedding).u.array, axis=1)
+            return -np.sum(uncertainty_forward(model, out.embedding).u.value, axis=1)
 
         report = evaluate(tiny_checkpoint, bundle, methods=("msp", "energy", "odin", "uncertainty"))
         for score_set in report.score_sets:
@@ -823,9 +829,72 @@ class TestMethodReductionIdentity:
         assert pinned.test_error == logitnorm.test_error
         assert set(pinned.weights) == set(logitnorm.weights)
         for name in pinned.weights:
-            assert_array_equal(pinned.weights[name].array, logitnorm.weights[name].array)
+            assert_array_equal(pinned.weights[name], logitnorm.weights[name])
         for name in pinned.bn_state:
-            assert_array_equal(pinned.bn_state[name].array, logitnorm.bn_state[name].array)
+            assert_array_equal(pinned.bn_state[name], logitnorm.bn_state[name])
+
+
+def _all_arrays(params) -> list[np.ndarray]:
+    return [*params.weights.values(), *params.bn_state.values()]
+
+
+def _stepped_bn_state(checkpoint):
+    params, rng = checkpoint.params(), np.random.default_rng(0)
+    x, y = rng.standard_normal((16, 6)), np.arange(16) % 2 + 1
+    _train_step(params, x, y, RngStream(1), RngStream(2))
+    return list(params.bn_state.values()), [x]
+
+
+def _sgd_step_weights(checkpoint):
+    params = init_params(checkpoint.config, RngStream(0))
+    grads = {name: np.ones(a.shape) for name, a in params.weights.items()}
+    state = OptState(param_shapes(checkpoint.config)[0], params.weights)
+    return list(sgd_step(state, grads, lr=0.1).values()), list(grads.values())
+
+
+def _folded_arrays(checkpoint):
+    # Parameters as a caller might build them: every array a writeable copy.
+    params = checkpoint.params()
+    params.weights, params.bn_state = ({n: np.array(a) for n, a in d.items()} for d in (params.weights, params.bn_state))
+    return list(params.fold().arrays.values()), _all_arrays(params)
+
+
+def _graph_values(checkpoint):
+    x = np.arange(6.0).reshape(2, 3)
+    a, b = leaf(x), leaf(np.ones((3, 2)))
+    loss = reduce_sum(matmul(a, b))
+    values = [a.value, leaf(x.T).value, leaf(3).value, apply("add", a, a).value, loss.value]
+    return [*values, *backward(loss).values()], [x]
+
+
+# Each source of arrays the package keeps or returns: (its arrays, the
+# writeable arrays a caller gave it).
+READ_ONLY_SOURCES = {
+    "init_params": lambda ck: (_all_arrays(init_params(ck.config, RngStream(0))), []),
+    "checkpoint_v1": lambda ck: (_all_arrays(Checkpoint.from_json(V1_CHECKPOINT.read_text(encoding="utf-8"))), []),
+    "checkpoint_v2": lambda ck: (_all_arrays(Checkpoint.from_json(ck.to_json())), []),
+    "sgd_step": _sgd_step_weights,
+    "train_step_bn_state": _stepped_bn_state,
+    "folded_model": _folded_arrays,
+    "leaf_apply_backward": _graph_values,
+}
+
+
+class TestReadOnlyArrays:
+    """Weights, running statistics and graph values are plain float64
+    arrays: C-contiguous and read-only wherever the package makes or keeps
+    them, and a caller's writeable array is copied, never frozen."""
+
+    @pytest.mark.parametrize("source", list(READ_ONLY_SOURCES))
+    def test_float64_c_contiguous_and_read_only(self, tiny_checkpoint, source):
+        arrays, given = READ_ONLY_SOURCES[source](tiny_checkpoint)
+        assert arrays
+        for a in arrays:
+            assert type(a) is np.ndarray and a.dtype == np.float64
+            assert a.flags.c_contiguous and not a.flags.writeable
+        for x in given:
+            assert x.flags.writeable
+            assert not any(np.shares_memory(x, a) for a in arrays)
 
 
 class TestCheckpointRoundTrip:
@@ -864,21 +933,20 @@ class TestCheckpointRoundTrip:
     def test_saves_version_2_base64(self, tiny_checkpoint):
         doc = json.loads(tiny_checkpoint.to_json())
         assert doc["version"] == 2
-        for section, tensors in (("weights", tiny_checkpoint.weights), ("bn_state", tiny_checkpoint.bn_state)):
-            for name, t in tensors.items():
+        for section, arrays in (("weights", tiny_checkpoint.weights), ("bn_state", tiny_checkpoint.bn_state)):
+            for name, t in arrays.items():
                 raw = base64.b64decode(doc[section][name]["data"], validate=True)
-                assert raw == t.array.astype("<f8").tobytes()
+                assert raw == t.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("form", ["v1", "v2"])
     def test_loaded_tensors_own_their_memory(self, tiny_checkpoint, form):
         text = V1_CHECKPOINT.read_text(encoding="utf-8") if form == "v1" else tiny_checkpoint.to_json()
         loaded = Checkpoint.from_json(text)
-        for t in [*loaded.weights.values(), *loaded.bn_state.values()]:
-            a = t.array
+        for a in [*loaded.weights.values(), *loaded.bn_state.values()]:
             assert a.dtype == np.float64
-            assert a.flags.owndata and a.flags.c_contiguous
-            # Tensor marks its array read-only. The memory itself must be
-            # writable: numpy refuses this on a view of the decoded bytes.
+            assert a.flags.owndata and a.flags.c_contiguous and not a.flags.writeable
+            # The loader marks each array read-only. The memory itself must
+            # be writable: numpy refuses this on a view of the decoded bytes.
             a.setflags(write=True)
             assert a.flags.writeable
             a.setflags(write=False)
@@ -1020,7 +1088,7 @@ class TestCheckpointV1:
         loaded = Checkpoint.load(V1_CHECKPOINT)
         for section, tensors in (("weights", loaded.weights), ("bn_state", loaded.bn_state)):
             for name, t in tensors.items():
-                assert t.array.ravel().tolist() == doc[section][name]["data"]
+                assert t.ravel().tolist() == doc[section][name]["data"]
 
     def test_arrays_bit_equal_to_fresh_train(self, tmp_path):
         """Loading the fixture, saving it as version 2 and loading that
@@ -1032,7 +1100,7 @@ class TestCheckpointV1:
         for got, want in ((again.weights, loaded.weights), (again.bn_state, loaded.bn_state)):
             assert set(got) == set(want)
             for name in want:
-                assert got[name].array.tobytes() == want[name].array.tobytes(), name
+                assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_resave_gives_version_2_train_bytes(self, tmp_path):
         """The re-save is a version-2 file that saves back to its own bytes,
@@ -1174,7 +1242,7 @@ class TestScoresCsvToHistograms:
         with half a unit on each side, in the report and in the rebinning."""
         config = tiny_experiment_config()
         params = init_params(config, RngStream(config.seed))
-        params.weights["backbone.out.w"] = Tensor.zeros(params.weights["backbone.out.w"].shape)
+        params.weights["backbone.out.w"] = frozen(np.zeros(params.weights["backbone.out.w"].shape))
         checkpoint = Checkpoint(config, params.weights, params.bn_state, 0)
         report = evaluate(checkpoint, tiny_bundle, histogram_bins=4)
         sizes = {"id_test": len(tiny_bundle.id_test), **{n: len(d) for n, d in tiny_bundle.ood.items()}}

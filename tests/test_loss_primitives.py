@@ -68,12 +68,12 @@ def test_tempered_ce_vjp(n, k, seed, normalize, labelled, reduction, tiny_rows):
         p_steps *= np.linalg.norm(p, axis=1, keepdims=True)
     num_p = _central(lambda q: loss(leaf(q), t).item(), p, p_steps)
     num_t = _central(lambda q: loss(p, leaf(q)).item(), t, np.full_like(t, 1e-6))
-    _assert_close(grads[p_leaf].array, num_p)
-    _assert_close(grads[t_leaf].array, num_t)
+    _assert_close(grads[p_leaf], num_p)
+    _assert_close(grads[t_leaf], num_t)
     if normalize and tiny_rows:
         below = slice(0, min(tiny_rows, n))
         np.testing.assert_array_equal(
-            tempered_ce(p, np.ones((n, 1)), norm_floor=NORM_EPSILON).array[below], p[below] / NORM_EPSILON
+            tempered_ce(p, np.ones((n, 1)), norm_floor=NORM_EPSILON).value[below], p[below] / NORM_EPSILON
         )
 
 
@@ -101,9 +101,9 @@ def test_resample_vjp(n, d, seed, shared, clamped_rows, scale):
         return reduce_sum(mul(resample(u_node, w, UHAT_FLOOR, scale), out_weights))
 
     u_leaf = leaf(u)
-    analytic = backward(loss(u_leaf), wrt=[u_leaf])[u_leaf].array
+    analytic = backward(loss(u_leaf), wrt=[u_leaf])[u_leaf]
     _assert_close(analytic, _central(lambda q: loss(leaf(q)).item(), u, np.full_like(u, 1e-6)))
-    np.testing.assert_array_equal(resample(u, w, UHAT_FLOOR, scale).array[clamped], UHAT_FLOOR * scale)
+    np.testing.assert_array_equal(resample(u, w, UHAT_FLOOR, scale).value[clamped], UHAT_FLOOR * scale)
     np.testing.assert_array_equal(analytic[clamped], 0.0)
 
 
@@ -121,7 +121,7 @@ def test_kl_vjp(n, d, seed, form, weight):
     u_leaf = leaf(u)
     node = kl(u_leaf, form, weight)
     assert node.item() == weight * node.attrs["kl"]
-    analytic = backward(node, wrt=[u_leaf])[u_leaf].array
+    analytic = backward(node, wrt=[u_leaf])[u_leaf]
     _assert_close(analytic, _central(lambda q: kl(q, form, weight).item(), u, np.full_like(u, 1e-6)))
 
 
@@ -190,7 +190,7 @@ class TestChecks:
         assert (ce_node.op, kl_node.op, uhat_node.op) == ("tempered_ce", "kl", "resample")
         assert total.item() == ce_node.attrs["ce"] + 0.3 * kl_node.attrs["kl"]
         assert kl_node.attrs["kl"] == kl(u).item()
-        np.testing.assert_array_equal(uhat_node.attrs["uhat"], resample(u, eps * eps, UHAT_FLOOR).value.array)
+        np.testing.assert_array_equal(uhat_node.attrs["uhat"], resample(u, eps * eps, UHAT_FLOOR).value)
         onehot = np.eye(3)[[0, 1, 2, 0, 1]]
         assert ce_node.attrs["ce"] == tempered_ce(p, uhat_node.attrs["uhat"], onehot, NORM_EPSILON).item()
 
@@ -221,8 +221,8 @@ def test_fused_uenl_matches_composed_reference(kl_form, uhat_scale):
     assert fused.item() == pytest.approx(total.item(), abs=1e-12)
     assert fused_ce == pytest.approx(ce.item(), abs=1e-12)
     assert fused_kl == pytest.approx(kl_term.item(), abs=1e-12)
-    np.testing.assert_allclose(fused_grads[p].array, ref_grads[rp].array, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(fused_grads[u].array, ref_grads[ru].array, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fused_grads[p], ref_grads[rp], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fused_grads[u], ref_grads[ru], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("method", ["plain", "logitnorm", "odin"])
@@ -245,4 +245,4 @@ def test_fused_baselines_match_composed_reference(method):
         fused = tempered_ce(p, np.full((DESK_N, 1), 1000.0), onehot, reduction="sum")
         ref = composed_ce(scale(rp, 1.0 / 1000.0), onehot, reduction="sum")
     assert fused.item() == pytest.approx(ref.item(), abs=1e-12)
-    np.testing.assert_allclose(backward(fused, wrt=[p])[p].array, backward(ref, wrt=[rp])[rp].array, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(backward(fused, wrt=[p])[p], backward(ref, wrt=[rp])[rp], rtol=0, atol=1e-12)

@@ -31,25 +31,25 @@ def _ce_at(p_bar, uhat, y):
 
 class TestNormalizeLogits:
     def test_three_four_five(self):
-        out = _normalize(leaf([[3.0, 4.0]])).value.array
+        out = _normalize(leaf([[3.0, 4.0]])).value
         np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-15)
 
     def test_zero_row_no_nan(self):
-        out = _normalize(leaf([[0.0, 0.0, 0.0]])).value.array
+        out = _normalize(leaf([[0.0, 0.0, 0.0]])).value
         np.testing.assert_array_equal(out, [[0.0, 0.0, 0.0]])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
         p = rng.normal(size=(8, 5))
-        base = _normalize(leaf(p)).value.array
+        base = _normalize(leaf(p)).value
         for c in (0.1, 10.0, 1000.0):
-            scaled = _normalize(leaf(c * p)).value.array
+            scaled = _normalize(leaf(c * p)).value
             np.testing.assert_allclose(scaled, base, atol=1e-9)
 
     def test_unit_norm_above_floor(self):
         rng = np.random.default_rng(1)
         p = rng.normal(size=(20, 4)) * 1e-3  # small but well above 1e-6
-        norms = np.linalg.norm(_normalize(leaf(p)).value.array, axis=1)
+        norms = np.linalg.norm(_normalize(leaf(p)).value, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
 
     def test_rejects_non_2d(self):
@@ -77,7 +77,7 @@ class TestResampleUncertainty:
         draws = 100_000
         eps = RngStream(7).normal((draws, 32))
         uhat = resample(leaf(np.ones((draws, 32))), eps * eps, UHAT_FLOOR)
-        mean = uhat.value.array.mean()
+        mean = uhat.value.mean()
         assert 31.4 <= mean <= 32.6
 
     def test_gradient_is_epsilon_squared(self):
@@ -108,7 +108,7 @@ class TestResampleUncertainty:
 
     def test_floor_engages_on_zero_epsilon(self):
         uhat = resample(leaf(np.ones((2, 4))), np.zeros((2, 4)), UHAT_FLOOR)
-        np.testing.assert_array_equal(uhat.value.array, UHAT_FLOOR)
+        np.testing.assert_array_equal(uhat.value, UHAT_FLOOR)
 
     def test_errors(self):
         p, y = np.ones((1, 2)), [1]
@@ -159,7 +159,7 @@ class TestCeWithTemperature:
 
     def test_nonnegative(self):
         rng = np.random.default_rng(12)
-        p_bar = _normalize(leaf(rng.normal(size=(30, 5)))).value.array
+        p_bar = _normalize(leaf(rng.normal(size=(30, 5)))).value
         loss = _ce_at(leaf(p_bar), rng.uniform(0.1, 2.0, 30), rng.integers(1, 6, 30))
         assert loss.value.item() >= 0.0
 
@@ -306,8 +306,8 @@ class TestUenlTotal:
 
         num_p = numeric_gradient(lambda q: loss_at(q.reshape(2, 3), u0), p0.ravel()).reshape(2, 3)
         num_u = numeric_gradient(lambda q: loss_at(p0, q.reshape(2, 4)), u0.ravel()).reshape(2, 4)
-        np.testing.assert_allclose(grads[p_leaf].array, num_p, rtol=1e-5, atol=1e-8)
-        np.testing.assert_allclose(grads[u_leaf].array, num_u, rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(grads[p_leaf], num_p, rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(grads[u_leaf], num_u, rtol=1e-5, atol=1e-8)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,12 @@
 
 import math
 import re
+import warnings
 import zlib
 
 import numpy as np
 import pytest
-from conftest import FOLD_SHAPES, model_arch, trained_like
+from conftest import FOLD_SHAPES, frozen, model_arch, trained_like
 from gradcheck import finite_diff_check
 from oracles import expected_param_count, unfolded_eval
 
@@ -25,7 +26,7 @@ from uenl.model import (
 )
 from uenl.rng import RngStream
 from uenl.scoring import EvalChunk, _input_gradient
-from uenl.tensor import Tape, Tensor, backward, leaf, reduce_mean, tempered_ce
+from uenl.tensor import Tape, backward, leaf, reduce_mean, tempered_ce
 
 
 def make_params(seed=0, input_dim=5, hidden=(12, 6), k=3, delta=8, **config_kw):
@@ -75,29 +76,29 @@ class TestInit:
         p1, p2 = make_params(seed=3), make_params(seed=3)
         assert p1.weights.keys() == p2.weights.keys()
         for name in p1.weights:
-            np.testing.assert_array_equal(p1.weights[name].array, p2.weights[name].array)
+            np.testing.assert_array_equal(p1.weights[name], p2.weights[name])
         for name in p1.bn_state:
-            np.testing.assert_array_equal(p1.bn_state[name].array, p2.bn_state[name].array)
+            np.testing.assert_array_equal(p1.bn_state[name], p2.bn_state[name])
 
     def test_fan_in_100_weight_std(self):
         # LeCun uniform on fan-in 100: limit sqrt(3/100), std limit/sqrt(3) = 0.1.
         params = make_params(input_dim=100, hidden=(100,), k=2)
-        w = params.weights["backbone.h0.w"].array
+        w = params.weights["backbone.h0.w"]
         assert w.shape == (100, 100)  # 10^4 entries
         assert abs(w.std() - 0.1) < 0.02  # within 20% of target
 
     def test_biases_zero_and_bn_identity(self):
         params = make_params()
-        np.testing.assert_array_equal(params.weights["backbone.h0.b"].array, 0.0)
-        np.testing.assert_array_equal(params.weights["backbone.h0.bn.gamma"].array, 1.0)
-        np.testing.assert_array_equal(params.weights["backbone.h0.bn.beta"].array, 0.0)
-        np.testing.assert_array_equal(params.bn_state["backbone.h0.bn.mean"].array, 0.0)
-        np.testing.assert_array_equal(params.bn_state["backbone.h0.bn.var"].array, 1.0)
+        np.testing.assert_array_equal(params.weights["backbone.h0.b"], 0.0)
+        np.testing.assert_array_equal(params.weights["backbone.h0.bn.gamma"], 1.0)
+        np.testing.assert_array_equal(params.weights["backbone.h0.bn.beta"], 0.0)
+        np.testing.assert_array_equal(params.bn_state["backbone.h0.bn.mean"], 0.0)
+        np.testing.assert_array_equal(params.bn_state["backbone.h0.bn.var"], 1.0)
 
     def test_head_starts_at_zero(self):
         params = make_params()
-        np.testing.assert_array_equal(params.weights["head.w"].array, 0.0)
-        np.testing.assert_array_equal(params.weights["head.b"].array, 0.0)
+        np.testing.assert_array_equal(params.weights["head.w"], 0.0)
+        np.testing.assert_array_equal(params.weights["head.b"], 0.0)
 
     def test_param_count_closed_form(self):
         for kwargs in (
@@ -161,17 +162,17 @@ class TestForwardBackbone:
         params = make_params(seed=5)
         x = RngStream(2).normal((10, 5))
         model = params.fold()
-        full = forward(model, x).logits.array
-        single = forward(model, x[3:4]).logits.array
+        full = forward(model, x).logits.value
+        single = forward(model, x[3:4]).logits.value
         np.testing.assert_array_equal(full[3:4], single)
-        shuffled = forward(model, x[::-1].copy()).logits.array
+        shuffled = forward(model, x[::-1].copy()).logits.value
         np.testing.assert_array_equal(full[::-1], shuffled)
 
     def test_train_equals_eval_without_stochastic_layers(self):
         params = make_params(dropout=0.0, use_batchnorm=False)
         x = RngStream(3).normal((6, 5))
-        train_out = forward(params, x).logits.array
-        eval_out = forward(params.fold(), x).logits.array
+        train_out = forward(params, x).logits.value
+        eval_out = forward(params.fold(), x).logits.value
         np.testing.assert_array_equal(train_out, eval_out)
 
     def test_dropout_zero_fraction_and_scaling(self):
@@ -180,8 +181,8 @@ class TestForwardBackbone:
         params = make_params(seed=9, input_dim=20, hidden=(100,), k=2, delta=4,
                              dropout=0.3, use_batchnorm=False)
         x = RngStream(4).normal((1000, 20))
-        eval_emb = forward(params.fold(), x).embedding.array
-        train_emb = forward(params, x, rng=RngStream(77)).embedding.array
+        eval_emb = forward(params.fold(), x).embedding.value
+        train_emb = forward(params, x, rng=RngStream(77)).embedding.value
         alive = eval_emb > 1e-12  # relu zeros are zero in both modes
         assert alive.sum() > 20_000
         dropped = train_emb[alive] == 0.0
@@ -213,10 +214,10 @@ class TestForwardBackbone:
         # With identity gamma/beta the train-mode BN output is the normalized
         # pre-activation: per-feature batch mean 0 and variance 1 within 1e-6.
         params = make_params(seed=11, dropout=0.0)
-        params.weights["head.w"] = Tensor(RngStream(12).normal((6, 8)))
+        params.weights["head.w"] = frozen(RngStream(12).normal((6, 8)))
         x = RngStream(13).normal((200, 5))
-        emb = forward(params, x).embedding.array
-        u = uncertainty_forward(params, emb).u.array
+        emb = forward(params, x).embedding.value
+        u = uncertainty_forward(params, emb).u.value
         z_hat = np.log(u)  # u = exp(z_hat) with gamma 1, beta 0
         np.testing.assert_allclose(z_hat.mean(axis=0), 0.0, atol=1e-6)
         np.testing.assert_allclose(z_hat.var(axis=0), 1.0, atol=1e-4)  # eps shifts var slightly
@@ -227,14 +228,14 @@ class TestForwardBackbone:
         out = forward(params, x)
         # New running stats = (1 - m) * old + m * batch statistic, m = 0.1.
         leaves = param_leaves(params)
-        z = x @ params.weights["backbone.h0.w"].array + params.weights["backbone.h0.b"].array
+        z = x @ params.weights["backbone.h0.w"] + params.weights["backbone.h0.b"]
         mu = z.mean(axis=0)
         var = z.var(axis=0)
         np.testing.assert_allclose(
-            out.bn_updates["backbone.h0.bn.mean"].array, 0.9 * 0.0 + 0.1 * mu, atol=1e-12
+            out.bn_updates["backbone.h0.bn.mean"], 0.9 * 0.0 + 0.1 * mu, atol=1e-12
         )
         np.testing.assert_allclose(
-            out.bn_updates["backbone.h0.bn.var"].array, 0.9 * 1.0 + 0.1 * var, atol=1e-12
+            out.bn_updates["backbone.h0.bn.var"], 0.9 * 1.0 + 0.1 * var, atol=1e-12
         )
         assert leaves.keys() == params.weights.keys()
 
@@ -248,24 +249,24 @@ class TestUncertaintyHead:
     def test_fresh_head_gives_all_ones(self):
         params = make_params()
         e = RngStream(20).normal((9, 6))
-        u = uncertainty_forward(params.fold(), e).u.array
+        u = uncertainty_forward(params.fold(), e).u.value
         assert u.shape == (9, 8)
         np.testing.assert_array_equal(u, 1.0)
 
     def test_exp_of_preactivation(self):
         # beta = 1 with zero head weights gives z_hat = 1 exactly, u = e.
         params = make_params()
-        params.weights["head.bn.beta"] = Tensor(np.ones(8))
-        u = uncertainty_forward(params.fold(), np.zeros((2, 6))).u.array
+        params.weights["head.bn.beta"] = frozen(np.ones(8))
+        u = uncertainty_forward(params.fold(), np.zeros((2, 6))).u.value
         np.testing.assert_allclose(u, 2.718282, atol=1e-6)
 
     def test_u_strictly_positive_random_params(self):
         params = make_params(seed=31)
-        params.weights["head.w"] = Tensor(RngStream(32).normal((6, 8)))
-        params.weights["head.b"] = Tensor(RngStream(33).normal((8,)))
+        params.weights["head.w"] = frozen(RngStream(32).normal((6, 8)))
+        params.weights["head.b"] = frozen(RngStream(33).normal((8,)))
         e = RngStream(34).normal((50, 6)) * 5.0
         for model in (params, params.fold()):  # train mode, eval mode
-            u = uncertainty_forward(model, e).u.array
+            u = uncertainty_forward(model, e).u.value
             assert (u > 0.0).all()
 
     def test_head_gradient_matches_finite_differences(self):
@@ -291,13 +292,13 @@ class TestUncertaintyHead:
 
     def test_corrupt_running_variance_raises(self):
         params = make_params()
-        params.bn_state["head.bn.var"] = Tensor(-np.ones(8))
+        params.bn_state["head.bn.var"] = frozen(-np.ones(8))
         with pytest.raises(ValueError):
             uncertainty_forward(params.fold(), np.zeros((2, 6)))
 
     def test_scalar_u_broadcast_width(self):
         params = make_params(hidden=(6,), scalar_uncertainty=True, dropout=0.0)
-        u = uncertainty_forward(params.fold(), np.zeros((4, 6))).u.array
+        u = uncertainty_forward(params.fold(), np.zeros((4, 6))).u.value
         assert u.shape == (4, 1)
         np.testing.assert_array_equal(u, 1.0)
 
@@ -331,11 +332,11 @@ def _graph_eval_outputs(params: ModelParams | FoldedModel, x: np.ndarray, temper
     ``backward`` on ``params.fold()``."""
     model = params.fold()
     out = forward(model, x)
-    u = uncertainty_forward(model, out.embedding).u.array
-    logits = out.logits.array
+    u = uncertainty_forward(model, out.embedding).u.value
+    logits = out.logits.value
     onehot = np.eye(logits.shape[1])[logits.argmax(axis=1)]
     nll = tempered_ce(out.logits, np.full((len(x), 1), temperature), onehot, reduction="sum")
-    return logits, u, backward(nll, wrt=[out.x])[out.x].array
+    return logits, u, backward(nll, wrt=[out.x])[out.x]
 
 
 class TestEvalFold:
@@ -386,8 +387,8 @@ class TestEvalFold:
         params = trained_like("tiny")
         x = RngStream(60).normal((5, 6))
         forward(params.fold(), x)
-        params.weights["backbone.h1.bn.gamma"] = Tensor(np.full(8, 0.5))
-        params.bn_state["head.bn.var"] = Tensor(np.full(8, 2.0))
+        params.weights["backbone.h1.bn.gamma"] = frozen(np.full(8, 0.5))
+        params.bn_state["head.bn.var"] = frozen(np.full(8, 2.0))
         logits, u, _ = _eval_outputs(params, x)
         want_logits, want_u, _ = unfolded_eval(params, x)
         np.testing.assert_allclose(logits, want_logits, rtol=1e-12, atol=1e-12)
@@ -432,27 +433,27 @@ class TestFoldedModel:
             out = forward(model, np.ones((3, 16)))
             head = uncertainty_forward(model, out.embedding)
             leaves = _graph_leaves(out.logits, head.u)
-            assert [n for n in leaves if id(n.array) not in constants] == [out.x]
-            assert len({id(n.array) for n in leaves} & constants) == 8
+            assert [n for n in leaves if id(n.value) not in constants] == [out.x]
+            assert len({id(n.value) for n in leaves} & constants) == 8
 
     def test_layers_without_batchnorm_keep_their_tensors(self):
         params = trained_like("tiny_no_bn")
         model = params.fold()
         for name in ("backbone.h0.w", "backbone.h1.b", "backbone.out.w", "backbone.out.b"):
-            assert model.arrays[name] is params.weights[name].array
-        assert model.arrays["head.w"] is not params.weights["head.w"].array
+            assert model.arrays[name] is params.weights[name]
+        assert model.arrays["head.w"] is not params.weights["head.w"]
 
     def test_is_an_immutable_snapshot(self):
         params = trained_like("tiny")
         x = RngStream(61).normal((5, 6))
         model = params.fold()
         before = model.run(x)[1]
-        np.testing.assert_array_equal(forward(model, x).logits.array, before)
+        np.testing.assert_array_equal(forward(model, x).logits.value, before)
         assert model.fold() is model
         with pytest.raises(AttributeError):
             model.arrays = {}
         assert not any(a.flags.writeable for a in model.arrays.values())
-        params.weights["backbone.h1.bn.gamma"] = Tensor(np.full(8, 0.5))
+        params.weights["backbone.h1.bn.gamma"] = frozen(np.full(8, 0.5))
         np.testing.assert_array_equal(model.run(x)[1], before)
         assert not np.array_equal(params.fold().run(x)[1], before)
 
@@ -472,6 +473,16 @@ class TestFoldedModel:
 
     def test_negative_running_variance_fails_the_fold(self):
         params = trained_like("tiny")
-        params.bn_state["backbone.h0.bn.var"] = Tensor(-np.ones(16))
+        params.bn_state["backbone.h0.bn.var"] = frozen(-np.ones(16))
         with pytest.raises(ValueError, match="backbone.h0.bn: running variance has negative entries"):
             params.fold()
+
+    def test_an_overflowing_fold_names_its_layer_without_a_warning(self):
+        # Finite weights whose product w * gamma / std overflows.
+        params = trained_like("tiny")
+        params.weights["head.w"] = frozen(np.full(params.weights["head.w"].shape, 1e10))
+        params.weights["head.bn.gamma"] = frozen(np.full(8, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^head: folded weights are non-finite$"):
+                params.fold()

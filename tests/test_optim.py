@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from conftest import frozen
 from oracles import sgd_per_parameter
 from uenl import optim
 from uenl.config import BackboneSpec, ExperimentConfig
 from uenl.optim import OptState, lr_at_epoch, sgd_step
-from uenl.tensor import Tensor
 
 
 def start(weights):
     """An OptState laid out in the order of ``weights`` (name -> array)."""
-    weights = {name: Tensor(w) for name, w in weights.items()}
+    weights = {name: frozen(w) for name, w in weights.items()}
     return OptState({name: w.shape for name, w in weights.items()}, weights)
 
 
@@ -70,19 +70,19 @@ class TestUpdateRule:
             v_ref = m * v_ref - lr * (g + wd * w_ref)
             w_ref = w_ref + v_ref
             assert_array_equal(state.velocity.reshape(4, 3), v_ref)
-            assert_array_equal(weights["w"].array, w_ref)
+            assert_array_equal(weights["w"], w_ref)
 
     def test_multiple_parameters_updated_independently(self):
         state = start({"a": np.array([1.0, 2.0]), "b": np.array([[3.0]])})
         grads = {"a": np.array([0.5, 0.5]), "b": np.array([[1.0]])}
         new_w = sgd_step(state, grads, lr=0.1, momentum=0.0, weight_decay=0.0)
         assert list(new_w) == ["a", "b"]
-        assert_array_equal(new_w["a"].array, [0.95, 1.95])
-        assert_array_equal(new_w["b"].array, [[2.9]])
+        assert_array_equal(new_w["a"], [0.95, 1.95])
+        assert_array_equal(new_w["b"], [[2.9]])
 
     def test_accepts_tensor_gradients(self):
         state = one_param(1.0)
-        new_w = sgd_step(state, {"w": Tensor(0.5)}, lr=0.1, momentum=0.0, weight_decay=0.0)
+        new_w = sgd_step(state, {"w": frozen(0.5)}, lr=0.1, momentum=0.0, weight_decay=0.0)
         assert new_w["w"].item() == 0.95
 
     def test_inputs_not_mutated(self):
@@ -91,11 +91,11 @@ class TestUpdateRule:
         state = start({"w": np.array([2.0, -1.0])})
         grads = {"w": np.array([1.0, 3.0])}
         before = sgd_step(state, grads, lr=0.1)
-        kept = before["w"].array.copy()
+        kept = before["w"].copy()
         after = sgd_step(state, grads, lr=0.1)
         assert after is not before and after["w"] is not before["w"]
         assert_array_equal(grads["w"], [1.0, 3.0])
-        assert_array_equal(before["w"].array, kept)
+        assert_array_equal(before["w"], kept)
 
     def test_momentum_coasts_with_zero_gradient(self):
         """Momentum alone (zero gradient, zero decay) keeps coasting."""
@@ -116,19 +116,19 @@ class TestOptState:
         assert_array_equal(state.velocity, np.zeros(12))
         assert_array_equal(state.weights, [1.0] * 6 + [0.0, 1.0, 2.0, 3.0, 4.0, 7.0])
         for name, t in state.named().items():
-            assert_array_equal(t.array, weights[name])
+            assert_array_equal(t, weights[name])
 
     def test_layout_follows_the_shapes_not_the_weights(self):
         shapes = {"b": (2,), "a": (1, 2)}
-        state = OptState(shapes, {"a": Tensor([[1.0, 2.0]]), "b": Tensor([3.0, 4.0])})
+        state = OptState(shapes, {"a": frozen([[1.0, 2.0]]), "b": frozen([3.0, 4.0])})
         assert [name for name, _, _ in state.layout] == ["b", "a"]
         assert_array_equal(state.weights, [3.0, 4.0, 1.0, 2.0])
 
     def test_weights_must_match_the_layout(self):
         with pytest.raises(ValueError, match="layout"):
-            OptState({"a": (2,)}, {"a": Tensor([1.0, 2.0]), "b": Tensor(1.0)})
+            OptState({"a": (2,)}, {"a": frozen([1.0, 2.0]), "b": frozen(1.0)})
         with pytest.raises(ValueError, match="weight a has shape"):
-            OptState({"a": (3,)}, {"a": Tensor([1.0, 2.0])})
+            OptState({"a": (3,)}, {"a": frozen([1.0, 2.0])})
 
 
 class TestFlatStep:
@@ -148,7 +148,7 @@ class TestFlatStep:
         weight_decay = float(rng.choice([0.0, 0.0005, 10.0 ** rng.uniform(-6, -1)]))
         w_ref = {name: rng.standard_normal(shape) * 3 for name, shape in shapes.items()}
         v_ref = {name: np.zeros(shape) for name, shape in shapes.items()}
-        state = OptState(shapes, {name: Tensor(w) for name, w in w_ref.items()})
+        state = OptState(shapes, {name: frozen(w) for name, w in w_ref.items()})
         absent = rng.choice(list(shapes)) if case % 2 else None  # outside the loss graph
         for _ in range(4):
             grads = {name: None if name == absent else rng.standard_normal(shape) for name, shape in shapes.items()}
@@ -156,7 +156,7 @@ class TestFlatStep:
             w_ref, v_ref = sgd_per_parameter(w_ref, v_ref, grads, lr, momentum, weight_decay)
             assert list(weights) == list(shapes)
             for name, part, _ in state.layout:
-                assert_same_bits(weights[name].array, w_ref[name])
+                assert_same_bits(weights[name], w_ref[name])
                 assert_same_bits(state.velocity[part], v_ref[name].reshape(-1))
 
     def test_matches_per_parameter_oracle_across_blocks(self):
@@ -167,29 +167,29 @@ class TestFlatStep:
         assert sum(int(np.prod(shape)) for shape in shapes.values()) > 2 * optim._BLOCK
         w_ref = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
         v_ref = {name: np.zeros(shape) for name, shape in shapes.items()}
-        state = OptState(shapes, {name: Tensor(w) for name, w in w_ref.items()})
+        state = OptState(shapes, {name: frozen(w) for name, w in w_ref.items()})
         for absent in (None, "c", None):
             grads = {name: None if name == absent else rng.standard_normal(shape) for name, shape in shapes.items()}
             weights = sgd_step(state, grads, 0.05, 0.9, 0.0005)
             w_ref, v_ref = sgd_per_parameter(w_ref, v_ref, grads, 0.05, 0.9, 0.0005)
             for name, part, _ in state.layout:
-                assert_same_bits(weights[name].array, w_ref[name])
+                assert_same_bits(weights[name], w_ref[name])
                 assert_same_bits(state.velocity[part], v_ref[name].reshape(-1))
 
     def test_returned_weights_are_read_only_and_never_change(self):
         state = start({"w": np.ones((3, 2)), "b": np.zeros(2)})
         grads = {"w": np.full((3, 2), 0.5), "b": np.ones(2)}
         step_k = sgd_step(state, grads, lr=0.1)
-        kept = {name: t.array.copy() for name, t in step_k.items()}
+        kept = {name: t.copy() for name, t in step_k.items()}
         for t in step_k.values():
-            assert not t.array.flags.writeable
+            assert not t.flags.writeable
             with pytest.raises(ValueError):
-                t.array[...] = 0.0
+                t[...] = 0.0
         step_k1 = sgd_step(state, grads, lr=0.1)
         for name, t in step_k.items():
-            assert_array_equal(t.array, kept[name])
-            assert not np.array_equal(step_k1[name].array, kept[name])
-            assert not np.shares_memory(step_k1[name].array, t.array)
+            assert_array_equal(t, kept[name])
+            assert not np.array_equal(step_k1[name], kept[name])
+            assert not np.shares_memory(step_k1[name], t)
 
     def test_returned_weights_view_one_vector(self):
         """No copy per parameter: every returned weight is a view of the
@@ -197,7 +197,7 @@ class TestFlatStep:
         state = start({"w": np.ones((3, 2)), "b": np.zeros(2)})
         weights = sgd_step(state, {"w": np.ones((3, 2)), "b": np.ones(2)}, lr=0.1)
         for t in weights.values():
-            assert t.array.base is state.weights
+            assert t.base is state.weights
         assert not state.weights.flags.writeable
 
     def test_failed_step_leaves_the_state_alone(self):

@@ -15,7 +15,6 @@ class TestDeterminism:
     def test_same_seed_same_path_identical_across_methods(self):
         s1, s2 = RngStream(7, "train"), RngStream(7, "train")
         np.testing.assert_array_equal(s1.uniform(-1, 1, (50,)), s2.uniform(-1, 1, (50,)))
-        np.testing.assert_array_equal(s1.integers(0, 10, (50,)), s2.integers(0, 10, (50,)))
         np.testing.assert_array_equal(s1.permutation(20), s2.permutation(20))
 
     def test_different_seeds_differ(self):
@@ -68,10 +67,6 @@ class TestStatistics:
         assert u.min() >= 2.0 and u.max() < 5.0
         assert abs(u.mean() - 3.5) < 0.02
 
-    def test_integers_range_and_coverage(self):
-        v = RngStream(8).integers(0, 4, (10_000,))
-        assert set(np.unique(v)) == {0, 1, 2, 3}
-
     def test_permutation_is_valid(self):
         p = RngStream(8).permutation(100)
         assert sorted(p.tolist()) == list(range(100))
@@ -88,10 +83,6 @@ class TestValidation:
     def test_uniform_bad_interval(self):
         with pytest.raises(ValueError):
             RngStream(0).uniform(1.0, 1.0)
-
-    def test_integers_bad_interval(self):
-        with pytest.raises(ValueError):
-            RngStream(0).integers(5, 5)
 
     def test_permutation_negative(self):
         with pytest.raises(ValueError):

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 import oracles
 import uenl.model
 import uenl.scoring
-import uenl.tensor
-from conftest import awkward_rows, model_arch, trained_like
+from conftest import awkward_rows, frozen, model_arch, trained_like
 from uenl.harness import write_files
 from uenl.model import forward, init_params
 from uenl.rng import RngStream
@@ -273,9 +272,9 @@ class TestOdinPerturbationBits:
         x[::3, 1], x[1::3, 2] = 0.0, -0.0
         out = forward(small_params.fold(), x)
         g = backward(
-            tempered_ce(out.logits, np.full((70, 1), 1000.0), np.eye(3)[out.logits.array.argmax(axis=1)], reduction="sum"),
+            tempered_ce(out.logits, np.full((70, 1), 1000.0), np.eye(3)[out.logits.value.argmax(axis=1)], reduction="sum"),
             wrt=[out.x],
-        )[out.x].array
+        )[out.x]
         got = _odin_perturbed(one_chunk(small_params, x), 1000.0, 0.0014, clip_range)
         np.testing.assert_array_equal(_bits(got), _bits(self.reference(x, g, 0.0014, clip_range)))
 
@@ -300,9 +299,9 @@ class TestEvalPassMatchesTheGraph:
         got = eval_pass(params, x, lambda c: (c.logits, c.u_total, uenl.scoring._input_gradient(c, 1000.0)))
 
         def graph(out, u_total):
-            logits = out.logits.array
+            logits = out.logits.value
             nll = tempered_ce(out.logits, np.full((len(logits), 1), 1000.0), np.eye(logits.shape[1])[logits.argmax(1)], reduction="sum")
-            return logits, u_total, backward(nll, wrt=[out.x])[out.x].array
+            return logits, u_total, backward(nll, wrt=[out.x])[out.x]
 
         want = oracles.graph_eval_pass(params, x, graph)
         assert len(got) == len(want) == -(-n // 512)
@@ -327,9 +326,9 @@ class TestEvalPassMatchesTheGraph:
 
         def graph(out, u_total):
             return {
-                "logits": out.logits.array,
-                "msp": msp_score(out.logits.array),
-                "energy": energy_score(out.logits.array, spec.energy_temperature),
+                "logits": out.logits.value,
+                "msp": msp_score(out.logits.value),
+                "energy": energy_score(out.logits.value, spec.energy_temperature),
                 "odin": oracles.odin_from_pass(model, out, temperature, epsilon, clip_range),
                 "uncertainty": -u_total,
             }
@@ -343,7 +342,7 @@ class TestEvalPassMatchesTheGraph:
         # Huge finite weights on one layer overflow its product; the graph
         # pass raises the same error.
         params = trained_like("tiny")
-        params.weights[f"{layer}.w"] = uenl.tensor.Tensor(np.full(params.weights[f"{layer}.w"].shape, 1e300))
+        params.weights[f"{layer}.w"] = frozen(np.full(params.weights[f"{layer}.w"].shape, 1e300))
         x = np.full((3, 6), 1e10)
         message = f"^{layer}: dense produced non-finite values$"
         with pytest.raises(FloatingPointError, match=message):
@@ -369,14 +368,13 @@ class TestUncertaintyScore:
     def test_matches_monte_carlo_resampling_mean(self, small_params):
         # E[u_hat] = sum_i u_i = -score; 1e4 epsilon draws land within 2%.
         from uenl.model import uncertainty_forward
-        from uenl.tensor import Tensor
 
-        small_params.weights["head.w"] = Tensor(RngStream(10).normal((6, 8)) * 0.3)
+        small_params.weights["head.w"] = frozen(RngStream(10).normal((6, 8)) * 0.3)
         x = np.random.default_rng(11).normal(size=(1, 5))
         score = uncertainty(small_params, x)[0]
         model = small_params.fold()
-        emb = forward(model, x).embedding.array
-        u = uncertainty_forward(model, emb).u.array[0]
+        emb = forward(model, x).embedding.value
+        u = uncertainty_forward(model, emb).u.value[0]
         eps = RngStream(12).normal((10_000, u.shape[0]))
         mc_mean = (u * eps * eps).sum(axis=1).mean()
         assert abs(mc_mean - (-score)) / (-score) < 0.02
